@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fields import Tensor2Field
+from .fields import Tensor2Field, sym2x2_eigs
 from .manifolds import (
     EigenBasis,
     ManifoldModel,
@@ -83,13 +83,6 @@ def dd_kernel(a, basis: EigenBasis, points: np.ndarray) -> Tensor2Field:
     return Tensor2Field(basis.model, pts, vals)
 
 
-def e_n_map(ip: InnerProductMatrix, basis: EigenBasis, points: np.ndarray) -> Tensor2Field:
-    """Bergman metric of an inner product: identical to dd of its matrix."""
-    if ip.matrix.dim != basis.dim:
-        raise InputError("inner product and basis dimensions disagree")
-    return dd_kernel(ip.matrix.entries, basis, points)
-
-
 def pullback_by_transform(q: np.ndarray, basis: EigenBasis, points: np.ndarray) -> Tensor2Field:
     """(Q Phi)* g_E for a full-rank linear map Q of the eigenspace."""
     q = np.asarray(q, dtype=float)
@@ -108,12 +101,7 @@ def immersion_margin(basis: EigenBasis, points: np.ndarray) -> float:
         raise InputError("empty sample grid")
     _, grads = eval_basis(basis, pts)
     gram = np.einsum("dip,djp->pij", grads, grads)  # (P, n, n)
-    if basis.model.dim == 1:
-        smin = gram[:, 0, 0]
-    else:
-        half_tr = 0.5 * (gram[:, 0, 0] + gram[:, 1, 1])
-        disc = np.sqrt((0.5 * (gram[:, 0, 0] - gram[:, 1, 1])) ** 2 + gram[:, 0, 1] ** 2)
-        smin = half_tr - disc
+    smin = gram[:, 0, 0] if basis.model.dim == 1 else sym2x2_eigs(gram)[0]
     return float(np.sqrt(np.maximum(smin, 0.0)).min())
 
 
@@ -195,13 +183,3 @@ def isometry_fit(model: ManifoldModel, cutoffs, grid_res: int = 16):
     residuals = measured / mus ** (model.dim + 2) - c
     return c, measured, mus, residuals
 
-
-def tensor_sphere_average(model: ManifoldModel, point: np.ndarray, fiber_res: int = 32) -> np.ndarray:
-    """Quadrature of the rank-one average over the unit cosphere fiber.
-
-    Equals Vol(S^{n-1})/n times g0 at the point.
-    """
-    from .manifolds import fiber_directions
-
-    xis, w = fiber_directions(model, point, fiber_res)
-    return np.einsum("q,qi,qj->ij", w, xis, xis)

@@ -27,7 +27,9 @@ from .errors import (
     ResolutionError,
     UnsupportedModelError,
 )
+from .fields import relative_errors
 from .manifolds import (
+    _torus_half_lattice,
     basis_for,
     cosphere_quadrature,
     enumerate_levels,
@@ -95,8 +97,11 @@ def write_csv(header: list[str], rows: list[tuple], out: Optional[str]) -> None:
     lines += [",".join(_format_value(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -258,7 +263,7 @@ def cmd_hilb_approx(cfg: ExperimentConfig):
     def one(c):
         basis = basis_for(model, c)
         fld, shift = hilb.approximate(g, basis, pts, quantization=cfg.quantization)
-        sup, l2 = hilb.approx_error(g, fld, w)
+        sup, l2 = relative_errors(fld, g, w)
         return (c, sup, l2, shift)
 
     rows = run_parallel([lambda c=c: one(c) for c in sweep], cfg.threads)
@@ -387,13 +392,9 @@ def cmd_exact_pullback(cfg: ExperimentConfig):
             return np.array([[cutoff * (cutoff + 1) * (2 * cutoff + 1) / (6 * math.pi)]])
         if model.kind == "torus2":
             acc = np.zeros((2, 2))
-            kmax = int(math.isqrt(cutoff))
-            for a in range(0, kmax + 1):
-                for b in range(-kmax, kmax + 1):
-                    if (a == 0 and b <= 0) or a * a + b * b > cutoff:
-                        continue
-                    k = np.array([a, b], dtype=float)
-                    acc += np.outer(k, k) / (2 * math.pi**2)
+            for a, b in _torus_half_lattice(cutoff):
+                k = np.array([a, b], dtype=float)
+                acc += np.outer(k, k) / (2 * math.pi**2)
             return acc
         raise InputError("exact-pullback supports circle and torus2")
 
@@ -498,9 +499,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
 _CONFIG_TYPES = {
     "grid": int, "fiber": int, "tnodes": int, "k": int, "threads": int,
-    "tol": float, "check": lambda s: s.lower() in ("1", "true", "yes"),
+    "tol": float, "check": _parse_bool,
 }
 
 

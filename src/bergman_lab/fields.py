@@ -11,10 +11,24 @@ from .errors import GridMismatchError, InputError, NotSPDError
 from .manifolds import ManifoldModel, g0_matrices
 
 
-def _sym2x2_abs_eig_max(a11, a12, a22):
-    half_tr = 0.5 * (a11 + a22)
-    disc = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12**2)
-    return np.maximum(np.abs(half_tr + disc), np.abs(half_tr - disc))
+def sym2x2_eigs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (smallest, largest) eigenvalues of symmetric (P, 2, 2) values."""
+    half_tr = 0.5 * (vals[:, 0, 0] + vals[:, 1, 1])
+    disc = np.sqrt((0.5 * (vals[:, 0, 0] - vals[:, 1, 1])) ** 2 + vals[:, 0, 1] ** 2)
+    return half_tr - disc, half_tr + disc
+
+
+def g0_orthonormal(model: ManifoldModel, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Covariant 2-tensors in a g0-orthonormal frame, g0^{-1/2} T g0^{-1/2}.
+
+    The chart frame is already orthonormal except on the sphere, where the
+    phi component is rescaled by 1/sin(theta).
+    """
+    if model.kind != "sphere2":
+        return values
+    s = np.sin(np.atleast_2d(points)[:, 0])
+    scale = np.stack([np.ones_like(s), 1.0 / s], axis=1)
+    return values * scale[:, :, None] * scale[:, None, :]
 
 
 def g0_operator_norms(model: ManifoldModel, points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -27,15 +41,12 @@ def g0_operator_norms(model: ManifoldModel, points: np.ndarray, values: np.ndarr
     vals = np.asarray(values, dtype=float)
     if model.dim == 1:
         return np.abs(vals[:, 0, 0])
-    if model.kind == "sphere2":
-        s = np.sin(np.atleast_2d(points)[:, 0])
-        scale = np.stack([np.ones_like(s), 1.0 / s], axis=1)
-        vals = vals * scale[:, :, None] * scale[:, None, :]
+    vals = g0_orthonormal(model, points, vals)
     asym = vals - np.transpose(vals, (0, 2, 1))
-    if np.max(np.abs(asym)) <= 1e-13 * (1.0 + np.max(np.abs(vals))):
-        return _sym2x2_abs_eig_max(vals[:, 0, 0], vals[:, 0, 1], vals[:, 1, 1])
-    mtm = np.einsum("pki,pkj->pij", vals, vals)
-    return np.sqrt(_sym2x2_abs_eig_max(mtm[:, 0, 0], mtm[:, 0, 1], mtm[:, 1, 1]))
+    symmetric = np.max(np.abs(asym)) <= 1e-13 * (1.0 + np.max(np.abs(vals)))
+    lo, hi = sym2x2_eigs(vals if symmetric else np.einsum("pki,pkj->pij", vals, vals))
+    abs_max = np.maximum(np.abs(hi), np.abs(lo))
+    return abs_max if symmetric else np.sqrt(abs_max)
 
 
 @dataclass(frozen=True)
@@ -61,25 +72,12 @@ class Tensor2Field:
     def scaled(self, c: float) -> "Tensor2Field":
         return Tensor2Field(self.model, self.points, c * self.values)
 
-    def minus(self, other: "Tensor2Field") -> "Tensor2Field":
-        if other.points.shape != self.points.shape or not np.allclose(
-            other.points, self.points, atol=0.0, rtol=0.0
-        ):
-            raise GridMismatchError("tensor fields sampled on different grids")
-        return Tensor2Field(self.model, self.points, self.values - other.values)
-
     def min_eig_g0(self) -> float:
         """Smallest eigenvalue of g0^{-1/2} T g0^{-1/2} over the grid."""
-        vals = self.values
         if self.model.dim == 1:
-            return float(vals[:, 0, 0].min())
-        if self.model.kind == "sphere2":
-            s = np.sin(self.points[:, 0])
-            scale = np.stack([np.ones_like(s), 1.0 / s], axis=1)
-            vals = vals * scale[:, :, None] * scale[:, None, :]
-        half_tr = 0.5 * (vals[:, 0, 0] + vals[:, 1, 1])
-        disc = np.sqrt((0.5 * (vals[:, 0, 0] - vals[:, 1, 1])) ** 2 + vals[:, 0, 1] ** 2)
-        return float((half_tr - disc).min())
+            return float(self.values[:, 0, 0].min())
+        lo, _ = sym2x2_eigs(g0_orthonormal(self.model, self.points, self.values))
+        return float(lo.min())
 
 
 @dataclass(frozen=True)

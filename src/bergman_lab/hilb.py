@@ -19,9 +19,8 @@ import numpy as np
 from .bergman import InnerProductMatrix, dd_kernel
 from .errors import UnsupportedModelError
 from .fields import MetricField, Tensor2Field, relative_errors
-from .manifolds import EigenBasis, ManifoldModel, basis_for, quadrature_grid
+from .manifolds import EigenBasis, basis_for, quadrature_grid
 from .operators import (
-    ScalarField,
     SymbolField,
     assemble_kohn_nirenberg,
     assemble_multiplication,
@@ -66,18 +65,6 @@ def hilb_symbol(g: MetricField) -> HilbSymbol:
     return HilbSymbol(g, sym, c_n)
 
 
-def _symbol_as_multiplication(sym: SymbolField, model: ManifoldModel) -> ScalarField:
-    """Restrict a fiber-constant (or fiber-even on S^1) symbol to a scalar field."""
-
-    def fn(points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        xi = np.zeros((pts.shape[0], model.dim))
-        xi[:, 0] = 1.0
-        return sym.values(pts, xi)
-
-    return ScalarField(f"{sym.name}|fiber", fn)
-
-
 def hilb_n(
     g: MetricField,
     basis: EigenBasis,
@@ -95,7 +82,7 @@ def hilb_n(
     model = g.model
     hs = hilb_symbol(g)
     if model.kind == "circle":
-        op = assemble_multiplication(_symbol_as_multiplication(hs.symbol, model), basis)
+        op = assemble_multiplication(hs.symbol.fiber_restriction(), basis)
     elif model.kind == "torus2":
         op = assemble_kohn_nirenberg(hs.symbol, basis, quantization=quantization)
     elif model.kind == "sphere2":
@@ -103,7 +90,7 @@ def hilb_n(
             raise UnsupportedModelError(
                 "sphere assembly supports conformal metrics e^u g0 only"
             )
-        op = assemble_multiplication(_symbol_as_multiplication(hs.symbol, model), basis)
+        op = assemble_multiplication(hs.symbol.fiber_restriction(), basis)
     else:
         raise UnsupportedModelError(model.kind)
     spd, shift = positivity_repair(op, floor=floor)
@@ -129,13 +116,6 @@ def approximate(
     return field.scaled(scale), ip.shift
 
 
-def approx_error(
-    g: MetricField, field: Tensor2Field, weights: Optional[np.ndarray] = None
-) -> tuple[float, float]:
-    """(sup, L2) relative error of an approximation field against g."""
-    return relative_errors(field, g, weights)
-
-
 def approximation_sweep(
     g: MetricField,
     cutoffs,
@@ -149,6 +129,6 @@ def approximation_sweep(
     for cutoff in cutoffs:
         basis = basis_for(model, cutoff)
         field, shift = approximate(g, basis, pts, quantization=quantization)
-        sup, l2 = approx_error(g, field, w)
+        sup, l2 = relative_errors(field, g, w)
         rows.append((cutoff, basis.mu_top, sup, l2, shift))
     return rows

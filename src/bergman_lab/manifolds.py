@@ -413,48 +413,51 @@ def quadrature_grid(model: ManifoldModel, res: int) -> tuple[np.ndarray, np.ndar
     return pts, w
 
 
-def cosphere_quadrature(model: ManifoldModel, base_res: int, fiber_res: int) -> CosphereQuadrature:
-    """Product quadrature on the unit cosphere bundle S*M.
+def fiber_bundle(model: ManifoldModel, points: np.ndarray, fiber_res: int):
+    """Replicated base points, unit fiber covectors and fiber weights on S*M.
 
-    Fiber nodes are uniform on the unit g0-cosphere circle (n = 2) or the
-    two covectors +-dtheta (n = 1); fiber directions are taken in an
-    orthonormal coframe so |xi|_{g0} = 1 exactly.
+    Row p * F + f pairs base point p with fiber node f.  Fiber nodes are
+    uniform on the unit g0-cosphere circle (n = 2) or the two covectors
+    +-dtheta (n = 1); they are taken in an orthonormal coframe so
+    |xi|_{g0} = 1 exactly.  Returns points (P*F, n), covectors (P*F, n) and
+    weights (F,) summing to Vol(S^{n-1}).
     """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if model.dim == 1:
+        dirs = np.array([[1.0], [-1.0]])
+        w = np.array([1.0, 1.0])
+    else:
+        alpha = 2.0 * math.pi * np.arange(fiber_res) / fiber_res
+        dirs = np.column_stack([np.cos(alpha), np.sin(alpha)])
+        w = np.full(fiber_res, 2.0 * math.pi / fiber_res)
+    nf = len(w)
+    reps = np.repeat(pts, nf, axis=0)
+    xis = np.tile(dirs, (pts.shape[0], 1))
+    if model.kind == SPHERE2:
+        # orthonormal coframe (dtheta, sin(theta) dphi): xi_phi = sin(alpha) sin(theta)
+        xis[:, 1] *= np.repeat(np.sin(pts[:, 0]), nf)
+    return reps, xis, w
+
+
+def fiber_tensor(b: np.ndarray, xis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Fiber integral of b xi (x) xi over each base point, shape (P, n, n).
+
+    ``b`` (real or complex) and ``xis`` are laid out as ``fiber_bundle``
+    returns them; ``w`` are its fiber weights.
+    """
+    nf, n = len(w), xis.shape[1]
+    x = xis.reshape(-1, nf, n)
+    return np.einsum("pf,f,pfi,pfj->pij", b.reshape(-1, nf), w, x, x)
+
+
+def cosphere_quadrature(model: ManifoldModel, base_res: int, fiber_res: int) -> CosphereQuadrature:
+    """Product quadrature on the unit cosphere bundle S*M (fibers as in fiber_bundle)."""
     if base_res < 4 or (model.dim == 2 and fiber_res < 4):
         raise InputError("cosphere resolutions must be at least 4")
     pts, wb = quadrature_grid(model, base_res)
-    if model.dim == 1:
-        points = np.repeat(pts, 2, axis=0)
-        xis = np.tile(np.array([[1.0], [-1.0]]), (pts.shape[0], 1))
-        weights = np.repeat(wb, 2)
-        return CosphereQuadrature(points, xis, weights, model)
-    alpha = 2.0 * math.pi * np.arange(fiber_res) / fiber_res
-    wf = 2.0 * math.pi / fiber_res
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    pn, fn = pts.shape[0], fiber_res
-    points = np.repeat(pts, fn, axis=0)
-    xis = np.empty((pn * fn, 2))
-    xis[:, 0] = np.tile(ca, pn)
-    if model.kind == TORUS2:
-        xis[:, 1] = np.tile(sa, pn)
-    else:
-        # orthonormal coframe (dtheta, sin(theta) dphi): xi_phi = sin(alpha) sin(theta)
-        xis[:, 1] = np.tile(sa, pn) * np.repeat(np.sin(pts[:, 0]), fn)
-    weights = np.repeat(wb, fn) * wf
+    points, xis, wf = fiber_bundle(model, pts, fiber_res)
+    weights = (wb[:, None] * wf).ravel()
     return CosphereQuadrature(points, xis, weights, model)
-
-
-def fiber_directions(model: ManifoldModel, point: np.ndarray, fiber_res: int):
-    """Unit covectors and weights on the cosphere fiber over a single point."""
-    point = np.asarray(point, dtype=float).ravel()
-    if model.dim == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    alpha = 2.0 * math.pi * np.arange(fiber_res) / fiber_res
-    xis = np.column_stack([np.cos(alpha), np.sin(alpha)])
-    if model.kind == SPHERE2:
-        xis[:, 1] *= math.sin(point[0])
-    w = np.full(fiber_res, 2.0 * math.pi / fiber_res)
-    return xis, w
 
 
 def g0_norm_xi(model: ManifoldModel, points: np.ndarray, xis: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import InputError, UnsupportedModelError
 from .fields import MetricField, MetricPerturbation
 from .hilb import hilb_n, hilb_symbol
-from .manifolds import CosphereQuadrature, EigenBasis, cosphere_quadrature
-from .operators import ScalarField, SymbolField, assemble
+from .manifolds import CosphereQuadrature, EigenBasis
+from .operators import SymbolField, assemble
 
 
 def _perturbation_scalars(g: MetricField, gdot: MetricPerturbation, points, xis):
@@ -83,18 +83,6 @@ def dhilb_symbol(
     )
 
 
-def _dsymbol_source(g: MetricField, gdot: MetricPerturbation, model, trace_sign: int):
-    sym = dhilb_symbol(g, gdot, trace_sign)
-    if model.kind == "circle":
-        def fn(points: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(points)
-            xi = np.ones((pts.shape[0], 1))
-            return sym.values(pts, xi)
-
-        return ScalarField(sym.name + "|fiber", fn)
-    return sym
-
-
 def induced_norm_trace(
     g: MetricField,
     gdot: MetricPerturbation,
@@ -111,9 +99,10 @@ def induced_norm_trace(
     if model.kind not in ("circle", "torus2"):
         raise UnsupportedModelError("trace norm requires circle or torus2")
     r = hilb_n(g, basis, quantization=quantization)
-    rdot = assemble(
-        _dsymbol_source(g, gdot, model, trace_sign), basis, quantization=quantization
-    )
+    dsym = dhilb_symbol(g, gdot, trace_sign)
+    # on S^1 the variation symbol is fiber-even, so it quantizes to multiplication
+    source = dsym.fiber_restriction() if model.kind == "circle" else dsym
+    rdot = assemble(source, basis, quantization=quantization)
     x = np.linalg.solve(r.entries, rdot.matrix)
     val = float(np.einsum("ij,ji->", x, x))
     n = model.dim
@@ -131,18 +120,6 @@ def induced_norm_closed(
     n = g.model.dim
     pref = 1.0 / (4.0 * n * (2.0 * math.pi) ** n)
     return pref * float(np.dot(quad.weights, (trace_sign * tr + quadr) ** 2))
-
-
-def induced_norm_closed_default(
-    g: MetricField,
-    gdot: MetricPerturbation,
-    base_res: int = 64,
-    fiber_res: int = 64,
-    trace_sign: int = 1,
-) -> float:
-    return induced_norm_closed(
-        g, gdot, cosphere_quadrature(g.model, base_res, fiber_res), trace_sign
-    )
 
 
 def szego_trace(
@@ -165,10 +142,7 @@ def szego_trace(
     measured = float(np.trace(prod))
     vals = np.ones(quad.points.shape[0])
     for s in sources:
-        if isinstance(s, ScalarField):
-            vals = vals * s.values(quad.points)
-        else:
-            vals = vals * s.values(quad.points, quad.xis)
+        vals = vals * s.values(quad.points, quad.xis)
     n = basis.model.dim
     predicted = basis.mu_top**n / (n * (2.0 * math.pi) ** n) * float(
         np.dot(quad.weights, vals)

@@ -24,6 +24,8 @@ from .manifolds import (
     basis_dimension,
     basis_for,
     eval_basis,
+    fiber_bundle,
+    fiber_tensor,
     g0_norm_xi,
     quadrature_grid,
 )
@@ -34,12 +36,16 @@ GRAM_RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Smooth real function of position, f(points (P,n)) -> (P,)."""
+    """Smooth real function of position, f(points (P,n)) -> (P,).
+
+    ``values`` accepts and ignores covectors, so a scalar field can stand
+    wherever a symbol is evaluated on S*M.
+    """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
 
-    def values(self, points: np.ndarray) -> np.ndarray:
+    def values(self, points: np.ndarray, xis: Optional[np.ndarray] = None) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(points)), dtype=float)
 
 
@@ -84,30 +90,37 @@ class SymbolField:
     def fiber_average(self, points: np.ndarray, fiber_res: int = 64) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ev = self.prepared(pts)
-        if self.model.dim == 1:
-            return 0.5 * (ev(np.ones((pts.shape[0], 1))) + ev(-np.ones((pts.shape[0], 1))))
-        alpha = 2.0 * math.pi * np.arange(fiber_res) / fiber_res
+        _, xis, w = fiber_bundle(self.model, pts, fiber_res)
+        nf = len(w)
         total = np.zeros(pts.shape[0])
-        for a in alpha:
-            xi = np.tile([math.cos(a), math.sin(a)], (pts.shape[0], 1))
-            if self.model.kind == "sphere2":
-                xi[:, 1] *= np.sin(pts[:, 0])
-            total += ev(xi)
-        return total / fiber_res
+        # one fiber node at a time: a batch over all P * F rows would hold
+        # every evaluator temporary at once
+        for f in range(nf):
+            total += ev(xis[f::nf])
+        return total / nf
+
+    def fiber_restriction(self) -> ScalarField:
+        """The scalar field x -> b(x, e^1) (e^1 = dtheta or dx1).
+
+        Equals b for fiber-constant symbols, and on S^1 for fiber-even ones.
+        """
+
+        def fn(points: np.ndarray) -> np.ndarray:
+            pts = np.atleast_2d(points)
+            xi = np.zeros((pts.shape[0], self.model.dim))
+            xi[:, 0] = 1.0
+            return self.values(pts, xi)
+
+        return ScalarField(f"{self.name}|fiber", fn)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Compression Pi B Pi over an eigenbasis; symmetric, finite.
-
-    Positive-definiteness is recorded (``min_eig``) when it has been
-    computed, never assumed.
-    """
+    """Compression Pi B Pi over an eigenbasis; symmetric, finite."""
 
     matrix: np.ndarray
     basis: EigenBasis
     provenance: str
-    min_eig: Optional[float] = None
 
     @property
     def dim(self) -> int:
@@ -283,32 +296,6 @@ def positivity_repair(op, floor: Optional[float] = None) -> tuple[SPDMatrix, flo
     return SPDMatrix(SymMatrix(repaired), eps), shift
 
 
-def fiber_bundle(model: ManifoldModel, points: np.ndarray, fiber_res: int):
-    """Replicated base points with unit fiber covectors and fiber weights."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if model.dim == 1:
-        reps = np.repeat(pts, 2, axis=0)
-        xis = np.tile(np.array([[1.0], [-1.0]]), (pts.shape[0], 1))
-        w = np.array([1.0, 1.0])
-        return reps, xis, w
-    alpha = 2.0 * math.pi * np.arange(fiber_res) / fiber_res
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    reps = np.repeat(pts, fiber_res, axis=0)
-    xis = np.empty((reps.shape[0], 2))
-    xis[:, 0] = np.tile(ca, pts.shape[0])
-    xis[:, 1] = np.tile(sa, pts.shape[0])
-    if model.kind == "sphere2":
-        xis[:, 1] *= np.repeat(np.sin(pts[:, 0]), fiber_res)
-    w = np.full(fiber_res, 2.0 * math.pi / fiber_res)
-    return reps, xis, w
-
-
-def _source_values(source, points: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    if isinstance(source, ScalarField):
-        return source.values(points)
-    return source.values(points, xis)
-
-
 def symbol_law_predict(
     source, model: ManifoldModel, points: np.ndarray, mu: float, fiber_res: int = 64
 ) -> Tensor2Field:
@@ -317,15 +304,7 @@ def symbol_law_predict(
         raise InputError("fiber resolution must be at least 16")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     reps, xis, w = fiber_bundle(model, pts, fiber_res)
-    b = _source_values(source, reps, xis)
-    nf = len(w)
-    integ = np.einsum(
-        "pf,f,pfi,pfj->pij",
-        b.reshape(-1, nf),
-        w,
-        xis.reshape(-1, nf, model.dim),
-        xis.reshape(-1, nf, model.dim),
-    )
+    integ = fiber_tensor(source.values(reps, xis), xis, w)
     n = model.dim
     pref = mu ** (n + 2) / ((2.0 * math.pi) ** n * (n + 2))
     return Tensor2Field(model, pts, pref * integ)

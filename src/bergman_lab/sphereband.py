@@ -30,12 +30,14 @@ from .manifolds import (
     EigenBasis,
     basis_for,
     eval_basis,
+    fiber_bundle,
+    fiber_tensor,
     g0_matrices,
     geodesic_flow_sphere,
     quadrature_grid,
     sphere2,
 )
-from .operators import ScalarField, assemble_multiplication, fiber_bundle
+from .operators import ScalarField, assemble_multiplication
 
 
 def band_constant(n_deg: int) -> float:
@@ -125,10 +127,7 @@ def geodesic_average(source, point, xi=None, k: int = 0, t_res: int = 64) -> com
     pts = np.tile(np.asarray(point, dtype=float).ravel(), (t_res, 1))
     xis = np.tile(np.asarray(xi, dtype=float).ravel(), (t_res, 1))
     fpts, fxis = geodesic_flow_sphere(pts, xis, ts)
-    if isinstance(source, ScalarField):
-        vals = source.values(fpts)
-    else:
-        vals = source.values(fpts, fxis)
+    vals = source.values(fpts, fxis)
     weights = (2.0 * math.pi / t_res) * np.exp(-1j * k * ts)
     return complex(np.dot(weights, vals))
 
@@ -148,21 +147,11 @@ def band_predict(
         fp, fx = geodesic_flow_sphere(reps, xis, t)
         flow_pts[i] = fp
         flow_xis[i] = fx
-    if isinstance(a, ScalarField):
-        vals = a.values(flow_pts.reshape(-1, 2)).reshape(t_res, q)
-    else:
-        vals = a.values(flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2)).reshape(t_res, q)
+    vals = a.values(flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2)).reshape(t_res, q)
     tw = (2.0 * math.pi / t_res) * np.exp(-1j * k * ts)
     avg = np.tensordot(tw, vals, axes=(0, 0))  # (q,) complex
-    nf = len(wf)
     # imaginary parts cancel only under the fiber pairing xi <-> -xi
-    integ = np.einsum(
-        "pf,f,pfi,pfj->pij",
-        avg.reshape(-1, nf),
-        wf,
-        xis.reshape(-1, nf, 2),
-        xis.reshape(-1, nf, 2),
-    )
+    integ = fiber_tensor(avg, xis, wf)
     if np.abs(integ.imag).max() > 1e-8 * (1.0 + np.abs(integ.real).max()):
         raise InputError("band prediction has a non-negligible imaginary part")
     integ = integ.real
@@ -210,15 +199,7 @@ def cumulative_band_sum(
     pts, _ = quadrature_grid(model, grid_res)
     measured = dd_kernel(op.matrix, basis, pts)
     reps, xis, wf = fiber_bundle(model, pts, fiber_res)
-    nf = len(wf)
-    b = a.values(reps)
-    integ = np.einsum(
-        "pf,f,pfi,pfj->pij",
-        b.reshape(-1, nf),
-        wf,
-        xis.reshape(-1, nf, 2),
-        xis.reshape(-1, nf, 2),
-    )
+    integ = fiber_tensor(a.values(reps), xis, wf)
     n = model.dim
     pref = basis.mu_top ** (n + 2) / ((n + 2) * (2.0 * math.pi) ** n)
     diff = g0_operator_norms(model, pts, measured.values - pref * integ)

@@ -16,6 +16,7 @@ import pytest
 
 from bergman_lab import metspace, sphereband
 from bergman_lab.bergman import dd_kernel, fit_growth, isometry_measurement
+from bergman_lab.cli import trend_ok
 from bergman_lab.fields import reference_metric
 from bergman_lab.hilb import approximation_sweep
 from bergman_lab.manifolds import (
@@ -40,17 +41,6 @@ CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def upticks_ok(errs, allowed_factor=1.10):
-    tail = errs[-3:]
-    ups = 0
-    for prev, cur in zip(tail, tail[1:]):
-        if cur > prev * allowed_factor:
-            return False
-        if cur > prev:
-            ups += 1
-    return ups <= 1
 
 
 def test_c01_circle_exact_pullback():
@@ -127,8 +117,8 @@ def test_c05_symbol_law():
     rows_t = symbol_law_check(sym, TORUS, [100, 225, 400], grid_res=12)
     errs_t = [r[2] for r in rows_t]
     ok = (
-        errs_c[-1] <= 0.10 and upticks_ok(errs_c)
-        and errs_t[-1] <= 0.10 and upticks_ok(errs_t)
+        errs_c[-1] <= 0.10 and trend_ok(errs_c)
+        and errs_t[-1] <= 0.10 and trend_ok(errs_t)
     )
     report("C5 compressed-symbol law (10% + trend)",
            ok,
@@ -158,8 +148,8 @@ def test_c07_hilb_inversion():
     rows_t = approximation_sweep(g_t, [100, 225, 400], grid_res=16)
     sups_t = [r[2] for r in rows_t]
     ok = (
-        sups_c[-1] <= 0.05 and upticks_ok(sups_c)
-        and sups_t[-1] <= 0.10 and upticks_ok(sups_t)
+        sups_c[-1] <= 0.05 and trend_ok(sups_c)
+        and sups_t[-1] <= 0.10 and trend_ok(sups_t)
     )
     report("C7 Hilb inversion (5% circle / 10% torus, decreasing)",
            ok,
@@ -181,7 +171,7 @@ def test_c08_metric_space_cross_validation():
     circle_ok = (
         closed_exact <= 1e-10
         and abs(traces[-1] - 4.0) / 4.0 <= 0.10
-        and (gaps[-1] <= 1e-9 or upticks_ok(gaps))
+        and (gaps[-1] <= 1e-9 or trend_ok(gaps))
     )
     g_t = reference_metric(TORUS)
     gdot_t = perturbation_field("cos-x1-dx1", TORUS)

@@ -8,20 +8,20 @@ from hypothesis import strategies as st
 from bergman_lab.bergman import (
     InnerProductMatrix,
     dd_kernel,
-    e_n_map,
     fit_growth,
     immersion_margin,
     injectivity_margin,
     isometry_fit,
     isometry_theory_coefficient,
     pullback_by_transform,
-    tensor_sphere_average,
 )
 from bergman_lab.errors import InputError
 from bergman_lab.manifolds import (
     basis_for,
     circle,
     eval_basis,
+    fiber_bundle,
+    fiber_tensor,
     g0_matrices,
     quadrature_grid,
     sphere2,
@@ -142,12 +142,14 @@ class TestDDKernel:
 
 
 class TestENMap:
+    """E_N of an inner product is dd_kernel of its matrix."""
+
     def test_identity_reproduces_dd(self):
         basis = basis_for(CIRCLE, 4)
         pts, _ = quadrature_grid(CIRCLE, 8)
         ip = InnerProductMatrix(SPDMatrix(SymMatrix(np.eye(basis.dim))), basis)
         np.testing.assert_allclose(
-            e_n_map(ip, basis, pts).values,
+            dd_kernel(ip.entries, basis, pts).values,
             dd_kernel(None, basis, pts).values,
             rtol=1e-14,
         )
@@ -160,7 +162,7 @@ class TestENMap:
             SPDMatrix(SymMatrix(c * np.eye(basis.dim))), basis
         )
         np.testing.assert_allclose(
-            e_n_map(ip, basis, pts).values,
+            dd_kernel(ip.entries, basis, pts).values,
             c * dd_kernel(None, basis, pts).values,
             rtol=1e-13,
         )
@@ -174,7 +176,7 @@ class TestENMap:
         r = b @ b.T + basis.dim * np.eye(basis.dim)
         pts, _ = quadrature_grid(TORUS, 4)
         ip = InnerProductMatrix(SPDMatrix(SymMatrix(r)), basis)
-        lhs = e_n_map(ip, basis, pts).values
+        lhs = dd_kernel(ip.entries, basis, pts).values
         root = spd_sqrt(r).entries
         _, grads = eval_basis(basis, pts)
         tg = np.einsum("ab,bip->aip", root, grads)
@@ -305,6 +307,12 @@ class TestIsometryFit:
         mus = np.array([4.0, 8.0, 16.0, 32.0])
         measured = 0.7 * mus**3 + 0.1 * mus**2
         assert fit_growth(mus, measured, 1) == pytest.approx(0.7, rel=1e-10)
+
+
+def tensor_sphere_average(model, point, fiber_res=32):
+    """Fiber integral of xi (x) xi over one point: Vol(S^{n-1})/n times g0."""
+    _, xis, w = fiber_bundle(model, point, fiber_res)
+    return fiber_tensor(np.ones(len(w)), xis, w)[0]
 
 
 class TestTensorSphereAverage:

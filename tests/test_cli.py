@@ -155,8 +155,11 @@ class TestMainInProcess:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("flux_capacitor = on\n")
         assert main(["spectra", "--config", str(cfg)]) == 1
-        # a typed key with an unparsable value is an input error too
-        for line in ("threads = abc\n", "grid = abc\n", "tol = x\n"):
+        # a typed key with an unparsable value is an input error too, and so
+        # is an output path in a directory that does not exist
+        missing_out = tmp_path / "missing" / "x.csv"
+        for line in ("threads = abc\n", "grid = abc\n", "tol = x\n",
+                     "check = maybe\n", f"out = {missing_out}\n"):
             cfg.write_text(line)
             capsys.readouterr()
             assert main(["spectra", "--config", str(cfg)]) == 1

@@ -5,9 +5,8 @@ import pytest
 
 from bergman_lab.bergman import dd_kernel
 from bergman_lab.errors import NotSPDError, UnsupportedModelError
-from bergman_lab.fields import MetricField, reference_metric
+from bergman_lab.fields import MetricField, reference_metric, relative_errors
 from bergman_lab.hilb import (
-    approx_error,
     approximate,
     hilb_n,
     hilb_symbol,
@@ -122,7 +121,7 @@ class TestApproximate:
         basis = basis_for(CIRCLE, 64)
         pts, w = quadrature_grid(CIRCLE, 64)
         field, shift = approximate(reference_metric(CIRCLE), basis, pts)
-        sup, _ = approx_error(reference_metric(CIRCLE), field, w)
+        sup, _ = relative_errors(field, reference_metric(CIRCLE), w)
         assert sup <= 0.05
         assert shift == 0.0
 
@@ -155,7 +154,7 @@ class TestApproximate:
         basis = basis_for(SPHERE, 16)
         pts, w = quadrature_grid(SPHERE, 10)
         field, _ = approximate(g, basis, pts)
-        sup, _ = approx_error(g, field, w)
+        sup, _ = relative_errors(field, g, w)
         assert sup <= 0.25  # desk-scale sanity; acceptance tightens this
 
     def test_approximation_fields_are_spd(self):
@@ -213,13 +212,13 @@ class TestApproxError:
     def test_identical_fields(self):
         g = reference_metric(TORUS)
         pts, w = quadrature_grid(TORUS, 6)
-        sup, l2 = approx_error(g, g.as_field(pts), w)
+        sup, l2 = relative_errors(g.as_field(pts), g, w)
         assert sup == 0.0 and l2 == 0.0
 
     def test_scaled_field(self):
         g = reference_metric(TORUS)
         pts, w = quadrature_grid(TORUS, 6)
         field = g.as_field(pts).scaled(1.1)
-        sup, l2 = approx_error(g, field, w)
+        sup, l2 = relative_errors(field, g, w)
         assert sup == pytest.approx(0.1, rel=1e-12)
         assert l2 == pytest.approx(0.1, rel=1e-12)

@@ -11,7 +11,7 @@ from bergman_lab.manifolds import (
     cosphere_quadrature,
     enumerate_levels,
     eval_basis,
-    fiber_directions,
+    fiber_bundle,
     g0_matrices,
     g0_norm_xi,
     geodesic_flow_sphere,
@@ -210,9 +210,10 @@ class TestCosphere:
             assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_fiber_directions_single_point(self):
-        xis, w = fiber_directions(SPHERE, np.array([1.0, 0.5]), 8)
+        reps, xis, w = fiber_bundle(SPHERE, np.array([1.0, 0.5]), 8)
         assert w.sum() == pytest.approx(2 * math.pi)
-        norms = g0_norm_xi(SPHERE, np.tile([1.0, 0.5], (8, 1)), xis)
+        np.testing.assert_array_equal(reps, np.tile([1.0, 0.5], (8, 1)))
+        norms = g0_norm_xi(SPHERE, reps, xis)
         assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_resolution_floor(self):

@@ -11,7 +11,6 @@ from bergman_lab.manifolds import basis_for, circle, cosphere_quadrature, torus2
 from bergman_lab.metspace import (
     dhilb_symbol,
     induced_norm_closed,
-    induced_norm_closed_default,
     induced_norm_trace,
     szego_trace,
 )
@@ -121,7 +120,9 @@ class TestInducedNorm:
         gdot = MetricPerturbation("zero", CIRCLE, lambda p: np.zeros((np.atleast_2d(p).shape[0], 1, 1)))
         val = induced_norm_trace(reference_metric(CIRCLE), gdot, basis_for(CIRCLE, 16))
         assert val == pytest.approx(0.0, abs=1e-20)
-        closed = induced_norm_closed_default(reference_metric(CIRCLE), gdot)
+        closed = induced_norm_closed(
+            reference_metric(CIRCLE), gdot, cosphere_quadrature(CIRCLE, 64, 64)
+        )
         assert closed == 0.0
 
     def test_circle_closed_form_is_four(self):
@@ -156,15 +157,15 @@ class TestInducedNorm:
     def test_torus_derivative_convention_cross_validates(self):
         g = reference_metric(TORUS)
         gdot = cos_x1_dx1()
-        closed = induced_norm_closed_default(g, gdot, base_res=32, fiber_res=64,
-                                             trace_sign=-1)
+        closed = induced_norm_closed(g, gdot, cosphere_quadrature(TORUS, 32, 64),
+                                     trace_sign=-1)
         assert closed == pytest.approx(3 * math.pi / 8, rel=1e-12)
         val = induced_norm_trace(g, gdot, basis_for(TORUS, 100), trace_sign=-1)
         assert val == pytest.approx(closed, rel=0.15)
 
     def test_torus_trace_approaches_closed_form(self):
-        closed = induced_norm_closed_default(
-            reference_metric(TORUS), cos_x1_dx1(), base_res=32, fiber_res=64
+        closed = induced_norm_closed(
+            reference_metric(TORUS), cos_x1_dx1(), cosphere_quadrature(TORUS, 32, 64)
         )
         assert closed == pytest.approx(11 * math.pi / 8, rel=1e-12)
         val = induced_norm_trace(reference_metric(TORUS), cos_x1_dx1(), basis_for(TORUS, 100))
@@ -197,7 +198,7 @@ class TestInducedNorm:
         basis = basis_for(TORUS, 64)
         left = induced_norm_trace(g, gdot, basis, quantization="left")
         sym = induced_norm_trace(g, gdot, basis, quantization="symmetric")
-        closed = induced_norm_closed_default(g, gdot, base_res=32, fiber_res=64)
+        closed = induced_norm_closed(g, gdot, cosphere_quadrature(TORUS, 32, 64))
         assert abs(left - sym) <= abs(left - closed)
 
 
