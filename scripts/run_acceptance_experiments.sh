@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Run every acceptance experiment through the CLI in --check mode.
 # CSV tables land in out/ (override with OUTDIR=...).  Exits non-zero on the
-# first tolerance failure.  Without an installed bergman-lab on PATH the
-# commands run as python3 -m bergman_lab from this checkout's src/.
+# first tolerance failure.  Every command runs as python3 -m bergman_lab
+# from this checkout's src/, never from an installed copy.
 set -e
 
 OUTDIR="${OUTDIR:-out}"
@@ -11,11 +11,7 @@ SRC="$(cd "$(dirname "$0")/.." && pwd)/src"
 
 run() {
     echo "== bergman-lab $*"
-    if command -v bergman-lab >/dev/null 2>&1; then
-        bergman-lab "$@"
-    else
-        PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -m bergman_lab "$@"
-    fi
+    PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -m bergman_lab "$@"
 }
 
 run spectra --model torus2 --mu2 20 --out "$OUTDIR/spectra_torus.csv"

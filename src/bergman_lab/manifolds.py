@@ -413,14 +413,13 @@ def quadrature_grid(model: ManifoldModel, res: int) -> tuple[np.ndarray, np.ndar
     return pts, w
 
 
-def fiber_bundle(model: ManifoldModel, points: np.ndarray, fiber_res: int):
-    """Replicated base points, unit fiber covectors and fiber weights on S*M.
+def fiber_covectors(model: ManifoldModel, points: np.ndarray, fiber_res: int):
+    """Unit fiber covectors on S*M, shape (F, P, n), and fiber weights (F,).
 
-    Row p * F + f pairs base point p with fiber node f.  Fiber nodes are
-    uniform on the unit g0-cosphere circle (n = 2) or the two covectors
-    +-dtheta (n = 1); they are taken in an orthonormal coframe so
-    |xi|_{g0} = 1 exactly.  Returns points (P*F, n), covectors (P*F, n) and
-    weights (F,) summing to Vol(S^{n-1}).
+    Fiber nodes are uniform on the unit g0-cosphere circle (n = 2) or the two
+    covectors +-dtheta (n = 1); they are taken in an orthonormal coframe so
+    |xi|_{g0} = 1 exactly.  The weights sum to Vol(S^{n-1}).  Entry [f] is
+    node f at every base point, a contiguous (P, n) block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if model.dim == 1:
@@ -430,13 +429,23 @@ def fiber_bundle(model: ManifoldModel, points: np.ndarray, fiber_res: int):
         alpha = 2.0 * math.pi * np.arange(fiber_res) / fiber_res
         dirs = np.column_stack([np.cos(alpha), np.sin(alpha)])
         w = np.full(fiber_res, 2.0 * math.pi / fiber_res)
-    nf = len(w)
-    reps = np.repeat(pts, nf, axis=0)
-    xis = np.tile(dirs, (pts.shape[0], 1))
+    xis = np.repeat(dirs[:, None, :], pts.shape[0], axis=1)
     if model.kind == SPHERE2:
         # orthonormal coframe (dtheta, sin(theta) dphi): xi_phi = sin(alpha) sin(theta)
-        xis[:, 1] *= np.repeat(np.sin(pts[:, 0]), nf)
-    return reps, xis, w
+        xis[:, :, 1] *= np.sin(pts[:, 0])
+    return xis, w
+
+
+def fiber_bundle(model: ManifoldModel, points: np.ndarray, fiber_res: int):
+    """Replicated base points, unit fiber covectors and fiber weights on S*M.
+
+    Row p * F + f pairs base point p with fiber node f of ``fiber_covectors``.
+    Returns points (P*F, n), covectors (P*F, n) and weights (F,).
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    xis, w = fiber_covectors(model, pts, fiber_res)
+    reps = np.repeat(pts, len(w), axis=0)
+    return reps, xis.transpose(1, 0, 2).reshape(-1, pts.shape[1]), w
 
 
 def fiber_tensor(b: np.ndarray, xis: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .manifolds import (
     basis_for,
     eval_basis,
     fiber_bundle,
+    fiber_covectors,
     fiber_tensor,
     g0_norm_xi,
     quadrature_grid,
@@ -90,14 +91,13 @@ class SymbolField:
     def fiber_average(self, points: np.ndarray, fiber_res: int = 64) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ev = self.prepared(pts)
-        _, xis, w = fiber_bundle(self.model, pts, fiber_res)
-        nf = len(w)
+        xis, w = fiber_covectors(self.model, pts, fiber_res)
         total = np.zeros(pts.shape[0])
         # one fiber node at a time: a batch over all P * F rows would hold
         # every evaluator temporary at once
-        for f in range(nf):
-            total += ev(xis[f::nf])
-        return total / nf
+        for xi in xis:
+            total += ev(xi)
+        return total / len(w)
 
     def fiber_restriction(self) -> ScalarField:
         """The scalar field x -> b(x, e^1) (e^1 = dtheta or dx1).

@@ -12,6 +12,7 @@ from bergman_lab.manifolds import (
     enumerate_levels,
     eval_basis,
     fiber_bundle,
+    fiber_covectors,
     g0_matrices,
     g0_norm_xi,
     geodesic_flow_sphere,
@@ -215,6 +216,19 @@ class TestCosphere:
         np.testing.assert_array_equal(reps, np.tile([1.0, 0.5], (8, 1)))
         norms = g0_norm_xi(SPHERE, reps, xis)
         assert np.abs(norms - 1.0).max() <= 1e-12
+
+    def test_fiber_covectors_match_bundle_rows(self):
+        pts = np.array([[1.0, 0.5], [2.0, 3.0], [0.3, 1.0]])
+        for model in (CIRCLE, TORUS, SPHERE):
+            p = pts[:, : model.dim]
+            xis, w = fiber_covectors(model, p, 8)
+            reps, flat, w2 = fiber_bundle(model, p, 8)
+            nf = len(w)
+            assert xis.shape == (nf, 3, model.dim)
+            np.testing.assert_array_equal(w, w2)
+            for f in range(nf):
+                np.testing.assert_array_equal(xis[f], flat[f::nf])
+                np.testing.assert_array_equal(p, reps[f::nf])
 
     def test_resolution_floor(self):
         with pytest.raises(InputError):
