@@ -33,6 +33,11 @@ from .manifolds import (
 from .numerics import SPDMatrix, SymMatrix
 
 GRAM_RESIDUAL_TOL = 1e-9
+# Kohn-Nirenberg fiber sampling: first and largest number of angles, and
+# the Nyquist-band size, relative to the largest coefficient, that stops it
+KN_FIBER_RES = 64
+KN_FIBER_RES_MAX = 1024
+KN_TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -214,6 +219,12 @@ def assemble_kohn_nirenberg(
     the fiber average of b.  ``quantization`` is "left" or "symmetric" (the
     (left + right)/2 variant, equal to the Hermitian part in the complex
     basis).  Output is converted to the real basis and symmetrized.
+
+    An x-independent symbol is evaluated on the diagonal only.  Otherwise b
+    is sampled at L uniform fiber angles (``_fiber_samples``), and each
+    column is the trigonometric interpolant in theta of those samples at the
+    angle of its direction: a toroidal quantization whose cost grows with L,
+    not with the number of lattice directions.
     """
     if basis.model.kind != "torus2":
         raise UnsupportedModelError("Kohn-Nirenberg assembly requires the torus model")
@@ -223,45 +234,43 @@ def assemble_kohn_nirenberg(
     cfreqs = _torus_complex_freqs(basis)
     kmax = int(math.isqrt(int(basis.cutoff)))
     m = fft_res or max(64, ((4 * kmax + 32 + 31) // 32) * 32)
+    nonzero = np.any(cfreqs != 0, axis=1)
     if symbol.x_independent:
         diag = np.zeros(d, dtype=complex)
-        origin = np.zeros((1, 2))
-        for j in range(d):
-            k = cfreqs[j]
-            if k[0] == 0 and k[1] == 0:
-                diag[j] = symbol.fiber_average(origin)[0]
-            else:
-                diag[j] = symbol.values(origin, k[None, :].astype(float))[0]
+        diag[~nonzero] = symbol.fiber_average(np.zeros((1, 2)))[0]
+        ks = cfreqs[nonzero].astype(float)
+        diag[nonzero] = symbol.values(np.zeros((ks.shape[0], 2)), ks)
         bc = np.diag(diag)
     else:
-        ax = 2.0 * math.pi * np.arange(m) / m
-        x1, x2 = np.meshgrid(ax, ax, indexing="ij")
-        grid_pts = np.column_stack([x1.ravel(), x2.ravel()])
-        evaluate = symbol.prepared(grid_pts)
-        bc = np.zeros((d, d), dtype=complex)
-        rows0 = cfreqs[:, 0]
-        rows1 = cfreqs[:, 1]
-        cache: dict[tuple[int, int], np.ndarray] = {}
-
-        def coeff_table(key) -> np.ndarray:
-            if key not in cache:
-                if key == (0, 0):
-                    v = symbol.fiber_average(grid_pts)
-                else:
-                    v = evaluate(np.array([key], dtype=float))
-                cache[key] = np.fft.fft2(v.reshape(m, m)) / (m * m)
-            return cache[key]
-
-        for j in range(d):
-            k = (int(cfreqs[j, 0]), int(cfreqs[j, 1]))
-            key = (0, 0) if k == (0, 0) else _primitive_direction(k)
-            coeffs = coeff_table(key)
-            bc[:, j] = coeffs[(rows0 - k[0]) % m, (rows1 - k[1]) % m]
+        box = 2 * kmax  # row-minus-column frequencies satisfy |nu_i| <= box
+        width = 2 * box + 1
+        samples = _fiber_samples(symbol, m, box)
+        nfib = samples.shape[0]
+        # distinct primitive directions of the nonzero columns
+        g = np.gcd(cfreqs[:, 0], cfreqs[:, 1])[nonzero]
+        dirs, col_dir = np.unique(cfreqs[nonzero] // g[:, None], axis=0, return_inverse=True)
+        angles = np.arctan2(dirs[:, 1], dirs[:, 0])
+        # E[l, dir] = e^{i l theta_dir}, Nyquist row cos(L theta / 2); the
+        # table C.T @ E (C the theta DFT of the samples) equals
+        # samples.T @ (DFT(E) / L), a real weight per sample: one real GEMM
+        phases = np.exp(1j * np.outer(np.fft.fftfreq(nfib, 1.0 / nfib), angles))
+        phases[nfib // 2] = np.cos(0.5 * nfib * angles)
+        weights = np.empty((nfib, len(dirs) + 1))
+        weights[:, :-1] = (np.fft.fft(phases, axis=0) / nfib).real
+        weights[:, -1] = 1.0 / nfib  # zero column: the theta mode 0
+        table = (weights.T @ samples.view(float)).view(complex).ravel()
+        # bc[j, k] = table[dir(k), nu(j - k)], gathered in one flat take
+        cols = np.full(d, len(dirs))
+        cols[nonzero] = col_dir.ravel()
+        rows = cfreqs @ np.array([width, 1])
+        start = cols * width * width + box * width + box - rows
+        bc = table[rows[:, None] + start[None, :]]
     if quantization == "symmetric":
         bc = 0.5 * (bc + bc.conj().T)
     idx_p, idx_m, w_p, w_m = _real_pairing(basis)
-    c1 = bc[:, idx_p] * w_p[None, :] + bc[:, idx_m] * w_m[None, :]
-    breal = np.conj(w_p)[:, None] * c1[idx_p, :] + np.conj(w_m)[:, None] * c1[idx_m, :]
+    c1 = np.take(bc, idx_p, axis=1) * w_p + np.take(bc, idx_m, axis=1) * w_m
+    breal = (np.conj(w_p)[:, None] * np.take(c1, idx_p, axis=0)
+             + np.conj(w_m)[:, None] * np.take(c1, idx_m, axis=0))
     scale = max(np.abs(breal).max(), 1.0)
     if np.abs(breal.imag).max() > 1e-9 * scale:
         raise InputError("quantized matrix has a non-negligible imaginary part")
@@ -270,9 +279,47 @@ def assemble_kohn_nirenberg(
     return OperatorMatrix(mat, basis, "kohn-nirenberg")
 
 
-def _primitive_direction(k: tuple[int, int]) -> tuple[int, int]:
-    g = math.gcd(abs(k[0]), abs(k[1]))
-    return (k[0] // g, k[1] // g)
+def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
+    """x-Fourier coefficients of b at L uniform fiber angles, (L, (2 box + 1)^2).
+
+    Row l is the angle 2 pi l / L of ``fiber_covectors``; column
+    (nu1 + box) (2 box + 1) + (nu2 + box) is the frequency nu, |nu_i| <= box,
+    of b on the m x m grid (indices taken mod m, as in one 2-D FFT).  One
+    angle is evaluated at a time.  L starts at KN_FIBER_RES and doubles,
+    reusing the samples it has, until the theta coefficients in the Nyquist
+    band |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest; a symbol not
+    resolved by KN_FIBER_RES_MAX angles raises ResolutionError.
+    """
+    ax = 2.0 * math.pi * np.arange(m) / m
+    x1, x2 = np.meshgrid(ax, ax, indexing="ij")
+    evaluate = symbol.prepared(np.column_stack([x1.ravel(), x2.ravel()]))
+    nu = np.arange(-box, box + 1) % m
+    origin = np.zeros((1, 2))
+
+    def sample(xis: np.ndarray) -> np.ndarray:
+        out = np.empty((len(xis), len(nu) ** 2), dtype=complex)
+        for i, xi in enumerate(xis):
+            out[i] = np.fft.fft2(evaluate(xi).reshape(m, m))[np.ix_(nu, nu)].ravel()
+        return out / (m * m)
+
+    nfib = KN_FIBER_RES
+    samples = sample(fiber_covectors(symbol.model, origin, nfib)[0])
+    while True:
+        coeffs = np.abs(np.fft.fft(samples, axis=0))
+        tail = coeffs[nfib // 2 - 1: nfib // 2 + 2].max()
+        if tail <= KN_TAIL_TOL * coeffs.max():
+            return samples
+        if 2 * nfib > KN_FIBER_RES_MAX:
+            raise ResolutionError(
+                f"symbol {symbol.name!r} is not resolved in the fiber angle: its "
+                f"Nyquist band is {tail / coeffs.max():.1e} of its largest theta "
+                f"coefficient at {nfib} angles"
+            )
+        # the 2L angles are the L angles interleaved with L new ones
+        doubled = np.empty((2 * nfib, samples.shape[1]), dtype=complex)
+        doubled[0::2] = samples
+        doubled[1::2] = sample(fiber_covectors(symbol.model, origin, 2 * nfib)[0][1::2])
+        samples, nfib = doubled, 2 * nfib
 
 
 def positivity_repair(op, floor: Optional[float] = None) -> tuple[SPDMatrix, float]:
@@ -336,6 +383,8 @@ def symbol_law_check(
     rows = []
     for cutoff in cutoffs:
         basis = basis_for(model, cutoff)
+        if basis.mu_top == 0.0:
+            raise InputError("the symbol law needs a window above level 0")
         op = assemble(source, basis)
         _, shift = positivity_repair(op)
         field = dd_kernel(op.matrix, basis, pts)
@@ -362,6 +411,9 @@ def tail_defect(
     """
     if outer_cutoff < 2 * inner_cutoff:
         raise InputError("outer window must be at least twice the inner window")
+    mu_in = math.sqrt(basis_for(model, inner_cutoff).levels[-1].mu_sq)
+    if mu_in == 0.0:
+        raise InputError("tail defect needs an inner window above level 0")
     big = basis_for(model, outer_cutoff)
     d_in = basis_dimension(model, inner_cutoff)
     if grid is None:
@@ -374,6 +426,5 @@ def tail_defect(
     _, grads = eval_basis(big, spts)
     tensor = _contract(block, grads[:d_in], grads[d_in:])
     sup = float(g0_operator_norms(model, spts, tensor).max())
-    mu_in = math.sqrt(basis_for(model, inner_cutoff).levels[-1].mu_sq)
     n = model.dim
     return sup / mu_in ** (n + 2)

@@ -108,6 +108,12 @@ def band_dd(
     return Tensor2Field(model, pts, tensor)
 
 
+def _check_t_res(t_res: int) -> None:
+    """Both geodesic-flow t quadratures need at least 64 nodes."""
+    if t_res < 64:
+        raise InputError("t quadrature needs at least 64 nodes")
+
+
 def geodesic_average(source, point, xi=None, k: int = 0, t_res: int = 64) -> complex:
     """Unnormalized integral over one period of e^{-itk} b(G^t(x, xi)).
 
@@ -119,8 +125,7 @@ def geodesic_average(source, point, xi=None, k: int = 0, t_res: int = 64) -> com
         point, xi = point.base.coords, point.xi
     if xi is None:
         raise InputError("geodesic_average needs a covector")
-    if t_res < 64:
-        raise InputError("t quadrature needs at least 64 nodes")
+    _check_t_res(t_res)
     # half-step offset: same exactness for periodic integrands, and meridional
     # geodesics from equatorial points no longer land on poles at the nodes
     ts = 2.0 * math.pi * (np.arange(t_res) + 0.5) / t_res
@@ -136,6 +141,7 @@ def band_predict(
     a, n_deg: int, k: int, points: np.ndarray, fiber_res: int = 32, t_res: int = 64
 ) -> Tensor2Field:
     """Geodesic-flow prediction for the (N+k, N) band tensor."""
+    _check_t_res(t_res)
     model = sphere2()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     reps, xis, wf = fiber_bundle(model, pts, fiber_res)
@@ -195,6 +201,8 @@ def cumulative_band_sum(
     """
     model = sphere2()
     basis = basis_for(model, n_max)
+    if basis.mu_top == 0.0:
+        raise InputError("the cosphere law needs a window above level 0")
     op = assemble_multiplication(a, basis)
     pts, _ = quadrature_grid(model, grid_res)
     measured = dd_kernel(op.matrix, basis, pts)

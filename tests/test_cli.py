@@ -165,6 +165,23 @@ class TestMainInProcess:
             assert main(["spectra", "--config", str(cfg)]) == 1
             assert capsys.readouterr().err.startswith("error:")
 
+    def test_level_zero_is_input_error(self, capsys):
+        # level 0 has mu = 0: the tail normalization and both symbol laws
+        # would divide by zero
+        for argv in (
+            ["tail-defect", "--model", "circle", "--f", "cos(theta)", "--n", "0,1"],
+            ["bergman", "--model", "circle", "--f", "cos(theta)", "--n", "0,1,2"],
+            ["sphere-cumulative", "--model", "sphere2", "--n", "0,1"],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err.startswith("error:"), argv
+
+    def test_too_few_t_nodes_is_input_error(self, capsys):
+        assert main(["sphere-band", "--model", "sphere2", "--a", "x3", "--k", "1",
+                     "--n", "5", "--tnodes", "4"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_list_presets_mentions_required_names(self, capsys):
         assert main(["list-presets"]) == 0
         text = capsys.readouterr().out

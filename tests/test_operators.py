@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from bergman_lab.errors import InputError, ResolutionError, UnsupportedModelError
+from bergman_lab.hilb import hilb_symbol
 from bergman_lab.manifolds import basis_for, circle, quadrature_grid, sphere2, torus2
+from bergman_lab.metspace import dhilb_symbol
 from bergman_lab.operators import (
+    KN_FIBER_RES,
+    KN_FIBER_RES_MAX,
     ScalarField,
     SymbolField,
+    _real_pairing,
+    _torus_complex_freqs,
     assemble_kohn_nirenberg,
     assemble_multiplication,
     positivity_repair,
@@ -15,6 +21,7 @@ from bergman_lab.operators import (
     symbol_law_check,
     symbol_law_predict,
 )
+from bergman_lab.presets import metric_field, perturbation_field
 
 CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
 
@@ -202,6 +209,107 @@ class TestKohnNirenberg:
         sym = SymbolField("one", CIRCLE, lambda p, xi: np.ones(p.shape[0]))
         with pytest.raises(UnsupportedModelError):
             assemble_kohn_nirenberg(sym, basis)
+
+
+def per_direction_assembly(symbol, basis, fft_res=None):
+    """Kohn-Nirenberg oracle: one symbol evaluation and one FFT per direction.
+
+    Column k (complex basis) holds the 2-D Fourier coefficients of
+    x -> b(x, k/|k|) at the row-minus-column frequency, one cached FFT table
+    per primitive direction; the zero column uses the 64-node fiber average.
+    """
+    d = basis.dim
+    cfreqs = _torus_complex_freqs(basis)
+    kmax = math.isqrt(int(basis.cutoff))
+    m = fft_res or max(64, ((4 * kmax + 32 + 31) // 32) * 32)
+    ax = 2 * math.pi * np.arange(m) / m
+    x1, x2 = np.meshgrid(ax, ax, indexing="ij")
+    grid_pts = np.column_stack([x1.ravel(), x2.ravel()])
+    evaluate = symbol.prepared(grid_pts)
+    cache = {}
+
+    def coeff_table(key):
+        if key not in cache:
+            if key == (0, 0):
+                v = symbol.fiber_average(grid_pts)
+            else:
+                v = evaluate(np.array([key], dtype=float))
+            cache[key] = np.fft.fft2(v.reshape(m, m)) / (m * m)
+        return cache[key]
+
+    bc = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        k = (int(cfreqs[j, 0]), int(cfreqs[j, 1]))
+        g = math.gcd(*k)
+        coeffs = coeff_table((0, 0) if g == 0 else (k[0] // g, k[1] // g))
+        bc[:, j] = coeffs[(cfreqs[:, 0] - k[0]) % m, (cfreqs[:, 1] - k[1]) % m]
+    idx_p, idx_m, w_p, w_m = _real_pairing(basis)
+    c1 = bc[:, idx_p] * w_p[None, :] + bc[:, idx_m] * w_m[None, :]
+    breal = np.conj(w_p)[:, None] * c1[idx_p, :] + np.conj(w_m)[:, None] * c1[idx_m, :]
+    return 0.5 * (breal.real + breal.real.T)
+
+
+def _mix(p, xi):
+    return (1.0 + 0.3 * np.cos(p[:, 0]) * xi[:, 0] ** 2
+            + 0.2 * np.sin(p[:, 1]) * xi[:, 0] * xi[:, 1])
+
+
+def _kn_symbols():
+    g_aniso = metric_field("aniso-diag:0.3,0.3", TORUS)
+    gdot = perturbation_field("cos-x1-dx1", TORUS)
+    out = [pytest.param(SymbolField("mix", TORUS, _mix), id="mix")]
+    for spec in ("aniso-diag:0.3,0.3", "conformal:u=0.3cos(x1)", "g0"):
+        sym = hilb_symbol(metric_field(spec, TORUS)).symbol
+        out.append(pytest.param(sym, id=f"hilb-{spec}"))
+    for sign in (1, -1):
+        sym = dhilb_symbol(g_aniso, gdot, trace_sign=sign)
+        out.append(pytest.param(sym, id=f"dhilb{sign:+d}"))
+    return out
+
+
+class TestKohnNirenbergFiberFourier:
+    @pytest.mark.parametrize("symbol", _kn_symbols())
+    def test_matches_per_direction_oracle(self, symbol):
+        for mu2 in (25, 100):
+            basis = basis_for(TORUS, mu2)
+            want = per_direction_assembly(symbol, basis)
+            got = assemble_kohn_nirenberg(symbol, basis).matrix
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), mu2
+
+    def test_kinked_symbol_is_unresolved(self):
+        # |xi_1| has a kink in the fiber angle: its theta coefficients decay
+        # like l^-2 and never reach the Nyquist-band tolerance
+        sym = SymbolField(
+            "abs-xi1", TORUS,
+            lambda p, xi: (1.0 + 0.2 * np.cos(p[:, 0])) * np.abs(xi[:, 0]),
+        )
+        with pytest.raises(ResolutionError):
+            assemble_kohn_nirenberg(sym, basis_for(TORUS, 9))
+
+    def test_evaluations_do_not_grow_with_directions(self):
+        calls = []
+
+        def counted(fn):
+            def wrapped(p, xi):
+                calls.append(1)
+                return fn(p, xi)
+            return wrapped
+
+        def directions(basis):
+            ks = {(a // math.gcd(a, b), b // math.gcd(a, b))
+                  for a, b in basis.freqs[1:].tolist()}
+            return len(ks | {(-a, -b) for a, b in ks})
+
+        # a trigonometric polynomial in theta is resolved by the first
+        # sampling; an anisotropic hilb symbol needs one doubling
+        aniso = hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS)).symbol
+        for fn, want in ((_mix, KN_FIBER_RES), (aniso.fn, 2 * KN_FIBER_RES)):
+            sym = SymbolField("counted", TORUS, counted(fn))
+            for mu2 in (25, 100):
+                calls.clear()
+                assemble_kohn_nirenberg(sym, basis_for(TORUS, mu2))
+                assert len(calls) == want <= 2 * KN_FIBER_RES_MAX
+        assert directions(basis_for(TORUS, 100)) > 2 * KN_FIBER_RES
 
 
 class TestPositivityRepair:
