@@ -1,78 +1,51 @@
 #!/usr/bin/env python3
-"""Print a compact convergence report for the three headline pipelines.
+"""Print the convergence tables of the three headline experiments.
 
-For each model the script sweeps the spectral window and prints how fast
-(1) the orthonormal-pullback coefficient approaches its constant,
-(2) the normalized inverse-construction approximation approaches the target
-    metric, and
-(3) the induced-norm trace formula approaches its closed form.
+Runs three CLI commands in --check mode, each table followed by its check line:
+
+- ``isometry``: the orthonormal-pullback coefficient against the mu^{n+2} law;
+- ``hilb-approx``: the Bergman approximation of a target metric through Hilb_N;
+- ``met-norm``: the induced-norm trace formula against its closed form.
+
+The sweeps, thresholds and fits are the commands' own.  ``--quick`` runs
+shorter sweeps.  The exit status is the largest one the commands returned
+(1 input error, 2 a failed check).
 
 Usage: python scripts/convergence_report.py [--quick]
 """
 
 import argparse
-import math
+import contextlib
+import sys
 
-from bergman_lab import metspace
-from bergman_lab.bergman import fit_growth, isometry_measurement
-from bergman_lab.fields import reference_metric
-from bergman_lab.hilb import approximation_sweep
-from bergman_lab.manifolds import basis_for, circle, cosphere_quadrature, torus2
-from bergman_lab.presets import metric_field, perturbation_field
+from bergman_lab.cli import main
 
-
-def isometry_section(quick: bool) -> None:
-    print("orthonormal pullback: measured coefficient vs mu^{n+2} law")
-    cases = [
-        (circle(), [16, 32, 64] if quick else [16, 32, 64, 96, 128], 64),
-        (torus2(), [100, 225, 400] if quick else [64, 100, 144, 225, 324, 400], 6),
-    ]
-    for model, sweep, grid in cases:
-        pairs = [isometry_measurement(model, c, grid) for c in sweep]
-        fitted = fit_growth([p[0] for p in pairs], [p[1] for p in pairs], model.dim)
-        theory = model.sphere_fiber_volume / (
-            model.dim * (model.dim + 2) * (2 * math.pi) ** model.dim
-        )
-        print(f"  {model.kind:8s} fitted {fitted:.8f}  constant {theory:.8f}  "
-              f"rel {abs(fitted - theory) / theory:.2e}")
+# (argv up to the sweep flag, full sweep, quick sweep)
+RUNS = [
+    (["isometry", "--model", "circle", "--grid", "64", "--n"],
+     "16,32,64,96,128", "16,32,64"),
+    (["isometry", "--model", "torus2", "--grid", "6", "--mu2"],
+     "64,100,144,225,324,400", "100,225,400"),
+    (["hilb-approx", "--model", "circle", "--metric", "conformal:u=cos(theta)",
+      "--grid", "64", "--n"], "24,48,96,144", "24,48,96"),
+    (["hilb-approx", "--model", "torus2", "--metric", "aniso-diag:0.3,0.3", "--mu2"],
+     "100,225,400", "64,144"),
+    (["met-norm", "--model", "torus2", "--gdot", "cos-x1-dx1", "--mu2"],
+     "100,225,400", "64,144"),
+]
 
 
-def hilb_section(quick: bool) -> None:
-    print("inverse construction: sup relative error of the normalized field")
-    g = metric_field("conformal:u=cos(theta)", circle())
-    for cutoff, mu, sup, l2, shift in approximation_sweep(
-        g, [24, 48, 96] if quick else [24, 48, 96, 144], grid_res=64
-    ):
-        print(f"  circle   N={cutoff:<4d} sup {sup:.4f}  l2 {l2:.4f}")
-    g = metric_field("aniso-diag:0.3,0.3", torus2())
-    for cutoff, mu, sup, l2, shift in approximation_sweep(
-        g, [64, 144] if quick else [100, 225, 400], grid_res=16
-    ):
-        print(f"  torus2   mu2={cutoff:<4d} sup {sup:.4f}  l2 {l2:.4f}  shift {shift:.2e}")
-
-
-def metspace_section(quick: bool) -> None:
-    print("induced norm on the space of metrics: trace formula vs closed form")
-    model = torus2()
-    g = reference_metric(model)
-    gdot = perturbation_field("cos-x1-dx1", model)
-    closed = metspace.induced_norm_closed(
-        g, gdot, cosphere_quadrature(model, 32, 64)
-    )
-    for cutoff in [64, 144] if quick else [100, 225, 400]:
-        tr = metspace.induced_norm_trace(g, gdot, basis_for(model, cutoff))
-        print(f"  torus2   mu2={cutoff:<4d} trace {tr:.6f}  closed {closed:.6f}  "
-              f"ratio {tr / closed:.4f}")
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="smaller sweeps")
-    args = parser.parse_args()
-    isometry_section(args.quick)
-    hilb_section(args.quick)
-    metspace_section(args.quick)
+def report(quick: bool) -> int:
+    status = 0
+    for argv, full, short in RUNS:
+        argv = [*argv, short if quick else full, "--check"]
+        print("== bergman-lab " + " ".join(argv), flush=True)
+        with contextlib.redirect_stderr(sys.stdout):  # keep each check line under its table
+            status = max(status, main(argv))
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--quick", action="store_true", help="shorter sweeps")
+    sys.exit(report(parser.parse_args().quick))

@@ -166,20 +166,3 @@ def isometry_measurement(model: ManifoldModel, cutoff, grid_res: int = 16):
     basis = basis_for(model, cutoff)
     fld = dd_kernel(None, basis, pts)
     return basis.mu_top, isotropic_coefficients(model, fld)
-
-
-def isometry_fit(model: ManifoldModel, cutoffs, grid_res: int = 16):
-    """Fit the orthonormal-pullback growth c * mu^{n+2} over a level sweep.
-
-    Returns (fitted c, per-level measured values, mus, per-level residuals
-    of the pure c * mu^{n+2} law).
-    """
-    if len(cutoffs) < 3:
-        raise InputError("need at least 3 levels to fit")
-    pairs = [isometry_measurement(model, cutoff, grid_res) for cutoff in cutoffs]
-    mus = np.array([p[0] for p in pairs])
-    measured = np.array([p[1] for p in pairs])
-    c = fit_growth(mus, measured, model.dim)
-    residuals = measured / mus ** (model.dim + 2) - c
-    return c, measured, mus, residuals
-

@@ -9,11 +9,11 @@ acceptance threshold and exits 2 on failure; input errors exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import (
     ResolutionError,
     UnsupportedModelError,
 )
-from .fields import relative_errors
+from .fields import MetricField, relative_errors
 from .manifolds import (
     _torus_half_lattice,
     basis_for,
@@ -47,43 +47,13 @@ from .presets import (
 
 THREADS_ENV = "BERGMAN_LAB_THREADS"
 
-CLIError = (
-    InputError,
-    UnsupportedModelError,
-    ResolutionError,
-    NotSPDError,
-    ChartError,
-    GridMismatchError,
-)
+CLIError = (InputError, UnsupportedModelError, ResolutionError, NotSPDError,
+            ChartError, GridMismatchError)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are input errors -> exit 1
         raise InputError(message)
-
-
-@dataclass
-class ExperimentConfig:
-    """Resolved run configuration for one command."""
-
-    command: str
-    model_name: str = "circle"
-    sweep: list = field(default_factory=list)
-    grid: Optional[int] = None
-    fiber: int = 64
-    tnodes: int = 64
-    metric: Optional[str] = None
-    gdot: Optional[str] = None
-    f: Optional[str] = None
-    symbol: Optional[str] = None
-    b: Optional[str] = None
-    a: Optional[str] = None
-    k: int = 0
-    quantization: str = "left"
-    out: Optional[str] = None
-    threads: int = 1
-    check: bool = False
-    tol: Optional[float] = None
 
 
 def _format_value(v) -> str:
@@ -139,14 +109,6 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _sweep(cfg: ExperimentConfig, model) -> list[int]:
-    if not cfg.sweep:
-        raise InputError(
-            "no sweep given: use --n for circle/sphere levels or --mu2 for torus cutoffs"
-        )
-    return cfg.sweep
-
-
 def _sweep_column(model) -> str:
     return "mu2" if model.kind == "torus2" else "n"
 
@@ -156,143 +118,148 @@ def _default_grid(model) -> int:
 
 
 # --- command implementations -------------------------------------------------
+#
+# Each command takes the resolved argparse namespace and the --model manifold
+# and returns (header, rows, check), where check is (ok, detail) or None.  A
+# flag left unset is None and the command supplies its own default with _opt.
 
-def cmd_spectra(cfg: ExperimentConfig):
-    model = model_by_name(cfg.model_name)
-    cutoff = cfg.sweep[-1] if cfg.sweep else 10
-    levels = enumerate_levels(model, cutoff)
+def _opt(value, default):
+    """The flag's value when it was given, else the command's default."""
+    return default if value is None else value
+
+
+def map_sweep(ns: argparse.Namespace, point, default=None) -> list:
+    """``point(c)`` for every sweep value c, on the thread pool, in sweep order.
+
+    Level 0 has mu = 0, which the sweeps divide by, so the sweep starts at 1.
+    """
+    sweep = _opt(ns.sweep, default)
+    if not sweep:
+        raise InputError(
+            "no sweep given: use --n for circle/sphere levels or --mu2 for torus cutoffs"
+        )
+    if sweep[0] < 1:
+        raise InputError("sweep values must be at least 1 (level 0 has mu = 0)")
+    return run_parallel([functools.partial(point, c) for c in sweep], ns.threads)
+
+
+def cmd_spectra(ns, model):
     rows = []
     dim = 0
-    for lv in levels:
+    for lv in enumerate_levels(model, _opt(ns.sweep, [10])[-1]):
         dim += lv.multiplicity
         rows.append((lv.index, lv.mu_sq, lv.multiplicity, dim))
     return ["level", "mu_sq", "multiplicity", "dim_cum"], rows, None
 
 
-def cmd_takahashi(cfg: ExperimentConfig):
-    degrees = cfg.sweep or list(range(1, 11))
-    grid = cfg.grid or 12
-    tasks = [lambda n=n: (n, *sphereband.takahashi_check(n, grid)) for n in degrees]
-    rows = run_parallel(tasks, cfg.threads)
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+def cmd_takahashi(ns, model):
+    grid = _opt(ns.grid, 12)
+    rows = map_sweep(
+        ns, lambda n: (n, *sphereband.takahashi_check(n, grid)), default=list(range(1, 11))
+    )
+    tol = _opt(ns.tol, 1e-8)
     worst = max(r[2] for r in rows)
     ok = worst <= tol
     return ["n", "c_n", "deviation"], rows, (ok, f"max deviation {worst:.3e} vs {tol:.0e}")
 
 
-def cmd_isometry(cfg: ExperimentConfig):
-    model = model_by_name(cfg.model_name)
-    sweep = _sweep(cfg, model)
-    if len(sweep) < 3:
+def cmd_isometry(ns, model):
+    if ns.sweep and len(ns.sweep) < 3:
         raise InputError("isometry fit needs at least 3 sweep values")
-    grid = cfg.grid or _default_grid(model)
-    tasks = [
-        lambda c=c: bergman.isometry_measurement(model, c, grid) for c in sweep
-    ]
-    pairs = run_parallel(tasks, cfg.threads)
-    mus = np.array([p[0] for p in pairs])
-    measured = np.array([p[1] for p in pairs])
+    grid = _opt(ns.grid, _default_grid(model))
+    pairs = map_sweep(ns, lambda c: bergman.isometry_measurement(model, c, grid))
+    mus, measured = np.array(pairs).T
     n = model.dim
     fitted = bergman.fit_growth(mus, measured, n)
     theory = bergman.isometry_theory_coefficient(model)
     fit_rel = abs(fitted - theory) / theory
     rows = []
-    for cutoff, mu, m in zip(sweep, mus, measured):
+    for cutoff, mu, m in zip(ns.sweep, mus, measured):
         coeff = m / mu ** (n + 2)
         rows.append((cutoff, mu, coeff, theory, abs(coeff - theory) / theory))
-    tol = cfg.tol if cfg.tol is not None else 0.05
+    tol = _opt(ns.tol, 0.05)
     ok = fit_rel <= tol
     header = [_sweep_column(model), "mu", "measured_coeff", "theory_coeff", "rel_err"]
     return header, rows, (ok, f"fitted {fitted:.6g} vs {theory:.6g} ({fit_rel:.2%})")
 
 
-def _bergman_source(cfg: ExperimentConfig, model):
-    if (cfg.f is None) == (cfg.symbol is None):
+def _bergman_source(ns, model):
+    if (ns.f is None) == (ns.symbol is None):
         raise InputError("give exactly one of --f (multiplication) or --symbol")
-    if cfg.f is not None:
-        return scalar_field(cfg.f, model)
-    return symbol_field(cfg.symbol, model)
+    if ns.f is not None:
+        return scalar_field(ns.f, model)
+    return symbol_field(ns.symbol, model)
 
 
-def cmd_bergman(cfg: ExperimentConfig):
-    model = model_by_name(cfg.model_name)
-    source = _bergman_source(cfg, model)
-    sweep = _sweep(cfg, model)
-    grid = cfg.grid or _default_grid(model)
-    tasks = [
-        lambda c=c: symbol_law_check(source, model, [c], grid, cfg.fiber)[0]
-        for c in sweep
-    ]
-    rows = run_parallel(tasks, cfg.threads)
+def cmd_bergman(ns, model):
+    source = _bergman_source(ns, model)
+    grid = _opt(ns.grid, _default_grid(model))
+    rows = map_sweep(
+        ns, lambda c: symbol_law_check(source, model, [c], grid, ns.fiber)[0]
+    )
     errs = [r[2] for r in rows]
-    tol = cfg.tol if cfg.tol is not None else 0.10
+    tol = _opt(ns.tol, 0.10)
     ok = errs[-1] <= tol and trend_ok(errs)
     header = [_sweep_column(model), "mu", "rel_err", "pd_shift"]
     return header, rows, (ok, f"final err {errs[-1]:.2%} vs {tol:.0%}, trend {errs}")
 
 
-def cmd_tail_defect(cfg: ExperimentConfig):
-    model = model_by_name(cfg.model_name)
-    if cfg.f is None:
+def cmd_tail_defect(ns, model):
+    if ns.f is None:
         raise InputError("tail-defect needs a multiplication field --f")
-    f = scalar_field(cfg.f, model)
-    sweep = _sweep(cfg, model)
-    grid = cfg.grid or _default_grid(model)
+    f = scalar_field(ns.f, model)
+    grid = _opt(ns.grid, _default_grid(model))
 
     def one(c):
         mu = math.sqrt(basis_for(model, c).levels[-1].mu_sq)
         return (c, mu, tail_defect(f, model, c, 2 * c, grid))
 
-    rows = run_parallel([lambda c=c: one(c) for c in sweep], cfg.threads)
-    tol = cfg.tol if cfg.tol is not None else 0.20
+    rows = map_sweep(ns, one)
+    tol = _opt(ns.tol, 0.20)
     ratio = rows[-1][2] / rows[0][2]
     ok = ratio <= tol
     header = [_sweep_column(model), "mu", "defect"]
     return header, rows, (ok, f"defect ratio last/first {ratio:.3f} vs {tol}")
 
 
-def cmd_hilb_approx(cfg: ExperimentConfig):
-    model = model_by_name(cfg.model_name)
-    if cfg.metric is None:
+def cmd_hilb_approx(ns, model):
+    if ns.metric is None:
         raise InputError("hilb-approx needs --metric")
-    g = metric_field(cfg.metric, model)
-    sweep = _sweep(cfg, model)
-    grid = cfg.grid or _default_grid(model)
-    pts, w = quadrature_grid(model, grid)
+    g = metric_field(ns.metric, model)
+    pts, w = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
 
     def one(c):
         basis = basis_for(model, c)
-        fld, shift = hilb.approximate(g, basis, pts, quantization=cfg.quantization)
+        fld, shift = hilb.approximate(g, basis, pts, quantization=ns.quantization)
         sup, l2 = relative_errors(fld, g, w)
         return (c, sup, l2, shift)
 
-    rows = run_parallel([lambda c=c: one(c) for c in sweep], cfg.threads)
+    rows = map_sweep(ns, one)
     sups = [r[1] for r in rows]
-    tol = cfg.tol if cfg.tol is not None else (0.05 if model.kind == "circle" else 0.10)
+    tol = _opt(ns.tol, 0.05 if model.kind == "circle" else 0.10)
     ok = sups[-1] <= tol and trend_ok(sups)
     header = [_sweep_column(model), "sup_rel_err", "l2_rel_err", "pd_shift"]
     return header, rows, (ok, f"final sup err {sups[-1]:.2%} vs {tol:.0%}")
 
 
-def cmd_met_norm(cfg: ExperimentConfig):
-    model = model_by_name(cfg.model_name)
-    if cfg.gdot is None:
+def _cosphere(ns, model):
+    return cosphere_quadrature(model, _opt(ns.grid, 256 if model.dim == 1 else 32), ns.fiber)
+
+
+def cmd_met_norm(ns, model):
+    if ns.gdot is None:
         raise InputError("met-norm needs --gdot")
-    g = metric_field(cfg.metric or "g0", model)
-    gdot = perturbation_field(cfg.gdot, model)
-    base_res = cfg.grid or (256 if model.dim == 1 else 32)
-    closed = metspace.induced_norm_closed(
-        g, gdot, cosphere_quadrature(model, base_res, cfg.fiber)
-    )
-    sweep = _sweep(cfg, model)
+    g = metric_field(_opt(ns.metric, "g0"), model)
+    gdot = perturbation_field(ns.gdot, model)
+    closed = metspace.induced_norm_closed(g, gdot, _cosphere(ns, model))
 
     def one(c):
         basis = basis_for(model, c)
-        tr = metspace.induced_norm_trace(g, gdot, basis, quantization=cfg.quantization)
+        tr = metspace.induced_norm_trace(g, gdot, basis, quantization=ns.quantization)
         return (c, tr, closed, tr / closed)
 
-    rows = run_parallel([lambda c=c: one(c) for c in sweep], cfg.threads)
-    tol = cfg.tol if cfg.tol is not None else 0.10
+    rows = map_sweep(ns, one)
+    tol = _opt(ns.tol, 0.10)
     gap = abs(rows[-1][1] - closed) / closed
     gaps = [abs(r[1] - closed) for r in rows]
     converging = gap <= 1e-9 or trend_ok(gaps)  # sub-noise gaps count as converged
@@ -301,102 +268,83 @@ def cmd_met_norm(cfg: ExperimentConfig):
     return header, rows, (ok, f"final |trace-closed|/closed {gap:.2%} vs {tol:.0%}")
 
 
-def _szego_sources(cfg: ExperimentConfig, model):
-    if not cfg.b:
+def _szego_sources(ns, model):
+    """One field per --b entry; a name given twice is the same field object."""
+    if not ns.b:
         raise InputError("szego needs --b with 1 to 3 comma-separated fields")
-    names = [s for s in cfg.b.split(";") if s] if ";" in cfg.b else [
-        s for s in cfg.b.split(",") if s
-    ]
     # expressions may contain commas only inside presets we know are comma-free
-    sources = []
+    names = [s for s in ns.b.split(";" if ";" in ns.b else ",") if s]
+    fields = {}
     for name in names:
-        try:
-            sources.append(symbol_field(name, model))
-        except InputError:
-            sources.append(scalar_field(name, model))
-    return sources
+        if name not in fields:
+            try:
+                fields[name] = symbol_field(name, model)
+            except InputError:
+                fields[name] = scalar_field(name, model)
+    return [fields[name] for name in names]
 
 
-def cmd_szego(cfg: ExperimentConfig):
-    model = model_by_name(cfg.model_name)
+def cmd_szego(ns, model):
     if model.kind == "sphere2":
         raise UnsupportedModelError("szego runs on circle or torus2")
-    sources = _szego_sources(cfg, model)
-    sweep = _sweep(cfg, model)
-    base_res = cfg.grid or (256 if model.dim == 1 else 32)
-    quad = cosphere_quadrature(model, base_res, cfg.fiber)
+    sources = _szego_sources(ns, model)
+    quad = _cosphere(ns, model)
 
     def one(c):
         basis = basis_for(model, c)
-        measured, predicted, ratio = metspace.szego_trace(
-            sources, basis, quad, quantization=cfg.quantization
-        )
-        return (c, measured, predicted, ratio)
+        return (c, *metspace.szego_trace(sources, basis, quad, quantization=ns.quantization))
 
-    rows = run_parallel([lambda c=c: one(c) for c in sweep], cfg.threads)
-    tol = cfg.tol if cfg.tol is not None else 0.05
+    rows = map_sweep(ns, one)
+    tol = _opt(ns.tol, 0.05)
     gap = abs(rows[-1][3] - 1.0)
     ok = gap <= tol
     header = [_sweep_column(model), "measured", "predicted", "ratio"]
     return header, rows, (ok, f"final |ratio-1| {gap:.2%} vs {tol:.0%}")
 
 
-def cmd_sphere_band(cfg: ExperimentConfig):
-    model = model_by_name(cfg.model_name)
+def _sphere_field(ns, model):
     if model.kind != "sphere2":
-        raise InputError("sphere-band requires --model sphere2")
-    a = scalar_field(cfg.a or "one-plus-half-x3sq", model)
-    sweep = _sweep(cfg, model)
-    grid = cfg.grid or 10
-    tasks = [
-        lambda n=n: (n, cfg.k, sphereband.sphere_band_check(
-            a, n, cfg.k, grid, cfg.fiber, cfg.tnodes))
-        for n in sweep
-    ]
-    rows = run_parallel(tasks, cfg.threads)
+        raise InputError(f"{ns.command} requires --model sphere2")
+    return scalar_field(_opt(ns.a, "one-plus-half-x3sq"), model)
+
+
+def cmd_sphere_band(ns, model):
+    a = _sphere_field(ns, model)
+    grid = _opt(ns.grid, 10)
+    rows = map_sweep(ns, lambda n: (n, ns.k, sphereband.sphere_band_check(
+        a, n, ns.k, grid, ns.fiber, ns.tnodes)))
     errs = [r[2] for r in rows]
-    tol = cfg.tol if cfg.tol is not None else (0.10 if cfg.k == 0 else 0.15)
-    ok = errs[-1] <= tol
-    if cfg.k == 0 and len(errs) >= 2:
+    tol = _opt(ns.tol, 0.10 if ns.k == 0 else 0.15)
+    ok = all(e <= tol for e in errs)
+    if ns.k == 0 and len(errs) >= 2:
         ok = ok and errs[-1] <= 0.7 * errs[0]
     return ["n", "k", "rel_err"], rows, (ok, f"errors {errs} vs {tol}")
 
 
-def cmd_sphere_cumulative(cfg: ExperimentConfig):
-    model = model_by_name(cfg.model_name)
-    if model.kind != "sphere2":
-        raise InputError("sphere-cumulative requires --model sphere2")
-    a = scalar_field(cfg.a or "one-plus-half-x3sq", model)
-    sweep = _sweep(cfg, model)
-    grid = cfg.grid or 10
-    tasks = [
-        lambda n=n: (n, sphereband.cumulative_band_sum(a, n, grid, cfg.fiber))
-        for n in sweep
-    ]
-    rows = run_parallel(tasks, cfg.threads)
+def cmd_sphere_cumulative(ns, model):
+    a = _sphere_field(ns, model)
+    grid = _opt(ns.grid, 10)
+    rows = map_sweep(ns, lambda n: (n, sphereband.cumulative_band_sum(a, n, grid, ns.fiber)))
     errs = [r[1] for r in rows]
-    ratio_tol = cfg.tol if cfg.tol is not None else 0.7
+    ratio_tol = _opt(ns.tol, 0.7)
     ok = all(b <= ratio_tol * a_ for a_, b in zip(errs, errs[1:]))
     return ["n", "rel_err"], rows, (ok, f"errors {errs}, halving tol {ratio_tol}")
 
 
-def cmd_exact_pullback(cfg: ExperimentConfig):
+def cmd_exact_pullback(ns, model):
     """dd(I) against the closed-form lattice/trigonometric sums, exactly."""
-    model = model_by_name(cfg.model_name)
-    sweep = _sweep(cfg, model)
-    grid = cfg.grid or _default_grid(model)
-    pts, _ = quadrature_grid(model, grid)
+    if model.kind not in ("circle", "torus2"):
+        raise InputError("exact-pullback supports circle and torus2")
+    pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
 
     def closed_form(cutoff: int) -> np.ndarray:
         if model.kind == "circle":
             return np.array([[cutoff * (cutoff + 1) * (2 * cutoff + 1) / (6 * math.pi)]])
-        if model.kind == "torus2":
-            acc = np.zeros((2, 2))
-            for a, b in _torus_half_lattice(cutoff):
-                k = np.array([a, b], dtype=float)
-                acc += np.outer(k, k) / (2 * math.pi**2)
-            return acc
-        raise InputError("exact-pullback supports circle and torus2")
+        acc = np.zeros((2, 2))
+        for a, b in _torus_half_lattice(cutoff):
+            k = np.array([a, b], dtype=float)
+            acc += np.outer(k, k) / (2 * math.pi**2)
+        return acc
 
     def one(cutoff):
         want = closed_form(cutoff)
@@ -404,27 +352,21 @@ def cmd_exact_pullback(cfg: ExperimentConfig):
         dev = np.abs(fld.values - want).max() / np.abs(want).max()
         return (cutoff, float(dev))
 
-    rows = run_parallel([lambda c=c: one(c) for c in sweep], cfg.threads)
-    tol = cfg.tol if cfg.tol is not None else 1e-10
+    rows = map_sweep(ns, one)
+    tol = _opt(ns.tol, 1e-10)
     worst = max(r[1] for r in rows)
     ok = worst <= tol
     header = [_sweep_column(model), "rel_dev"]
     return header, rows, (ok, f"max deviation {worst:.3e} vs {tol:.0e}")
 
 
-def cmd_gradient_check(cfg: ExperimentConfig):
+def cmd_gradient_check(ns, model):
     """Variation symbol against central differences: second-order in eps."""
-    from .fields import MetricField
-    from .hilb import hilb_symbol as hsym
-    from .metspace import dhilb_symbol
-
-    model = model_by_name(cfg.model_name)
-    g = metric_field(cfg.metric or ("aniso-diag:0.3,0.2" if model.kind == "torus2"
-                                    else "conformal:u=cos(theta)"), model)
-    gdot = perturbation_field(
-        cfg.gdot or ("cos-x1-dx1" if model.kind == "torus2" else "cos-theta"), model
-    )
-    sym = dhilb_symbol(g, gdot, trace_sign=-1)
+    torus = model.kind == "torus2"
+    g = metric_field(_opt(ns.metric, "aniso-diag:0.3,0.2" if torus
+                          else "conformal:u=cos(theta)"), model)
+    gdot = perturbation_field(_opt(ns.gdot, "cos-x1-dx1" if torus else "cos-theta"), model)
+    sym = metspace.dhilb_symbol(g, gdot, trace_sign=-1)
     if model.dim == 1:
         pts = np.array([[0.7], [2.1], [4.4]])
         xi = np.ones((3, 1))
@@ -436,7 +378,8 @@ def cmd_gradient_check(cfg: ExperimentConfig):
     for eps in (1e-3, 1e-4):
         gp = MetricField("p", model, lambda p, e=eps: g.matrix_fn(p) + e * gdot.matrix_fn(p))
         gm = MetricField("m", model, lambda p, e=eps: g.matrix_fn(p) - e * gdot.matrix_fn(p))
-        fd = (hsym(gp).symbol.values(pts, xi) - hsym(gm).symbol.values(pts, xi)) / (2 * eps)
+        fd = (hilb.hilb_symbol(gp).symbol.values(pts, xi)
+              - hilb.hilb_symbol(gm).symbol.values(pts, xi)) / (2 * eps)
         rows.append((eps, float(np.abs(fd - exact).max())))
     scale = float(np.abs(exact).max())
     if rows[0][1] <= 1e-9 * scale:
@@ -447,7 +390,7 @@ def cmd_gradient_check(cfg: ExperimentConfig):
     return ["eps", "max_abs_err"], rows, (ok, f"error ratio {ratio:.1f} in [50, 200]")
 
 
-def cmd_list_presets(cfg: ExperimentConfig):
+def cmd_list_presets(ns, model):
     sys.stdout.write(PRESET_HELP)
     return None, None, None
 
@@ -474,8 +417,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--model", default="circle",
-                       choices=["circle", "torus2", "sphere2"])
+        p.add_argument("--model", default="circle", choices=["circle", "torus2", "sphere2"])
         p.add_argument("--n", help="comma-separated level sweep (circle/sphere)")
         p.add_argument("--mu2", help="comma-separated mu^2 cutoffs (torus)")
         p.add_argument("--grid", type=int, help="base grid resolution")
@@ -488,8 +430,7 @@ def build_parser() -> _Parser:
         p.add_argument("--b", help="comma-separated fields for szego products")
         p.add_argument("--a", help="sphere test function")
         p.add_argument("--k", type=int, default=0, help="band offset")
-        p.add_argument("--quantization", default="left",
-                       choices=["left", "symmetric"])
+        p.add_argument("--quantization", default="left", choices=["left", "symmetric"])
         p.add_argument("--out", help="CSV output path (default stdout)")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--check", action="store_true",
@@ -528,7 +469,7 @@ def _apply_config_file(ns: argparse.Namespace, parser_defaults: dict) -> None:
                 raise InputError(f"{ns.config}:{line_no}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if not hasattr(ns, key):
+            if key == "command" or not hasattr(ns, key):
                 raise InputError(f"{ns.config}:{line_no}: unknown key {key!r}")
             current = getattr(ns, key)
             if current != parser_defaults.get(key):
@@ -541,55 +482,47 @@ def _apply_config_file(ns: argparse.Namespace, parser_defaults: dict) -> None:
                 ) from None
 
 
-def resolve_config(ns: argparse.Namespace) -> ExperimentConfig:
-    defaults = {
-        "model": "circle", "n": None, "mu2": None, "grid": None, "fiber": 64,
-        "tnodes": 64, "metric": None, "gdot": None, "f": None, "symbol": None,
-        "b": None, "a": None, "k": 0, "quantization": "left", "out": None,
-        "threads": None, "check": False, "tol": None, "config": None,
-    }
-    _apply_config_file(ns, defaults)
-    sweep: list[int] = []
+def resolve_config(ns: argparse.Namespace, parser: argparse.ArgumentParser):
+    """Apply the config file, parse the sweep and resolve the thread count.
+
+    Sets ``ns.sweep`` (None when neither --n nor --mu2 is given) and
+    ``ns.threads``; a flag still at its parser default takes the file's value.
+    """
+    _apply_config_file(ns, vars(parser.parse_args([ns.command])))
+    ns.sweep = None
     if ns.mu2 and ns.n:
         raise InputError("give --n or --mu2, not both")
     if ns.mu2:
         if ns.model != "torus2":
             raise InputError("--mu2 is the torus sweep flag; use --n")
-        sweep = _parse_int_list(ns.mu2)
+        ns.sweep = _parse_int_list(ns.mu2)
     elif ns.n:
         if ns.model == "torus2":
             raise InputError("torus sweeps use --mu2")
-        sweep = _parse_int_list(ns.n)
-    threads = ns.threads
-    if threads is None:
+        ns.sweep = _parse_int_list(ns.n)
+    if ns.threads is None:
         raw = os.environ.get(THREADS_ENV, "1")
         try:
-            threads = int(raw)
+            ns.threads = int(raw)
         except ValueError:
             raise InputError(
                 f"{THREADS_ENV} must be an integer, got {raw!r}"
             ) from None
-    if threads < 1:
+    if ns.threads < 1:
         raise InputError("thread count must be at least 1")
-    return ExperimentConfig(
-        command=ns.command, model_name=ns.model, sweep=sweep, grid=ns.grid,
-        fiber=ns.fiber, tnodes=ns.tnodes, metric=ns.metric, gdot=ns.gdot,
-        f=ns.f, symbol=ns.symbol, b=ns.b, a=ns.a, k=ns.k,
-        quantization=ns.quantization, out=ns.out, threads=threads,
-        check=ns.check, tol=ns.tol,
-    )
+    return ns
 
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
-        cfg = resolve_config(ns)
-        header, rows, check = COMMANDS[cfg.command](cfg)
+        parser = build_parser()
+        ns = resolve_config(parser.parse_args(argv), parser)
+        header, rows, check = COMMANDS[ns.command](ns, model_by_name(ns.model))
         if header is not None:
-            write_csv(header, rows, cfg.out)
-        if cfg.check and check is not None:
+            write_csv(header, rows, ns.out)
+        if ns.check and check is not None:
             ok, detail = check
-            stream = sys.stderr if cfg.out is None else sys.stdout
+            stream = sys.stderr if ns.out is None else sys.stdout
             stream.write(f"check {'PASS' if ok else 'FAIL'}: {detail}\n")
             if not ok:
                 return 2

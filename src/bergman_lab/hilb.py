@@ -18,8 +18,8 @@ import numpy as np
 
 from .bergman import InnerProductMatrix, dd_kernel
 from .errors import UnsupportedModelError
-from .fields import MetricField, Tensor2Field, relative_errors
-from .manifolds import EigenBasis, basis_for, quadrature_grid
+from .fields import MetricField, Tensor2Field
+from .manifolds import EigenBasis
 from .operators import (
     SymbolField,
     assemble_kohn_nirenberg,
@@ -114,21 +114,3 @@ def approximate(
     scale = basis.mu_top ** -(n + 2)
     field = dd_kernel(ip.unshifted(), basis, points)
     return field.scaled(scale), ip.shift
-
-
-def approximation_sweep(
-    g: MetricField,
-    cutoffs,
-    grid_res: int = 16,
-    quantization: str = "left",
-):
-    """Rows (cutoff, mu, sup_rel_err, l2_rel_err, pd_shift) over a level sweep."""
-    model = g.model
-    pts, w = quadrature_grid(model, grid_res)
-    rows = []
-    for cutoff in cutoffs:
-        basis = basis_for(model, cutoff)
-        field, shift = approximate(g, basis, pts, quantization=quantization)
-        sup, l2 = relative_errors(field, g, w)
-        rows.append((cutoff, basis.mu_top, sup, l2, shift))
-    return rows

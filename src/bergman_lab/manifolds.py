@@ -421,6 +421,8 @@ def fiber_covectors(model: ManifoldModel, points: np.ndarray, fiber_res: int):
     |xi|_{g0} = 1 exactly.  The weights sum to Vol(S^{n-1}).  Entry [f] is
     node f at every base point, a contiguous (P, n) block.
     """
+    if model.dim == 2 and fiber_res < 4:
+        raise InputError("fiber node count must be at least 4")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if model.dim == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -461,8 +463,8 @@ def fiber_tensor(b: np.ndarray, xis: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def cosphere_quadrature(model: ManifoldModel, base_res: int, fiber_res: int) -> CosphereQuadrature:
     """Product quadrature on the unit cosphere bundle S*M (fibers as in fiber_bundle)."""
-    if base_res < 4 or (model.dim == 2 and fiber_res < 4):
-        raise InputError("cosphere resolutions must be at least 4")
+    if base_res < 4:
+        raise InputError("cosphere base resolution must be at least 4")
     pts, wb = quadrature_grid(model, base_res)
     points, xis, wf = fiber_bundle(model, pts, fiber_res)
     weights = (wb[:, None] * wf).ravel()

@@ -135,10 +135,13 @@ def szego_trace(
     """
     if not 1 <= len(sources) <= 3:
         raise InputError("szego_trace supports products of 1 to 3 compressions")
-    mats = [assemble(s, basis, quantization=quantization).matrix for s in sources]
-    prod = mats[0]
-    for m in mats[1:]:
-        prod = prod @ m
+    mats = {}  # a field object given twice is assembled once
+    for s in sources:
+        if id(s) not in mats:
+            mats[id(s)] = assemble(s, basis, quantization=quantization).matrix
+    prod = mats[id(sources[0])]
+    for s in sources[1:]:
+        prod = prod @ mats[id(s)]
     measured = float(np.trace(prod))
     vals = np.ones(quad.points.shape[0])
     for s in sources:

@@ -11,10 +11,11 @@ from bergman_lab.bergman import (
     fit_growth,
     immersion_margin,
     injectivity_margin,
-    isometry_fit,
+    isometry_measurement,
     isometry_theory_coefficient,
     pullback_by_transform,
 )
+from bergman_lab.cli import main
 from bergman_lab.errors import InputError
 from bergman_lab.manifolds import (
     basis_for,
@@ -283,25 +284,31 @@ class TestEmbeddingMargins:
             injectivity_margin(basis, (np.array([[1.0]]), np.array([[1.0]])))
 
 
+def isometry_fit(model, cutoffs, grid_res):
+    """fit_growth over isometry_measurement: the fit the isometry command makes."""
+    pairs = [isometry_measurement(model, c, grid_res) for c in cutoffs]
+    return fit_growth([p[0] for p in pairs], [p[1] for p in pairs], model.dim)
+
+
 class TestIsometryFit:
     def test_circle_constant(self):
-        c, *_ = isometry_fit(CIRCLE, [8, 16, 32, 64], grid_res=32)
+        c = isometry_fit(CIRCLE, [8, 16, 32, 64], grid_res=32)
         assert c == pytest.approx(1 / (3 * math.pi), rel=0.01)
         assert isometry_theory_coefficient(CIRCLE) == pytest.approx(1 / (3 * math.pi))
 
     def test_torus_constant(self):
         # lattice-count fluctuations need the sweep to reach mu^2 ~ 400
-        c, *_ = isometry_fit(TORUS, [64, 100, 144, 225, 400], grid_res=6)
+        c = isometry_fit(TORUS, [64, 100, 144, 225, 400], grid_res=6)
         assert c == pytest.approx(1 / (16 * math.pi), rel=0.05)
         assert isometry_theory_coefficient(TORUS) == pytest.approx(1 / (16 * math.pi))
 
     def test_sphere_constant(self):
-        c, *_ = isometry_fit(SPHERE, [6, 10, 14, 18], grid_res=8)
+        c = isometry_fit(SPHERE, [6, 10, 14, 18], grid_res=8)
         assert c == pytest.approx(1 / (16 * math.pi), rel=0.05)
 
-    def test_needs_three_levels(self):
-        with pytest.raises(InputError):
-            isometry_fit(CIRCLE, [4, 8])
+    def test_needs_three_levels(self, capsys):
+        assert main(["isometry", "--model", "circle", "--n", "4,8"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_fit_growth_recovers_exact_law(self):
         mus = np.array([4.0, 8.0, 16.0, 32.0])

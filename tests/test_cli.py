@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -5,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bergman_lab.cli import THREADS_ENV, main, trend_ok
+from bergman_lab.cli import COMMANDS, THREADS_ENV, main, trend_ok
 from bergman_lab.errors import InputError, UnsupportedModelError
 from bergman_lab.manifolds import circle, sphere2, torus2
 from bergman_lab.presets import (
@@ -177,6 +181,24 @@ class TestMainInProcess:
             assert main(argv) == 1, argv
             assert capsys.readouterr().err.startswith("error:"), argv
 
+    @pytest.mark.parametrize("argv", [
+        # level 0 (mu = 0) in the sweep of each command that divides by mu
+        ["hilb-approx", "--model", "circle", "--metric", "g0", "--n", "0,4"],
+        ["met-norm", "--model", "circle", "--gdot", "cos-theta", "--n", "0,4"],
+        ["exact-pullback", "--model", "circle", "--n", "0,2"],
+        ["isometry", "--model", "torus2", "--mu2", "0,4,9"],
+        # a given grid is used, never replaced by the default
+        ["isometry", "--model", "circle", "--n", "4,8,16", "--grid", "0"],
+        # a 2-D cosphere fiber needs at least 4 nodes
+        ["sphere-band", "--model", "sphere2", "--n", "5", "--fiber", "0"],
+        ["sphere-band", "--model", "sphere2", "--n", "5", "--fiber", "1"],
+        ["sphere-cumulative", "--model", "sphere2", "--n", "3", "--fiber", "0"],
+        ["sphere-cumulative", "--model", "sphere2", "--n", "3", "--fiber", "1"],
+    ])
+    def test_bad_sweep_grid_or_fiber_is_input_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_too_few_t_nodes_is_input_error(self, capsys):
         assert main(["sphere-band", "--model", "sphere2", "--a", "x3", "--k", "1",
                      "--n", "5", "--tnodes", "4"]) == 1
@@ -200,6 +222,50 @@ class TestMainInProcess:
     def test_gradient_check_command(self, capsys):
         assert main(["gradient-check", "--model", "torus2", "--check"]) == 0
         assert main(["gradient-check", "--model", "circle", "--check"]) == 0
+
+
+PRESETS = {
+    "--f": ["exp:cos(theta)", "cos(theta)", "one", "exp:0.3cos(x1)", "x3", "nope"],
+    "--symbol": ["xi1sq", "one", "nope"],
+    "--metric": ["g0", "conformal:u=cos(theta)", "conformal:u=0.3cos(x1)",
+                 "aniso-diag:0.3,0.3", "aniso-diag:", "warped"],
+    "--gdot": ["cos-theta", "cos-x1-dx1", "zzz"],
+    "--b": ["one", "cos(x1),cos(x1)", "one;exp-cos-theta", "xi1sq;cos(x1)",
+            "cos(x1);", ",", ";", "bogus", "one,one,one,one"],
+    "--a": ["one-plus-half-x3sq", "x3", "one", "nope"],
+}
+
+
+@st.composite
+def argvs(draw):
+    model = draw(st.sampled_from(["circle", "torus2", "sphere2"]))
+    argv = [draw(st.sampled_from(sorted(COMMANDS))), "--model", model]
+    sweep = draw(st.lists(st.integers(0, 9), max_size=3, unique=True).map(sorted))
+    if sweep or draw(st.booleans()):
+        argv += ["--mu2" if model == "torus2" else "--n", ",".join(map(str, sweep))]
+    for flag in ("--grid", "--fiber", "--tnodes", "--k"):
+        value = draw(st.none() | st.integers(-1, 5))
+        if value is not None:
+            argv += [flag, str(value)]
+    for flag, names in PRESETS.items():
+        name = draw(st.none() | st.sampled_from(names))
+        if name is not None:
+            argv += [flag, name]
+    if draw(st.booleans()):
+        argv.append("--check")
+    return argv
+
+
+@settings(derandomize=True, max_examples=200)
+@given(argvs())
+def test_any_argv_exits_cleanly(argv):
+    """Exit 0, 1 or 2; exit 1 prints an error line; no exception escapes main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
 
 
 class TestCSVContract:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bergman_lab import metspace
+from bergman_lab.cli import main
 from bergman_lab.fields import MetricField, MetricPerturbation, reference_metric
 from bergman_lab.hilb import hilb_symbol
 from bergman_lab.manifolds import basis_for, circle, cosphere_quadrature, torus2
@@ -236,6 +238,24 @@ class TestSzegoTrace:
         one = ScalarField("one", lambda p: np.ones(np.atleast_2d(p).shape[0]))
         with pytest.raises(Exception):
             szego_trace([one] * 4, basis, quad)
+
+    def test_repeated_field_is_assembled_once(self, monkeypatch, capsys):
+        basis = basis_for(TORUS, 25)
+        quad = cosphere_quadrature(TORUS, 16, 16)
+        cosx1 = ScalarField("cosx1", lambda p: np.cos(np.atleast_2d(p)[:, 0]))
+        twin = ScalarField("cosx1", lambda p: np.cos(np.atleast_2d(p)[:, 0]))
+        separate = szego_trace([cosx1, twin], basis, quad)
+        calls = []
+        real = metspace.assemble
+        monkeypatch.setattr(metspace, "assemble",
+                            lambda s, *a, **k: calls.append(s) or real(s, *a, **k))
+        assert szego_trace([cosx1, cosx1], basis, quad) == separate
+        assert calls == [cosx1]
+        # the command line gives a name listed twice one field object
+        calls.clear()
+        assert main(["szego", "--model", "torus2", "--b", "cos(x1),cos(x1)",
+                     "--mu2", "25"]) == 0
+        assert len(calls) == 1
 
     def test_mixed_symbol_and_multiplication(self):
         basis = basis_for(TORUS, 64)
