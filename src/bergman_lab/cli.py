@@ -341,7 +341,8 @@ def cmd_exact_pullback(ns, model):
         if model.kind == "circle":
             return np.array([[cutoff * (cutoff + 1) * (2 * cutoff + 1) / (6 * math.pi)]])
         acc = np.zeros((2, 2))
-        for a, b in _torus_half_lattice(cutoff):
+        # lexicographic (k1, k2) order: out/exact_torus.csv holds rel_dev for this sum
+        for a, b in sorted(_torus_half_lattice(cutoff).tolist()):
             k = np.array([a, b], dtype=float)
             acc += np.outer(k, k) / (2 * math.pi**2)
         return acc
@@ -378,8 +379,8 @@ def cmd_gradient_check(ns, model):
     for eps in (1e-3, 1e-4):
         gp = MetricField("p", model, lambda p, e=eps: g.matrix_fn(p) + e * gdot.matrix_fn(p))
         gm = MetricField("m", model, lambda p, e=eps: g.matrix_fn(p) - e * gdot.matrix_fn(p))
-        fd = (hilb.hilb_symbol(gp).symbol.values(pts, xi)
-              - hilb.hilb_symbol(gm).symbol.values(pts, xi)) / (2 * eps)
+        fd = (hilb.hilb_symbol(gp).values(pts, xi)
+              - hilb.hilb_symbol(gm).values(pts, xi)) / (2 * eps)
         rows.append((eps, float(np.abs(fd - exact).max())))
     scale = float(np.abs(exact).max())
     if rows[0][1] <= 1e-9 * scale:

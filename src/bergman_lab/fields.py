@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,21 +63,8 @@ class Tensor2Field:
         if self.values.shape[0] != self.points.shape[0]:
             raise GridMismatchError("values and points disagree in length")
 
-    def op_norms(self) -> np.ndarray:
-        return g0_operator_norms(self.model, self.points, self.values)
-
-    def sup_norm(self) -> float:
-        return float(self.op_norms().max())
-
     def scaled(self, c: float) -> "Tensor2Field":
         return Tensor2Field(self.model, self.points, c * self.values)
-
-    def min_eig_g0(self) -> float:
-        """Smallest eigenvalue of g0^{-1/2} T g0^{-1/2} over the grid."""
-        if self.model.dim == 1:
-            return float(self.values[:, 0, 0].min())
-        lo, _ = sym2x2_eigs(g0_orthonormal(self.model, self.points, self.values))
-        return float(lo.min())
 
 
 @dataclass(frozen=True)
@@ -128,10 +115,6 @@ class MetricField:
         det_g0 = g0[:, 0, 0] * g0[:, 1, 1] - g0[:, 0, 1] ** 2
         return np.sqrt(det_g0 / det_g)
 
-    def as_field(self, points: np.ndarray) -> Tensor2Field:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return Tensor2Field(self.model, pts, self.matrices(pts))
-
 
 @dataclass(frozen=True)
 class MetricPerturbation:
@@ -153,6 +136,21 @@ def reference_metric(model: ManifoldModel) -> MetricField:
         lambda pts: g0_matrices(model, pts),
         conformal_u=lambda pts: np.zeros(np.atleast_2d(pts).shape[0]),
     )
+
+
+def sup_relative_error(measured: Tensor2Field, predicted: np.ndarray, name: str) -> float:
+    """sup |measured - predicted| / sup |predicted|, pointwise in the g0 operator norm.
+
+    Normalized by the sup of the prediction, so points where the predicted
+    tensor vanishes do not blow up the report; a prediction that vanishes
+    everywhere (the field ``name`` is zero) is an input error.
+    """
+    model, pts = measured.model, measured.points
+    diff = g0_operator_norms(model, pts, measured.values - predicted)
+    ref = g0_operator_norms(model, pts, predicted)
+    if not ref.any():
+        raise InputError(f"the predicted tensor of {name!r} is identically zero")
+    return float(diff.max() / ref.max())
 
 
 def relative_errors(approx: Tensor2Field, target: MetricField, weights=None):

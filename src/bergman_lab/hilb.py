@@ -11,12 +11,10 @@ torus uses the full quantization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bergman import InnerProductMatrix, dd_kernel
+from .bergman import dd_kernel
 from .errors import UnsupportedModelError
 from .fields import MetricField, Tensor2Field
 from .manifolds import EigenBasis
@@ -34,16 +32,8 @@ def normalization_constant(n: int) -> float:
     return n * (n + 2) * (2.0 * math.pi) ** n / fiber
 
 
-@dataclass(frozen=True)
-class HilbSymbol:
+def hilb_symbol(g: MetricField) -> SymbolField:
     """Strictly positive order-zero symbol inverting the Bergman transform."""
-
-    metric: MetricField
-    symbol: SymbolField
-    c_n: float
-
-
-def hilb_symbol(g: MetricField) -> HilbSymbol:
     model = g.model
     n = model.dim
     c_n = normalization_constant(n)
@@ -61,40 +51,36 @@ def hilb_symbol(g: MetricField) -> HilbSymbol:
     def fn(points: np.ndarray, xi_unit: np.ndarray) -> np.ndarray:
         return make_evaluator(np.atleast_2d(points))(xi_unit)
 
-    sym = SymbolField(f"hilb[{g.name}]", model, fn, make_evaluator=make_evaluator)
-    return HilbSymbol(g, sym, c_n)
+    return SymbolField(f"hilb[{g.name}]", model, fn, make_evaluator=make_evaluator)
 
 
 def hilb_n(
-    g: MetricField,
-    basis: EigenBasis,
-    quantization: str = "left",
-    floor: Optional[float] = None,
-) -> InnerProductMatrix:
-    """Assemble the inner product <Hilb(g) . , .> on the spectral window.
+    g: MetricField, basis: EigenBasis, quantization: str = "left"
+) -> tuple[np.ndarray, float]:
+    """Matrix of the inner product <Hilb(g) . , .> on the spectral window.
 
     circle: any metric (the symbol is even in the one-dimensional fiber, so
     quantization is multiplication).  torus2: any metric, by Kohn-Nirenberg.
     sphere2: conformal metrics only (fiber-independent symbol); anything
-    else raises UnsupportedModelError.  The result is repaired onto the SPD
-    cone; the applied shift is recorded on the returned inner product.
+    else raises UnsupportedModelError.  The matrix is repaired onto the SPD
+    cone and returned with the applied shift; the unshifted assembly is the
+    matrix minus shift * I.
     """
     model = g.model
-    hs = hilb_symbol(g)
+    symbol = hilb_symbol(g)
     if model.kind == "circle":
-        op = assemble_multiplication(hs.symbol.fiber_restriction(), basis)
+        mat = assemble_multiplication(symbol.fiber_restriction(), basis)
     elif model.kind == "torus2":
-        op = assemble_kohn_nirenberg(hs.symbol, basis, quantization=quantization)
+        mat = assemble_kohn_nirenberg(symbol, basis, quantization=quantization)
     elif model.kind == "sphere2":
         if g.conformal_u is None:
             raise UnsupportedModelError(
                 "sphere assembly supports conformal metrics e^u g0 only"
             )
-        op = assemble_multiplication(hs.symbol.fiber_restriction(), basis)
+        mat = assemble_multiplication(symbol.fiber_restriction(), basis)
     else:
         raise UnsupportedModelError(model.kind)
-    spd, shift = positivity_repair(op, floor=floor)
-    return InnerProductMatrix(spd, basis, shift)
+    return positivity_repair(mat)
 
 
 def approximate(
@@ -109,8 +95,10 @@ def approximate(
     s * dd(I), so the unshifted assembly is used).  Returns the field and
     the shift that was compensated.
     """
-    ip = hilb_n(g, basis, quantization=quantization)
+    mat, shift = hilb_n(g, basis, quantization=quantization)
+    if shift != 0.0:
+        mat = mat - shift * np.eye(basis.dim)
     n = g.model.dim
     scale = basis.mu_top ** -(n + 2)
-    field = dd_kernel(ip.unshifted(), basis, points)
-    return field.scaled(scale), ip.shift
+    field = dd_kernel(mat, basis, points)
+    return field.scaled(scale), shift

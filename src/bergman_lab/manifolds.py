@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ChartError, InputError, UnsupportedModelError
-from .numerics import make_quadrature
 
 CIRCLE = "circle"
 TORUS2 = "torus2"
@@ -75,40 +74,6 @@ class SpectralLevel:
 
 
 @dataclass(frozen=True)
-class ManifoldPoint:
-    coords: np.ndarray
-    g0_matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class CospherePoint:
-    """Unit covector (w.r.t. g0) in chart components."""
-
-    base: ManifoldPoint
-    xi: np.ndarray
-
-
-def manifold_point(model: ManifoldModel, coords) -> ManifoldPoint:
-    """Validated chart point carrying g0 at the point."""
-    c = np.asarray(coords, dtype=float).ravel()
-    if c.shape[0] != model.dim:
-        raise InputError(f"expected {model.dim} chart coordinates, got {c.shape[0]}")
-    if model.kind == SPHERE2 and not 0.0 < c[0] < math.pi:
-        raise ChartError("sphere chart excludes the poles")
-    return ManifoldPoint(c, g0_matrices(model, c[None, :])[0])
-
-
-def cosphere_point(model: ManifoldModel, coords, xi) -> CospherePoint:
-    """Unit-covector point on S*M; rejects |xi|_{g0} away from 1 by > 1e-12."""
-    base = manifold_point(model, coords)
-    x = np.asarray(xi, dtype=float).ravel()
-    norm = g0_norm_xi(model, base.coords[None, :], x[None, :])[0]
-    if abs(norm - 1.0) > 1e-12:
-        raise InputError(f"covector has |xi|_g0 = {norm:.15g}, expected 1")
-    return CospherePoint(base, x)
-
-
-@dataclass(frozen=True)
 class CosphereQuadrature:
     """Flattened product quadrature on S*M; weights sum to Vol(S^{n-1}) Vol(M)."""
 
@@ -119,16 +84,21 @@ class CosphereQuadrature:
 
 
 @lru_cache(maxsize=None)
-def _torus_levels(mu2_max: int) -> tuple:
-    """Distinct values a^2 + b^2 <= mu2_max with full-lattice multiplicities."""
-    counts: dict[int, int] = {}
-    kmax = int(math.isqrt(mu2_max))
-    for a in range(-kmax, kmax + 1):
-        for b in range(-kmax, kmax + 1):
-            q = a * a + b * b
-            if q <= mu2_max:
-                counts[q] = counts.get(q, 0) + 1
-    return tuple(sorted(counts.items()))
+def _torus_half_lattice(mu2_max: int) -> np.ndarray:
+    """One representative k per {k, -k} pair with 0 < |k|^2 <= mu2_max, (K, 2).
+
+    The representative has k1 > 0, or k1 = 0 and k2 > 0; rows are sorted by
+    (|k|^2, k1, k2).  The array is cached, so it is read-only.
+    """
+    kmax = math.isqrt(mu2_max)
+    a, b = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    q = a * a + b * b
+    keep = (q <= mu2_max) & ((a > 0) | (b > 0))
+    order = np.lexsort((b[keep], a[keep], q[keep]))
+    ks = np.column_stack([a[keep], b[keep]])[order]
+    ks.setflags(write=False)
+    return ks
 
 
 def enumerate_levels(model: ManifoldModel, cutoff) -> list[SpectralLevel]:
@@ -152,7 +122,11 @@ def enumerate_levels(model: ManifoldModel, cutoff) -> list[SpectralLevel]:
             levels.append(SpectralLevel(n, float(n * (n + 1)), 2 * n + 1, offset))
             offset += 2 * n + 1
     elif model.kind == TORUS2:
-        for i, (q, mult) in enumerate(_torus_levels(int(cutoff))):
+        # each nonzero shell holds both k and -k of its half-lattice points
+        ks = _torus_half_lattice(int(cutoff))
+        shells, counts = np.unique((ks * ks).sum(axis=1), return_counts=True)
+        mults = [1] + (2 * counts).tolist()
+        for i, (q, mult) in enumerate(zip([0] + shells.tolist(), mults)):
             levels.append(SpectralLevel(i, float(q), mult, offset))
             offset += mult
     else:
@@ -163,19 +137,6 @@ def enumerate_levels(model: ManifoldModel, cutoff) -> list[SpectralLevel]:
 def basis_dimension(model: ManifoldModel, cutoff) -> int:
     levels = enumerate_levels(model, cutoff)
     return levels[-1].offset + levels[-1].multiplicity
-
-
-def _torus_half_lattice(mu2_max: int) -> list[tuple[int, int]]:
-    """One representative per {k, -k} pair: k1 > 0, or k1 = 0 and k2 > 0."""
-    out = []
-    kmax = int(math.isqrt(mu2_max))
-    for a in range(0, kmax + 1):
-        for b in range(-kmax, kmax + 1):
-            if a == 0 and b <= 0:
-                continue
-            if a * a + b * b <= mu2_max:
-                out.append((a, b))
-    return out
 
 
 @dataclass(frozen=True)
@@ -206,9 +167,6 @@ class EigenBasis:
         lv = self.levels[index]
         return slice(lv.offset, lv.offset + lv.multiplicity)
 
-    def eval(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return eval_basis(self, points)
-
 
 def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
     levels = tuple(enumerate_levels(model, cutoff))
@@ -224,18 +182,11 @@ def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
                 freqs += [k, k]
         freqs = np.array(freqs, dtype=int)
     elif model.kind == TORUS2:
-        for lv in levels:
-            if lv.mu_sq == 0.0:
-                lambdas.append(0.0); kinds.append(0); freqs.append((0, 0))
-                continue
-            shell = [k for k in _torus_half_lattice(int(lv.mu_sq))
-                     if k[0] * k[0] + k[1] * k[1] == int(lv.mu_sq)]
-            for k in sorted(shell):
-                lam = math.sqrt(lv.mu_sq)
-                lambdas += [lam, lam]
-                kinds += [1, 2]
-                freqs += [k, k]
-        freqs = np.array(freqs, dtype=int).reshape(-1, 2)
+        # the constant, then a cos and a sin slot per half-lattice point
+        ks = np.repeat(_torus_half_lattice(int(cutoff)), 2, axis=0)
+        lambdas = [0.0] + np.sqrt((ks * ks).sum(axis=1).astype(float)).tolist()
+        kinds = [0] + [1, 2] * (len(ks) // 2)
+        freqs = np.vstack([np.zeros((1, 2), dtype=int), ks])
     elif model.kind == SPHERE2:
         for lv in levels:
             l = lv.index
@@ -394,23 +345,29 @@ def quadrature_grid(model: ManifoldModel, res: int) -> tuple[np.ndarray, np.ndar
     """
     if res < 2:
         raise InputError("grid resolution must be at least 2")
+    if model.kind not in _MODELS:
+        raise UnsupportedModelError(model.kind)
+    nodes, weights = _trapezoid(res)
     if model.kind == CIRCLE:
-        q = make_quadrature("periodic-trapezoid", res)
-        return q.nodes[:, None].copy(), q.weights.copy()
+        return nodes[:, None], weights
     if model.kind == TORUS2:
-        q = make_quadrature("periodic-trapezoid", res)
-        x1, x2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
+        x1, x2 = np.meshgrid(nodes, nodes, indexing="ij")
         pts = np.column_stack([x1.ravel(), x2.ravel()])
-        w = np.outer(q.weights, q.weights).ravel()
+        w = np.outer(weights, weights).ravel()
         return pts, w
-    gl = make_quadrature("gauss-legendre", res)
-    tp = make_quadrature("periodic-trapezoid", 2 * res)
-    theta = np.arccos(gl.nodes[::-1])  # ascending colatitude in (0, pi)
-    wth = gl.weights[::-1]
-    th, ph = np.meshgrid(theta, tp.nodes, indexing="ij")
+    # Gauss-Legendre in cos(theta): exact for polynomials of degree <= 2 res - 1
+    x, wx = np.polynomial.legendre.leggauss(res)
+    phi, wphi = _trapezoid(2 * res)
+    theta = np.arccos(x[::-1])  # ascending colatitude in (0, pi)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
     pts = np.column_stack([th.ravel(), ph.ravel()])
-    w = np.outer(wth, tp.weights).ravel()
+    w = np.outer(wx[::-1], wphi).ravel()
     return pts, w
+
+
+def _trapezoid(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic trapezoid rule on [0, 2pi): exact for trig polynomials of degree < m."""
+    return 2.0 * np.pi * np.arange(m) / m, np.full(m, 2.0 * np.pi / m)
 
 
 def fiber_covectors(model: ManifoldModel, points: np.ndarray, fiber_res: int):

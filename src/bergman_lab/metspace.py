@@ -55,7 +55,7 @@ def dhilb_symbol(
     """
     if trace_sign not in (1, -1):
         raise InputError("trace_sign must be +1 or -1")
-    base = hilb_symbol(g).symbol
+    base = hilb_symbol(g)
     n = g.model.dim
 
     def make_evaluator(points: np.ndarray):
@@ -98,12 +98,12 @@ def induced_norm_trace(
     model = g.model
     if model.kind not in ("circle", "torus2"):
         raise UnsupportedModelError("trace norm requires circle or torus2")
-    r = hilb_n(g, basis, quantization=quantization)
+    r, _ = hilb_n(g, basis, quantization=quantization)
     dsym = dhilb_symbol(g, gdot, trace_sign)
     # on S^1 the variation symbol is fiber-even, so it quantizes to multiplication
     source = dsym.fiber_restriction() if model.kind == "circle" else dsym
     rdot = assemble(source, basis, quantization=quantization)
-    x = np.linalg.solve(r.entries, rdot.matrix)
+    x = np.linalg.solve(r, rdot)
     val = float(np.einsum("ij,ji->", x, x))
     n = model.dim
     return basis.mu_top ** (-n) * val
@@ -138,7 +138,7 @@ def szego_trace(
     mats = {}  # a field object given twice is assembled once
     for s in sources:
         if id(s) not in mats:
-            mats[id(s)] = assemble(s, basis, quantization=quantization).matrix
+            mats[id(s)] = assemble(s, basis, quantization=quantization)
     prod = mats[id(sources[0])]
     for s in sources[1:]:
         prod = prod @ mats[id(s)]
@@ -150,4 +150,7 @@ def szego_trace(
     predicted = basis.mu_top**n / (n * (2.0 * math.pi) ** n) * float(
         np.dot(quad.weights, vals)
     )
+    if predicted == 0.0:
+        names = ", ".join(repr(s.name) for s in sources)
+        raise InputError(f"the predicted trace of the product of {names} is zero")
     return measured, predicted, measured / predicted

@@ -30,7 +30,6 @@ from .manifolds import (
     g0_norm_xi,
     quadrature_grid,
 )
-from .numerics import SPDMatrix, SymMatrix
 
 GRAM_RESIDUAL_TOL = 1e-9
 # Kohn-Nirenberg fiber sampling: first and largest number of angles, and
@@ -38,6 +37,14 @@ GRAM_RESIDUAL_TOL = 1e-9
 KN_FIBER_RES = 64
 KN_FIBER_RES_MAX = 1024
 KN_TAIL_TOL = 1e-14
+
+
+def _finite(name: str, values) -> np.ndarray:
+    """Field values as a float array; a non-finite value is an input error."""
+    vals = np.asarray(values, dtype=float)
+    if not np.isfinite(vals).all():
+        raise InputError(f"field {name!r} has non-finite values")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class ScalarField:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def values(self, points: np.ndarray, xis: Optional[np.ndarray] = None) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(points)), dtype=float)
+        return _finite(self.name, self.fn(np.atleast_2d(points)))
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ class SymbolField:
             norm = g0_norm_xi(self.model, pts, xi)
             if np.any(norm == 0.0):
                 raise InputError("symbol evaluated at xi = 0")
-            return np.asarray(ev(xi / norm[:, None]), dtype=float)
+            return _finite(self.name, ev(xi / norm[:, None]))
 
         return call
 
@@ -119,43 +126,23 @@ class SymbolField:
         return ScalarField(f"{self.name}|fiber", fn)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Compression Pi B Pi over an eigenbasis; symmetric, finite."""
-
-    matrix: np.ndarray
-    basis: EigenBasis
-    provenance: str
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def default_assembly_res(model: ManifoldModel, basis: EigenBasis, bandwidth_pad: int = 48) -> int:
+def default_assembly_res(model: ManifoldModel, basis: EigenBasis) -> int:
     """Grid resolution that integrates basis products times a smooth factor."""
     if model.kind == "circle":
-        return 2 * int(basis.cutoff) + bandwidth_pad
+        return 2 * int(basis.cutoff) + 48
     if model.kind == "torus2":
-        kmax = int(math.isqrt(int(basis.cutoff)))
-        return 2 * kmax + bandwidth_pad
-    return int(basis.cutoff) + max(bandwidth_pad // 2, 8)
+        return 2 * math.isqrt(int(basis.cutoff)) + 48
+    return int(basis.cutoff) + 24
 
 
-def assemble_multiplication(
-    f: ScalarField,
-    basis: EigenBasis,
-    grid: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> OperatorMatrix:
+def assemble_multiplication(f: ScalarField, basis: EigenBasis) -> np.ndarray:
     """Matrix of <f phi_j, phi_k> by quadrature, symmetric by construction.
 
     Under-resolution is detected by the Gram residual of the same values
     table: the highest-frequency rows must reproduce the identity.
     """
     model = basis.model
-    if grid is None:
-        grid = quadrature_grid(model, default_assembly_res(model, basis))
-    pts, w = grid
+    pts, w = quadrature_grid(model, default_assembly_res(model, basis))
     vals, _ = eval_basis(basis, pts)
     probe = vals[-min(basis.dim, 32):]
     gram_rows = (probe * w) @ vals.T
@@ -168,50 +155,35 @@ def assemble_multiplication(
         )
     fw = w * f.values(pts)
     mat = (vals * fw) @ vals.T
-    mat = 0.5 * (mat + mat.T)
-    return OperatorMatrix(mat, basis, "multiplication")
+    return 0.5 * (mat + mat.T)
 
 
 def _torus_complex_freqs(basis: EigenBasis) -> np.ndarray:
     """Complex frequency per slot: slot of cos_k carries +k, slot of sin_k carries -k."""
-    d = basis.dim
-    freqs = np.zeros((d, 2), dtype=int)
-    for j in range(d):
-        if basis.kinds[j] == 1:
-            freqs[j] = basis.freqs[j]
-        elif basis.kinds[j] == 2:
-            freqs[j] = -basis.freqs[j]
-    return freqs
+    return np.where(basis.kinds[:, None] == 2, -basis.freqs, basis.freqs)
 
 
 def _real_pairing(basis: EigenBasis):
-    """Index/coefficient arrays of the unitary map real basis -> complex slots."""
-    d = basis.dim
-    idx_p = np.zeros(d, dtype=int)
-    idx_m = np.zeros(d, dtype=int)
-    w_p = np.zeros(d, dtype=complex)
-    w_m = np.zeros(d, dtype=complex)
+    """Index/coefficient arrays of the unitary map real basis -> complex slots.
+
+    The constant pairs with itself; the cos and sin slots of k (adjacent,
+    cos first) pair with the complex slots of +k and -k.
+    """
+    kinds = basis.kinds
+    j = np.arange(basis.dim)
+    idx_p = np.where(kinds == 2, j - 1, j)
+    idx_m = np.where(kinds == 1, j + 1, j)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for j in range(d):
-        if basis.kinds[j] == 0:
-            idx_p[j] = idx_m[j] = j
-            w_p[j] = 1.0
-        elif basis.kinds[j] == 1:
-            idx_p[j], idx_m[j] = j, j + 1
-            w_p[j] = w_m[j] = inv_sqrt2
-        else:
-            idx_p[j], idx_m[j] = j - 1, j
-            w_p[j] = -1j * inv_sqrt2
-            w_m[j] = 1j * inv_sqrt2
+    w_p = np.where(kinds == 0, 1.0, np.where(kinds == 1, inv_sqrt2, -1j * inv_sqrt2))
+    w_m = np.where(kinds == 0, 0.0, np.where(kinds == 1, inv_sqrt2, 1j * inv_sqrt2))
     return idx_p, idx_m, w_p, w_m
 
 
 def assemble_kohn_nirenberg(
     symbol: SymbolField,
     basis: EigenBasis,
-    fft_res: Optional[int] = None,
     quantization: str = "left",
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Quantize an order-zero symbol over a torus eigenbasis.
 
     Column k of the complex-basis matrix holds the Fourier coefficients of
@@ -233,7 +205,7 @@ def assemble_kohn_nirenberg(
     d = basis.dim
     cfreqs = _torus_complex_freqs(basis)
     kmax = int(math.isqrt(int(basis.cutoff)))
-    m = fft_res or max(64, ((4 * kmax + 32 + 31) // 32) * 32)
+    m = max(64, ((4 * kmax + 32 + 31) // 32) * 32)
     nonzero = np.any(cfreqs != 0, axis=1)
     if symbol.x_independent:
         diag = np.zeros(d, dtype=complex)
@@ -275,8 +247,7 @@ def assemble_kohn_nirenberg(
     if np.abs(breal.imag).max() > 1e-9 * scale:
         raise InputError("quantized matrix has a non-negligible imaginary part")
     mat = breal.real
-    mat = 0.5 * (mat + mat.T)
-    return OperatorMatrix(mat, basis, "kohn-nirenberg")
+    return 0.5 * (mat + mat.T)
 
 
 def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
@@ -322,25 +293,23 @@ def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
         samples, nfib = doubled, 2 * nfib
 
 
-def positivity_repair(op, floor: Optional[float] = None) -> tuple[SPDMatrix, float]:
-    """Shift an assembled compression onto the SPD cone if needed.
+def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Shift a symmetric assembled compression onto the SPD cone if needed.
 
-    Returns the (possibly shifted) SPD matrix and the applied shift.  A shift
-    s changes the Bergman field by exactly s * dd(I), which callers subtract
-    when an unbiased field is required.
+    Returns the (possibly shifted) matrix and the applied shift, which lifts
+    the smallest eigenvalue to 1e-8 * rho(mat).  A shift s changes the
+    Bergman field by exactly s * dd(I), which callers subtract when an
+    unbiased field is required.  The zero matrix cannot be lifted.
     """
-    mat = op.matrix if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    scale = max(abs(float(w[0])), abs(float(w[-1])), 1e-300)
-    eps = 1e-8 * scale if floor is None else float(floor)
+    w = np.linalg.eigvalsh(mat)
+    eps = 1e-8 * max(abs(float(w[0])), abs(float(w[-1])))
     if eps <= 0.0:
-        raise InputError("positivity floor must be positive")
+        raise InputError("cannot shift the zero matrix onto the SPD cone")
     min_eig = float(w[0])
     if min_eig >= eps:
-        return SPDMatrix(SymMatrix(mat), min_eig), 0.0
+        return mat, 0.0
     shift = eps - min_eig
-    repaired = mat + shift * np.eye(mat.shape[0])
-    return SPDMatrix(SymMatrix(repaired), eps), shift
+    return mat + shift * np.eye(mat.shape[0]), shift
 
 
 def symbol_law_predict(
@@ -357,7 +326,7 @@ def symbol_law_predict(
     return Tensor2Field(model, pts, pref * integ)
 
 
-def assemble(source, basis: EigenBasis, quantization: str = "left") -> OperatorMatrix:
+def assemble(source, basis: EigenBasis, quantization: str = "left") -> np.ndarray:
     """Dispatch: multiplication for scalar fields, Kohn-Nirenberg for symbols."""
     if isinstance(source, ScalarField):
         return assemble_multiplication(source, basis)
@@ -385,10 +354,12 @@ def symbol_law_check(
         basis = basis_for(model, cutoff)
         if basis.mu_top == 0.0:
             raise InputError("the symbol law needs a window above level 0")
-        op = assemble(source, basis)
-        _, shift = positivity_repair(op)
-        field = dd_kernel(op.matrix, basis, pts)
         pred = symbol_law_predict(source, model, pts, basis.mu_top, fiber_res)
+        if not pred.values.any():
+            raise InputError(f"the predicted tensor of {source.name!r} is identically zero")
+        mat = assemble(source, basis)
+        _, shift = positivity_repair(mat)
+        field = dd_kernel(mat, basis, pts)
         num = g0_operator_norms(model, pts, field.values - pred.values)
         den = g0_operator_norms(model, pts, pred.values)
         rows.append((cutoff, basis.mu_top, float((num / den).max()), shift))
@@ -401,13 +372,13 @@ def tail_defect(
     inner_cutoff,
     outer_cutoff,
     grid_res: int = 16,
-    grid: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> float:
     """Normalized size of the off-window block Pi_{<=N} B (I - Pi_{<=N}).
 
     Assembles B over the outer window, takes the block coupling the inner
     window to its complement, and reports mu_N^{-(n+2)} times the sup of the
-    g0 operator norm of its mixed-derivative field.
+    g0 operator norm of its mixed-derivative field.  A field constant on the
+    assembly grid is rejected: its block is zero up to round-off.
     """
     if outer_cutoff < 2 * inner_cutoff:
         raise InputError("outer window must be at least twice the inner window")
@@ -416,11 +387,12 @@ def tail_defect(
         raise InputError("tail defect needs an inner window above level 0")
     big = basis_for(model, outer_cutoff)
     d_in = basis_dimension(model, inner_cutoff)
-    if grid is None:
-        grid = quadrature_grid(model, default_assembly_res(model, big))
-    qpts, w = grid
+    qpts, w = quadrature_grid(model, default_assembly_res(model, big))
+    fv = f.values(qpts)
+    if np.all(fv == fv[0]):
+        raise InputError(f"field {f.name!r} is constant: it has no tail defect")
     vals, _ = eval_basis(big, qpts)
-    fw = w * f.values(qpts)
+    fw = w * fv
     block = (vals[:d_in] * fw) @ vals[d_in:].T
     spts, _ = quadrature_grid(model, grid_res)
     _, grads = eval_basis(big, spts)

@@ -18,16 +18,13 @@ recovers the cumulative mu^{n+2}/((n+2)(2 pi)^n) law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bergman import _contract, dd_kernel
 from .errors import InputError
-from .fields import Tensor2Field, g0_operator_norms
+from .fields import Tensor2Field, g0_operator_norms, sup_relative_error
 from .manifolds import (
-    CospherePoint,
-    EigenBasis,
     basis_for,
     eval_basis,
     fiber_bundle,
@@ -45,46 +42,22 @@ def band_constant(n_deg: int) -> float:
     return n_deg * (n_deg + 1) * (2 * n_deg + 1) / (8.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class BandBasis:
-    """The 2N+1 degree-N harmonics, as a slice of the full eigenbasis."""
-
-    degree: int
-    basis: EigenBasis
-    band: slice
-
-    @property
-    def multiplicity(self) -> int:
-        return self.band.stop - self.band.start
-
-    def eval(self, points: np.ndarray):
-        vals, grads = eval_basis(self.basis, points)
-        return vals[self.band], grads[self.band]
-
-
-def band_basis(n_deg: int) -> BandBasis:
-    """Basis of a single sphere eigenspace, orthonormal by construction."""
-    if n_deg < 1:
-        raise InputError("band degree must be at least 1")
-    basis = basis_for(sphere2(), n_deg)
-    return BandBasis(n_deg, basis, basis.level_slice(n_deg))
-
-
 def takahashi_check(n_deg: int, grid_res: int = 12) -> tuple[float, float]:
     """Max relative deviation of the band pullback from band_constant * g0."""
+    if n_deg < 1:
+        raise InputError("band degree must be at least 1")
     model = sphere2()
-    bb = band_basis(n_deg)
+    basis = basis_for(model, n_deg)
     pts, _ = quadrature_grid(model, grid_res)
-    _, gband = bb.eval(pts)
+    _, grads = eval_basis(basis, pts)
+    gband = grads[basis.level_slice(n_deg)]
     tensor = np.einsum("dip,djp->pij", gband, gband)
     c = band_constant(n_deg)
     dev = g0_operator_norms(model, pts, tensor - c * g0_matrices(model, pts))
     return c, float(dev.max() / c)
 
 
-def band_dd(
-    a: ScalarField, n_deg: int, k: int, points: np.ndarray, quad_res: int = 0
-) -> Tensor2Field:
+def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> Tensor2Field:
     """Symmetrized mixed-band tensor of multiplication by ``a``.
 
     sum_{m,m'} <a Y_{N,m}, Y_{N+k,m'}>  dY_{N+k,m'} (x) dY_{N,m}, the
@@ -94,8 +67,7 @@ def band_dd(
         raise InputError("band degrees must be at least 1")
     model = sphere2()
     lmax = max(n_deg, n_deg + k)
-    res = quad_res or lmax + 10
-    qpts, w = quadrature_grid(model, res)
+    qpts, w = quadrature_grid(model, lmax + 10)
     big = basis_for(model, lmax)
     vals, _ = eval_basis(big, qpts)
     sl_in = big.level_slice(n_deg)
@@ -108,56 +80,38 @@ def band_dd(
     return Tensor2Field(model, pts, tensor)
 
 
-def _check_t_res(t_res: int) -> None:
-    """Both geodesic-flow t quadratures need at least 64 nodes."""
+def geodesic_average(source, points, xis, k: int = 0, t_res: int = 64) -> np.ndarray:
+    """Unnormalized integral over one period of e^{-itk} b(G^t(x, xi)), per row.
+
+    ``points`` (Q, 2) are chart points and ``xis`` (Q, 2) unit covectors.
+    Periodic trapezoid in t: exact once the pullback t -> b(G^t) is a
+    trigonometric polynomial of degree below t_res.
+    """
     if t_res < 64:
         raise InputError("t quadrature needs at least 64 nodes")
-
-
-def geodesic_average(source, point, xi=None, k: int = 0, t_res: int = 64) -> complex:
-    """Unnormalized integral over one period of e^{-itk} b(G^t(x, xi)).
-
-    ``point`` is either a CospherePoint or chart coordinates with ``xi`` the
-    unit covector.  Periodic trapezoid in t: exact once the pullback
-    t -> b(G^t) is a trigonometric polynomial of degree below t_res.
-    """
-    if isinstance(point, CospherePoint):
-        point, xi = point.base.coords, point.xi
-    if xi is None:
-        raise InputError("geodesic_average needs a covector")
-    _check_t_res(t_res)
     # half-step offset: same exactness for periodic integrands, and meridional
     # geodesics from equatorial points no longer land on poles at the nodes
     ts = 2.0 * math.pi * (np.arange(t_res) + 0.5) / t_res
-    pts = np.tile(np.asarray(point, dtype=float).ravel(), (t_res, 1))
-    xis = np.tile(np.asarray(xi, dtype=float).ravel(), (t_res, 1))
-    fpts, fxis = geodesic_flow_sphere(pts, xis, ts)
-    vals = source.values(fpts, fxis)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    xi = np.atleast_2d(np.asarray(xis, dtype=float))
+    flow_pts = np.empty((t_res, *pts.shape))
+    flow_xis = np.empty((t_res, *pts.shape))
+    for i, t in enumerate(ts):  # flow every row one time step at a time
+        flow_pts[i], flow_xis[i] = geodesic_flow_sphere(pts, xi, t)
+    vals = source.values(flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2))
     weights = (2.0 * math.pi / t_res) * np.exp(-1j * k * ts)
-    return complex(np.dot(weights, vals))
+    return np.tensordot(weights, vals.reshape(t_res, -1), axes=(0, 0))
 
 
 def band_predict(
     a, n_deg: int, k: int, points: np.ndarray, fiber_res: int = 32, t_res: int = 64
 ) -> Tensor2Field:
     """Geodesic-flow prediction for the (N+k, N) band tensor."""
-    _check_t_res(t_res)
     model = sphere2()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     reps, xis, wf = fiber_bundle(model, pts, fiber_res)
-    ts = 2.0 * math.pi * (np.arange(t_res) + 0.5) / t_res
-    q = reps.shape[0]
-    flow_pts = np.empty((t_res, q, 2))
-    flow_xis = np.empty((t_res, q, 2))
-    for i, t in enumerate(ts):  # flow the whole fiber bundle one time step at a time
-        fp, fx = geodesic_flow_sphere(reps, xis, t)
-        flow_pts[i] = fp
-        flow_xis[i] = fx
-    vals = a.values(flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2)).reshape(t_res, q)
-    tw = (2.0 * math.pi / t_res) * np.exp(-1j * k * ts)
-    avg = np.tensordot(tw, vals, axes=(0, 0))  # (q,) complex
     # imaginary parts cancel only under the fiber pairing xi <-> -xi
-    integ = fiber_tensor(avg, xis, wf)
+    integ = fiber_tensor(geodesic_average(a, reps, xis, k, t_res), xis, wf)
     if np.abs(integ.imag).max() > 1e-8 * (1.0 + np.abs(integ.real).max()):
         raise InputError("band prediction has a non-negligible imaginary part")
     integ = integ.real
@@ -177,17 +131,11 @@ def sphere_band_check(
     fiber_res: int = 32,
     t_res: int = 64,
 ) -> float:
-    """Sup-normalized relative error of band_dd against band_predict.
-
-    Normalized by the sup of the prediction so degenerate points (where the
-    predicted tensor vanishes) do not blow up the report.
-    """
+    """Sup-normalized relative error of band_dd against band_predict."""
     pts, _ = quadrature_grid(sphere2(), grid_res)
     measured = band_dd(a, n_deg, k, pts)
     predicted = band_predict(a, n_deg, k, pts, fiber_res, t_res)
-    diff = g0_operator_norms(measured.model, pts, measured.values - predicted.values)
-    ref = g0_operator_norms(measured.model, pts, predicted.values)
-    return float(diff.max() / ref.max())
+    return sup_relative_error(measured, predicted.values, a.name)
 
 
 def cumulative_band_sum(
@@ -203,13 +151,11 @@ def cumulative_band_sum(
     basis = basis_for(model, n_max)
     if basis.mu_top == 0.0:
         raise InputError("the cosphere law needs a window above level 0")
-    op = assemble_multiplication(a, basis)
+    mat = assemble_multiplication(a, basis)
     pts, _ = quadrature_grid(model, grid_res)
-    measured = dd_kernel(op.matrix, basis, pts)
+    measured = dd_kernel(mat, basis, pts)
     reps, xis, wf = fiber_bundle(model, pts, fiber_res)
     integ = fiber_tensor(a.values(reps), xis, wf)
     n = model.dim
     pref = basis.mu_top ** (n + 2) / ((n + 2) * (2.0 * math.pi) ** n)
-    diff = g0_operator_norms(model, pts, measured.values - pref * integ)
-    ref = g0_operator_norms(model, pts, pref * integ)
-    return float(diff.max() / ref.max())
+    return sup_relative_error(measured, pref * integ, a.name)

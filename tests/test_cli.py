@@ -1,13 +1,16 @@
 import contextlib
+import importlib
+import importlib.util
 import io
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bergman_lab.cli import COMMANDS, THREADS_ENV, main, trend_ok
@@ -199,6 +202,26 @@ class TestMainInProcess:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        # a field that overflows to inf on the grid
+        ["bergman", "--model", "circle", "--f", "exp:1000cos(theta)", "--n", "2"],
+        ["bergman", "--model", "torus2", "--f", "exp:1000cos(x1)", "--mu2", "4"],
+        ["szego", "--model", "circle", "--b", "exp:1000cos(theta)", "--n", "4"],
+        ["tail-defect", "--model", "circle", "--f", "exp:1000cos(theta)", "--n", "1,2"],
+        # a zero field predicts a zero tensor or trace; a constant has no tail
+        ["sphere-band", "--model", "sphere2", "--a", "0", "--n", "2"],
+        ["sphere-cumulative", "--model", "sphere2", "--a", "0", "--n", "2,4"],
+        ["bergman", "--model", "circle", "--f", "0", "--n", "2"],
+        ["szego", "--model", "circle", "--b", "0", "--n", "4"],
+        ["tail-defect", "--model", "circle", "--f", "one", "--n", "1,2", "--check"],
+        ["tail-defect", "--model", "circle", "--f", "0", "--n", "1,2"],
+    ])
+    def test_degenerate_field_is_input_error(self, argv, capsys):
+        field = next(argv[i + 1] for i, a in enumerate(argv) if a in ("--f", "--a", "--b"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err, err
+
     def test_too_few_t_nodes_is_input_error(self, capsys):
         assert main(["sphere-band", "--model", "sphere2", "--a", "x3", "--k", "1",
                      "--n", "5", "--tnodes", "4"]) == 1
@@ -224,48 +247,72 @@ class TestMainInProcess:
         assert main(["gradient-check", "--model", "circle", "--check"]) == 0
 
 
+# zero, constant and overflowing fields
+FIELDS = ["0", "one", "exp:1000cos(theta)", "exp:1000cos(x1)"]
 PRESETS = {
-    "--f": ["exp:cos(theta)", "cos(theta)", "one", "exp:0.3cos(x1)", "x3", "nope"],
+    "--f": ["exp:cos(theta)", "cos(theta)", "exp:0.3cos(x1)", "x3", "nope", *FIELDS],
     "--symbol": ["xi1sq", "one", "nope"],
     "--metric": ["g0", "conformal:u=cos(theta)", "conformal:u=0.3cos(x1)",
                  "aniso-diag:0.3,0.3", "aniso-diag:", "warped"],
     "--gdot": ["cos-theta", "cos-x1-dx1", "zzz"],
-    "--b": ["one", "cos(x1),cos(x1)", "one;exp-cos-theta", "xi1sq;cos(x1)",
-            "cos(x1);", ",", ";", "bogus", "one,one,one,one"],
-    "--a": ["one-plus-half-x3sq", "x3", "one", "nope"],
+    "--b": ["cos(x1),cos(x1)", "one;exp-cos-theta", "xi1sq;cos(x1)",
+            "cos(x1);", ",", ";", "bogus", "one,one,one,one", *FIELDS],
+    "--a": ["one-plus-half-x3sq", "x3", "nope", *FIELDS],
 }
+TYPED = {flag: st.integers(-1, 5).map(str) for flag in ("--grid", "--fiber", "--tnodes", "--k")}
+TYPED["--tol"] = st.sampled_from(["0.5", "1e-12"])
+TYPED["--threads"] = st.sampled_from(["0", "1", "2"])
 
 
 @st.composite
-def argvs(draw):
+def runs(draw):
+    """A command, its options as {flag: value}, and a --check value or None."""
     model = draw(st.sampled_from(["circle", "torus2", "sphere2"]))
-    argv = [draw(st.sampled_from(sorted(COMMANDS))), "--model", model]
+    options = {"--model": model}
     sweep = draw(st.lists(st.integers(0, 9), max_size=3, unique=True).map(sorted))
     if sweep or draw(st.booleans()):
-        argv += ["--mu2" if model == "torus2" else "--n", ",".join(map(str, sweep))]
-    for flag in ("--grid", "--fiber", "--tnodes", "--k"):
-        value = draw(st.none() | st.integers(-1, 5))
+        options["--mu2" if model == "torus2" else "--n"] = ",".join(map(str, sweep))
+    for flag, values in TYPED.items():
+        value = draw(st.none() | values)
         if value is not None:
-            argv += [flag, str(value)]
+            options[flag] = value
+    bad = draw(st.none() | st.sampled_from(sorted(TYPED)))
+    if bad is not None:  # a value that the typed option cannot parse
+        options[bad] = draw(st.sampled_from(["abc", ""]))
     for flag, names in PRESETS.items():
         name = draw(st.none() | st.sampled_from(names))
         if name is not None:
-            argv += [flag, name]
-    if draw(st.booleans()):
-        argv.append("--check")
-    return argv
+            options[flag] = name
+    check = draw(st.none() | st.sampled_from(["true", "no", "maybe"]))
+    return draw(st.sampled_from(sorted(COMMANDS))), options, check
 
 
-@settings(derandomize=True, max_examples=200)
-@given(argvs())
-def test_any_argv_exits_cleanly(argv):
-    """Exit 0, 1 or 2; exit 1 prints an error line; no exception escapes main."""
+@settings(derandomize=True, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(runs(), st.booleans())
+def test_any_argv_exits_cleanly(tmp_path, run, via_config):
+    """Exit 0, 1 or 2; exit 1 prints an error line; no exception escapes main.
+
+    The options go on the command line, or with ``via_config`` into a
+    --config file (rewritten by every example), where ``check`` takes a value.
+    """
+    command, options, check = run
+    if via_config:
+        if check is not None:
+            options = {**options, "--check": check}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in options.items()))
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, *(x for option in options.items() for x in option)]
+        if check is not None:
+            argv.append("--check")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2), argv
+    assert code in (0, 1, 2), (command, options)
     if code == 1:
-        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+        assert err.getvalue().startswith("error:"), (command, options, err.getvalue())
 
 
 class TestCSVContract:
@@ -313,3 +360,19 @@ class TestDeterminism:
             assert "Traceback" not in r.stderr
         r3 = run_cli(*args, "--threads", "1", env={THREADS_ENV: "abc"})
         assert r3.returncode == 0, r3.stderr
+
+
+def test_traced_layers_exist(monkeypatch):
+    """Every function that perfbench/spans.py traces exists in its module.
+
+    A missing name would break only a traced benchmark run (--trace 1).
+    """
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.LAYERS.items():
+        module = importlib.import_module(f"bergman_lab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

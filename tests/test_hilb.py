@@ -5,7 +5,13 @@ import pytest
 
 from bergman_lab.bergman import dd_kernel
 from bergman_lab.errors import NotSPDError, UnsupportedModelError
-from bergman_lab.fields import MetricField, reference_metric, relative_errors
+from bergman_lab.fields import (
+    MetricField,
+    Tensor2Field,
+    reference_metric,
+    relative_errors,
+    sym2x2_eigs,
+)
 from bergman_lab.hilb import (
     approximate,
     hilb_n,
@@ -42,7 +48,7 @@ def aniso_diag(a, b):
 class TestHilbSymbol:
     def test_reference_metric_gives_constant(self):
         for model in (CIRCLE, TORUS, SPHERE):
-            sym = hilb_symbol(reference_metric(model)).symbol
+            sym = hilb_symbol(reference_metric(model))
             pts, _ = quadrature_grid(model, 6)
             xi = np.zeros((pts.shape[0], model.dim))
             xi[:, 0] = 1.0
@@ -56,7 +62,7 @@ class TestHilbSymbol:
     def test_circle_conformal_one_line_algebra(self):
         # det ratio e^{-u/2} times |xi|_g^{-3} = e^{3u/2} gives c1 e^u
         u = lambda p: np.cos(p[:, 0])
-        sym = hilb_symbol(conformal(CIRCLE, u)).symbol
+        sym = hilb_symbol(conformal(CIRCLE, u))
         theta = np.linspace(0.1, 6.0, 9)[:, None]
         got = sym.values(theta, np.ones((9, 1)))
         want = 3 * math.pi * np.exp(np.cos(theta[:, 0]))
@@ -67,7 +73,7 @@ class TestHilbSymbol:
             "diag41", TORUS,
             lambda p: np.broadcast_to(np.diag([4.0, 1.0]), (np.atleast_2d(p).shape[0], 2, 2)).copy(),
         )
-        sym = hilb_symbol(g).symbol
+        sym = hilb_symbol(g)
         pts = np.array([[0.2, 1.1]])
         for xi in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]):
             got = sym.values(pts, np.array([xi]))[0]
@@ -76,7 +82,7 @@ class TestHilbSymbol:
 
     def test_degenerate_metric_rejected(self):
         g = MetricField("bad", CIRCLE, lambda p: -np.ones((np.atleast_2d(p).shape[0], 1, 1)))
-        sym = hilb_symbol(g).symbol
+        sym = hilb_symbol(g)
         with pytest.raises(NotSPDError):
             sym.values(np.array([[0.0]]), np.array([[1.0]]))
 
@@ -85,27 +91,27 @@ class TestHilbN:
     def test_reference_metric_gives_scaled_identity(self):
         for model, cutoff in ((CIRCLE, 8), (TORUS, 8), (SPHERE, 6)):
             basis = basis_for(model, cutoff)
-            ip = hilb_n(reference_metric(model), basis)
+            mat, shift = hilb_n(reference_metric(model), basis)
             c_n = normalization_constant(model.dim)
-            assert np.abs(ip.entries - c_n * np.eye(basis.dim)).max() <= 1e-10 * c_n
-            assert ip.shift == 0.0
+            assert np.abs(mat - c_n * np.eye(basis.dim)).max() <= 1e-10 * c_n
+            assert shift == 0.0
 
     def test_circle_conformal_reduces_to_multiplication(self):
         u = lambda p: np.cos(p[:, 0])
         basis = basis_for(CIRCLE, 12)
-        ip = hilb_n(conformal(CIRCLE, u), basis)
+        mat, _ = hilb_n(conformal(CIRCLE, u), basis)
         mult = assemble_multiplication(
             ScalarField("c1eu", lambda p: 3 * math.pi * np.exp(np.cos(np.atleast_2d(p)[:, 0]))),
             basis,
         )
         spd, _ = positivity_repair(mult)
-        assert np.abs(ip.entries - spd.entries).max() <= 1e-10 * 3 * math.pi
+        assert np.abs(mat - spd).max() <= 1e-10 * 3 * math.pi
 
     def test_torus_anisotropic_is_spd_with_small_shift(self):
         basis = basis_for(TORUS, 64)
-        ip = hilb_n(aniso_diag(0.3, 0.3), basis)
-        assert ip.matrix.min_eigenvalue > 0
-        assert ip.shift <= 1e-3 * np.abs(ip.entries).max()
+        mat, shift = hilb_n(aniso_diag(0.3, 0.3), basis)
+        assert np.linalg.eigvalsh(mat)[0] > 0
+        assert shift <= 1e-3 * np.abs(mat).max()
 
     def test_sphere_needs_conformal(self):
         g = MetricField(
@@ -143,7 +149,7 @@ class TestApproximate:
             basis,
         )
         n = model.dim
-        direct = dd_kernel(mult.matrix, basis, pts).scaled(basis.mu_top ** -(n + 2))
+        direct = dd_kernel(mult, basis, pts).scaled(basis.mu_top ** -(n + 2))
         assert np.abs(field.values - direct.values).max() <= 1e-10 * np.abs(
             direct.values
         ).max()
@@ -163,12 +169,12 @@ class TestApproximate:
         basis = basis_for(CIRCLE, 32)
         pts, _ = quadrature_grid(CIRCLE, 64)
         field, _ = approximate(g, basis, pts)
-        assert field.min_eig_g0() > 0.0
+        assert field.values[:, 0, 0].min() > 0.0
         gt = aniso_diag(0.3, 0.3)
         basis_t = basis_for(TORUS, 64)
         pts_t, _ = quadrature_grid(TORUS, 12)
         field_t, _ = approximate(gt, basis_t, pts_t)
-        assert field_t.min_eig_g0() > 0.0
+        assert sym2x2_eigs(field_t.values)[0].min() > 0.0
 
     def test_metric_rescaling_covariance(self):
         # Hilb is covariant under g -> lambda^2 g: the approximation scales
@@ -212,13 +218,13 @@ class TestApproxError:
     def test_identical_fields(self):
         g = reference_metric(TORUS)
         pts, w = quadrature_grid(TORUS, 6)
-        sup, l2 = relative_errors(g.as_field(pts), g, w)
+        sup, l2 = relative_errors(Tensor2Field(TORUS, pts, g.matrices(pts)), g, w)
         assert sup == 0.0 and l2 == 0.0
 
     def test_scaled_field(self):
         g = reference_metric(TORUS)
         pts, w = quadrature_grid(TORUS, 6)
-        field = g.as_field(pts).scaled(1.1)
+        field = Tensor2Field(TORUS, pts, 1.1 * g.matrices(pts))
         sup, l2 = relative_errors(field, g, w)
         assert sup == pytest.approx(0.1, rel=1e-12)
         assert l2 == pytest.approx(0.1, rel=1e-12)

@@ -272,25 +272,23 @@ class TestGeodesicFlow:
 
 
 class TestPointTypes:
-    def test_manifold_point_carries_g0(self):
-        from bergman_lab.manifolds import manifold_point
+    """Chart points and covectors are plain arrays; these checks apply to them."""
 
-        p = manifold_point(SPHERE, [1.2, 0.5])
-        assert p.g0_matrix[1, 1] == pytest.approx(math.sin(1.2) ** 2)
+    def test_manifold_point_carries_g0(self):
+        g = g0_matrices(SPHERE, np.array([[1.2, 0.5]]))
+        assert g[0, 1, 1] == pytest.approx(math.sin(1.2) ** 2)
         with pytest.raises(ChartError):
-            manifold_point(SPHERE, [0.0, 0.5])
+            eval_basis(basis_for(SPHERE, 1), np.array([[0.0, 0.5]]))
         with pytest.raises(InputError):
-            manifold_point(TORUS, [1.0])
+            eval_basis(basis_for(TORUS, 1), np.array([[1.0]]))
 
     def test_cosphere_point_checks_unit_norm(self):
-        from bergman_lab.manifolds import cosphere_point
-
-        c = cosphere_point(SPHERE, [1.2, 0.5], [0.6, 0.8 * math.sin(1.2)])
-        assert c.xi[0] == pytest.approx(0.6)
-        with pytest.raises(InputError):
-            cosphere_point(SPHERE, [1.2, 0.5], [0.6, 0.8])
-        with pytest.raises(InputError):
-            cosphere_point(CIRCLE, [0.3], [1.5])
+        pts = np.array([[1.2, 0.5], [1.2, 0.5]])
+        xis = np.array([[0.6, 0.8 * math.sin(1.2)], [0.6, 0.8]])
+        norms = g0_norm_xi(SPHERE, pts, xis)
+        assert norms[0] == pytest.approx(1.0, abs=1e-15)
+        assert norms[1] > 1.0
+        assert g0_norm_xi(CIRCLE, np.array([[0.3]]), np.array([[1.5]]))[0] == 1.5
 
 
 class TestModelRegistry:

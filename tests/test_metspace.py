@@ -61,7 +61,7 @@ class TestDhilbSymbol:
         g = aniso_metric()
         gdot = MetricPerturbation("g", TORUS, g.matrix_fn)
         sym = dhilb_symbol(g, gdot)
-        base = hilb_symbol(g).symbol
+        base = hilb_symbol(g)
         pts = np.array([[0.4, 1.0], [2.2, 5.3]])
         for xi in ([1.0, 0.0], [0.3, -0.9]):
             x = np.array([xi, xi])
@@ -83,8 +83,8 @@ class TestDhilbSymbol:
             gp = MetricField("p", TORUS, lambda p, e=eps: g.matrix_fn(p) + e * gdot.matrix_fn(p))
             gm = MetricField("m", TORUS, lambda p, e=eps: g.matrix_fn(p) - e * gdot.matrix_fn(p))
             fd = (
-                hilb_symbol(gp).symbol.values(pts, xi)
-                - hilb_symbol(gm).symbol.values(pts, xi)
+                hilb_symbol(gp).values(pts, xi)
+                - hilb_symbol(gm).values(pts, xi)
             ) / (2 * eps)
             errs.append(np.abs(fd - exact).max())
         ratio = errs[0] / errs[1]
@@ -98,7 +98,7 @@ class TestDhilbSymbol:
         xi = np.array([[0.8, 0.6]] * 2)
         plus = dhilb_symbol(g, gdot, trace_sign=1).values(pts, xi)
         minus = dhilb_symbol(g, gdot, trace_sign=-1).values(pts, xi)
-        base = hilb_symbol(g).symbol.values(pts, xi)
+        base = hilb_symbol(g).values(pts, xi)
         ginv = g.inverses(pts)
         tr = np.einsum("pij,pji->p", ginv, gdot.matrices(pts))
         np.testing.assert_allclose(plus - minus, base * tr, rtol=1e-12)

@@ -1,3 +1,6 @@
+"""Numerical kernels: the quadrature rules of ``quadrature_grid``, and the
+dense symmetric eigen-oracles that other tests compare against."""
+
 import math
 
 import numpy as np
@@ -5,15 +8,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bergman_lab.errors import InputError, NotSPDError
-from bergman_lab.numerics import (
-    Quadrature1D,
-    SPDMatrix,
-    SymMatrix,
-    make_quadrature,
-    spd_sqrt,
-    sym_eig,
-)
+from bergman_lab.errors import InputError, NotSPDError, UnsupportedModelError
+from bergman_lab.manifolds import ManifoldModel, circle, quadrature_grid, sphere2
+
+CIRCLE, SPHERE = circle(), sphere2()
+
+
+def sym_eig(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
+    a = np.asarray(mat, dtype=float)
+    if not np.isfinite(a).all():
+        raise InputError("matrix has non-finite entries")
+    return np.linalg.eigh(0.5 * (a + a.T))
+
+
+def spd_sqrt(mat) -> np.ndarray:
+    """Symmetric positive square root: result @ result == input."""
+    w, q = sym_eig(mat)
+    if w[0] <= 0.0:
+        raise NotSPDError(f"matrix is not positive-definite (min eigenvalue {w[0]:g})")
+    return (q * np.sqrt(w)) @ q.T
+
+
+def integrate(model, res, fn) -> float:
+    """Integral of fn(points) over the model with its quadrature grid."""
+    pts, w = quadrature_grid(model, res)
+    return float(np.dot(w, fn(pts)))
 
 
 class TestSymEig:
@@ -64,16 +84,16 @@ class TestSymEig:
 class TestSpdSqrt:
     def test_identity(self):
         r = spd_sqrt(np.eye(4))
-        assert np.abs(r.entries - np.eye(4)).max() <= 1e-14
+        assert np.abs(r - np.eye(4)).max() <= 1e-14
 
     def test_diagonal(self):
         r = spd_sqrt(np.diag([4.0, 9.0]))
-        assert r.entries == pytest.approx(np.diag([2.0, 3.0]))
+        assert r == pytest.approx(np.diag([2.0, 3.0]))
 
     def test_squares_back(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         r = spd_sqrt(a)
-        assert np.abs(r.entries @ r.entries - a).max() <= 1e-12
+        assert np.abs(r @ r - a).max() <= 1e-12
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotSPDError):
@@ -83,7 +103,7 @@ class TestSpdSqrt:
         b = np.random.randn(512, 512)
         a = b @ b.T + 512 * np.eye(512)
         r = spd_sqrt(a)
-        assert np.abs(r.entries @ r.entries - a).max() <= 1e-10 * np.abs(a).max()
+        assert np.abs(r @ r - a).max() <= 1e-10 * np.abs(a).max()
 
     @given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=2**31))
     def test_roundtrip_property(self, dim, seed):
@@ -92,69 +112,45 @@ class TestSpdSqrt:
         a = b @ b.T + dim * np.eye(dim)
         r = spd_sqrt(a)
         scale = np.abs(a).max()
-        assert np.abs(r.entries @ r.entries - a).max() <= 1e-10 * scale
+        assert np.abs(r @ r - a).max() <= 1e-10 * scale
 
 
 class TestQuadrature:
+    """The circle grid is the periodic trapezoid; the sphere grid crosses
+    Gauss-Legendre in x3 = cos(theta) with a trapezoid in phi."""
+
     def test_trapezoid_cos_squared(self):
-        q = make_quadrature("periodic-trapezoid", 8)
-        assert q.integrate(lambda t: np.cos(t) ** 2) == pytest.approx(math.pi, abs=1e-14)
+        got = integrate(CIRCLE, 8, lambda p: np.cos(p[:, 0]) ** 2)
+        assert got == pytest.approx(math.pi, abs=1e-14)
 
     def test_gauss_legendre_degree_three(self):
-        q = make_quadrature("gauss-legendre", 2)
-        assert q.integrate(lambda x: x**2) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        # two nodes integrate x3^2 exactly: 2 pi * 2/3
+        got = integrate(SPHERE, 2, lambda p: np.cos(p[:, 0]) ** 2)
+        assert got == pytest.approx(4 * math.pi / 3, abs=2 * math.pi * 1e-14)
 
     def test_weight_sum_is_measure(self):
-        assert make_quadrature("periodic-trapezoid", 4).weights.sum() == pytest.approx(
-            2 * math.pi, abs=1e-12
-        )
-        assert make_quadrature("gauss-legendre", 7).weights.sum() == pytest.approx(
-            2.0, rel=1e-12
-        )
+        assert quadrature_grid(CIRCLE, 4)[1].sum() == pytest.approx(2 * math.pi, abs=1e-12)
+        assert quadrature_grid(SPHERE, 7)[1].sum() == pytest.approx(4 * math.pi, rel=1e-12)
 
     def test_too_few_nodes(self):
         with pytest.raises(InputError):
-            make_quadrature("periodic-trapezoid", 1)
+            quadrature_grid(CIRCLE, 1)
 
     def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            make_quadrature("simpson", 4)
+        with pytest.raises(UnsupportedModelError):
+            quadrature_grid(ManifoldModel("klein", 2, 1.0, 1.0), 4)
 
     @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=19))
     def test_trapezoid_trig_exactness(self, m, k):
         # exact for trigonometric polynomials of degree < m
-        q = make_quadrature("periodic-trapezoid", m)
-        got = q.integrate(lambda t: np.cos(k * t))
+        got = integrate(CIRCLE, m, lambda p: np.cos(k * p[:, 0]))
         want = 2 * math.pi if k == 0 else 0.0
         if k < m:
             assert got == pytest.approx(want, abs=1e-12)
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=23))
     def test_gauss_exactness_class(self, m, deg):
-        q = make_quadrature("gauss-legendre", m)
-        got = q.integrate(lambda x: x**deg)
-        want = 0.0 if deg % 2 else 2.0 / (deg + 1)
+        got = integrate(SPHERE, m, lambda p: np.cos(p[:, 0]) ** deg)
+        want = 0.0 if deg % 2 else 4 * math.pi / (deg + 1)
         if deg <= 2 * m - 1:
-            assert got == pytest.approx(want, abs=1e-12)
-
-
-class TestWrappers:
-    def test_sym_matrix_symmetrizes(self):
-        s = SymMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        assert s.entries[0, 1] == s.entries[1, 0] == 1.0
-
-    def test_sym_matrix_rejects_rectangular(self):
-        with pytest.raises(InputError):
-            SymMatrix(np.zeros((2, 3)))
-
-    def test_spd_matrix_certifies(self):
-        m = SPDMatrix(SymMatrix(np.diag([2.0, 5.0])))
-        assert m.min_eigenvalue == pytest.approx(2.0)
-        with pytest.raises(NotSPDError):
-            SPDMatrix(SymMatrix(np.diag([2.0, -5.0])))
-
-    def test_quadrature_is_frozen(self):
-        q = make_quadrature("gauss-legendre", 3)
-        assert isinstance(q, Quadrature1D)
-        with pytest.raises(Exception):
-            q.nodes[0] = 17.0
+            assert got == pytest.approx(want, abs=2 * math.pi * 1e-12)

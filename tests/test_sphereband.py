@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bergman_lab.errors import InputError
-from bergman_lab.manifolds import quadrature_grid, sphere2
+from bergman_lab.manifolds import basis_for, eval_basis, quadrature_grid, sphere2
 from bergman_lab.operators import ScalarField
 from bergman_lab.sphereband import (
     band_constant,
@@ -25,13 +25,11 @@ A_TEST = ScalarField("1+x3^2/2", lambda p: 1 + 0.5 * np.cos(np.atleast_2d(p)[:, 
 
 class TestBandBasis:
     def test_band_is_orthonormal(self):
-        from bergman_lab.manifolds import quadrature_grid
-        from bergman_lab.sphereband import band_basis
-
-        bb = band_basis(6)
-        assert bb.multiplicity == 13
+        basis = basis_for(SPHERE, 6)
+        band = basis.level_slice(6)
+        assert band.stop - band.start == 13
         pts, w = quadrature_grid(SPHERE, 16)
-        vals, _ = bb.eval(pts)
+        vals = eval_basis(basis, pts)[0][band]
         gram = (vals * w) @ vals.T
         assert np.abs(gram - np.eye(13)).max() <= 1e-10
 
@@ -113,21 +111,21 @@ class TestBandDD:
 
 class TestGeodesicAverage:
     def setup_method(self):
-        self.point = np.array([math.pi / 2, 0.3])
-        self.xi = np.array([1.0, 0.0])
+        self.point = np.array([[math.pi / 2, 0.3]])
+        self.xi = np.array([[1.0, 0.0]])
 
     def test_unit_symbol_full_period(self):
-        avg = geodesic_average(ONE, self.point, self.xi, 0)
+        avg = geodesic_average(ONE, self.point, self.xi, 0)[0]
         assert avg.real == pytest.approx(2 * math.pi, rel=1e-12)
         assert abs(avg.imag) <= 1e-12
 
     def test_unit_symbol_nonzero_mode_vanishes(self):
         for k in (1, 2, 5):
-            assert abs(geodesic_average(ONE, self.point, self.xi, k)) <= 1e-12
+            assert abs(geodesic_average(ONE, self.point, self.xi, k)[0]) <= 1e-12
 
     def test_equatorial_average_of_height_vanishes(self):
-        xi_eq = np.array([0.0, 1.0])  # moves along the equator, x3 = 0
-        assert abs(geodesic_average(X3, self.point, xi_eq, 0)) <= 1e-12
+        xi_eq = np.array([[0.0, 1.0]])  # moves along the equator, x3 = 0
+        assert abs(geodesic_average(X3, self.point, xi_eq, 0)[0]) <= 1e-12
 
     def test_invariant_under_time_origin_shift(self):
         # k = 0 averages only see the orbit, not the starting point: compare
@@ -136,22 +134,24 @@ class TestGeodesicAverage:
 
         p0 = np.array([[1.1, 0.7]])
         xi0 = np.array([[0.6, 0.8 * math.sin(1.1)]])
-        base = geodesic_average(A_TEST, p0[0], xi0[0], 0)
         p1, xi1 = geodesic_flow_sphere(p0, xi0, 0.83)
-        shifted = geodesic_average(A_TEST, p1[0], xi1[0], 0)
-        assert shifted.real == pytest.approx(base.real, abs=1e-12)
+        both = geodesic_average(A_TEST, np.vstack([p0, p1]), np.vstack([xi0, xi1]), 0)
+        assert both[1].real == pytest.approx(both[0].real, abs=1e-12)
 
     def test_requires_enough_nodes(self):
         with pytest.raises(InputError):
             geodesic_average(ONE, self.point, self.xi, 0, t_res=16)
 
-    def test_accepts_cosphere_point(self):
-        from bergman_lab.manifolds import cosphere_point
 
-        c = cosphere_point(SPHERE, self.point, self.xi)
-        typed = geodesic_average(ONE, c, k=0)
-        plain = geodesic_average(ONE, self.point, self.xi, 0)
-        assert typed == plain
+    def test_accepts_cosphere_point(self):
+        # rows are independent cosphere points: a batch equals row-by-row calls
+        pts = np.array([[1.1, 0.7], [math.pi / 2, 0.3]])
+        xis = np.array([[0.6, 0.8 * math.sin(1.1)], [1.0, 0.0]])
+        batch = geodesic_average(A_TEST, pts, xis, 2)
+        assert abs(batch[0]) > 0.1
+        for row in range(2):
+            single = geodesic_average(A_TEST, pts[row], xis[row], 2)
+            assert abs(batch[row] - single[0]) <= 1e-13
 
 
 class TestBandChecks:
