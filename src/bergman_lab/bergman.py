@@ -57,12 +57,9 @@ def dd_kernel(a, basis: EigenBasis, points: np.ndarray) -> Tensor2Field:
 
 def isotropic_coefficients(model: ManifoldModel, field: Tensor2Field) -> float:
     """Mean over the grid of Tr(g0^{-1} T)/n: the isotropic part of the field."""
-    g0 = g0_matrices(model, field.points)
-    if model.dim == 1:
-        tr = field.values[:, 0, 0] / g0[:, 0, 0]
-    else:
-        tr = field.values[:, 0, 0] / g0[:, 0, 0] + field.values[:, 1, 1] / g0[:, 1, 1]
-    return float(tr.mean() / model.dim)
+    g0 = g0_matrices(model, field.points)  # diagonal on every model
+    ratios = np.diagonal(field.values, axis1=1, axis2=2) / np.diagonal(g0, axis1=1, axis2=2)
+    return float(ratios.sum(axis=1).mean() / model.dim)
 
 
 def isometry_theory_coefficient(model: ManifoldModel) -> float:

@@ -418,23 +418,23 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--model", default="circle", choices=["circle", "torus2", "sphere2"])
+        p.add_argument("--model", choices=["circle", "torus2", "sphere2"])
         p.add_argument("--n", help="comma-separated level sweep (circle/sphere)")
         p.add_argument("--mu2", help="comma-separated mu^2 cutoffs (torus)")
         p.add_argument("--grid", type=int, help="base grid resolution")
-        p.add_argument("--fiber", type=int, default=64, help="cosphere fiber nodes")
-        p.add_argument("--tnodes", type=int, default=64, help="geodesic t nodes")
+        p.add_argument("--fiber", type=int, help="cosphere fiber nodes")
+        p.add_argument("--tnodes", type=int, help="geodesic t nodes")
         p.add_argument("--metric", help="metric preset (see list-presets)")
         p.add_argument("--gdot", help="perturbation preset")
         p.add_argument("--f", help="multiplication field preset/expression")
         p.add_argument("--symbol", help="symbol preset")
         p.add_argument("--b", help="comma-separated fields for szego products")
         p.add_argument("--a", help="sphere test function")
-        p.add_argument("--k", type=int, default=0, help="band offset")
-        p.add_argument("--quantization", default="left", choices=["left", "symmetric"])
+        p.add_argument("--k", type=int, help="band offset")
+        p.add_argument("--quantization", choices=["left", "symmetric"])
         p.add_argument("--out", help="CSV output path (default stdout)")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--check", action="store_true",
+        p.add_argument("--threads", type=int)
+        p.add_argument("--check", action="store_true", default=None,
                        help="evaluate the command's acceptance threshold")
         p.add_argument("--tol", type=float, help="override the check threshold")
         p.add_argument("--config", help="key = value config file; flags win")
@@ -456,11 +456,18 @@ _CONFIG_TYPES = {
 }
 
 
-def _apply_config_file(ns: argparse.Namespace, parser_defaults: dict) -> None:
+# Values of the flags the command line and the config file leave unset
+_DEFAULTS = {"model": "circle", "fiber": 64, "tnodes": 64, "k": 0,
+             "quantization": "left", "check": False}
+
+
+def _apply_config_file(ns: argparse.Namespace) -> None:
+    """Set each flag not given on the command line from its key in the file."""
     if not ns.config:
         return
     if not os.path.exists(ns.config):
         raise InputError(f"config file {ns.config!r} not found")
+    seen = set()
     with open(ns.config) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -472,9 +479,11 @@ def _apply_config_file(ns: argparse.Namespace, parser_defaults: dict) -> None:
             key = key.replace("-", "_")
             if key == "command" or not hasattr(ns, key):
                 raise InputError(f"{ns.config}:{line_no}: unknown key {key!r}")
-            current = getattr(ns, key)
-            if current != parser_defaults.get(key):
-                continue  # explicit flag wins over the file
+            if key in seen:
+                raise InputError(f"{ns.config}:{line_no}: repeated key {key!r}")
+            seen.add(key)
+            if getattr(ns, key) is not None:
+                continue  # a flag given on the command line wins
             try:
                 setattr(ns, key, _CONFIG_TYPES.get(key, str)(value))
             except ValueError:
@@ -483,13 +492,16 @@ def _apply_config_file(ns: argparse.Namespace, parser_defaults: dict) -> None:
                 ) from None
 
 
-def resolve_config(ns: argparse.Namespace, parser: argparse.ArgumentParser):
+def resolve_config(ns: argparse.Namespace):
     """Apply the config file, parse the sweep and resolve the thread count.
 
     Sets ``ns.sweep`` (None when neither --n nor --mu2 is given) and
-    ``ns.threads``; a flag still at its parser default takes the file's value.
+    ``ns.threads``; a flag not on the command line takes the file's value, else ``_DEFAULTS``.
     """
-    _apply_config_file(ns, vars(parser.parse_args([ns.command])))
+    _apply_config_file(ns)
+    for key, value in _DEFAULTS.items():
+        if getattr(ns, key) is None:
+            setattr(ns, key, value)
     ns.sweep = None
     if ns.mu2 and ns.n:
         raise InputError("give --n or --mu2, not both")
@@ -516,8 +528,7 @@ def resolve_config(ns: argparse.Namespace, parser: argparse.ArgumentParser):
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        ns = resolve_config(parser.parse_args(argv), parser)
+        ns = resolve_config(build_parser().parse_args(argv))
         header, rows, check = COMMANDS[ns.command](ns, model_by_name(ns.model))
         if header is not None:
             write_csv(header, rows, ns.out)

@@ -66,20 +66,13 @@ def hilb_n(
     cone and returned with the applied shift; the unshifted assembly is the
     matrix minus shift * I.
     """
-    model = g.model
     symbol = hilb_symbol(g)
-    if model.kind == "circle":
-        mat = assemble_multiplication(symbol.fiber_restriction(), basis)
-    elif model.kind == "torus2":
+    if g.model.kind == "torus2":
         mat = assemble_kohn_nirenberg(symbol, basis, quantization=quantization)
-    elif model.kind == "sphere2":
-        if g.conformal_u is None:
-            raise UnsupportedModelError(
-                "sphere assembly supports conformal metrics e^u g0 only"
-            )
-        mat = assemble_multiplication(symbol.fiber_restriction(), basis)
+    elif g.model.kind == "sphere2" and g.conformal_u is None:
+        raise UnsupportedModelError("sphere assembly supports conformal metrics e^u g0 only")
     else:
-        raise UnsupportedModelError(model.kind)
+        mat = assemble_multiplication(symbol.fiber_restriction(), basis)
     return positivity_repair(mat)
 
 

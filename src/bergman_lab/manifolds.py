@@ -101,6 +101,13 @@ def _torus_half_lattice(mu2_max: int) -> np.ndarray:
     return ks
 
 
+def _half_lattice(model: ManifoldModel, cutoff) -> np.ndarray:
+    """Flat half lattice (K, n) sorted by level: k = 1..N on the circle (the 1-torus)."""
+    if model.kind == CIRCLE:
+        return np.arange(1, int(cutoff) + 1)[:, None]
+    return _torus_half_lattice(int(cutoff))
+
+
 def enumerate_levels(model: ManifoldModel, cutoff) -> list[SpectralLevel]:
     """All spectral levels up to the cutoff.
 
@@ -112,18 +119,13 @@ def enumerate_levels(model: ManifoldModel, cutoff) -> list[SpectralLevel]:
         raise InputError("cutoff must be non-negative")
     levels = []
     offset = 0
-    if model.kind == CIRCLE:
-        for n in range(int(cutoff) + 1):
-            mult = 1 if n == 0 else 2
-            levels.append(SpectralLevel(n, float(n * n), mult, offset))
-            offset += mult
-    elif model.kind == SPHERE2:
+    if model.kind == SPHERE2:
         for n in range(int(cutoff) + 1):
             levels.append(SpectralLevel(n, float(n * (n + 1)), 2 * n + 1, offset))
             offset += 2 * n + 1
-    elif model.kind == TORUS2:
+    elif model.kind in (CIRCLE, TORUS2):
         # each nonzero shell holds both k and -k of its half-lattice points
-        ks = _torus_half_lattice(int(cutoff))
+        ks = _half_lattice(model, cutoff)
         shells, counts = np.unique((ks * ks).sum(axis=1), return_counts=True)
         mults = [1] + (2 * counts).tolist()
         for i, (q, mult) in enumerate(zip([0] + shells.tolist(), mults)):
@@ -132,11 +134,6 @@ def enumerate_levels(model: ManifoldModel, cutoff) -> list[SpectralLevel]:
     else:
         raise UnsupportedModelError(model.kind)
     return levels
-
-
-def basis_dimension(model: ManifoldModel, cutoff) -> int:
-    levels = enumerate_levels(model, cutoff)
-    return levels[-1].offset + levels[-1].multiplicity
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,7 @@ class EigenBasis:
     levels: tuple
     lambdas: np.ndarray
     kinds: np.ndarray  # 0 constant, 1 cos, 2 sin (circle/torus); unused on sphere
-    freqs: np.ndarray  # circle: (d,) int; torus: (d,2) int; sphere: (d,2) = (l, m)
+    freqs: np.ndarray  # circle/torus: (d, n) lattice k; sphere: (d, 2) = (l, m)
 
     @property
     def dim(self) -> int:
@@ -171,22 +168,12 @@ class EigenBasis:
 def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
     levels = tuple(enumerate_levels(model, cutoff))
     lambdas, kinds, freqs = [], [], []
-    if model.kind == CIRCLE:
-        for lv in levels:
-            k = lv.index
-            if k == 0:
-                lambdas.append(0.0); kinds.append(0); freqs.append(0)
-            else:
-                lambdas += [float(k), float(k)]
-                kinds += [1, 2]
-                freqs += [k, k]
-        freqs = np.array(freqs, dtype=int)
-    elif model.kind == TORUS2:
+    if model.kind in (CIRCLE, TORUS2):
         # the constant, then a cos and a sin slot per half-lattice point
-        ks = np.repeat(_torus_half_lattice(int(cutoff)), 2, axis=0)
+        ks = np.repeat(_half_lattice(model, cutoff), 2, axis=0)
         lambdas = [0.0] + np.sqrt((ks * ks).sum(axis=1).astype(float)).tolist()
         kinds = [0] + [1, 2] * (len(ks) // 2)
-        freqs = np.vstack([np.zeros((1, 2), dtype=int), ks])
+        freqs = np.vstack([np.zeros((1, model.dim), dtype=int), ks])
     elif model.kind == SPHERE2:
         for lv in levels:
             l = lv.index
@@ -204,45 +191,17 @@ def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
     )
 
 
-def _eval_circle(basis: EigenBasis, theta: np.ndarray):
-    d, p = basis.dim, theta.shape[0]
-    vals = np.empty((d, p))
-    grads = np.empty((d, 1, p))
-    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    for j in range(d):
-        k = int(basis.freqs[j])
-        if basis.kinds[j] == 0:
-            vals[j] = 1.0 / math.sqrt(2.0 * math.pi)
-            grads[j, 0] = 0.0
-        elif basis.kinds[j] == 1:
-            vals[j] = np.cos(k * theta) * inv_sqrt_pi
-            grads[j, 0] = -k * np.sin(k * theta) * inv_sqrt_pi
-        else:
-            vals[j] = np.sin(k * theta) * inv_sqrt_pi
-            grads[j, 0] = k * np.cos(k * theta) * inv_sqrt_pi
-    return vals, grads
-
-
-def _eval_torus(basis: EigenBasis, xy: np.ndarray):
-    d, p = basis.dim, xy.shape[0]
-    vals = np.empty((d, p))
-    grads = np.empty((d, 2, p))
-    norm = 1.0 / (math.sqrt(2.0) * math.pi)
-    phase = basis.freqs @ xy.T  # (d, p)
+def _eval_flat(basis: EigenBasis, pts: np.ndarray):
+    """The constant 1/sqrt(vol) and the pairs sqrt(2/vol) (cos, sin)(k . x)."""
+    vol = basis.model.volume
+    is_cos = (basis.kinds == 1)[:, None]
+    phase = basis.freqs @ pts.T  # (d, p)
     cos_ph, sin_ph = np.cos(phase), np.sin(phase)
-    for j in range(d):
-        k = basis.freqs[j]
-        if basis.kinds[j] == 0:
-            vals[j] = 1.0 / (2.0 * math.pi)
-            grads[j] = 0.0
-        elif basis.kinds[j] == 1:
-            vals[j] = cos_ph[j] * norm
-            grads[j, 0] = -k[0] * sin_ph[j] * norm
-            grads[j, 1] = -k[1] * sin_ph[j] * norm
-        else:
-            vals[j] = sin_ph[j] * norm
-            grads[j, 0] = k[0] * cos_ph[j] * norm
-            grads[j, 1] = k[1] * cos_ph[j] * norm
+    norm = math.sqrt(2.0 / vol)
+    vals = np.where(is_cos, cos_ph, sin_ph) * norm
+    vals[basis.kinds == 0] = 1.0 / math.sqrt(vol)
+    # d/dx_i of each row: k_i times its phase derivative (zero for k = 0)
+    grads = basis.freqs[:, :, None] * np.where(is_cos, -sin_ph, cos_ph)[:, None, :] * norm
     return vals, grads
 
 
@@ -315,11 +274,9 @@ def eval_basis(basis: EigenBasis, points: np.ndarray):
         raise InputError(
             f"points have dimension {pts.shape[1]}, model is {basis.model.dim}-dimensional"
         )
-    if basis.model.kind == CIRCLE:
-        return _eval_circle(basis, pts[:, 0])
-    if basis.model.kind == TORUS2:
-        return _eval_torus(basis, pts)
-    return _eval_sphere(basis, pts)
+    if basis.model.kind == SPHERE2:
+        return _eval_sphere(basis, pts)
+    return _eval_flat(basis, pts)
 
 
 def g0_matrices(model: ManifoldModel, points: np.ndarray) -> np.ndarray:
@@ -348,13 +305,10 @@ def quadrature_grid(model: ManifoldModel, res: int) -> tuple[np.ndarray, np.ndar
     if model.kind not in _MODELS:
         raise UnsupportedModelError(model.kind)
     nodes, weights = _trapezoid(res)
-    if model.kind == CIRCLE:
-        return nodes[:, None], weights
-    if model.kind == TORUS2:
-        x1, x2 = np.meshgrid(nodes, nodes, indexing="ij")
-        pts = np.column_stack([x1.ravel(), x2.ravel()])
-        w = np.outer(weights, weights).ravel()
-        return pts, w
+    if model.kind != SPHERE2:
+        axes = np.meshgrid(*[nodes] * model.dim, indexing="ij")
+        pts = np.column_stack([a.ravel() for a in axes])
+        return pts, np.full(len(pts), weights[0] ** model.dim)
     # Gauss-Legendre in cos(theta): exact for polynomials of degree <= 2 res - 1
     x, wx = np.polynomial.legendre.leggauss(res)
     phi, wphi = _trapezoid(2 * res)
@@ -432,10 +386,8 @@ def g0_norm_xi(model: ManifoldModel, points: np.ndarray, xis: np.ndarray) -> np.
     """|xi|_{g0} for chart covector components at chart points."""
     pts = np.atleast_2d(points)
     xis = np.atleast_2d(xis)
-    if model.dim == 1:
-        return np.abs(xis[:, 0])
-    if model.kind == TORUS2:
-        return np.sqrt(xis[:, 0] ** 2 + xis[:, 1] ** 2)
+    if model.kind != SPHERE2:
+        return np.sqrt(sum(xis[:, i] ** 2 for i in range(model.dim)))
     st = np.sin(pts[:, 0])
     return np.sqrt(xis[:, 0] ** 2 + (xis[:, 1] / st) ** 2)
 

@@ -1,10 +1,11 @@
 """Spectral-window compressions of multiplication and order-zero operators.
 
-Multiplication operators are assembled by quadrature on any model; symbols
-with genuine fiber dependence are quantized on the torus in the complex
-exponential basis (left Kohn-Nirenberg rule: the symbol is evaluated at the
-column frequency) and converted to the real basis by the fixed unitary
-pairing cos = (u_k + u_{-k})/sqrt(2), sin = (u_k - u_{-k})/(sqrt(2) i).
+On the circle and the torus both kinds of operator are built in the complex
+exponential basis u_k and converted to the real basis by the fixed unitary
+pairing cos = (u_k + u_{-k})/sqrt(2), sin = (u_k - u_{-k})/(sqrt(2) i):
+multiplication is the gather of the Fourier coefficients of f, and symbols
+follow the left Kohn-Nirenberg rule (the symbol is evaluated at the column
+frequency).  On the sphere multiplication is assembled by quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .bergman import dd_kernel, _contract
 from .manifolds import (
     EigenBasis,
     ManifoldModel,
-    basis_dimension,
     basis_for,
     eval_basis,
     fiber_bundle,
@@ -32,10 +32,12 @@ from .manifolds import (
 )
 
 GRAM_RESIDUAL_TOL = 1e-9
-# Kohn-Nirenberg fiber sampling: first and largest number of angles, and
-# the Nyquist-band size, relative to the largest coefficient, that stops it
+# Kohn-Nirenberg fiber sampling: first and largest number of angles; the
+# largest FFT grid per axis for a flat multiplication field; and the
+# Nyquist-band size, relative to the largest coefficient, that stops both
 KN_FIBER_RES = 64
 KN_FIBER_RES_MAX = 1024
+FFT_RES_MAX = 2048
 KN_TAIL_TOL = 1e-14
 
 
@@ -127,27 +129,44 @@ class SymbolField:
 
 
 def default_assembly_res(model: ManifoldModel, basis: EigenBasis) -> int:
-    """Grid resolution that integrates basis products times a smooth factor."""
-    if model.kind == "circle":
-        return 2 * int(basis.cutoff) + 48
-    if model.kind == "torus2":
-        return 2 * math.isqrt(int(basis.cutoff)) + 48
+    """Sphere grid resolution that integrates basis products times a smooth factor."""
     return int(basis.cutoff) + 24
 
 
 def assemble_multiplication(f: ScalarField, basis: EigenBasis) -> np.ndarray:
-    """Matrix of <f phi_j, phi_k> by quadrature, symmetric by construction.
+    """Matrix of <f phi_j, phi_k>, symmetric by construction.
 
-    Under-resolution is detected by the Gram residual of the same values
-    table: the highest-frequency rows must reproduce the identity.
+    Circle and torus: the complex-basis entry is the Fourier coefficient
+    f^(nu_j - nu_k), gathered from one FFT of f on the uniform m-grid.  m
+    doubles while the coefficients in the Nyquist band |nu_i| >= m/2 - 1
+    exceed KN_TAIL_TOL of the largest, so aliasing stays below that level; a
+    field not resolved by FFT_RES_MAX points per axis raises ResolutionError.
+    Sphere: product quadrature, where under-resolution is detected by the
+    Gram residual of the same values table (the highest-frequency rows must
+    reproduce the identity).
     """
     model = basis.model
+    if model.kind != "sphere2":
+        m, box = _fft_grid(basis)
+        while True:
+            pts, _ = quadrature_grid(model, m)
+            coeffs = np.fft.fftn(f.values(pts).reshape((m,) * model.dim)) / m**model.dim
+            mags = np.abs(coeffs)
+            band = np.arange(m // 2 - 1, m // 2 + 2)
+            tail = max(np.take(mags, band, axis=i).max() for i in range(model.dim))
+            if tail <= KN_TAIL_TOL * mags.max():
+                return _to_real(_gather(_box(coeffs, box), basis, 0, box), basis)
+            if 2 * m > FFT_RES_MAX:
+                raise ResolutionError(
+                    f"field {f.name!r} is not resolved by the FFT grid: its Nyquist band is "
+                    f"{tail / mags.max():.1e} of its largest coefficient at {m} points per axis"
+                )
+            m *= 2
     pts, w = quadrature_grid(model, default_assembly_res(model, basis))
     vals, _ = eval_basis(basis, pts)
     probe = vals[-min(basis.dim, 32):]
     gram_rows = (probe * w) @ vals.T
-    eye_rows = np.zeros_like(gram_rows)
-    eye_rows[np.arange(gram_rows.shape[0]), np.arange(basis.dim - gram_rows.shape[0], basis.dim)] = 1.0
+    eye_rows = np.eye(len(probe), basis.dim, basis.dim - len(probe))
     resid = np.abs(gram_rows - eye_rows).max()
     if resid > GRAM_RESIDUAL_TOL:
         raise ResolutionError(
@@ -158,9 +177,35 @@ def assemble_multiplication(f: ScalarField, basis: EigenBasis) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _fft_grid(basis: EigenBasis) -> tuple[int, int]:
+    """FFT points per axis m, and the box 2 kmax that row-minus-column frequencies fill."""
+    kmax = int(np.abs(basis.freqs).max())
+    return max(64, ((4 * kmax + 32 + 31) // 32) * 32), 2 * kmax
+
+
+def _box(coeffs: np.ndarray, box: int) -> np.ndarray:
+    """Entries |nu_i| <= box of an n-D FFT table (indices mod m), in C order over nu + box."""
+    nu = np.arange(-box, box + 1) % coeffs.shape[0]
+    return coeffs[np.ix_(*[nu] * coeffs.ndim)].ravel()
+
+
 def _torus_complex_freqs(basis: EigenBasis) -> np.ndarray:
     """Complex frequency per slot: slot of cos_k carries +k, slot of sin_k carries -k."""
     return np.where(basis.kinds[:, None] == 2, -basis.freqs, basis.freqs)
+
+
+def _gather(table: np.ndarray, basis: EigenBasis, cols, box: int) -> np.ndarray:
+    """Complex-basis matrix bc[j, k] = table[cols[k], nu_j - nu_k] in one flat take.
+
+    Row c of ``table`` holds frequencies |nu_i| <= box laid out as ``_box``;
+    ``cols`` is an int array, or 0 for a one-row table.
+    """
+    cfreqs = _torus_complex_freqs(basis)
+    width = 2 * box + 1
+    strides = width ** np.arange(cfreqs.shape[1] - 1, -1, -1)
+    rows = cfreqs @ strides
+    start = cols * width ** len(strides) + box * strides.sum() - rows
+    return table.ravel()[rows[:, None] + start[None, :]]
 
 
 def _real_pairing(basis: EigenBasis):
@@ -179,12 +224,25 @@ def _real_pairing(basis: EigenBasis):
     return idx_p, idx_m, w_p, w_m
 
 
+def _to_real(bc: np.ndarray, basis: EigenBasis) -> np.ndarray:
+    """Symmetrized real-basis matrix of ``bc``; a large imaginary part is an input error."""
+    idx_p, idx_m, w_p, w_m = _real_pairing(basis)
+    c1 = np.take(bc, idx_p, axis=1) * w_p + np.take(bc, idx_m, axis=1) * w_m
+    breal = (np.conj(w_p)[:, None] * np.take(c1, idx_p, axis=0)
+             + np.conj(w_m)[:, None] * np.take(c1, idx_m, axis=0))
+    scale = max(np.abs(breal).max(), 1.0)
+    if np.abs(breal.imag).max() > 1e-9 * scale:
+        raise InputError("quantized matrix has a non-negligible imaginary part")
+    mat = breal.real
+    return 0.5 * (mat + mat.T)
+
+
 def assemble_kohn_nirenberg(
     symbol: SymbolField,
     basis: EigenBasis,
     quantization: str = "left",
 ) -> np.ndarray:
-    """Quantize an order-zero symbol over a torus eigenbasis.
+    """Quantize an order-zero symbol over a flat eigenbasis.
 
     Column k of the complex-basis matrix holds the Fourier coefficients of
     x -> b(x, k/|k|) at the row-minus-column frequency; the zero column uses
@@ -192,30 +250,32 @@ def assemble_kohn_nirenberg(
     (left + right)/2 variant, equal to the Hermitian part in the complex
     basis).  Output is converted to the real basis and symmetrized.
 
-    An x-independent symbol is evaluated on the diagonal only.  Otherwise b
-    is sampled at L uniform fiber angles (``_fiber_samples``), and each
-    column is the trigonometric interpolant in theta of those samples at the
-    angle of its direction: a toroidal quantization whose cost grows with L,
-    not with the number of lattice directions.
+    An x-independent symbol is evaluated on the diagonal only, on the circle
+    or the torus.  Otherwise (torus only) b is sampled at L uniform fiber
+    angles (``_fiber_samples``), and each column is the trigonometric
+    interpolant in theta of those samples at the angle of its direction: a
+    toroidal quantization whose cost grows with L, not with the number of
+    lattice directions.
     """
-    if basis.model.kind != "torus2":
-        raise UnsupportedModelError("Kohn-Nirenberg assembly requires the torus model")
+    model = basis.model
+    if model.kind == "sphere2" or (model.dim == 1 and not symbol.x_independent):
+        raise UnsupportedModelError(
+            "Kohn-Nirenberg assembly requires the torus, or the circle for an "
+            "x-independent symbol"
+        )
     if quantization not in ("left", "symmetric"):
         raise InputError(f"unknown quantization {quantization!r}")
     d = basis.dim
     cfreqs = _torus_complex_freqs(basis)
-    kmax = int(math.isqrt(int(basis.cutoff)))
-    m = max(64, ((4 * kmax + 32 + 31) // 32) * 32)
     nonzero = np.any(cfreqs != 0, axis=1)
     if symbol.x_independent:
         diag = np.zeros(d, dtype=complex)
-        diag[~nonzero] = symbol.fiber_average(np.zeros((1, 2)))[0]
+        diag[~nonzero] = symbol.fiber_average(np.zeros((1, model.dim)))[0]
         ks = cfreqs[nonzero].astype(float)
-        diag[nonzero] = symbol.values(np.zeros((ks.shape[0], 2)), ks)
+        diag[nonzero] = symbol.values(np.zeros_like(ks), ks)
         bc = np.diag(diag)
     else:
-        box = 2 * kmax  # row-minus-column frequencies satisfy |nu_i| <= box
-        width = 2 * box + 1
+        m, box = _fft_grid(basis)
         samples = _fiber_samples(symbol, m, box)
         nfib = samples.shape[0]
         # distinct primitive directions of the nonzero columns
@@ -230,47 +290,34 @@ def assemble_kohn_nirenberg(
         weights = np.empty((nfib, len(dirs) + 1))
         weights[:, :-1] = (np.fft.fft(phases, axis=0) / nfib).real
         weights[:, -1] = 1.0 / nfib  # zero column: the theta mode 0
-        table = (weights.T @ samples.view(float)).view(complex).ravel()
-        # bc[j, k] = table[dir(k), nu(j - k)], gathered in one flat take
+        table = weights.T @ samples.view(float)
+        # column k reads the table row of its direction
         cols = np.full(d, len(dirs))
         cols[nonzero] = col_dir.ravel()
-        rows = cfreqs @ np.array([width, 1])
-        start = cols * width * width + box * width + box - rows
-        bc = table[rows[:, None] + start[None, :]]
+        bc = _gather(table.view(complex), basis, cols, box)
     if quantization == "symmetric":
         bc = 0.5 * (bc + bc.conj().T)
-    idx_p, idx_m, w_p, w_m = _real_pairing(basis)
-    c1 = np.take(bc, idx_p, axis=1) * w_p + np.take(bc, idx_m, axis=1) * w_m
-    breal = (np.conj(w_p)[:, None] * np.take(c1, idx_p, axis=0)
-             + np.conj(w_m)[:, None] * np.take(c1, idx_m, axis=0))
-    scale = max(np.abs(breal).max(), 1.0)
-    if np.abs(breal.imag).max() > 1e-9 * scale:
-        raise InputError("quantized matrix has a non-negligible imaginary part")
-    mat = breal.real
-    return 0.5 * (mat + mat.T)
+    return _to_real(bc, basis)
 
 
 def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
     """x-Fourier coefficients of b at L uniform fiber angles, (L, (2 box + 1)^2).
 
-    Row l is the angle 2 pi l / L of ``fiber_covectors``; column
-    (nu1 + box) (2 box + 1) + (nu2 + box) is the frequency nu, |nu_i| <= box,
-    of b on the m x m grid (indices taken mod m, as in one 2-D FFT).  One
-    angle is evaluated at a time.  L starts at KN_FIBER_RES and doubles,
+    Row l is the angle 2 pi l / L of ``fiber_covectors``; each row holds the
+    frequencies |nu_i| <= box of b on the m x m grid, laid out as ``_box``.
+    One angle is evaluated at a time.  L starts at KN_FIBER_RES and doubles,
     reusing the samples it has, until the theta coefficients in the Nyquist
     band |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest; a symbol not
     resolved by KN_FIBER_RES_MAX angles raises ResolutionError.
     """
-    ax = 2.0 * math.pi * np.arange(m) / m
-    x1, x2 = np.meshgrid(ax, ax, indexing="ij")
-    evaluate = symbol.prepared(np.column_stack([x1.ravel(), x2.ravel()]))
-    nu = np.arange(-box, box + 1) % m
+    pts, _ = quadrature_grid(symbol.model, m)
+    evaluate = symbol.prepared(pts)
     origin = np.zeros((1, 2))
 
     def sample(xis: np.ndarray) -> np.ndarray:
-        out = np.empty((len(xis), len(nu) ** 2), dtype=complex)
+        out = np.empty((len(xis), (2 * box + 1) ** 2), dtype=complex)
         for i, xi in enumerate(xis):
-            out[i] = np.fft.fft2(evaluate(xi).reshape(m, m))[np.ix_(nu, nu)].ravel()
+            out[i] = _box(np.fft.fft2(evaluate(xi).reshape(m, m)), box)
         return out / (m * m)
 
     nfib = KN_FIBER_RES
@@ -377,26 +424,24 @@ def tail_defect(
 
     Assembles B over the outer window, takes the block coupling the inner
     window to its complement, and reports mu_N^{-(n+2)} times the sup of the
-    g0 operator norm of its mixed-derivative field.  A field constant on the
-    assembly grid is rejected: its block is zero up to round-off.
+    g0 operator norm of its mixed-derivative field.  A field whose block is
+    round-off, such as a constant, is rejected.
     """
     if outer_cutoff < 2 * inner_cutoff:
         raise InputError("outer window must be at least twice the inner window")
-    mu_in = math.sqrt(basis_for(model, inner_cutoff).levels[-1].mu_sq)
-    if mu_in == 0.0:
+    small = basis_for(model, inner_cutoff)
+    if small.mu_top == 0.0:
         raise InputError("tail defect needs an inner window above level 0")
     big = basis_for(model, outer_cutoff)
-    d_in = basis_dimension(model, inner_cutoff)
-    qpts, w = quadrature_grid(model, default_assembly_res(model, big))
-    fv = f.values(qpts)
-    if np.all(fv == fv[0]):
-        raise InputError(f"field {f.name!r} is constant: it has no tail defect")
-    vals, _ = eval_basis(big, qpts)
-    fw = w * fv
-    block = (vals[:d_in] * fw) @ vals[d_in:].T
+    d_in = small.dim
+    mat = assemble_multiplication(f, big)
+    block = mat[:d_in, d_in:]
+    # sphere quadrature entries are certified only to GRAM_RESIDUAL_TOL
+    if np.abs(block).max() <= GRAM_RESIDUAL_TOL * np.abs(mat).max():
+        raise InputError(f"field {f.name!r} has no tail defect: its off-window block is round-off")
     spts, _ = quadrature_grid(model, grid_res)
     _, grads = eval_basis(big, spts)
     tensor = _contract(block, grads[:d_in], grads[d_in:])
     sup = float(g0_operator_norms(model, spts, tensor).max())
     n = model.dim
-    return sup / mu_in ** (n + 2)
+    return sup / small.mu_top ** (n + 2)

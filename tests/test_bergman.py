@@ -166,14 +166,12 @@ class TestDDKernel:
         assert max(consts) <= 2.0 * min(consts)
 
     def test_window_growth_bound_torus(self):
-        from bergman_lab.manifolds import basis_dimension
-
         consts = []
         pts, _ = quadrature_grid(TORUS, 8)
         for mu2 in (100, 196, 400):
             outer = 2 * mu2
             big = basis_for(TORUS, outer)
-            lo = basis_dimension(TORUS, mu2)
+            lo = basis_for(TORUS, mu2).dim
             a = np.zeros(big.dim)
             a[lo:] = 1.0  # annulus mu^2 in (mu2, 2 mu2]
             fld = dd_kernel(np.diag(a), big, pts)

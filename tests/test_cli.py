@@ -172,6 +172,35 @@ class TestMainInProcess:
             assert main(["spectra", "--config", str(cfg)]) == 1
             assert capsys.readouterr().err.startswith("error:")
 
+    def test_given_flag_beats_config_file(self, tmp_path, capsys):
+        # --fiber 64 equals the flag's default and still wins over the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fiber = 32\n")
+        argv = ["sphere-band", "--model", "sphere2", "--n", "3", "--fiber", "64"]
+        assert main([*argv, "--config", str(cfg)]) == 0
+        with_file = capsys.readouterr().out
+        assert main(argv) == 0
+        assert with_file == capsys.readouterr().out
+
+    def test_repeated_config_key_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid = 16\ngrid = abc\n")
+        assert main(["isometry", "--model", "circle", "--n", "4,8,16",
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: repeated key 'grid'"), err
+
+    @pytest.mark.parametrize("argv", [
+        # an x-independent symbol is a diagonal operator on the circle too
+        ["szego", "--model", "circle", "--b", "one", "--n", "4"],
+        ["bergman", "--model", "circle", "--symbol", "one", "--n", "2,4"],
+        # the FFT grid of a flat multiplication doubles until e^{20 cos} is resolved
+        ["bergman", "--model", "circle", "--f", "exp:20cos(theta)", "--n", "2,3"],
+        ["tail-defect", "--model", "torus2", "--f", "exp:20cos(x1)", "--mu2", "4,9"],
+    ])
+    def test_flat_command_runs(self, argv, capsys):
+        assert main(argv) == 0, capsys.readouterr().err
+
     def test_level_zero_is_input_error(self, capsys):
         # level 0 has mu = 0: the tail normalization and both symbol laws
         # would divide by zero
@@ -247,47 +276,89 @@ class TestMainInProcess:
         assert main(["gradient-check", "--model", "circle", "--check"]) == 0
 
 
-# zero, constant and overflowing fields
-FIELDS = ["0", "one", "exp:1000cos(theta)", "exp:1000cos(x1)"]
-PRESETS = {
-    "--f": ["exp:cos(theta)", "cos(theta)", "exp:0.3cos(x1)", "x3", "nope", *FIELDS],
-    "--symbol": ["xi1sq", "one", "nope"],
-    "--metric": ["g0", "conformal:u=cos(theta)", "conformal:u=0.3cos(x1)",
-                 "aniso-diag:0.3,0.3", "aniso-diag:", "warped"],
-    "--gdot": ["cos-theta", "cos-x1-dx1", "zzz"],
-    "--b": ["cos(x1),cos(x1)", "one;exp-cos-theta", "xi1sq;cos(x1)",
-            "cos(x1);", ",", ";", "bogus", "one,one,one,one", *FIELDS],
-    "--a": ["one-plus-half-x3sq", "x3", "nope", *FIELDS],
+# zero, constant and overflowing fields, and fields the FFT grid doubles for
+FIELDS = ["0", "one", "exp:1000cos(theta)", "exp:1000cos(x1)",
+          "exp:20cos(theta)", "exp:20cos(x1)"]
+# Presets that resolve on each model
+VALID = {
+    "circle": {"--f": ["exp:cos(theta)", "cos(theta)", "exp:20cos(theta)"],
+               "--symbol": ["one"],
+               "--metric": ["g0", "conformal:u=cos(theta)"],
+               "--gdot": ["cos-theta", "conf:0.5cos(theta)"],
+               "--b": ["exp-cos-theta", "one;exp-cos-theta", "cos(theta),cos(theta)"]},
+    "torus2": {"--f": ["exp:0.3cos(x1)", "cos(x1)", "exp:20cos(x1)"],
+               "--symbol": ["xi1sq", "one"],
+               "--metric": ["g0", "conformal:u=0.3cos(x1)", "aniso-diag:0.3,0.3"],
+               "--gdot": ["cos-x1-dx1", "conf:0.3cos(x2)"],
+               "--b": ["one", "cos(x1),cos(x1)", "xi1sq;cos(x1)"]},
+    "sphere2": {"--f": ["one-plus-half-x3sq", "x3"],
+                "--a": ["one-plus-half-x3sq", "x3", "1+0.5cos(phi)"],
+                "--metric": ["g0", "conformal:u=0.3x3"]},
 }
-TYPED = {flag: st.integers(-1, 5).map(str) for flag in ("--grid", "--fiber", "--tnodes", "--k")}
-TYPED["--tol"] = st.sampled_from(["0.5", "1e-12"])
-TYPED["--threads"] = st.sampled_from(["0", "1", "2"])
+# The models a command runs on, where it does not run on all three
+MODELS = {"exact-pullback": ["circle", "torus2"], "met-norm": ["circle", "torus2"],
+          "szego": ["circle", "torus2"], "gradient-check": ["circle", "torus2"],
+          "sphere-band": ["sphere2"], "sphere-cumulative": ["sphere2"]}
+# Typed options; a small grid and fiber are always given, as the cost of a
+# sphere band grows with their product
+TYPED = {"--grid": ["4", "6"], "--fiber": ["16"], "--tnodes": ["64"],
+         "--k": ["0", "1", "2"], "--tol": ["0.5", "1e-12"], "--threads": ["1", "2"]}
+# Bad values: unparsable or out-of-range numbers, other models' presets,
+# unknown names, malformed lists and degenerate fields
+BAD_TYPED = ["-1", "0", "1", "3", "abc", ""]
+BAD = {
+    "--f": ["exp:cos(theta)", "exp:0.3cos(x1)", "x3", "nope", *FIELDS],
+    "--symbol": ["xi1sq", "one", "nope"],
+    "--metric": ["conformal:u=cos(theta)", "aniso-diag:0.3,0.3", "aniso-diag:", "warped"],
+    "--gdot": ["cos-theta", "cos-x1-dx1", "zzz"],
+    "--b": ["cos(x1);", ",", ";", "bogus", "one,one,one,one", *FIELDS],
+    "--a": ["nope", *FIELDS],
+}
 
 
 @st.composite
 def runs(draw):
-    """A command, its options as {flag: value}, and a --check value or None."""
-    model = draw(st.sampled_from(["circle", "torus2", "sphere2"]))
+    """A command, its options as {flag: value}, and a --check value or None.
+
+    About two draws in three are valid: a model the command runs on, a
+    sweep of three levels from 1 under that model's sweep flag, in-range
+    typed values and that model's presets, with one of --f and --symbol.
+    The others change one of these to a bad value.
+    """
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    model = draw(st.sampled_from(MODELS.get(command, sorted(VALID))))
     options = {"--model": model}
-    sweep = draw(st.lists(st.integers(0, 9), max_size=3, unique=True).map(sorted))
-    if sweep or draw(st.booleans()):
-        options["--mu2" if model == "torus2" else "--n"] = ",".join(map(str, sweep))
+    sweep = sorted(draw(st.lists(st.integers(1, 9), min_size=3, max_size=3, unique=True)))
+    options["--mu2" if model == "torus2" else "--n"] = ",".join(map(str, sweep))
     for flag, values in TYPED.items():
-        value = draw(st.none() | values)
-        if value is not None:
-            options[flag] = value
-    bad = draw(st.none() | st.sampled_from(sorted(TYPED)))
-    if bad is not None:  # a value that the typed option cannot parse
-        options[bad] = draw(st.sampled_from(["abc", ""]))
-    for flag, names in PRESETS.items():
-        name = draw(st.none() | st.sampled_from(names))
-        if name is not None:
-            options[flag] = name
+        if flag in ("--grid", "--fiber") or draw(st.booleans()):
+            options[flag] = draw(st.sampled_from(values))
+    skip = draw(st.sampled_from(["--symbol", "--symbol", "--f"]))
+    for flag, names in VALID[model].items():
+        if flag != skip:
+            options[flag] = draw(st.sampled_from(names))
+    bad = None if draw(st.integers(0, 2)) else draw(
+        st.sampled_from(["typed", "preset", "sweep", "model"]))
+    if bad == "model":
+        options["--model"] = draw(st.sampled_from(sorted(VALID)))
+    elif bad == "sweep":  # missing, empty, with level 0, or under the other flag
+        for flag in ("--n", "--mu2"):
+            options.pop(flag, None)
+        sweep = draw(st.lists(st.integers(0, 9), max_size=3, unique=True).map(sorted))
+        if sweep or draw(st.booleans()):
+            options[draw(st.sampled_from(["--n", "--mu2"]))] = ",".join(map(str, sweep))
+    elif bad == "typed":
+        options[draw(st.sampled_from(sorted(TYPED)))] = draw(st.sampled_from(BAD_TYPED))
+    elif bad == "preset":
+        flag = draw(st.sampled_from(sorted(BAD)))
+        options[flag] = draw(st.sampled_from(BAD[flag]))
     check = draw(st.none() | st.sampled_from(["true", "no", "maybe"]))
-    return draw(st.sampled_from(sorted(COMMANDS))), options, check
+    return command, options, check
 
 
-@settings(derandomize=True, max_examples=200,
+# most examples run a command to its end, which can take longer than the
+# default 200 ms deadline
+@settings(derandomize=True, max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(runs(), st.booleans())
 def test_any_argv_exits_cleanly(tmp_path, run, via_config):

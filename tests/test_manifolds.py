@@ -5,7 +5,6 @@ import pytest
 
 from bergman_lab.errors import ChartError, InputError
 from bergman_lab.manifolds import (
-    basis_dimension,
     basis_for,
     circle,
     cosphere_quadrature,
@@ -38,14 +37,14 @@ class TestLevels:
         assert lv.mu_sq == 6.0 and lv.multiplicity == 5
 
     def test_circle_dimension(self):
-        assert basis_dimension(CIRCLE, 3) == 7
+        assert basis_for(CIRCLE, 3).dim == 7
 
     def test_sphere_dimension_closed_form(self):
         for n in (1, 4, 9):
-            assert basis_dimension(SPHERE, n) == (n + 1) ** 2
+            assert basis_for(SPHERE, n).dim == (n + 1) ** 2
 
     def test_torus_dimension_through_five(self):
-        assert basis_dimension(TORUS, 5) == 21
+        assert basis_for(TORUS, 5).dim == 21
 
     def test_offsets_are_cumulative(self):
         levels = enumerate_levels(TORUS, 40)

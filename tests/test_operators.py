@@ -6,7 +6,7 @@ import pytest
 from bergman_lab import operators
 from bergman_lab.errors import InputError, ResolutionError, UnsupportedModelError
 from bergman_lab.hilb import hilb_symbol
-from bergman_lab.manifolds import basis_for, circle, sphere2, torus2
+from bergman_lab.manifolds import basis_for, circle, eval_basis, quadrature_grid, sphere2, torus2
 from bergman_lab.metspace import dhilb_symbol
 from bergman_lab.operators import (
     KN_FIBER_RES,
@@ -22,13 +22,16 @@ from bergman_lab.operators import (
     symbol_law_check,
     symbol_law_predict,
 )
-from bergman_lab.presets import metric_field, perturbation_field
+from bergman_lab.presets import metric_field, perturbation_field, scalar_field
 
 CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
 
 ONE = ScalarField("one", lambda p: np.ones(np.atleast_2d(p).shape[0]))
 COS_THETA = ScalarField("cos", lambda p: np.cos(np.atleast_2d(p)[:, 0]))
 EXP_03 = ScalarField("e03", lambda p: np.exp(0.3 * np.cos(np.atleast_2d(p)[:, 0])))
+EXP_COS = ScalarField("ecos", lambda p: np.exp(np.cos(np.atleast_2d(p)[:, 0])))
+EXP_MIXED = ScalarField("emix", lambda p: np.exp(0.4 * np.cos(np.atleast_2d(p)[:, 0])
+                                                  + 0.3 * np.sin(np.atleast_2d(p)[:, 1])))
 
 
 def fourier_coefficient(fn, m, nodes=4096):
@@ -87,16 +90,52 @@ class TestMultiplication:
         assert np.abs(op - expected).max() <= 1e-10
 
     def test_under_resolved_grid_raises(self, monkeypatch):
-        basis = basis_for(CIRCLE, 24)
-        # a 24-node grid aliases the degree-24 products
-        monkeypatch.setattr(operators, "default_assembly_res", lambda model, basis: 24)
-        with pytest.raises(ResolutionError):
+        basis = basis_for(SPHERE, 16)
+        # 12 Gauss-Legendre nodes alias the degree-32 products of degree-16
+        # harmonics, which the Gram probe detects
+        monkeypatch.setattr(operators, "default_assembly_res", lambda model, basis: 12)
+        with pytest.raises(ResolutionError, match="Gram residual"):
             assemble_multiplication(EXP_03, basis)
+
+    @pytest.mark.parametrize("model, cutoff, field", [
+        (CIRCLE, 4, EXP_COS), (CIRCLE, 16, EXP_03), (CIRCLE, 40, EXP_COS),
+        (TORUS, 5, EXP_03), (TORUS, 25, EXP_MIXED), (TORUS, 100, EXP_MIXED),
+    ])
+    def test_flat_matches_quadrature_oracle(self, model, cutoff, field):
+        basis = basis_for(model, cutoff)
+        want = quadrature_multiplication(field, basis)
+        got = assemble_multiplication(field, basis)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("model, field", [(CIRCLE, "exp:20cos(theta)"),
+                                              (TORUS, "exp:20cos(x1)")])
+    def test_coarse_fft_grid_raises(self, model, field, monkeypatch):
+        # e^{20 cos} needs 128 points per axis; capping the grid at the
+        # first size, 64, leaves a Nyquist band of about 6e-10
+        f = scalar_field(field, model)
+        basis = basis_for(model, 4)
+        assemble_multiplication(f, basis)
+        monkeypatch.setattr(operators, "FFT_RES_MAX", 64)
+        with pytest.raises(ResolutionError, match="64 points per axis"):
+            assemble_multiplication(f, basis)
 
     def test_assembled_matrices_symmetric(self):
         basis = basis_for(TORUS, 8)
         op = assemble_multiplication(EXP_03, basis)
         assert np.abs(op - op.T).max() <= 1e-12
+
+
+def quadrature_multiplication(f, basis):
+    """Multiplication oracle: the basis on a trapezoid grid, one d x d x P product.
+
+    The grid has 2 kmax + 48 points per axis, so it integrates every basis
+    product times the first 48 Fourier modes of f exactly.
+    """
+    kmax = int(np.abs(basis.freqs).max())
+    pts, w = quadrature_grid(basis.model, 2 * kmax + 48)
+    vals, _ = eval_basis(basis, pts)
+    mat = (vals * (w * f.values(pts))) @ vals.T
+    return 0.5 * (mat + mat.T)
 
 
 def _pairing(k, kind):
@@ -394,7 +433,7 @@ class TestTailDefect:
     def test_identity_has_zero_defect(self):
         # a constant couples no window to its complement, so its defect is
         # round-off at every level and a decay check would compare noise
-        with pytest.raises(InputError, match="constant"):
+        with pytest.raises(InputError, match="no tail defect"):
             tail_defect(ONE, CIRCLE, 8, 16, grid_res=16)
 
     def test_circle_cos_defect_decreases(self):
