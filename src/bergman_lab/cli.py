@@ -272,8 +272,12 @@ def _szego_sources(ns, model):
     """One field per --b entry; a name given twice is the same field object."""
     if not ns.b:
         raise InputError("szego needs --b with 1 to 3 comma-separated fields")
-    # expressions may contain commas only inside presets we know are comma-free
-    names = [s for s in ns.b.split(";" if ";" in ns.b else ",") if s]
+    # no field name contains ';' or ',', so either one separates the fields
+    if ";" in ns.b and "," in ns.b:
+        raise InputError(f"--b {ns.b!r} mixes ';' and ',': separate the fields with one of them")
+    names = ns.b.split(";" if ";" in ns.b else ",")
+    if not all(s.strip() for s in names):
+        raise InputError(f"--b {ns.b!r} has an empty field entry")
     fields = {}
     for name in names:
         if name not in fields:

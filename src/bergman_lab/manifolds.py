@@ -230,9 +230,7 @@ def normalized_legendre(lmax: int, theta: np.ndarray):
             b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
             p[l, m] = a * (ct * p[l - 1, m] - b * p[l - 2, m])
     for m in range(0, lmax + 1):
-        for l in range(m, lmax + 1):
-            if l == 0:
-                continue
+        for l in range(max(m, 1), lmax + 1):
             c = math.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
             prev = p[l - 1, m] if l - 1 >= m else 0.0
             dp[l, m] = (l * ct * p[l, m] - c * prev) / st
@@ -240,31 +238,21 @@ def normalized_legendre(lmax: int, theta: np.ndarray):
 
 
 def _eval_sphere(basis: EigenBasis, pts: np.ndarray):
+    """Pbar_l^0, and sqrt(2) Pbar_l^|m| times cos(m phi) (m > 0) or sin(|m| phi) (m < 0)."""
     theta, phi = pts[:, 0], pts[:, 1]
-    lmax = int(basis.freqs[:, 0].max())
-    p, dp = normalized_legendre(lmax, theta)
-    d, npts = basis.dim, pts.shape[0]
-    vals = np.empty((d, npts))
-    grads = np.empty((d, 2, npts))
-    sqrt2 = math.sqrt(2.0)
-    for j in range(d):
-        l, m = int(basis.freqs[j, 0]), int(basis.freqs[j, 1])
-        am = abs(m)
-        if m == 0:
-            vals[j] = p[l, 0]
-            grads[j, 0] = dp[l, 0]
-            grads[j, 1] = 0.0
-        elif m > 0:
-            c = np.cos(m * phi)
-            vals[j] = sqrt2 * p[l, am] * c
-            grads[j, 0] = sqrt2 * dp[l, am] * c
-            grads[j, 1] = -sqrt2 * m * p[l, am] * np.sin(m * phi)
-        else:
-            s = np.sin(am * phi)
-            vals[j] = sqrt2 * p[l, am] * s
-            grads[j, 0] = sqrt2 * dp[l, am] * s
-            grads[j, 1] = sqrt2 * am * p[l, am] * np.cos(am * phi)
-    return vals, grads
+    l, m = basis.freqs[:, 0], basis.freqs[:, 1]
+    am, is_cos = np.abs(m), (m >= 0)[:, None]  # cos(0 phi) = 1 for m = 0
+    p, dp = normalized_legendre(int(l.max()), theta)
+    angles = np.arange(am.max() + 1)[:, None] * phi
+    cos_t, sin_t = np.cos(angles)[am], np.sin(angles)[am]  # (d, P) by |m|
+    trig = np.where(is_cos, cos_t, sin_t)
+    scale = np.where(m == 0, 1.0, math.sqrt(2.0))[:, None]
+    # d/dphi: -sqrt(2) m Pbar sin(m phi) for cos rows, sqrt(2) |m| Pbar cos for sin rows
+    dcoef = np.where(m > 0, -m, am)[:, None] * scale
+    grads = np.stack([scale * dp[l, am] * trig,
+                      dcoef * p[l, am] * np.where(is_cos, sin_t, cos_t)], axis=1)
+    grads[m == 0, 1] = 0.0
+    return scale * p[l, am] * trig, grads
 
 
 def eval_basis(basis: EigenBasis, points: np.ndarray):

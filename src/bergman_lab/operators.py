@@ -5,7 +5,8 @@ exponential basis u_k and converted to the real basis by the fixed unitary
 pairing cos = (u_k + u_{-k})/sqrt(2), sin = (u_k - u_{-k})/(sqrt(2) i):
 multiplication is the gather of the Fourier coefficients of f, and symbols
 follow the left Kohn-Nirenberg rule (the symbol is evaluated at the column
-frequency).  On the sphere multiplication is assembled by quadrature.
+frequency).  On the sphere multiplication is the Gauss-Legendre x trapezoid
+quadrature sum, separated into a phi DFT and Legendre-weighted products.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .manifolds import (
     fiber_covectors,
     fiber_tensor,
     g0_norm_xi,
+    normalized_legendre,
     quadrature_grid,
 )
 
@@ -141,9 +143,7 @@ def assemble_multiplication(f: ScalarField, basis: EigenBasis) -> np.ndarray:
     doubles while the coefficients in the Nyquist band |nu_i| >= m/2 - 1
     exceed KN_TAIL_TOL of the largest, so aliasing stays below that level; a
     field not resolved by FFT_RES_MAX points per axis raises ResolutionError.
-    Sphere: product quadrature, where under-resolution is detected by the
-    Gram residual of the same values table (the highest-frequency rows must
-    reproduce the identity).
+    Sphere: the product-quadrature sum of ``sphere_block``.
     """
     model = basis.model
     if model.kind != "sphere2":
@@ -162,19 +162,50 @@ def assemble_multiplication(f: ScalarField, basis: EigenBasis) -> np.ndarray:
                     f"{tail / mags.max():.1e} of its largest coefficient at {m} points per axis"
                 )
             m *= 2
-    pts, w = quadrature_grid(model, default_assembly_res(model, basis))
-    vals, _ = eval_basis(basis, pts)
-    probe = vals[-min(basis.dim, 32):]
-    gram_rows = (probe * w) @ vals.T
-    eye_rows = np.eye(len(probe), basis.dim, basis.dim - len(probe))
-    resid = np.abs(gram_rows - eye_rows).max()
+    mat = sphere_block(f, basis, slice(None), slice(None))
+    return 0.5 * (mat + mat.T)
+
+
+def sphere_block(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice) -> np.ndarray:
+    """Block [rows, cols] of the quadrature sum sum_q w_q f_q Y_j(q) Y_k(q), separated.
+
+    On the ``default_assembly_res`` grid Y = Pbar_l^a(theta) s_a sqrt(2) cos(a phi
+    - k pi/2) (k = 1 for sin, s_0 = 1/sqrt(2)), so the phi sum of w f Y Y' is
+    s_a s_b Re((-i)^(k-k') F[a-b] + (-i)^(k+k') F[a+b]) Pbar Pbar', F the phi
+    DFT of w f on each latitude, indexed mod the phi node count as the
+    trapezoid aliases; the theta sum is one GEMM per row trig index.  A Gram
+    residual of the top 32 slots (the same sum with f = 1) flags a coarse grid.
+    """
+    res = default_assembly_res(basis.model, basis)
+    pts, w = quadrature_grid(basis.model, res)
+    plm, _ = normalized_legendre(int(basis.cutoff), pts[:: 2 * res, 0])
+    top = slice(max(basis.dim - 32, 0), basis.dim)
+    gram = _separated_sum(w.reshape(res, -1), plm, basis, top, slice(None))
+    resid = np.abs(gram - np.eye(gram.shape[0], basis.dim, top.start)).max()
     if resid > GRAM_RESIDUAL_TOL:
         raise ResolutionError(
             f"assembly grid too coarse: Gram residual {resid:.2e} > {GRAM_RESIDUAL_TOL:.0e}"
         )
-    fw = w * f.values(pts)
-    mat = (vals * fw) @ vals.T
-    return 0.5 * (mat + mat.T)
+    return _separated_sum((w * f.values(pts)).reshape(res, -1), plm, basis, rows, cols)
+
+
+def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, cols) -> np.ndarray:
+    """sum over the (theta, phi) grid of fw Y_j Y_k, j in rows, k in cols (see ``sphere_block``)."""
+    lmax, nphi = plm.shape[0] - 1, fw.shape[1]
+    fhat = np.conj(np.fft.fft(fw, axis=1))  # F[i, n] = sum_phi fw e^{i n phi}
+    mt = np.arange(-lmax, lmax + 1)  # trig index mt + lmax: order a = |mt|, k = 1 for sin
+    a, k, s = np.abs(mt), (mt < 0).astype(int), np.where(mt == 0, math.sqrt(0.5), 1.0)
+    quarter = np.array([1, -1j, -1, 1j])  # (-i)^k
+    g = s[:, None] * s * (quarter[(k[:, None] - k) % 4] * fhat[:, (a[:, None] - a) % nphi]
+                          + quarter[(k[:, None] + k) % 4] * fhat[:, (a[:, None] + a) % nphi]).real
+    l, m = basis.freqs[rows, 0], basis.freqs[rows, 1]
+    lc, mc = basis.freqs[cols, 0], basis.freqs[cols, 1]
+    right = plm[lc, np.abs(mc)].T  # (n_theta, n_cols)
+    out = np.empty((len(l), len(lc)))
+    for t in np.unique(m):  # one GEMM per row trig index, over every column
+        sel = np.flatnonzero(m == t)
+        out[sel] = plm[l[sel], abs(t)] @ (g[:, t + lmax, mc + lmax] * right)
+    return out
 
 
 def _fft_grid(basis: EigenBasis) -> tuple[int, int]:

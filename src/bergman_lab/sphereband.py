@@ -34,7 +34,7 @@ from .manifolds import (
     quadrature_grid,
     sphere2,
 )
-from .operators import ScalarField, assemble_multiplication
+from .operators import ScalarField, assemble_multiplication, sphere_block
 
 
 def band_constant(n_deg: int) -> float:
@@ -61,18 +61,14 @@ def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> Tensor2Fi
     """Symmetrized mixed-band tensor of multiplication by ``a``.
 
     sum_{m,m'} <a Y_{N,m}, Y_{N+k,m'}>  dY_{N+k,m'} (x) dY_{N,m}, the
-    cross matrix assembled by product quadrature sized for polynomial a.
+    cross matrix being the (N+k, N) block of the multiplication quadrature.
     """
     if n_deg < 1 or n_deg + k < 1:
         raise InputError("band degrees must be at least 1")
     model = sphere2()
-    lmax = max(n_deg, n_deg + k)
-    qpts, w = quadrature_grid(model, lmax + 10)
-    big = basis_for(model, lmax)
-    vals, _ = eval_basis(big, qpts)
-    sl_in = big.level_slice(n_deg)
-    sl_out = big.level_slice(n_deg + k)
-    cross = (vals[sl_out] * (w * a.values(qpts))) @ vals[sl_in].T  # (d_out, d_in)
+    big = basis_for(model, max(n_deg, n_deg + k))
+    sl_in, sl_out = big.level_slice(n_deg), big.level_slice(n_deg + k)
+    cross = sphere_block(a, big, sl_out, sl_in)  # (d_out, d_in)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     _, grads = eval_basis(big, pts)
     tensor = _contract(cross, grads[sl_out], grads[sl_in])

@@ -188,6 +188,21 @@ def test_c11_gradient_check():
     assert_checked("gradient")
 
 
+@pytest.mark.parametrize("stem", ["band_k0", "band_k1", "cumulative"])
+def test_sphere_tables_ignore_blas_threads(stem, tmp_path):
+    # the separated sphere assembly gives the same bytes on one and two BLAS threads
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.csv"
+        argv = [a.replace("$OUTDIR/" + stem + ".csv", str(out)) for a in SCRIPT[stem]]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(ROOT / "src")}
+        r = subprocess.run([sys.executable, "-m", "bergman_lab", *argv],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_c12_determinism_across_threads(tmp_path):
     cases = [
         ["met-norm", "--model", "circle", "--gdot", "cos-theta", "--n", "16,32,48"],

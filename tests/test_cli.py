@@ -244,12 +244,26 @@ class TestMainInProcess:
         ["szego", "--model", "circle", "--b", "0", "--n", "4"],
         ["tail-defect", "--model", "circle", "--f", "one", "--n", "1,2", "--check"],
         ["tail-defect", "--model", "circle", "--f", "0", "--n", "1,2"],
+        # symbol integrals that cancel: a ratio of two round-offs is no verdict
+        ["szego", "--model", "torus2", "--b", "sin(x2)", "--mu2", "9,25", "--check"],
+        ["szego", "--model", "circle", "--b", "cos(theta)", "--n", "4", "--check"],
+        ["szego", "--model", "torus2", "--b", "xi1sq,cos(x1)", "--mu2", "9,25"],
     ])
     def test_degenerate_field_is_input_error(self, argv, capsys):
         field = next(argv[i + 1] for i, a in enumerate(argv) if a in ("--f", "--a", "--b"))
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(field) in err, err
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("cos(x1),,cos(x1)", "empty field entry"),
+        ("cos(x1),", "empty field entry"),
+        ("cos(x1);cos(x1),one", "mixes ';' and ','"),
+    ])
+    def test_bad_szego_field_list_is_input_error(self, spec, reason, capsys):
+        assert main(["szego", "--model", "torus2", "--b", spec, "--mu2", "9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err and repr(spec) in err, err
 
     def test_too_few_t_nodes_is_input_error(self, capsys):
         assert main(["sphere-band", "--model", "sphere2", "--a", "x3", "--k", "1",

@@ -174,6 +174,43 @@ class TestEvalBasis:
             assert rel.max() <= 1e-4
 
 
+def sphere_eval_loop(basis, pts):
+    """Reference sphere evaluator: one harmonic at a time, as before vectorization."""
+    theta, phi = pts[:, 0], pts[:, 1]
+    p, dp = normalized_legendre(int(basis.freqs[:, 0].max()), theta)
+    vals = np.empty((basis.dim, len(pts)))
+    grads = np.empty((basis.dim, 2, len(pts)))
+    sqrt2 = math.sqrt(2.0)
+    for j, (l, m) in enumerate(basis.freqs.tolist()):
+        am = abs(m)
+        if m == 0:
+            vals[j], grads[j, 0], grads[j, 1] = p[l, 0], dp[l, 0], 0.0
+        elif m > 0:
+            c = np.cos(m * phi)
+            vals[j] = sqrt2 * p[l, am] * c
+            grads[j, 0] = sqrt2 * dp[l, am] * c
+            grads[j, 1] = -sqrt2 * m * p[l, am] * np.sin(m * phi)
+        else:
+            s = np.sin(am * phi)
+            vals[j] = sqrt2 * p[l, am] * s
+            grads[j, 0] = sqrt2 * dp[l, am] * s
+            grads[j, 1] = sqrt2 * am * p[l, am] * np.cos(am * phi)
+    return vals, grads
+
+
+class TestSphereEvaluator:
+    @pytest.mark.parametrize("cutoff, npts", [(0, 3), (1, 1), (7, 50), (41, 200)])
+    def test_bit_identical_to_loop(self, cutoff, npts):
+        rng = np.random.default_rng(cutoff)
+        pts = np.column_stack([rng.uniform(0.01, math.pi - 0.01, npts),
+                               rng.uniform(0.0, 2 * math.pi, npts)])
+        basis = basis_for(SPHERE, cutoff)
+        vals, grads = eval_basis(basis, pts)
+        want_vals, want_grads = sphere_eval_loop(basis, pts)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert grads.tobytes() == want_grads.tobytes()
+
+
 class TestLegendre:
     def test_low_degree_closed_forms(self):
         theta = np.array([0.4, 1.1, 2.3])

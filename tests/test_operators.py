@@ -119,6 +119,16 @@ class TestMultiplication:
         with pytest.raises(ResolutionError, match="64 points per axis"):
             assemble_multiplication(f, basis)
 
+    @pytest.mark.parametrize("cutoff", [4, 16, 30])
+    @pytest.mark.parametrize("name", ["one-plus-half-x3sq", "exp:0.5cos(phi)+0.3sin(theta)",
+                                      "exp:0.5sin(phi)+0.3x3"])
+    def test_sphere_matches_quadrature_oracle(self, cutoff, name):
+        basis = basis_for(SPHERE, cutoff)
+        field = scalar_field(name, SPHERE)
+        want = quadrature_multiplication(field, basis)
+        got = assemble_multiplication(field, basis)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_assembled_matrices_symmetric(self):
         basis = basis_for(TORUS, 8)
         op = assemble_multiplication(EXP_03, basis)
@@ -126,13 +136,17 @@ class TestMultiplication:
 
 
 def quadrature_multiplication(f, basis):
-    """Multiplication oracle: the basis on a trapezoid grid, one d x d x P product.
+    """Multiplication oracle: the basis on a quadrature grid, one d x d x P product.
 
-    The grid has 2 kmax + 48 points per axis, so it integrates every basis
-    product times the first 48 Fourier modes of f exactly.
+    Flat models: 2 kmax + 48 trapezoid points per axis, which integrate every
+    basis product times the first 48 Fourier modes of f exactly.  Sphere:
+    the ``default_assembly_res`` grid, whose sum the assembly reorganizes.
     """
-    kmax = int(np.abs(basis.freqs).max())
-    pts, w = quadrature_grid(basis.model, 2 * kmax + 48)
+    if basis.model.kind == "sphere2":
+        res = operators.default_assembly_res(basis.model, basis)
+    else:
+        res = 2 * int(np.abs(basis.freqs).max()) + 48
+    pts, w = quadrature_grid(basis.model, res)
     vals, _ = eval_basis(basis, pts)
     mat = (vals * (w * f.values(pts))) @ vals.T
     return 0.5 * (mat + mat.T)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bergman_lab.bergman import _contract
 from bergman_lab.errors import InputError
 from bergman_lab.manifolds import basis_for, eval_basis, quadrature_grid, sphere2
-from bergman_lab.operators import ScalarField
+from bergman_lab.operators import ScalarField, assemble_multiplication, sphere_block
+from bergman_lab.presets import scalar_field
 from bergman_lab.sphereband import (
     band_constant,
     band_dd,
@@ -63,6 +65,21 @@ class TestTakahashi:
 class TestBandDD:
     def setup_method(self):
         self.pts, _ = quadrature_grid(SPHERE, 8)
+
+    @pytest.mark.parametrize("n_deg, k", [(5, 0), (5, 2), (6, -1)])
+    def test_cross_matrix_is_block_of_multiplication(self, n_deg, k):
+        # the tensor of the [N+k, N] block of the full multiplication matrix
+        field = scalar_field("exp:0.5cos(phi)+0.3x3", SPHERE)
+        big = basis_for(SPHERE, max(n_deg, n_deg + k))
+        sl_in, sl_out = big.level_slice(n_deg), big.level_slice(n_deg + k)
+        cross = assemble_multiplication(field, big)[sl_out, sl_in]
+        block = sphere_block(field, big, sl_out, sl_in)
+        assert np.abs(block - cross).max() <= 1e-13 * np.abs(cross).max()
+        _, grads = eval_basis(big, self.pts)
+        want = _contract(cross, grads[sl_out], grads[sl_in])
+        want = 0.5 * (want + np.transpose(want, (0, 2, 1)))
+        got = band_dd(field, n_deg, k, self.pts).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_unit_function_diagonal_band(self):
         fld = band_dd(ONE, 5, 0, self.pts)
