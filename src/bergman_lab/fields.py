@@ -18,6 +18,16 @@ def sym2x2_eigs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half_tr - disc, half_tr + disc
 
 
+def quadratic_form(mats: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """xi^T M xi per point of (P, n, n) mats and (P, n) xis, one component at a
+    time, in the order of ``einsum("pij,pi,pj->p")`` (the same bits, faster)."""
+    total = np.zeros(xis.shape[0])
+    for i in range(xis.shape[1]):
+        for j in range(xis.shape[1]):
+            total += mats[:, i, j] * xis[:, i] * xis[:, j]
+    return total
+
+
 def g0_orthonormal(model: ManifoldModel, points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Covariant 2-tensors in a g0-orthonormal frame, g0^{-1/2} T g0^{-1/2}.
 

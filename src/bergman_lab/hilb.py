@@ -16,7 +16,7 @@ import numpy as np
 
 from .bergman import dd_kernel
 from .errors import UnsupportedModelError
-from .fields import MetricField, Tensor2Field
+from .fields import MetricField, Tensor2Field, quadratic_form
 from .manifolds import EigenBasis
 from .operators import (
     SymbolField,
@@ -43,7 +43,7 @@ def hilb_symbol(g: MetricField) -> SymbolField:
         ginv = g.inverses(points)
 
         def ev(xi_unit: np.ndarray) -> np.ndarray:
-            q = np.einsum("pij,pi,pj->p", ginv, xi_unit, xi_unit)
+            q = quadratic_form(ginv, xi_unit)
             return c_n * ratio * q ** (-(n + 2) / 2.0)
 
         return ev

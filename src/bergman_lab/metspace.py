@@ -20,22 +20,20 @@ import math
 import numpy as np
 
 from .errors import InputError, UnsupportedModelError
-from .fields import MetricField, MetricPerturbation
+from .fields import MetricField, MetricPerturbation, quadratic_form
 from .hilb import hilb_n, hilb_symbol
 from .manifolds import CosphereQuadrature, EigenBasis
 from .operators import SymbolField, assemble
 
 
-def _perturbation_scalars(g: MetricField, gdot: MetricPerturbation, points, xis):
-    """Tr(g^{-1} gdot) and (n+2) <g^{-1} gdot g^{-1} xi, xi> / |xi|_g^2 pointwise."""
+def _perturbation_scalars(g: MetricField, gdot: MetricPerturbation, points):
+    """xi -> Tr(g^{-1} gdot) and (n+2) <g^{-1} gdot g^{-1} xi, xi> / |xi|_g^2 at the points."""
     ginv = g.inverses(points)
     h = gdot.matrices(points)
     tr = np.einsum("pij,pji->p", ginv, h)
     gig = np.einsum("pij,pjk,pkl->pil", ginv, h, ginv)
-    quad = np.einsum("pij,pi,pj->p", gig, xis, xis)
-    norm_sq = np.einsum("pij,pi,pj->p", ginv, xis, xis)
     n = g.model.dim
-    return tr, (n + 2) * quad / norm_sq
+    return lambda xis: (tr, (n + 2) * quadratic_form(gig, xis) / quadratic_form(ginv, xis))
 
 
 def dhilb_symbol(
@@ -56,21 +54,14 @@ def dhilb_symbol(
     if trace_sign not in (1, -1):
         raise InputError("trace_sign must be +1 or -1")
     base = hilb_symbol(g)
-    n = g.model.dim
 
     def make_evaluator(points: np.ndarray):
         base_ev = base.make_evaluator(points)
-        ginv = g.inverses(points)
-        h = gdot.matrices(points)
-        tr = np.einsum("pij,pji->p", ginv, h)
-        gig = np.einsum("pij,pjk,pkl->pil", ginv, h, ginv)
+        scalars = _perturbation_scalars(g, gdot, points)
 
         def ev(xi_unit: np.ndarray) -> np.ndarray:
-            quad = np.einsum("pij,pi,pj->p", gig, xi_unit, xi_unit)
-            norm_sq = np.einsum("pij,pi,pj->p", ginv, xi_unit, xi_unit)
-            return 0.5 * base_ev(xi_unit) * (
-                trace_sign * tr + (n + 2) * quad / norm_sq
-            )
+            tr, quadr = scalars(xi_unit)
+            return 0.5 * base_ev(xi_unit) * (trace_sign * tr + quadr)
 
         return ev
 
@@ -116,10 +107,10 @@ def induced_norm_closed(
     trace_sign: int = 1,
 ) -> float:
     """Cosphere-quadrature evaluation of the closed-form induced norm."""
-    tr, quadr = _perturbation_scalars(g, gdot, quad.points, quad.xis)
+    tr, quadr = _perturbation_scalars(g, gdot, quad.points)(quad.xis)
     n = g.model.dim
     pref = 1.0 / (4.0 * n * (2.0 * math.pi) ** n)
-    return pref * float(np.dot(quad.weights, (trace_sign * tr + quadr) ** 2))
+    return pref * float((quad.weights * (trace_sign * tr + quadr) ** 2).sum())
 
 
 def szego_trace(
@@ -139,16 +130,16 @@ def szego_trace(
     for s in sources:
         if id(s) not in mats:
             mats[id(s)] = assemble(s, basis, quantization=quantization)
-    prod = mats[id(sources[0])]
-    for s in sources[1:]:
-        prod = prod @ mats[id(s)]
-    measured = float(np.trace(prod))
+    seq = [mats[id(s)] for s in sources]
+    if len(seq) == 3:  # Tr(A B) = sum A_ij B_ji: at most one matrix product
+        seq = [seq[0] @ seq[1], seq[2]]
+    measured = float(np.trace(seq[0]) if len(seq) == 1 else np.einsum("ij,ji->", *seq))
     vals = np.ones(quad.points.shape[0])
     for s in sources:
         vals = vals * s.values(quad.points, quad.xis)
-    integral = float(np.dot(quad.weights, vals))
+    integral = float((quad.weights * vals).sum())
     # a symbol integral that cancels to round-off gives a ratio of two round-offs
-    if abs(integral) <= 1e-12 * float(np.dot(quad.weights, np.abs(vals))):
+    if abs(integral) <= 1e-12 * float((quad.weights * np.abs(vals)).sum()):
         names = ",".join(s.name for s in sources)
         raise InputError(f"the predicted trace of {names!r} is zero up to round-off")
     n = basis.model.dim

@@ -1,12 +1,14 @@
 """Spectral-window compressions of multiplication and order-zero operators.
 
-On the circle and the torus both kinds of operator are built in the complex
-exponential basis u_k and converted to the real basis by the fixed unitary
-pairing cos = (u_k + u_{-k})/sqrt(2), sin = (u_k - u_{-k})/(sqrt(2) i):
-multiplication is the gather of the Fourier coefficients of f, and symbols
-follow the left Kohn-Nirenberg rule (the symbol is evaluated at the column
-frequency).  On the sphere multiplication is the Gauss-Legendre x trapezoid
-quadrature sum, separated into a phi DFT and Legendre-weighted products.
+On the circle and the torus both kinds of operator have complex-basis entries
+read from a table of Fourier coefficients: of f for multiplication, and of
+the symbol under the left Kohn-Nirenberg rule (evaluated at the column
+frequency).  The real basis pairs cos = (u_k + u_{-k})/sqrt(2) and
+sin = (u_k - u_{-k})/(sqrt(2) i), so each real 2 x 2 pair block is a sum or
+difference of four gathered coefficients; ``_real_gather`` reads them into
+the real matrix directly, in real arithmetic.  On the sphere multiplication
+is the Gauss-Legendre x trapezoid quadrature sum, separated into a phi DFT
+and Legendre-weighted products.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def assemble_multiplication(f: ScalarField, basis: EigenBasis) -> np.ndarray:
             band = np.arange(m // 2 - 1, m // 2 + 2)
             tail = max(np.take(mags, band, axis=i).max() for i in range(model.dim))
             if tail <= KN_TAIL_TOL * mags.max():
-                return _to_real(_gather(_box(coeffs, box), basis, 0, box), basis)
+                return _real_gather(_box(coeffs, box), basis, np.zeros(basis.dim, int), box)
             if 2 * m > FFT_RES_MAX:
                 raise ResolutionError(
                     f"field {f.name!r} is not resolved by the FFT grid: its Nyquist band is "
@@ -225,47 +227,51 @@ def _torus_complex_freqs(basis: EigenBasis) -> np.ndarray:
     return np.where(basis.kinds[:, None] == 2, -basis.freqs, basis.freqs)
 
 
-def _gather(table: np.ndarray, basis: EigenBasis, cols, box: int) -> np.ndarray:
-    """Complex-basis matrix bc[j, k] = table[cols[k], nu_j - nu_k] in one flat take.
+def _real_gather(table: np.ndarray, basis: EigenBasis, cols: np.ndarray, box: int,
+                 hermitian: bool = False) -> np.ndarray:
+    """Symmetrized real-basis matrix of the gather bc[j, k] = table[cols[k], nu_j - nu_k].
 
     Row c of ``table`` holds frequencies |nu_i| <= box laid out as ``_box``;
-    ``cols`` is an int array, or 0 for a one-row table.
+    ``cols`` is the table row of each complex slot.  With G_rs[a, b] =
+    bc[r k_a, s k_b] (r, s = +, -; the constant is the cos slot of k = 0 over
+    sqrt(2)), a, a' = (G++ +- G--)/2 and b, b' = (G+- +- G-+)/2, the cos-cos,
+    cos-sin, sin-cos and sin-sin blocks are Re(a + b), Im(a' - b'), -Im(a' + b')
+    and Re(a - b).  Their imaginary parts vanish when G-- = conj(G++) and G-+ =
+    conj(G+-), as for a symbol even in xi; a larger mismatch is an input error.
+    ``hermitian`` takes the blocks of (bc + bc^H)/2.
     """
-    cfreqs = _torus_complex_freqs(basis)
-    width = 2 * box + 1
-    strides = width ** np.arange(cfreqs.shape[1] - 1, -1, -1)
-    rows = cfreqs @ strides
-    start = cols * width ** len(strides) + box * strides.sum() - rows
-    return table.ravel()[rows[:, None] + start[None, :]]
+    d, width = basis.dim, 2 * box + 1
+    strides = width ** np.arange(basis.model.dim - 1, -1, -1)
+    start = cols * width ** len(strides) + box * strides.sum()
+    k = np.append(0, basis.freqs[1::2] @ strides)[:, None]  # flat offset of k per pair
+    plus, minus = np.append(start[0], start[1::2]) - k.T, np.append(start[0], start[2::2]) + k.T
+    flat = table.ravel()
+    a, ap = flat[k + plus], flat[minus - k]  # G++ and G--
+    a, ap = 0.5 * (a + ap), 0.5 * (a - ap)
+    b, bp = flat[k + minus], flat[plus - k]  # G+- and G-+
+    b, bp = 0.5 * (b + bp), 0.5 * (b - bp)
+    if hermitian:
+        a, ap, b = (0.5 * (z + z.conj().T) for z in (a, ap, b))
+        bp = 0.5 * (bp - bp.conj().T)
+    # the mismatches G-- - conj(G++) and G-+ - conj(G+-), halved
+    mismatch = max(np.abs(z).max() for z in (ap.real, a.imag, bp.real, b.imag))
+    cos = np.r_[0, 1:d:2]
+    out = np.empty((d, d))
+    out[np.ix_(cos, cos)] = (a + b).real
+    out[cos, 2::2] = (ap - bp)[:, 1:].imag
+    out[2::2, cos] = -(ap + bp)[1:].imag
+    out[2::2, 2::2] = (a - b)[1:, 1:].real
+    out[0] *= math.sqrt(0.5)
+    out[:, 0] *= math.sqrt(0.5)
+    _check_real(out, mismatch)
+    del a, ap, b, bp  # before the two d x d temporaries of the symmetrization
+    return 0.5 * (out + out.T)
 
 
-def _real_pairing(basis: EigenBasis):
-    """Index/coefficient arrays of the unitary map real basis -> complex slots.
-
-    The constant pairs with itself; the cos and sin slots of k (adjacent,
-    cos first) pair with the complex slots of +k and -k.
-    """
-    kinds = basis.kinds
-    j = np.arange(basis.dim)
-    idx_p = np.where(kinds == 2, j - 1, j)
-    idx_m = np.where(kinds == 1, j + 1, j)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    w_p = np.where(kinds == 0, 1.0, np.where(kinds == 1, inv_sqrt2, -1j * inv_sqrt2))
-    w_m = np.where(kinds == 0, 0.0, np.where(kinds == 1, inv_sqrt2, 1j * inv_sqrt2))
-    return idx_p, idx_m, w_p, w_m
-
-
-def _to_real(bc: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    """Symmetrized real-basis matrix of ``bc``; a large imaginary part is an input error."""
-    idx_p, idx_m, w_p, w_m = _real_pairing(basis)
-    c1 = np.take(bc, idx_p, axis=1) * w_p + np.take(bc, idx_m, axis=1) * w_m
-    breal = (np.conj(w_p)[:, None] * np.take(c1, idx_p, axis=0)
-             + np.conj(w_m)[:, None] * np.take(c1, idx_m, axis=0))
-    scale = max(np.abs(breal).max(), 1.0)
-    if np.abs(breal.imag).max() > 1e-9 * scale:
+def _check_real(entries: np.ndarray, mismatch: float) -> None:
+    """A conjugate-pair mismatch above 1e-9 of the largest entry is an input error."""
+    if mismatch > 1e-9 * max(np.abs(entries).max(), 1.0):
         raise InputError("quantized matrix has a non-negligible imaginary part")
-    mat = breal.real
-    return 0.5 * (mat + mat.T)
 
 
 def assemble_kohn_nirenberg(
@@ -279,14 +285,14 @@ def assemble_kohn_nirenberg(
     x -> b(x, k/|k|) at the row-minus-column frequency; the zero column uses
     the fiber average of b.  ``quantization`` is "left" or "symmetric" (the
     (left + right)/2 variant, equal to the Hermitian part in the complex
-    basis).  Output is converted to the real basis and symmetrized.
+    basis).  Output is in the real basis, symmetrized.
 
-    An x-independent symbol is evaluated on the diagonal only, on the circle
-    or the torus.  Otherwise (torus only) b is sampled at L uniform fiber
-    angles (``_fiber_samples``), and each column is the trigonometric
-    interpolant in theta of those samples at the angle of its direction: a
-    toroidal quantization whose cost grows with L, not with the number of
-    lattice directions.
+    An x-independent symbol is evaluated at +k and -k only, on the circle or
+    the torus: a real diagonal.  Otherwise (torus only) b is sampled at L
+    uniform fiber angles (``_fiber_samples``), and each column is the
+    trigonometric interpolant in theta of those samples at the angle of its
+    direction: a toroidal quantization whose cost grows with L, not with the
+    number of lattice directions.
     """
     model = basis.model
     if model.kind == "sphere2" or (model.dim == 1 and not symbol.x_independent):
@@ -298,37 +304,34 @@ def assemble_kohn_nirenberg(
         raise InputError(f"unknown quantization {quantization!r}")
     d = basis.dim
     cfreqs = _torus_complex_freqs(basis)
-    nonzero = np.any(cfreqs != 0, axis=1)
     if symbol.x_independent:
-        diag = np.zeros(d, dtype=complex)
-        diag[~nonzero] = symbol.fiber_average(np.zeros((1, model.dim)))[0]
-        ks = cfreqs[nonzero].astype(float)
-        diag[nonzero] = symbol.values(np.zeros_like(ks), ks)
-        bc = np.diag(diag)
-    else:
-        m, box = _fft_grid(basis)
-        samples = _fiber_samples(symbol, m, box)
-        nfib = samples.shape[0]
-        # distinct primitive directions of the nonzero columns
-        g = np.gcd(cfreqs[:, 0], cfreqs[:, 1])[nonzero]
-        dirs, col_dir = np.unique(cfreqs[nonzero] // g[:, None], axis=0, return_inverse=True)
-        angles = np.arctan2(dirs[:, 1], dirs[:, 0])
-        # E[l, dir] = e^{i l theta_dir}, Nyquist row cos(L theta / 2); the
-        # table C.T @ E (C the theta DFT of the samples) equals
-        # samples.T @ (DFT(E) / L), a real weight per sample: one real GEMM
-        phases = np.exp(1j * np.outer(np.fft.fftfreq(nfib, 1.0 / nfib), angles))
-        phases[nfib // 2] = np.cos(0.5 * nfib * angles)
-        weights = np.empty((nfib, len(dirs) + 1))
-        weights[:, :-1] = (np.fft.fft(phases, axis=0) / nfib).real
-        weights[:, -1] = 1.0 / nfib  # zero column: the theta mode 0
-        table = weights.T @ samples.view(float)
-        # column k reads the table row of its direction
-        cols = np.full(d, len(dirs))
-        cols[nonzero] = col_dir.ravel()
-        bc = _gather(table.view(complex), basis, cols, box)
-    if quantization == "symmetric":
-        bc = 0.5 * (bc + bc.conj().T)
-    return _to_real(bc, basis)
+        # rows (b(k), b(-k)); the pair (cos_k, sin_k) gets (b(k) + b(-k))/2
+        vals = symbol.values(np.zeros((d - 1, model.dim)), cfreqs[1:].astype(float)).reshape(-1, 2)
+        avg = symbol.fiber_average(np.zeros((1, model.dim)))
+        diag = np.append(avg, np.repeat(vals.mean(axis=1), 2))
+        _check_real(diag, 0.5 * np.ptp(vals, axis=1).max(initial=0.0))
+        return np.diag(diag)
+    m, box = _fft_grid(basis)
+    samples = _fiber_samples(symbol, m, box)
+    nfib = samples.shape[0]
+    # distinct primitive directions of the nonzero columns
+    nonzero = np.any(cfreqs != 0, axis=1)
+    g = np.gcd(cfreqs[:, 0], cfreqs[:, 1])[nonzero]
+    dirs, col_dir = np.unique(cfreqs[nonzero] // g[:, None], axis=0, return_inverse=True)
+    angles = np.arctan2(dirs[:, 1], dirs[:, 0])
+    # E[l, dir] = e^{i l theta_dir}, Nyquist row cos(L theta / 2); the
+    # table C.T @ E (C the theta DFT of the samples) equals
+    # samples.T @ (DFT(E) / L), a real weight per sample: one real GEMM
+    phases = np.exp(1j * np.outer(np.fft.fftfreq(nfib, 1.0 / nfib), angles))
+    phases[nfib // 2] = np.cos(0.5 * nfib * angles)
+    weights = np.empty((nfib, len(dirs) + 1))
+    weights[:, :-1] = (np.fft.fft(phases, axis=0) / nfib).real
+    weights[:, -1] = 1.0 / nfib  # zero column: the theta mode 0
+    table = weights.T @ samples.view(float)
+    # column k reads the table row of its direction
+    cols = np.full(d, len(dirs))
+    cols[nonzero] = col_dir.ravel()
+    return _real_gather(table.view(complex), basis, cols, box, quantization == "symmetric")
 
 
 def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
@@ -378,7 +381,15 @@ def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
     the smallest eigenvalue to 1e-8 * rho(mat).  A shift s changes the
     Bergman field by exactly s * dd(I), which callers subtract when an
     unbiased field is required.  The zero matrix cannot be lifted.
+
+    A Cholesky factor of mat - 2e-8 ||mat||_inf I certifies the floor with room
+    for its backward error (Rump, BIT 46, 2006); ``eigvalsh`` runs if it fails.
     """
+    try:
+        np.linalg.cholesky(mat - 2e-8 * np.abs(mat).sum(axis=1).max() * np.eye(mat.shape[0]))
+        return mat, 0.0
+    except np.linalg.LinAlgError:
+        pass
     w = np.linalg.eigvalsh(mat)
     eps = 1e-8 * max(abs(float(w[0])), abs(float(w[-1])))
     if eps <= 0.0:

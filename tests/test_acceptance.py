@@ -188,9 +188,8 @@ def test_c11_gradient_check():
     assert_checked("gradient")
 
 
-@pytest.mark.parametrize("stem", ["band_k0", "band_k1", "cumulative"])
-def test_sphere_tables_ignore_blas_threads(stem, tmp_path):
-    # the separated sphere assembly gives the same bytes on one and two BLAS threads
+def assert_blas_thread_independent(stem, tmp_path):
+    """The script line writes the same bytes on one and two BLAS threads."""
     blobs = []
     for threads in ("1", "2"):
         out = tmp_path / f"{threads}.csv"
@@ -201,6 +200,19 @@ def test_sphere_tables_ignore_blas_threads(stem, tmp_path):
         assert r.returncode == 0, r.stderr
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("stem", ["band_k0", "band_k1", "cumulative"])
+def test_sphere_tables_ignore_blas_threads(stem, tmp_path):
+    # the separated sphere assembly gives the same bytes on one and two BLAS threads
+    assert_blas_thread_independent(stem, tmp_path)
+
+
+@pytest.mark.parametrize("stem", ["metnorm_torus", "szego_weyl", "szego_torus_k2"])
+def test_torus_tables_ignore_blas_threads(stem, tmp_path):
+    # cosphere integrals are numpy sums, not BLAS dot products, and the szego
+    # trace of two factors is an elementwise sum, not a GEMM
+    assert_blas_thread_independent(stem, tmp_path)
 
 
 def test_c12_determinism_across_threads(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from bergman_lab.operators import (
     KN_FIBER_RES_MAX,
     ScalarField,
     SymbolField,
-    _real_pairing,
     _torus_complex_freqs,
     assemble_kohn_nirenberg,
     assemble_multiplication,
@@ -22,7 +22,7 @@ from bergman_lab.operators import (
     symbol_law_check,
     symbol_law_predict,
 )
-from bergman_lab.presets import metric_field, perturbation_field, scalar_field
+from bergman_lab.presets import metric_field, perturbation_field, scalar_field, symbol_field
 
 CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
 
@@ -274,6 +274,17 @@ class TestKohnNirenberg:
         with pytest.raises(UnsupportedModelError):
             assemble_kohn_nirenberg(sym, basis)
 
+    @pytest.mark.parametrize("quantization", ["left", "symmetric"])
+    @pytest.mark.parametrize("fn, x_independent", [
+        (lambda p, xi: xi[:, 0], True),  # xi_1 / |xi|
+        (lambda p, xi: np.cos(p[:, 0]) * xi[:, 0], False),
+    ], ids=["x-independent", "general"])
+    def test_odd_symbol_is_input_error(self, fn, x_independent, quantization):
+        # a symbol odd in xi maps real functions to imaginary ones
+        sym = SymbolField("odd", TORUS, fn, x_independent=x_independent)
+        with pytest.raises(InputError, match="non-negligible imaginary part"):
+            assemble_kohn_nirenberg(sym, basis_for(TORUS, 25), quantization=quantization)
+
 
 def per_direction_assembly(symbol, basis):
     """Kohn-Nirenberg oracle: one symbol evaluation and one FFT per direction.
@@ -307,10 +318,66 @@ def per_direction_assembly(symbol, basis):
         g = math.gcd(*k)
         coeffs = coeff_table((0, 0) if g == 0 else (k[0] // g, k[1] // g))
         bc[:, j] = coeffs[(cfreqs[:, 0] - k[0]) % m, (cfreqs[:, 1] - k[1]) % m]
+    return complex_to_real(bc, basis)
+
+
+def _real_pairing(basis):
+    """Index/coefficient arrays of the unitary map real basis -> complex slots.
+
+    The constant pairs with itself; the cos and sin slots of k (adjacent,
+    cos first) pair with the complex slots of +k and -k.
+    """
+    kinds = basis.kinds
+    j = np.arange(basis.dim)
+    idx_p = np.where(kinds == 2, j - 1, j)
+    idx_m = np.where(kinds == 1, j + 1, j)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    w_p = np.where(kinds == 0, 1.0, np.where(kinds == 1, inv_sqrt2, -1j * inv_sqrt2))
+    w_m = np.where(kinds == 0, 0.0, np.where(kinds == 1, inv_sqrt2, 1j * inv_sqrt2))
+    return idx_p, idx_m, w_p, w_m
+
+
+def complex_to_real(bc, basis):
+    """Symmetrized real part of a dense complex-basis matrix in the real basis."""
     idx_p, idx_m, w_p, w_m = _real_pairing(basis)
     c1 = bc[:, idx_p] * w_p[None, :] + bc[:, idx_m] * w_m[None, :]
     breal = np.conj(w_p)[:, None] * c1[idx_p, :] + np.conj(w_m)[:, None] * c1[idx_m, :]
     return 0.5 * (breal.real + breal.real.T)
+
+
+def complex_gather(table, basis, cols, box):
+    """Dense complex-basis matrix bc[j, k] = table[cols[k], nu_j - nu_k] in one flat take."""
+    cfreqs = _torus_complex_freqs(basis)
+    width = 2 * box + 1
+    strides = width ** np.arange(cfreqs.shape[1] - 1, -1, -1)
+    rows = cfreqs @ strides
+    start = cols * width ** len(strides) + box * strides.sum() - rows
+    return table.ravel()[rows[:, None] + start[None, :]]
+
+
+def complex_path(source, basis, quantization, monkeypatch):
+    """Assembly next to the complex-basis oracle: the dense complex matrix of the
+    same coefficient table (or of the symbol on the diagonal), through the pairing."""
+    seen = []
+    real_gather = operators._real_gather
+
+    def spy(table, basis, cols, box, hermitian=False):
+        seen.append((table, cols, box))
+        return real_gather(table, basis, cols, box, hermitian)
+
+    monkeypatch.setattr(operators, "_real_gather", spy)
+    got = operators.assemble(source, basis, quantization)
+    if seen:
+        table, cols, box = seen[0]
+        bc = complex_gather(table, basis, cols, box)
+    else:
+        cfreqs = _torus_complex_freqs(basis).astype(float)
+        vals = source.values(np.zeros_like(cfreqs[1:]), cfreqs[1:])
+        avg = source.fiber_average(np.zeros((1, basis.model.dim)))
+        bc = np.diag(np.concatenate([avg, vals])).astype(complex)
+    if quantization == "symmetric":
+        bc = 0.5 * (bc + bc.conj().T)
+    return got, complex_to_real(bc, basis)
 
 
 def _mix(p, xi):
@@ -376,6 +443,39 @@ class TestKohnNirenbergFiberFourier:
         assert directions(basis_for(TORUS, 100)) > 2 * KN_FIBER_RES
 
 
+def _even_multiplier(p, xi):
+    return 1.0 + 0.5 * xi[:, 0] ** 2
+
+
+class TestRealGather:
+    @pytest.mark.parametrize("quantization", ["left", "symmetric"])
+    @pytest.mark.parametrize("model, cutoff, source", [
+        (CIRCLE, 40, EXP_COS),
+        (TORUS, 100, EXP_MIXED),
+        (CIRCLE, 30, SymbolField("even", CIRCLE, _even_multiplier, x_independent=True)),
+        (TORUS, 100, SymbolField("even", TORUS, _even_multiplier, x_independent=True)),
+        (TORUS, 25, SymbolField("mix", TORUS, _mix)),
+        (TORUS, 100, hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS))),
+    ], ids=["circle-mult", "torus-mult", "circle-diag", "torus-diag", "torus-kn-mix",
+            "torus-kn-hilb"])
+    def test_matches_complex_oracle(self, model, cutoff, source, quantization, monkeypatch):
+        got, want = complex_path(source, basis_for(model, cutoff), quantization, monkeypatch)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_flat_multiplication_holds_no_complex_matrix(self):
+        # the dense complex detour (complex gather, pairing copies) peaked at
+        # about 10 real d x d matrices
+        basis = basis_for(TORUS, 400)
+        assemble_multiplication(EXP_03, basis)
+        tracemalloc.start()
+        try:
+            assemble_multiplication(EXP_03, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * basis.dim ** 2
+
+
 class TestPositivityRepair:
     def test_identity_unchanged(self):
         basis = basis_for(CIRCLE, 3)
@@ -394,6 +494,44 @@ class TestPositivityRepair:
         # the floor scales with the matrix, so the zero matrix has none
         with pytest.raises(InputError):
             positivity_repair(np.zeros((2, 2)))
+
+    def test_certified_matrix_needs_no_eigenvalues(self, monkeypatch):
+        mat = assemble_multiplication(EXP_MIXED, basis_for(TORUS, 25))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a certified matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        spd, shift = positivity_repair(mat)
+        assert shift == 0.0 and spd is mat
+
+    def test_uncertified_floor_falls_back(self, monkeypatch):
+        # lambda_min = 1.5e-8 rho clears the 1e-8 floor but not the 2e-8
+        # certificate shift, so eigvalsh decides
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        spd, shift = positivity_repair(np.diag([1.0, 1.5e-8]))
+        assert shift == 0.0 and calls == [1]
+
+    @pytest.mark.parametrize("mu2", [100, 225, 400])
+    def test_singular_diagonal_shift_unchanged(self, mu2):
+        # xi1sq vanishes on the k = (0, k2) pairs; the shift is eigvalsh's
+        mat = assemble_kohn_nirenberg(symbol_field("xi1sq", TORUS), basis_for(TORUS, mu2))
+        spd, shift = positivity_repair(mat)
+        want_spd, want_shift = eigvalsh_repair(mat)
+        assert shift == want_shift > 0.0
+        assert np.array_equal(spd, want_spd)
+
+
+def eigvalsh_repair(mat):
+    """Positivity repair by a full eigvalsh, as before the Cholesky certificate."""
+    w = np.linalg.eigvalsh(mat)
+    eps = 1e-8 * max(abs(float(w[0])), abs(float(w[-1])))
+    if float(w[0]) >= eps:
+        return mat, 0.0
+    shift = eps - float(w[0])
+    return mat + shift * np.eye(mat.shape[0]), shift
 
 
 class TestSymbolLawPredict:
