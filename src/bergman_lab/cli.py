@@ -3,7 +3,8 @@
 Every command writes a deterministic CSV table (header row, fixed column
 order, 17 significant digits, LF line endings) so reruns are byte-identical
 regardless of thread count.  With --check the command also evaluates its
-acceptance threshold and exits 2 on failure; input errors exit 1.
+acceptance threshold and exits 2 on failure; input errors and running out
+of memory exit 1.
 """
 
 from __future__ import annotations
@@ -314,9 +315,11 @@ def _sphere_field(ns, model):
 
 def cmd_sphere_band(ns, model):
     a = _sphere_field(ns, model)
-    grid = _opt(ns.grid, 10)
+    pts, _ = quadrature_grid(model, _opt(ns.grid, 10))
+    # the flow integral does not depend on the degree: one per command
+    integral = sphereband.flow_integral(a, ns.k, pts, ns.fiber, ns.tnodes)
     rows = map_sweep(ns, lambda n: (n, ns.k, sphereband.sphere_band_check(
-        a, n, ns.k, grid, ns.fiber, ns.tnodes)))
+        a, n, ns.k, pts, integral)))
     errs = [r[2] for r in rows]
     tol = _opt(ns.tol, 0.10 if ns.k == 0 else 0.15)
     ok = all(e <= tol for e in errs)
@@ -545,6 +548,9 @@ def main(argv=None) -> int:
         return 0
     except CLIError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # e.g. a --grid far beyond the machine
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
         return 1
 
 

@@ -16,7 +16,7 @@ Chart conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -163,6 +163,15 @@ class EigenBasis:
     def level_slice(self, index: int) -> slice:
         lv = self.levels[index]
         return slice(lv.offset, lv.offset + lv.multiplicity)
+
+    def subset(self, rows) -> "EigenBasis":
+        """Entries ``rows`` alone, in that order, without a level table.
+
+        ``eval_basis`` gives them the same values as those rows of this
+        basis, bit for bit, when the subset keeps the top degree.
+        """
+        return replace(self, levels=(), lambdas=self.lambdas[rows],
+                       kinds=self.kinds[rows], freqs=self.freqs[rows])
 
 
 def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
@@ -380,44 +389,57 @@ def g0_norm_xi(model: ManifoldModel, points: np.ndarray, xis: np.ndarray) -> np.
     return np.sqrt(xis[:, 0] ** 2 + (xis[:, 1] / st) ** 2)
 
 
-def _sphere_chart_to_ambient(theta, phi):
-    st, ct = np.sin(theta), np.cos(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    x = np.stack([st * cp, st * sp, ct], axis=-1)
-    e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)  # unit vector along d/dphi
-    return x, e_theta, e_phi
+# (time node, point) rows per chart-conversion block of geodesic_flow_sphere:
+# bounds its temporaries to a few MB whatever the number of time nodes
+_FLOW_BLOCK = 1 << 16
 
 
 def geodesic_flow_sphere(points: np.ndarray, xis: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """Great-circle flow G^t on S*S^2 in chart coordinates.
 
-    Accepts arrays of points (P, 2), covectors (P, 2) and times broadcastable
-    against P; the computation runs in ambient R^3 so pole crossings along
-    the way are harmless.  Raises ChartError only if an *output* point lands
-    on a pole.
+    Points (P, 2) and covectors (P, 2) flow for each time in ``t``: a 1-D
+    vector of T times gives points and covectors of shape (T, P, 2), entry
+    [i] the flow to time t[i]; a scalar time gives (P, 2).  The base frame
+    is built once; the flow runs in ambient R^3 (x cos t + v sin t), so pole
+    crossings along the way are harmless, and converts back to the chart in
+    blocks of about ``_FLOW_BLOCK`` rows.  Raises ChartError if an input
+    point or an *output* point at any time lies on a pole.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     xi = np.atleast_2d(np.asarray(xis, dtype=float))
     t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise InputError("flow times must be a scalar or a 1-D vector")
+    ts = t.reshape(-1, 1)
     theta, phi = pts[:, 0], pts[:, 1]
     st = np.sin(theta)
     if np.any(st <= 0.0):
         raise ChartError("flow input at a pole")
-    x, e_th, e_ph = _sphere_chart_to_ambient(theta, phi)
-    # velocity dual to xi: v = xi_theta e_theta + (xi_phi / sin theta) e_phi
-    v = xi[:, :1] * e_th + (xi[:, 1:2] / st[:, None]) * e_ph
-    ct, s_t = np.cos(t), np.sin(t)
-    xt = ct[..., None] * x + s_t[..., None] * v
-    vt = -s_t[..., None] * x + ct[..., None] * v
-    x3 = np.clip(xt[..., 2], -1.0, 1.0)
-    if np.any(np.abs(x3) >= 1.0 - 1e-14):
-        raise ChartError("flow output at a pole")
-    theta_t = np.arccos(x3)
-    phi_t = np.mod(np.arctan2(xt[..., 1], xt[..., 0]), 2.0 * math.pi)
-    st_t = np.sin(theta_t)
-    _, e_th_t, e_ph_t = _sphere_chart_to_ambient(theta_t, phi_t)
-    v_th = np.sum(vt * e_th_t, axis=-1)
-    v_ph_unit = np.sum(vt * e_ph_t, axis=-1)
-    xi_t = np.stack([v_th, v_ph_unit * st_t], axis=-1)
-    return np.stack([theta_t, phi_t], axis=-1), xi_t
+    ct, cp, sp = np.cos(theta), np.cos(phi), np.sin(phi)
+    # position x and the velocity dual to xi, v = xi_theta e_theta + (xi_phi / sin theta) e_phi,
+    # with e_theta = (ct cp, ct sp, -st) and e_phi = (-sp, cp, 0), component by component
+    x = (st * cp, st * sp, ct)
+    xi_th, xi_ph = xi[:, 0], xi[:, 1] / st
+    v = (xi_th * (ct * cp) + xi_ph * -sp, xi_th * (ct * sp) + xi_ph * cp, xi_th * -st)
+    out_pts = np.empty((len(ts), *pts.shape))
+    out_xis = np.empty((len(ts), *pts.shape))
+    step = max(1, _FLOW_BLOCK // max(len(st), 1))
+    for lo in range(0, len(ts), step):
+        blk = slice(lo, lo + step)
+        cos_t, sin_t = np.cos(ts[blk]), np.sin(ts[blk])
+        x3 = np.clip(cos_t * x[2] + sin_t * v[2], -1.0, 1.0)
+        if np.any(np.abs(x3) >= 1.0 - 1e-14):
+            raise ChartError("flow output at a pole")
+        theta_t = np.arccos(x3)
+        phi_t = np.mod(np.arctan2(cos_t * x[1] + sin_t * v[1], cos_t * x[0] + sin_t * v[0]),
+                       2.0 * math.pi)
+        st_t, ct_t = np.sin(theta_t), np.cos(theta_t)
+        cp_t, sp_t = np.cos(phi_t), np.sin(phi_t)
+        # velocity at time t, projected on the frame at the flowed point
+        vt = [-sin_t * x[i] + cos_t * v[i] for i in range(3)]
+        out_pts[blk, :, 0], out_pts[blk, :, 1] = theta_t, phi_t
+        out_xis[blk, :, 0] = vt[0] * (ct_t * cp_t) + vt[1] * (ct_t * sp_t) + vt[2] * -st_t
+        out_xis[blk, :, 1] = (vt[0] * -sp_t + vt[1] * cp_t) * st_t
+    if t.ndim == 0:
+        return out_pts[0], out_xis[0]
+    return out_pts, out_xis

@@ -382,15 +382,20 @@ def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
     Bergman field by exactly s * dd(I), which callers subtract when an
     unbiased field is required.  The zero matrix cannot be lifted.
 
-    A Cholesky factor of mat - 2e-8 ||mat||_inf I certifies the floor with room
-    for its backward error (Rump, BIT 46, 2006); ``eigvalsh`` runs if it fails.
+    A diagonal matrix (the x-independent Kohn-Nirenberg case) has its sorted
+    diagonal as eigenvalues.  Otherwise a Cholesky factor of
+    mat - 2e-8 ||mat||_inf I certifies the floor with room for its backward
+    error (Rump, BIT 46, 2006); ``eigvalsh`` runs if it fails.
     """
-    try:
-        np.linalg.cholesky(mat - 2e-8 * np.abs(mat).sum(axis=1).max() * np.eye(mat.shape[0]))
-        return mat, 0.0
-    except np.linalg.LinAlgError:
-        pass
-    w = np.linalg.eigvalsh(mat)
+    if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):  # no off-diagonal entry
+        w = np.sort(np.diagonal(mat))
+    else:
+        try:
+            np.linalg.cholesky(mat - 2e-8 * np.abs(mat).sum(axis=1).max() * np.eye(mat.shape[0]))
+            return mat, 0.0
+        except np.linalg.LinAlgError:
+            pass
+        w = np.linalg.eigvalsh(mat)
     eps = 1e-8 * max(abs(float(w[0])), abs(float(w[-1])))
     if eps <= 0.0:
         raise InputError("cannot shift the zero matrix onto the SPD cone")

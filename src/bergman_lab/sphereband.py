@@ -62,6 +62,7 @@ def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> Tensor2Fi
 
     sum_{m,m'} <a Y_{N,m}, Y_{N+k,m'}>  dY_{N+k,m'} (x) dY_{N,m}, the
     cross matrix being the (N+k, N) block of the multiplication quadrature.
+    Only the rows of the two levels are evaluated, out-level rows first.
     """
     if n_deg < 1 or n_deg + k < 1:
         raise InputError("band degrees must be at least 1")
@@ -70,8 +71,10 @@ def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> Tensor2Fi
     sl_in, sl_out = big.level_slice(n_deg), big.level_slice(n_deg + k)
     cross = sphere_block(a, big, sl_out, sl_in)  # (d_out, d_in)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, grads = eval_basis(big, pts)
-    tensor = _contract(cross, grads[sl_out], grads[sl_in])
+    rows = np.r_[sl_out] if k == 0 else np.r_[sl_out, sl_in]
+    _, grads = eval_basis(big.subset(rows), pts)
+    d_out, d_in = cross.shape
+    tensor = _contract(cross, grads[:d_out], grads[-d_in:])
     tensor = 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
     return Tensor2Field(model, pts, tensor)
 
@@ -88,50 +91,45 @@ def geodesic_average(source, points, xis, k: int = 0, t_res: int = 64) -> np.nda
     # half-step offset: same exactness for periodic integrands, and meridional
     # geodesics from equatorial points no longer land on poles at the nodes
     ts = 2.0 * math.pi * (np.arange(t_res) + 0.5) / t_res
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xi = np.atleast_2d(np.asarray(xis, dtype=float))
-    flow_pts = np.empty((t_res, *pts.shape))
-    flow_xis = np.empty((t_res, *pts.shape))
-    for i, t in enumerate(ts):  # flow every row one time step at a time
-        flow_pts[i], flow_xis[i] = geodesic_flow_sphere(pts, xi, t)
+    flow_pts, flow_xis = geodesic_flow_sphere(points, xis, ts)  # (T, Q, 2) each
     vals = source.values(flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2))
     weights = (2.0 * math.pi / t_res) * np.exp(-1j * k * ts)
     return np.tensordot(weights, vals.reshape(t_res, -1), axes=(0, 0))
 
 
-def band_predict(
-    a, n_deg: int, k: int, points: np.ndarray, fiber_res: int = 32, t_res: int = 64
-) -> Tensor2Field:
-    """Geodesic-flow prediction for the (N+k, N) band tensor."""
-    model = sphere2()
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    reps, xis, wf = fiber_bundle(model, pts, fiber_res)
+def flow_integral(a, k: int, points: np.ndarray, fiber_res: int = 32, t_res: int = 64) -> np.ndarray:
+    """Fiber integral of the geodesic average times xi (x) xi at each point, (P, 2, 2).
+
+    The degree-independent part of ``band_predict``: a sweep over N at one
+    offset k computes it once.
+    """
+    reps, xis, wf = fiber_bundle(sphere2(), points, fiber_res)
     # imaginary parts cancel only under the fiber pairing xi <-> -xi
     integ = fiber_tensor(geodesic_average(a, reps, xis, k, t_res), xis, wf)
     if np.abs(integ.imag).max() > 1e-8 * (1.0 + np.abs(integ.real).max()):
         raise InputError("band prediction has a non-negligible imaginary part")
-    integ = integ.real
+    return integ.real
+
+
+def band_predict(integral: np.ndarray, n_deg: int, k: int, points: np.ndarray) -> Tensor2Field:
+    """Geodesic-flow prediction for the (N+k, N) band tensor from its ``flow_integral``."""
+    model = sphere2()
     mu_in = math.sqrt(n_deg * (n_deg + 1))
     mu_out = math.sqrt((n_deg + k) * (n_deg + k + 1))
     scale = mu_in * mu_out * (2 * n_deg + k + 1) / 2.0
-    n = model.dim
-    pref = (2.0 * math.pi) ** (-(n + 1)) * scale
-    return Tensor2Field(model, pts, pref * integ)
+    pref = (2.0 * math.pi) ** (-(model.dim + 1)) * scale
+    return Tensor2Field(model, np.atleast_2d(np.asarray(points, dtype=float)), pref * integral)
 
 
 def sphere_band_check(
-    a: ScalarField,
-    n_deg: int,
-    k: int,
-    grid_res: int = 10,
-    fiber_res: int = 32,
-    t_res: int = 64,
+    a: ScalarField, n_deg: int, k: int, points: np.ndarray, integral: np.ndarray
 ) -> float:
-    """Sup-normalized relative error of band_dd against band_predict."""
-    pts, _ = quadrature_grid(sphere2(), grid_res)
-    measured = band_dd(a, n_deg, k, pts)
-    predicted = band_predict(a, n_deg, k, pts, fiber_res, t_res)
-    return sup_relative_error(measured, predicted.values, a.name)
+    """Sup-normalized relative error of band_dd against band_predict.
+
+    ``integral`` is the ``flow_integral`` of ``a`` and k at ``points``.
+    """
+    measured = band_dd(a, n_deg, k, points)
+    return sup_relative_error(measured, band_predict(integral, n_deg, k, points).values, a.name)
 
 
 def cumulative_band_sum(

@@ -265,6 +265,35 @@ class TestMainInProcess:
         err = capsys.readouterr().err
         assert err.startswith("error:") and reason in err and repr(spec) in err, err
 
+    def test_band_sweep_flows_the_cosphere_once(self, monkeypatch, capsys):
+        # the flow integral has no degree in it: one per command, not per point
+        from bergman_lab import sphereband
+
+        calls = []
+        average = sphereband.geodesic_average
+        monkeypatch.setattr(sphereband, "geodesic_average",
+                            lambda *a, **kw: calls.append(1) or average(*a, **kw))
+        assert main(["sphere-band", "--model", "sphere2", "--n", "3,5",
+                     "--grid", "4", "--fiber", "8"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert calls == [1]
+
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"), "7.28 TiB"),
+        (MemoryError(), "allocation failed"),
+    ])
+    def test_out_of_memory_is_error_line(self, exc, detail, monkeypatch, capsys):
+        from bergman_lab import sphereband
+
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(sphereband, "band_dd", exhausted)
+        assert main(["sphere-band", "--model", "sphere2", "--n", "5",
+                     "--grid", "4", "--fiber", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and detail in err, err
+
     def test_too_few_t_nodes_is_input_error(self, capsys):
         assert main(["sphere-band", "--model", "sphere2", "--a", "x3", "--k", "1",
                      "--n", "5", "--tnodes", "4"]) == 1

@@ -306,6 +306,67 @@ class TestGeodesicFlow:
         with pytest.raises(ChartError):
             geodesic_flow_sphere(start, xi, math.pi / 2)
 
+    def test_time_vector_matches_per_time_calls(self):
+        pts, xis = cosphere_rows(997)
+        ts = np.linspace(-7.0, 9.0, 23)
+        flow_pts, flow_xis = geodesic_flow_sphere(pts, xis, ts)
+        assert flow_pts.shape == flow_xis.shape == (23, 997, 2)
+        for i, t in enumerate(ts):
+            one_pts, one_xis = geodesic_flow_sphere(pts, xis, t)
+            assert one_pts.shape == (997, 2)
+            assert np.array_equal(flow_pts[i], one_pts) and np.array_equal(flow_xis[i], one_xis)
+
+    @pytest.mark.parametrize("rows", [5, 40_000])  # one block; one time node per block
+    def test_matches_stacked_frame_flow(self, rows):
+        pts, xis = cosphere_rows(rows)
+        ts = 2.0 * math.pi * (np.arange(6) + 0.5) / 6
+        flow_pts, flow_xis = geodesic_flow_sphere(pts, xis, ts)
+        for i, t in enumerate(ts):
+            want_pts, want_xis = stacked_frame_flow(pts, xis, t)
+            assert np.array_equal(flow_pts[i], want_pts) and np.array_equal(flow_xis[i], want_xis)
+
+    @pytest.mark.parametrize("rows", [1, 40_000])
+    def test_pole_at_any_time_node_is_chart_error(self, rows):
+        start = np.tile([[math.pi / 2, 0.0]], (rows, 1))
+        xi = np.tile([[1.0, 0.0]], (rows, 1))  # meridians: at the pole at t = pi/2
+        geodesic_flow_sphere(start, xi, np.array([0.1, 1.0, 2.0]))
+        with pytest.raises(ChartError):
+            geodesic_flow_sphere(start, xi, np.array([0.1, 1.0, math.pi / 2, 2.0]))
+
+    def test_time_table_is_input_error(self):
+        with pytest.raises(InputError):
+            geodesic_flow_sphere(self.p, self.xi, np.zeros((2, 2)))
+
+
+def cosphere_rows(rows, seed=7):
+    """Random chart points off the poles with unit covectors, (rows, 2) each."""
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack([rng.uniform(0.05, math.pi - 0.05, rows),
+                           rng.uniform(0.0, 2.0 * math.pi, rows)])
+    alpha = rng.uniform(0.0, 2.0 * math.pi, rows)
+    return pts, np.column_stack([np.cos(alpha), np.sin(alpha) * np.sin(pts[:, 0])])
+
+
+def stacked_frame_flow(points, xis, t):
+    """Reference flow to one time t by stacked ambient 3-vectors, as before vectorization."""
+    def frame(theta, phi):
+        st, ct, cp, sp = np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
+        return (np.stack([st * cp, st * sp, ct], axis=-1),
+                np.stack([ct * cp, ct * sp, -st], axis=-1),
+                np.stack([-sp, cp, np.zeros_like(sp)], axis=-1))
+
+    theta, phi = points[:, 0], points[:, 1]
+    x, e_th, e_ph = frame(theta, phi)
+    v = xis[:, :1] * e_th + (xis[:, 1:2] / np.sin(theta)[:, None]) * e_ph
+    xt = np.cos(t) * x + np.sin(t) * v
+    vt = -np.sin(t) * x + np.cos(t) * v
+    theta_t = np.arccos(np.clip(xt[:, 2], -1.0, 1.0))
+    phi_t = np.mod(np.arctan2(xt[:, 1], xt[:, 0]), 2.0 * math.pi)
+    _, e_th_t, e_ph_t = frame(theta_t, phi_t)
+    xi_t = np.stack([np.sum(vt * e_th_t, axis=-1),
+                     np.sum(vt * e_ph_t, axis=-1) * np.sin(theta_t)], axis=-1)
+    return np.stack([theta_t, phi_t], axis=-1), xi_t
+
 
 class TestPointTypes:
     """Chart points and covectors are plain arrays; these checks apply to them."""

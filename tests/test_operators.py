@@ -507,16 +507,44 @@ class TestPositivityRepair:
 
     def test_uncertified_floor_falls_back(self, monkeypatch):
         # lambda_min = 1.5e-8 rho clears the 1e-8 floor but not the 2e-8
-        # certificate shift, so eigvalsh decides
+        # certificate shift, so eigvalsh decides; the rotation keeps the
+        # matrix off the diagonal path
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
-        spd, shift = positivity_repair(np.diag([1.0, 1.5e-8]))
+        c, s = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        spd, shift = positivity_repair(rot @ np.diag([1.0, 1.5e-8]) @ rot.T)
         assert shift == 0.0 and calls == [1]
+
+    @pytest.mark.parametrize("diag", [
+        [0.0, 2.0, 0.0, 1.0],           # exact zeros, as xi1sq gives
+        [-0.5, 1.0, 3e-9, 2.0],         # a negative entry
+        [1.0, 1.5e-8],                  # between the floor and the certificate
+        [3.0, 1.0, 2.0],                # positive definite
+        [-1.0, -2.0],
+    ])
+    def test_diagonal_needs_no_factorization(self, diag, monkeypatch):
+        mat = np.diag(diag)
+        want_spd, want_shift = eigvalsh_repair(mat)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorization run on a diagonal matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        spd, shift = positivity_repair(mat)
+        assert shift == want_shift and np.array_equal(spd, want_spd)
+
+    def test_zero_diagonal_is_input_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        with pytest.raises(InputError):
+            positivity_repair(np.zeros((3, 3)))
 
     @pytest.mark.parametrize("mu2", [100, 225, 400])
     def test_singular_diagonal_shift_unchanged(self, mu2):
-        # xi1sq vanishes on the k = (0, k2) pairs; the shift is eigvalsh's
+        # xi1sq vanishes on the k = (0, k2) pairs of its diagonal matrix; the
+        # shift from the sorted diagonal is eigvalsh's
         mat = assemble_kohn_nirenberg(symbol_field("xi1sq", TORUS), basis_for(TORUS, mu2))
         spd, shift = positivity_repair(mat)
         want_spd, want_shift = eigvalsh_repair(mat)

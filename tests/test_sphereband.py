@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bergman_lab.bergman import _contract
 from bergman_lab.errors import InputError
-from bergman_lab.manifolds import basis_for, eval_basis, quadrature_grid, sphere2
+from bergman_lab.manifolds import basis_for, eval_basis, fiber_bundle, quadrature_grid, sphere2
 from bergman_lab.operators import ScalarField, assemble_multiplication, sphere_block
 from bergman_lab.presets import scalar_field
 from bergman_lab.sphereband import (
@@ -13,6 +14,7 @@ from bergman_lab.sphereband import (
     band_dd,
     band_predict,
     cumulative_band_sum,
+    flow_integral,
     geodesic_average,
     sphere_band_check,
     takahashi_check,
@@ -80,6 +82,21 @@ class TestBandDD:
         want = 0.5 * (want + np.transpose(want, (0, 2, 1)))
         got = band_dd(field, n_deg, k, self.pts).values
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_deg, k", [(5, 0), (5, 2), (6, -1), (40, 0), (20, 1)])
+    def test_level_rows_equal_full_basis_rows(self, n_deg, k):
+        # band_dd evaluates only levels N and N+k; their rows are bit-identical
+        big = basis_for(SPHERE, max(n_deg, n_deg + k))
+        sl_in, sl_out = big.level_slice(n_deg), big.level_slice(n_deg + k)
+        rows = np.r_[sl_out] if k == 0 else np.r_[sl_out, sl_in]
+        vals, grads = eval_basis(big.subset(rows), self.pts)
+        all_vals, all_grads = eval_basis(big, self.pts)
+        assert np.array_equal(vals, all_vals[rows]) and np.array_equal(grads, all_grads[rows])
+        field = scalar_field("exp:0.5cos(phi)+0.3x3", SPHERE)
+        cross = sphere_block(field, big, sl_out, sl_in)
+        want = _contract(cross, all_grads[sl_out], all_grads[sl_in])
+        want = 0.5 * (want + np.transpose(want, (0, 2, 1)))
+        assert np.array_equal(band_dd(field, n_deg, k, self.pts).values, want)
 
     def test_unit_function_diagonal_band(self):
         fld = band_dd(ONE, 5, 0, self.pts)
@@ -160,6 +177,21 @@ class TestGeodesicAverage:
             geodesic_average(ONE, self.point, self.xi, 0, t_res=16)
 
 
+    @pytest.mark.parametrize("fiber_res", [32, 64])  # the library and the CLI fiber
+    def test_flow_temporaries_are_blocked(self, fiber_res):
+        # the (T, Q, 2) flow outputs and b on them dominate; unblocked (T, Q, 3)
+        # frame temporaries would add several more 8 T Q tables
+        pts, _ = quadrature_grid(SPHERE, 10)
+        reps, xis, _ = fiber_bundle(SPHERE, pts, fiber_res)
+        table = 8 * 64 * len(reps)  # bytes of one (T, Q) float table, T = 64
+        tracemalloc.start()
+        try:
+            geodesic_average(A_TEST, reps, xis, 0, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * table, peak / table
+
     def test_accepts_cosphere_point(self):
         # rows are independent cosphere points: a batch equals row-by-row calls
         pts = np.array([[1.1, 0.7], [math.pi / 2, 0.3]])
@@ -171,26 +203,32 @@ class TestGeodesicAverage:
             assert abs(batch[row] - single[0]) <= 1e-13
 
 
+def band_errors(a, degrees, k, grid_res=10, fiber_res=32):
+    """sphere_band_check at each degree, sharing one flow integral as a sweep does."""
+    pts, _ = quadrature_grid(SPHERE, grid_res)
+    integral = flow_integral(a, k, pts, fiber_res)
+    return [sphere_band_check(a, n, k, pts, integral) for n in degrees]
+
+
 class TestBandChecks:
     def test_unit_function_prediction_is_exact(self):
         pts, _ = quadrature_grid(SPHERE, 6)
-        pred = band_predict(ONE, 7, 0, pts)
+        pred = band_predict(flow_integral(ONE, 0, pts), 7, 0, pts)
         meas = band_dd(ONE, 7, 0, pts)
         assert np.abs(pred.values - meas.values).max() <= 1e-8 * np.abs(
             meas.values
         ).max()
 
     def test_even_test_function_small_error(self):
-        err = sphere_band_check(A_TEST, 20, 0)
+        err = band_errors(A_TEST, [20], 0)[0]
         assert err <= 0.10
 
     def test_error_decreases_with_degree(self):
-        e20 = sphere_band_check(A_TEST, 20, 0)
-        e40 = sphere_band_check(A_TEST, 40, 0)
+        e20, e40 = band_errors(A_TEST, [20, 40], 0)
         assert e40 <= 0.7 * e20
 
     def test_odd_function_adjacent_band(self):
-        err = sphere_band_check(X3, 20, 1)
+        err = band_errors(X3, [20], 1)[0]
         assert err <= 0.15
 
     def test_cumulative_halving_trend(self):
