@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -37,7 +36,7 @@ from .manifolds import (
     model_by_name,
     quadrature_grid,
 )
-from .operators import tail_defect, symbol_law_check
+from .operators import assemble, tail_defect, symbol_law_check
 from .presets import (
     PRESET_HELP,
     metric_field,
@@ -81,6 +80,8 @@ def run_parallel(tasks, threads: int) -> list:
     """Evaluate independent thunks, merging results in task order."""
     if threads <= 1 or len(tasks) <= 1:
         return [t() for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor  # only the pool pays for the import
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(t) for t in tasks]
         return [f.result() for f in futures]
@@ -129,8 +130,8 @@ def _opt(value, default):
     return default if value is None else value
 
 
-def map_sweep(ns: argparse.Namespace, point, default=None) -> list:
-    """``point(c)`` for every sweep value c, on the thread pool, in sweep order.
+def sweep_values(ns: argparse.Namespace, default=None) -> list:
+    """The sweep, increasing; its last value is the top window.
 
     Level 0 has mu = 0, which the sweeps divide by, so the sweep starts at 1.
     """
@@ -141,7 +142,18 @@ def map_sweep(ns: argparse.Namespace, point, default=None) -> list:
         )
     if sweep[0] < 1:
         raise InputError("sweep values must be at least 1 (level 0 has mu = 0)")
+    return sweep
+
+
+def map_sweep(ns: argparse.Namespace, point, default=None) -> list:
+    """``point(c)`` for every sweep value c, on the thread pool, in sweep order."""
+    sweep = sweep_values(ns, default)
     return run_parallel([functools.partial(point, c) for c in sweep], ns.threads)
+
+
+def _top_window(ns, model, scale: int = 1):
+    """Basis of the sweep's top window (times ``scale``), which the sweep slices."""
+    return basis_for(model, scale * sweep_values(ns)[-1])
 
 
 def cmd_spectra(ns, model):
@@ -194,10 +206,10 @@ def _bergman_source(ns, model):
 
 def cmd_bergman(ns, model):
     source = _bergman_source(ns, model)
-    grid = _opt(ns.grid, _default_grid(model))
-    rows = map_sweep(
-        ns, lambda c: symbol_law_check(source, model, [c], grid, ns.fiber)[0]
-    )
+    pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
+    mat = assemble(source, _top_window(ns, model))
+    rows = map_sweep(ns, lambda c: (c, *symbol_law_check(
+        source, mat, basis_for(model, c), pts, ns.fiber)))
     errs = [r[2] for r in rows]
     tol = _opt(ns.tol, 0.10)
     ok = errs[-1] <= tol and trend_ok(errs)
@@ -209,11 +221,13 @@ def cmd_tail_defect(ns, model):
     if ns.f is None:
         raise InputError("tail-defect needs a multiplication field --f")
     f = scalar_field(ns.f, model)
-    grid = _opt(ns.grid, _default_grid(model))
+    pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
+    # the largest outer window holds every (inner, outer = 2 inner) pair
+    mat = assemble(f, _top_window(ns, model, 2))
 
     def one(c):
-        mu = math.sqrt(basis_for(model, c).levels[-1].mu_sq)
-        return (c, mu, tail_defect(f, model, c, 2 * c, grid))
+        inner = basis_for(model, c)
+        return (c, inner.mu_top, tail_defect(f, mat, inner, basis_for(model, 2 * c), pts))
 
     rows = map_sweep(ns, one)
     tol = _opt(ns.tol, 0.20)
@@ -228,10 +242,10 @@ def cmd_hilb_approx(ns, model):
         raise InputError("hilb-approx needs --metric")
     g = metric_field(ns.metric, model)
     pts, w = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
+    r = hilb.hilb_n(g, _top_window(ns, model), quantization=ns.quantization)
 
     def one(c):
-        basis = basis_for(model, c)
-        fld, shift = hilb.approximate(g, basis, pts, quantization=ns.quantization)
+        fld, shift = hilb.approximate(r, basis_for(model, c), pts)
         sup, l2 = relative_errors(fld, g, w)
         return (c, sup, l2, shift)
 
@@ -253,10 +267,10 @@ def cmd_met_norm(ns, model):
     g = metric_field(_opt(ns.metric, "g0"), model)
     gdot = perturbation_field(ns.gdot, model)
     closed = metspace.induced_norm_closed(g, gdot, _cosphere(ns, model))
+    r, rdot = metspace.trace_operators(g, gdot, _top_window(ns, model), ns.quantization)
 
     def one(c):
-        basis = basis_for(model, c)
-        tr = metspace.induced_norm_trace(g, gdot, basis, quantization=ns.quantization)
+        tr = metspace.induced_norm_trace(r, rdot, basis_for(model, c))
         return (c, tr, closed, tr / closed)
 
     rows = map_sweep(ns, one)

@@ -83,12 +83,16 @@ class MetricField:
 
     ``conformal_u`` is set when the metric is e^u g0 for a scalar u; several
     assemblies (notably on the sphere) are only available in that case.
+    ``x_independent`` marks a metric with constant components in a
+    g0-orthonormal frame (g0 itself), so symbols built from it, such as its
+    hilb symbol, depend on the covector only.
     """
 
     name: str
     model: ManifoldModel
     matrix_fn: Callable[[np.ndarray], np.ndarray]
     conformal_u: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    x_independent: bool = False
 
     def matrices(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -145,6 +149,7 @@ def reference_metric(model: ManifoldModel) -> MetricField:
         "g0", model,
         lambda pts: g0_matrices(model, pts),
         conformal_u=lambda pts: np.zeros(np.atleast_2d(pts).shape[0]),
+        x_independent=True,
     )
 
 

@@ -5,7 +5,8 @@ cosphere, with c_n = n (n+2) (2 pi)^n / Vol(S^{n-1}), quantizes to an inner
 product whose Bergman metric converges to g after the mu^{-(n+2)} rescale.
 On the circle the symbol is fiber-even, and for conformal metrics it is
 fiber-independent, so both cases reduce to multiplication operators; the
-torus uses the full quantization.
+torus uses the full quantization, and g0 the diagonal of an x-independent
+symbol.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from .bergman import dd_kernel
 from .errors import UnsupportedModelError
 from .fields import MetricField, Tensor2Field, quadratic_form
 from .manifolds import EigenBasis
-from .operators import (
-    SymbolField,
-    assemble_kohn_nirenberg,
-    assemble_multiplication,
-    positivity_repair,
-)
+from .operators import SymbolField, assemble, positivity_repair
 
 
 def normalization_constant(n: int) -> float:
@@ -51,47 +47,36 @@ def hilb_symbol(g: MetricField) -> SymbolField:
     def fn(points: np.ndarray, xi_unit: np.ndarray) -> np.ndarray:
         return make_evaluator(np.atleast_2d(points))(xi_unit)
 
-    return SymbolField(f"hilb[{g.name}]", model, fn, make_evaluator=make_evaluator)
+    return SymbolField(f"hilb[{g.name}]", model, fn, x_independent=g.x_independent,
+                       make_evaluator=make_evaluator)
 
 
-def hilb_n(
-    g: MetricField, basis: EigenBasis, quantization: str = "left"
-) -> tuple[np.ndarray, float]:
-    """Matrix of the inner product <Hilb(g) . , .> on the spectral window.
+def hilb_n(g: MetricField, basis: EigenBasis, quantization: str = "left") -> np.ndarray:
+    """Matrix of the inner product <Hilb(g) . , .> on the spectral window, unrepaired.
 
-    circle: any metric (the symbol is even in the one-dimensional fiber, so
-    quantization is multiplication).  torus2: any metric, by Kohn-Nirenberg.
-    sphere2: conformal metrics only (fiber-independent symbol); anything
-    else raises UnsupportedModelError.  The matrix is repaired onto the SPD
-    cone and returned with the applied shift; the unshifted assembly is the
-    matrix minus shift * I.
+    ``operators.assemble`` picks the assembly: Kohn-Nirenberg on torus2, and
+    on the circle multiplication (the symbol is even in the one-dimensional
+    fiber); sphere2 takes conformal metrics only (a fiber-independent symbol,
+    so multiplication), anything else raises UnsupportedModelError.  For g0
+    the symbol is the constant c_n, x-independent, so flat windows get the
+    exact diagonal c_n I with no fiber sampling.  The leading d x d block is
+    the matrix of the first d basis elements up to round-off, so a sweep
+    assembles its top window once; each window repairs its own block with
+    ``positivity_repair``.
     """
-    symbol = hilb_symbol(g)
-    if g.model.kind == "torus2":
-        mat = assemble_kohn_nirenberg(symbol, basis, quantization=quantization)
-    elif g.model.kind == "sphere2" and g.conformal_u is None:
+    if g.model.kind == "sphere2" and g.conformal_u is None:
         raise UnsupportedModelError("sphere assembly supports conformal metrics e^u g0 only")
-    else:
-        mat = assemble_multiplication(symbol.fiber_restriction(), basis)
-    return positivity_repair(mat)
+    return assemble(hilb_symbol(g), basis, quantization=quantization)
 
 
-def approximate(
-    g: MetricField,
-    basis: EigenBasis,
-    points: np.ndarray,
-    quantization: str = "left",
-) -> tuple[Tensor2Field, float]:
-    """Normalized Bergman approximation mu^{-(n+2)} E_N(Hilb_N(g)) of g.
+def approximate(r: np.ndarray, basis: EigenBasis, points: np.ndarray) -> tuple[Tensor2Field, float]:
+    """Normalized Bergman approximation mu^{-(n+2)} E_N(Hilb_N(g)) of g on one window.
 
-    The positivity-repair shift is compensated exactly (a shift s adds
-    s * dd(I), so the unshifted assembly is used).  Returns the field and
-    the shift that was compensated.
+    ``r`` is ``hilb_n(g, top)`` over a window whose leading block is
+    ``basis``.  The block's positivity-repair shift is returned, not applied
+    (a shift s would add s * dd(I)), so the field is that of the assembly.
     """
-    mat, shift = hilb_n(g, basis, quantization=quantization)
-    if shift != 0.0:
-        mat = mat - shift * np.eye(basis.dim)
-    n = g.model.dim
-    scale = basis.mu_top ** -(n + 2)
-    field = dd_kernel(mat, basis, points)
-    return field.scaled(scale), shift
+    block = r[:basis.dim, :basis.dim]
+    _, shift = positivity_repair(block)
+    field = dd_kernel(block, basis, points)
+    return field.scaled(basis.mu_top ** -(basis.model.dim + 2)), shift

@@ -33,7 +33,6 @@ class ManifoldModel:
     kind: str
     dim: int
     volume: float
-    injectivity_radius: float
 
     @property
     def sphere_fiber_volume(self) -> float:
@@ -42,15 +41,15 @@ class ManifoldModel:
 
 
 def circle() -> ManifoldModel:
-    return ManifoldModel(CIRCLE, 1, 2.0 * math.pi, math.pi)
+    return ManifoldModel(CIRCLE, 1, 2.0 * math.pi)
 
 
 def torus2() -> ManifoldModel:
-    return ManifoldModel(TORUS2, 2, 4.0 * math.pi**2, math.pi)
+    return ManifoldModel(TORUS2, 2, 4.0 * math.pi**2)
 
 
 def sphere2() -> ManifoldModel:
-    return ManifoldModel(SPHERE2, 2, 4.0 * math.pi, math.pi)
+    return ManifoldModel(SPHERE2, 2, 4.0 * math.pi)
 
 
 _MODELS = {CIRCLE: circle, TORUS2: torus2, SPHERE2: sphere2}

@@ -23,7 +23,7 @@ from .errors import InputError, UnsupportedModelError
 from .fields import MetricField, MetricPerturbation, quadratic_form
 from .hilb import hilb_n, hilb_symbol
 from .manifolds import CosphereQuadrature, EigenBasis
-from .operators import SymbolField, assemble
+from .operators import SymbolField, assemble, is_diagonal, positivity_repair
 
 
 def _perturbation_scalars(g: MetricField, gdot: MetricPerturbation, points):
@@ -74,30 +74,39 @@ def dhilb_symbol(
     )
 
 
-def induced_norm_trace(
+def trace_operators(
     g: MetricField,
     gdot: MetricPerturbation,
     basis: EigenBasis,
     quantization: str = "left",
     trace_sign: int = 1,
-) -> float:
-    """mu_N^{-n} Tr(R^{-1} Rdot R^{-1} Rdot) on the spectral window.
+) -> tuple[np.ndarray, np.ndarray]:
+    """R = Hilb(g) (``hilb_n``) and Rdot, the assembled variation symbol, over the window.
 
-    Rdot is the quantized variation symbol in the same trace_sign convention
-    as induced_norm_closed, so the two routes converge to each other.
+    Rdot is in the same trace_sign convention as induced_norm_closed, so the
+    two routes converge to each other.  Assemble them once over the top
+    window of a sweep; ``induced_norm_trace`` slices each smaller window.
     """
-    model = g.model
-    if model.kind not in ("circle", "torus2"):
+    if g.model.kind not in ("circle", "torus2"):
         raise UnsupportedModelError("trace norm requires circle or torus2")
-    r, _ = hilb_n(g, basis, quantization=quantization)
-    dsym = dhilb_symbol(g, gdot, trace_sign)
-    # on S^1 the variation symbol is fiber-even, so it quantizes to multiplication
-    source = dsym.fiber_restriction() if model.kind == "circle" else dsym
-    rdot = assemble(source, basis, quantization=quantization)
-    x = np.linalg.solve(r, rdot)
+    r = hilb_n(g, basis, quantization=quantization)
+    return r, assemble(dhilb_symbol(g, gdot, trace_sign), basis, quantization=quantization)
+
+
+def induced_norm_trace(r: np.ndarray, rdot: np.ndarray, basis: EigenBasis) -> float:
+    """mu_N^{-n} Tr(R^{-1} Rdot R^{-1} Rdot) on the spectral window ``basis``.
+
+    ``r`` and ``rdot`` come from ``trace_operators`` over a window whose
+    leading blocks are ``basis``.  R's block is repaired onto the SPD cone.
+    A block with no off-diagonal entry (g0, whose symbol is x-independent)
+    divides Rdot by its diagonal; any other is an LU solve.
+    """
+    d = basis.dim
+    r, _ = positivity_repair(r[:d, :d])
+    rdot = rdot[:d, :d]
+    x = rdot / np.diagonal(r)[:, None] if is_diagonal(r) else np.linalg.solve(r, rdot)
     val = float(np.einsum("ij,ji->", x, x))
-    n = model.dim
-    return basis.mu_top ** (-n) * val
+    return basis.mu_top ** (-basis.model.dim) * val
 
 
 def induced_norm_closed(

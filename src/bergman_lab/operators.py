@@ -25,7 +25,6 @@ from .bergman import dd_kernel, _contract
 from .manifolds import (
     EigenBasis,
     ManifoldModel,
-    basis_for,
     eval_basis,
     fiber_bundle,
     fiber_covectors,
@@ -374,6 +373,11 @@ def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
         samples, nfib = doubled, 2 * nfib
 
 
+def is_diagonal(mat: np.ndarray) -> bool:
+    """True when the square matrix has no nonzero off-diagonal entry."""
+    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
+
+
 def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Shift a symmetric assembled compression onto the SPD cone if needed.
 
@@ -387,7 +391,7 @@ def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
     mat - 2e-8 ||mat||_inf I certifies the floor with room for its backward
     error (Rump, BIT 46, 2006); ``eigvalsh`` runs if it fails.
     """
-    if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):  # no off-diagonal entry
+    if is_diagonal(mat):
         w = np.sort(np.diagonal(mat))
     else:
         try:
@@ -421,74 +425,73 @@ def symbol_law_predict(
 
 
 def assemble(source, basis: EigenBasis, quantization: str = "left") -> np.ndarray:
-    """Dispatch: multiplication for scalar fields, Kohn-Nirenberg for symbols."""
+    """The compression of ``source`` over ``basis``: the one place that picks the assembly.
+
+    A scalar field is a multiplication operator.  A symbol is quantized by
+    Kohn-Nirenberg on the torus, and on the circle when it is x-independent
+    (a diagonal); elsewhere it is multiplication by its fiber restriction,
+    which is exact for the symbols that reach it: on the circle they are even
+    in the fiber (hilb and its variation), on the sphere constant in it (hilb
+    of a conformal metric, ``one``).  Every entry depends only on its row and
+    column basis elements, so the leading d x d block over a larger window is
+    the assembly over the first d elements, up to the round-off that the
+    larger FFT grid, angle count or sphere grid moves: sweeps assemble their
+    top window once and slice it.
+    """
+    if isinstance(source, SymbolField):
+        kind = basis.model.kind
+        if kind == "torus2" or (kind == "circle" and source.x_independent):
+            return assemble_kohn_nirenberg(source, basis, quantization=quantization)
+        source = source.fiber_restriction()
     if isinstance(source, ScalarField):
         return assemble_multiplication(source, basis)
-    if isinstance(source, SymbolField):
-        return assemble_kohn_nirenberg(source, basis, quantization=quantization)
     raise InputError(f"cannot assemble {type(source).__name__}")
 
 
-def symbol_law_check(
-    source,
-    model: ManifoldModel,
-    cutoffs,
-    grid_res: int = 16,
-    fiber_res: int = 64,
-):
-    """Per-level sup relative error of the Bergman field against the symbol law.
+def symbol_law_check(source, mat: np.ndarray, basis: EigenBasis, points: np.ndarray,
+                     fiber_res: int = 64) -> tuple[float, float, float]:
+    """Sup relative error of one window's Bergman field against the symbol law.
 
-    Returns rows (cutoff, mu, rel_err, pd_shift).  The positivity shift is
-    compensated exactly (it contributes shift * dd(I)), so the compared field
-    is that of the symmetrized assembly itself.
+    ``mat`` is ``assemble(source, top)`` over a window whose leading block is
+    ``basis``.  Returns (mu, rel_err, pd_shift).  The positivity shift of the
+    block is reported, not applied (it would add shift * dd(I)), so the
+    compared field is that of the symmetrized assembly itself.
     """
-    pts, _ = quadrature_grid(model, grid_res)
-    rows = []
-    for cutoff in cutoffs:
-        basis = basis_for(model, cutoff)
-        if basis.mu_top == 0.0:
-            raise InputError("the symbol law needs a window above level 0")
-        pred = symbol_law_predict(source, model, pts, basis.mu_top, fiber_res)
-        if not pred.values.any():
-            raise InputError(f"the predicted tensor of {source.name!r} is identically zero")
-        mat = assemble(source, basis)
-        _, shift = positivity_repair(mat)
-        field = dd_kernel(mat, basis, pts)
-        num = g0_operator_norms(model, pts, field.values - pred.values)
-        den = g0_operator_norms(model, pts, pred.values)
-        rows.append((cutoff, basis.mu_top, float((num / den).max()), shift))
-    return rows
+    model = basis.model
+    if basis.mu_top == 0.0:
+        raise InputError("the symbol law needs a window above level 0")
+    pred = symbol_law_predict(source, model, points, basis.mu_top, fiber_res)
+    if not pred.values.any():
+        raise InputError(f"the predicted tensor of {source.name!r} is identically zero")
+    block = mat[:basis.dim, :basis.dim]
+    _, shift = positivity_repair(block)
+    field = dd_kernel(block, basis, pred.points)
+    num = g0_operator_norms(model, pred.points, field.values - pred.values)
+    den = g0_operator_norms(model, pred.points, pred.values)
+    return basis.mu_top, float((num / den).max()), shift
 
 
-def tail_defect(
-    f: ScalarField,
-    model: ManifoldModel,
-    inner_cutoff,
-    outer_cutoff,
-    grid_res: int = 16,
-) -> float:
+def tail_defect(f: ScalarField, mat: np.ndarray, inner: EigenBasis, outer: EigenBasis,
+                points: np.ndarray) -> float:
     """Normalized size of the off-window block Pi_{<=N} B (I - Pi_{<=N}).
 
-    Assembles B over the outer window, takes the block coupling the inner
-    window to its complement, and reports mu_N^{-(n+2)} times the sup of the
-    g0 operator norm of its mixed-derivative field.  A field whose block is
-    round-off, such as a constant, is rejected.
+    ``mat`` is ``assemble(f, top)`` over a window whose leading block is the
+    ``outer`` window.  Takes the block [:d_in, d_in:d_out] coupling the
+    ``inner`` window to the rest of the outer one, and reports mu_N^{-(n+2)}
+    times the sup over ``points`` of the g0 operator norm of its
+    mixed-derivative field.  A field whose block is round-off, such as a
+    constant, is rejected.
     """
-    if outer_cutoff < 2 * inner_cutoff:
+    if outer.cutoff < 2 * inner.cutoff:
         raise InputError("outer window must be at least twice the inner window")
-    small = basis_for(model, inner_cutoff)
-    if small.mu_top == 0.0:
+    if inner.mu_top == 0.0:
         raise InputError("tail defect needs an inner window above level 0")
-    big = basis_for(model, outer_cutoff)
-    d_in = small.dim
-    mat = assemble_multiplication(f, big)
-    block = mat[:d_in, d_in:]
+    d_in, d_out = inner.dim, outer.dim
+    block = mat[:d_in, d_in:d_out]
     # sphere quadrature entries are certified only to GRAM_RESIDUAL_TOL
-    if np.abs(block).max() <= GRAM_RESIDUAL_TOL * np.abs(mat).max():
+    if np.abs(block).max() <= GRAM_RESIDUAL_TOL * np.abs(mat[:d_out, :d_out]).max():
         raise InputError(f"field {f.name!r} has no tail defect: its off-window block is round-off")
-    spts, _ = quadrature_grid(model, grid_res)
-    _, grads = eval_basis(big, spts)
+    _, grads = eval_basis(outer, points)
     tensor = _contract(block, grads[:d_in], grads[d_in:])
-    sup = float(g0_operator_norms(model, spts, tensor).max())
-    n = model.dim
-    return sup / small.mu_top ** (n + 2)
+    sup = float(g0_operator_norms(outer.model, points, tensor).max())
+    return sup / inner.mu_top ** (outer.model.dim + 2)

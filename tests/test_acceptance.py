@@ -15,6 +15,7 @@ Regenerate the reference tables after a deliberate change of values with
 ``OPENBLAS_NUM_THREADS=1 OUTDIR=out sh scripts/run_acceptance_experiments.sh``.
 """
 
+import json
 import math
 import os
 import shlex
@@ -188,31 +189,43 @@ def test_c11_gradient_check():
     assert_checked("gradient")
 
 
-def assert_blas_thread_independent(stem, tmp_path):
-    """The script line writes the same bytes on one and two BLAS threads."""
-    blobs = []
+# Script lines whose bytes must not depend on the BLAS thread count
+BLAS_GUARDED = ("band_k0", "band_k1", "cumulative", "metnorm_torus", "szego_weyl",
+                "szego_torus_k2")
+RUN_LINES = ("import json, sys\nfrom bergman_lab.cli import main\n"
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+
+
+@pytest.fixture(scope="module")
+def blas_tables(tmp_path_factory):
+    """Bytes of each guarded table on one and on two BLAS threads.
+
+    The thread count is read when numpy loads, so each setting runs every
+    guarded script line in one child interpreter of its own.
+    """
+    tables = {}
     for threads in ("1", "2"):
-        out = tmp_path / f"{threads}.csv"
-        argv = [a.replace("$OUTDIR/" + stem + ".csv", str(out)) for a in SCRIPT[stem]]
+        out = tmp_path_factory.mktemp(f"blas{threads}")
+        argvs = [[a.replace("$OUTDIR", str(out)) for a in SCRIPT[stem]] for stem in BLAS_GUARDED]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(ROOT / "src")}
-        r = subprocess.run([sys.executable, "-m", "bergman_lab", *argv],
+        r = subprocess.run([sys.executable, "-c", RUN_LINES, json.dumps(argvs)],
                            capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
+        tables[threads] = {stem: (out / f"{stem}.csv").read_bytes() for stem in BLAS_GUARDED}
+    return tables
 
 
 @pytest.mark.parametrize("stem", ["band_k0", "band_k1", "cumulative"])
-def test_sphere_tables_ignore_blas_threads(stem, tmp_path):
+def test_sphere_tables_ignore_blas_threads(stem, blas_tables):
     # the separated sphere assembly gives the same bytes on one and two BLAS threads
-    assert_blas_thread_independent(stem, tmp_path)
+    assert blas_tables["1"][stem] == blas_tables["2"][stem]
 
 
 @pytest.mark.parametrize("stem", ["metnorm_torus", "szego_weyl", "szego_torus_k2"])
-def test_torus_tables_ignore_blas_threads(stem, tmp_path):
+def test_torus_tables_ignore_blas_threads(stem, blas_tables):
     # cosphere integrals are numpy sums, not BLAS dot products, and the szego
     # trace of two factors is an elementwise sum, not a GEMM
-    assert_blas_thread_independent(stem, tmp_path)
+    assert blas_tables["1"][stem] == blas_tables["2"][stem]
 
 
 def test_c12_determinism_across_threads(tmp_path):

@@ -278,6 +278,35 @@ class TestMainInProcess:
         assert len(capsys.readouterr().out.splitlines()) == 3
         assert calls == [1]
 
+    @pytest.mark.parametrize("argv, top, count", [
+        (["bergman", "--model", "torus2", "--symbol", "xi1sq", "--mu2", "9,25,49"], 49, 1),
+        (["bergman", "--model", "circle", "--f", "exp:cos(theta)", "--n", "8,16,24"], 24, 1),
+        # the largest outer window is twice the top inner one
+        (["tail-defect", "--model", "torus2", "--f", "exp:0.3cos(x1)", "--mu2", "9,25,49"],
+         98, 1),
+        (["hilb-approx", "--model", "torus2", "--metric", "aniso-diag:0.3,0.3",
+          "--mu2", "9,25,49"], 49, 1),
+        (["hilb-approx", "--model", "sphere2", "--metric", "conformal:u=0.3x3",
+          "--n", "2,4,6"], 6, 1),
+        # R and its variation Rdot
+        (["met-norm", "--model", "torus2", "--gdot", "cos-x1-dx1", "--mu2", "9,25,49",
+          "--metric", "aniso-diag:0.3,0.3", "--grid", "8", "--fiber", "16"], 49, 2),
+        (["met-norm", "--model", "circle", "--gdot", "cos-theta", "--n", "8,16,24"], 24, 2),
+    ], ids=["bergman-torus", "bergman-circle", "tail-torus", "hilb-torus", "hilb-sphere",
+            "metnorm-torus", "metnorm-circle"])
+    def test_sweep_assembles_its_top_window_once(self, argv, top, count, monkeypatch, capsys):
+        from bergman_lab import operators
+        from bergman_lab.manifolds import basis_for, model_by_name
+
+        windows = []
+        for name in ("assemble_kohn_nirenberg", "assemble_multiplication"):
+            real = getattr(operators, name)
+            monkeypatch.setattr(operators, name, lambda source, basis, *a, _real=real, **kw:
+                                windows.append(basis.dim) or _real(source, basis, *a, **kw))
+        assert main([*argv, "--threads", "2"]) == 0, capsys.readouterr().err
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert windows == [basis_for(model_by_name(argv[2]), top).dim] * count
+
     @pytest.mark.parametrize("exc, detail", [
         (MemoryError("Unable to allocate 7.28 TiB for an array"), "7.28 TiB"),
         (MemoryError(), "allocation failed"),

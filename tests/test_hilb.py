@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bergman_lab import operators
 from bergman_lab.bergman import dd_kernel
 from bergman_lab.errors import NotSPDError, UnsupportedModelError
 from bergman_lab.fields import (
@@ -19,7 +21,13 @@ from bergman_lab.hilb import (
     normalization_constant,
 )
 from bergman_lab.manifolds import basis_for, circle, quadrature_grid, sphere2, torus2
-from bergman_lab.operators import ScalarField, assemble_multiplication, positivity_repair
+from bergman_lab.operators import (
+    ScalarField,
+    assemble_kohn_nirenberg,
+    assemble_multiplication,
+    is_diagonal,
+    positivity_repair,
+)
 
 CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
 
@@ -91,25 +99,39 @@ class TestHilbN:
     def test_reference_metric_gives_scaled_identity(self):
         for model, cutoff in ((CIRCLE, 8), (TORUS, 8), (SPHERE, 6)):
             basis = basis_for(model, cutoff)
-            mat, shift = hilb_n(reference_metric(model), basis)
+            mat, shift = positivity_repair(hilb_n(reference_metric(model), basis))
             c_n = normalization_constant(model.dim)
             assert np.abs(mat - c_n * np.eye(basis.dim)).max() <= 1e-10 * c_n
             assert shift == 0.0
 
+    def test_reference_metric_needs_no_fiber_sampling(self, monkeypatch):
+        # hilb(g0) is the constant c_n, x-independent: the exact diagonal
+        # with no fiber sampling, equal to the full quantization to round-off
+        basis = basis_for(TORUS, 100)
+        symbol = hilb_symbol(reference_metric(TORUS))
+        full = assemble_kohn_nirenberg(replace(symbol, x_independent=False), basis)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fiber sampling for an x-independent symbol")
+
+        monkeypatch.setattr(operators, "_fiber_samples", refuse)
+        mat = hilb_n(reference_metric(TORUS), basis)
+        assert is_diagonal(mat)
+        assert np.abs(mat - full).max() <= 1e-14 * np.abs(full).max()
+
     def test_circle_conformal_reduces_to_multiplication(self):
         u = lambda p: np.cos(p[:, 0])
         basis = basis_for(CIRCLE, 12)
-        mat, _ = hilb_n(conformal(CIRCLE, u), basis)
+        mat = hilb_n(conformal(CIRCLE, u), basis)
         mult = assemble_multiplication(
             ScalarField("c1eu", lambda p: 3 * math.pi * np.exp(np.cos(np.atleast_2d(p)[:, 0]))),
             basis,
         )
-        spd, _ = positivity_repair(mult)
-        assert np.abs(mat - spd).max() <= 1e-10 * 3 * math.pi
+        assert np.abs(mat - mult).max() <= 1e-10 * 3 * math.pi
 
     def test_torus_anisotropic_is_spd_with_small_shift(self):
         basis = basis_for(TORUS, 64)
-        mat, shift = hilb_n(aniso_diag(0.3, 0.3), basis)
+        mat, shift = positivity_repair(hilb_n(aniso_diag(0.3, 0.3), basis))
         assert np.linalg.eigvalsh(mat)[0] > 0
         assert shift <= 1e-3 * np.abs(mat).max()
 
@@ -126,7 +148,7 @@ class TestApproximate:
     def test_reference_metric_recovered_within_envelope(self):
         basis = basis_for(CIRCLE, 64)
         pts, w = quadrature_grid(CIRCLE, 64)
-        field, shift = approximate(reference_metric(CIRCLE), basis, pts)
+        field, shift = approximate(hilb_n(reference_metric(CIRCLE), basis), basis, pts)
         sup, _ = relative_errors(field, reference_metric(CIRCLE), w)
         assert sup <= 0.05
         assert shift == 0.0
@@ -142,7 +164,7 @@ class TestApproximate:
         g = conformal(model, u)
         basis = basis_for(model, cutoff)
         pts, _ = quadrature_grid(model, grid)
-        field, _ = approximate(g, basis, pts)
+        field, _ = approximate(hilb_n(g, basis), basis, pts)
         c_n = normalization_constant(model.dim)
         mult = assemble_multiplication(
             ScalarField("cneu", lambda p: c_n * np.exp(u(np.atleast_2d(p)))),
@@ -159,7 +181,7 @@ class TestApproximate:
         g = conformal(SPHERE, u)
         basis = basis_for(SPHERE, 16)
         pts, w = quadrature_grid(SPHERE, 10)
-        field, _ = approximate(g, basis, pts)
+        field, _ = approximate(hilb_n(g, basis), basis, pts)
         sup, _ = relative_errors(field, g, w)
         assert sup <= 0.25  # desk-scale sanity; acceptance tightens this
 
@@ -168,12 +190,12 @@ class TestApproximate:
         g = conformal(CIRCLE, u)
         basis = basis_for(CIRCLE, 32)
         pts, _ = quadrature_grid(CIRCLE, 64)
-        field, _ = approximate(g, basis, pts)
+        field, _ = approximate(hilb_n(g, basis), basis, pts)
         assert field.values[:, 0, 0].min() > 0.0
         gt = aniso_diag(0.3, 0.3)
         basis_t = basis_for(TORUS, 64)
         pts_t, _ = quadrature_grid(TORUS, 12)
-        field_t, _ = approximate(gt, basis_t, pts_t)
+        field_t, _ = approximate(hilb_n(gt, basis_t), basis_t, pts_t)
         assert sym2x2_eigs(field_t.values)[0].min() > 0.0
 
     def test_metric_rescaling_covariance(self):
@@ -184,8 +206,8 @@ class TestApproximate:
         g2 = MetricField("scaled", TORUS, lambda p: lam_sq * g1.matrix_fn(p))
         basis = basis_for(TORUS, 16)
         pts, _ = quadrature_grid(TORUS, 6)
-        f1, _ = approximate(g1, basis, pts)
-        f2, _ = approximate(g2, basis, pts)
+        f1, _ = approximate(hilb_n(g1, basis), basis, pts)
+        f2, _ = approximate(hilb_n(g2, basis), basis, pts)
         assert np.abs(f2.values - lam_sq * f1.values).max() <= 1e-10 * np.abs(
             f2.values
         ).max()
@@ -202,8 +224,8 @@ class TestApproximate:
         gs = MetricField("swapped", TORUS, swapped_matrices)
         basis = basis_for(TORUS, 16)
         pts, _ = quadrature_grid(TORUS, 6)
-        f1, _ = approximate(g, basis, pts)
-        f2, _ = approximate(gs, basis, pts)
+        f1, _ = approximate(hilb_n(g, basis), basis, pts)
+        f2, _ = approximate(hilb_n(gs, basis), basis, pts)
         swapped_vals = f1.values[:, ::-1, :][:, :, ::-1]
         # evaluate f1 at swapped points: grid is symmetric under the swap
         order = np.lexsort((pts[:, 1], pts[:, 0]))

@@ -15,10 +15,16 @@ from bergman_lab.metspace import (
     induced_norm_closed,
     induced_norm_trace,
     szego_trace,
+    trace_operators,
 )
-from bergman_lab.operators import ScalarField, SymbolField
+from bergman_lab.operators import ScalarField, SymbolField, is_diagonal
 
 CIRCLE, TORUS = circle(), torus2()
+
+
+def trace_norm(g, gdot, basis, **kw):
+    """The trace norm of gdot at g on the window, from its own operators."""
+    return induced_norm_trace(*trace_operators(g, gdot, basis, **kw), basis)
 
 
 def cos_theta_perturbation():
@@ -120,7 +126,7 @@ class TestDhilbSymbol:
 class TestInducedNorm:
     def test_zero_perturbation_gives_zero(self):
         gdot = MetricPerturbation("zero", CIRCLE, lambda p: np.zeros((np.atleast_2d(p).shape[0], 1, 1)))
-        val = induced_norm_trace(reference_metric(CIRCLE), gdot, basis_for(CIRCLE, 16))
+        val = trace_norm(reference_metric(CIRCLE), gdot, basis_for(CIRCLE, 16))
         assert val == pytest.approx(0.0, abs=1e-20)
         closed = induced_norm_closed(
             reference_metric(CIRCLE), gdot, cosphere_quadrature(CIRCLE, 64, 64)
@@ -138,7 +144,7 @@ class TestInducedNorm:
         # the compressed cosine chain gives Tr(C^2) = N, so the normalized
         # trace is 4 at every window size
         for n in (8, 32, 96):
-            val = induced_norm_trace(
+            val = trace_norm(
                 reference_metric(CIRCLE), cos_theta_perturbation(), basis_for(CIRCLE, n)
             )
             assert val == pytest.approx(4.0, abs=1e-10)
@@ -152,7 +158,7 @@ class TestInducedNorm:
         basis = basis_for(CIRCLE, 48)
         for sign, want in ((1, 4.0), (-1, 1.0)):
             closed = induced_norm_closed(g, gdot, quad, trace_sign=sign)
-            trace = induced_norm_trace(g, gdot, basis, trace_sign=sign)
+            trace = trace_norm(g, gdot, basis, trace_sign=sign)
             assert closed == pytest.approx(want, abs=1e-10)
             assert trace == pytest.approx(want, abs=1e-10)
 
@@ -162,7 +168,7 @@ class TestInducedNorm:
         closed = induced_norm_closed(g, gdot, cosphere_quadrature(TORUS, 32, 64),
                                      trace_sign=-1)
         assert closed == pytest.approx(3 * math.pi / 8, rel=1e-12)
-        val = induced_norm_trace(g, gdot, basis_for(TORUS, 100), trace_sign=-1)
+        val = trace_norm(g, gdot, basis_for(TORUS, 100), trace_sign=-1)
         assert val == pytest.approx(closed, rel=0.15)
 
     def test_torus_trace_approaches_closed_form(self):
@@ -170,8 +176,35 @@ class TestInducedNorm:
             reference_metric(TORUS), cos_x1_dx1(), cosphere_quadrature(TORUS, 32, 64)
         )
         assert closed == pytest.approx(11 * math.pi / 8, rel=1e-12)
-        val = induced_norm_trace(reference_metric(TORUS), cos_x1_dx1(), basis_for(TORUS, 100))
+        val = trace_norm(reference_metric(TORUS), cos_x1_dx1(), basis_for(TORUS, 100))
         assert val == pytest.approx(closed, rel=0.15)
+
+    def test_diagonal_r_divides_as_solve_does(self, monkeypatch):
+        # R of g0 is diagonal: dividing Rdot by it agrees with an LU solve
+        # to round-off, and no solve runs
+        basis = basis_for(TORUS, 100)
+        r, rdot = trace_operators(reference_metric(TORUS), cos_x1_dx1(), basis)
+        assert is_diagonal(r)
+        x = np.linalg.solve(r, rdot)
+        divided = rdot / np.diagonal(r)[:, None]
+        assert np.abs(divided - x).max() <= 1e-15 * np.abs(x).max()
+        want = basis.mu_top ** -2 * float(np.einsum("ij,ji->", x, x))
+
+        def refuse(*args):
+            raise AssertionError("solve against a diagonal R")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        assert induced_norm_trace(r, rdot, basis) == pytest.approx(want, rel=1e-14)
+
+    def test_full_r_is_solved(self, monkeypatch):
+        basis = basis_for(TORUS, 25)
+        r, rdot = trace_operators(aniso_metric(), cos_x1_dx1(), basis)
+        assert not is_diagonal(r)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+        induced_norm_trace(r, rdot, basis)
+        assert calls == [1]
 
     def test_positivity_on_nonzero_perturbations(self):
         quad = cosphere_quadrature(TORUS, 16, 32)
@@ -198,8 +231,8 @@ class TestInducedNorm:
         g = reference_metric(TORUS)
         gdot = cos_x1_dx1()
         basis = basis_for(TORUS, 64)
-        left = induced_norm_trace(g, gdot, basis, quantization="left")
-        sym = induced_norm_trace(g, gdot, basis, quantization="symmetric")
+        left = trace_norm(g, gdot, basis, quantization="left")
+        sym = trace_norm(g, gdot, basis, quantization="symmetric")
         closed = induced_norm_closed(g, gdot, cosphere_quadrature(TORUS, 32, 64))
         assert abs(left - sym) <= abs(left - closed)
 

@@ -138,7 +138,7 @@ class TestQuadrature:
 
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedModelError):
-            quadrature_grid(ManifoldModel("klein", 2, 1.0, 1.0), 4)
+            quadrature_grid(ManifoldModel("klein", 2, 1.0), 4)
 
     @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=19))
     def test_trapezoid_trig_exactness(self, m, k):

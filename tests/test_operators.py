@@ -591,9 +591,23 @@ class TestSymbolLawPredict:
         )
 
 
+def law_rows(source, model, cutoffs, grid_res):
+    """(cutoff, mu, rel_err, pd_shift) per window, sliced from one top-window assembly."""
+    mat = operators.assemble(source, basis_for(model, cutoffs[-1]))
+    pts, _ = quadrature_grid(model, grid_res)
+    return [(c, *symbol_law_check(source, mat, basis_for(model, c), pts)) for c in cutoffs]
+
+
+def defect(f, model, inner, outer, grid_res=16):
+    """Tail defect of one (inner, outer) pair, from the outer window's assembly."""
+    big = basis_for(model, outer)
+    pts, _ = quadrature_grid(model, grid_res)
+    return tail_defect(f, assemble_multiplication(f, big), basis_for(model, inner), big, pts)
+
+
 class TestSymbolLawCheck:
     def test_identity_matches_isometry_path(self):
-        rows = symbol_law_check(ONE, CIRCLE, [16, 32], grid_res=32)
+        rows = law_rows(ONE, CIRCLE, [16, 32], grid_res=32)
         for cutoff, mu, err, shift in rows:
             want = abs(
                 sum(k * k for k in range(1, cutoff + 1)) / math.pi
@@ -604,7 +618,7 @@ class TestSymbolLawCheck:
 
     def test_circle_exponential_errors_decrease(self):
         f = ScalarField("ecos", lambda p: np.exp(np.cos(p[:, 0])))
-        rows = symbol_law_check(f, CIRCLE, [24, 48], grid_res=48)
+        rows = law_rows(f, CIRCLE, [24, 48], grid_res=48)
         errs = [r[2] for r in rows]
         assert errs[1] < errs[0]
 
@@ -614,13 +628,38 @@ class TestTailDefect:
         # a constant couples no window to its complement, so its defect is
         # round-off at every level and a decay check would compare noise
         with pytest.raises(InputError, match="no tail defect"):
-            tail_defect(ONE, CIRCLE, 8, 16, grid_res=16)
+            defect(ONE, CIRCLE, 8, 16)
 
     def test_circle_cos_defect_decreases(self):
-        vals = [tail_defect(COS_THETA, CIRCLE, n, 2 * n, grid_res=16)
+        vals = [defect(COS_THETA, CIRCLE, n, 2 * n)
                 for n in (8, 16, 32)]
         assert vals[2] < vals[1] < vals[0]
 
     def test_window_precondition(self):
         with pytest.raises(InputError):
-            tail_defect(COS_THETA, CIRCLE, 8, 12)
+            defect(COS_THETA, CIRCLE, 8, 12)
+
+
+class TestLeadingBlocks:
+    """A sweep slices one top-window assembly: its leading blocks are the windows."""
+
+    @pytest.mark.parametrize("model, source, cutoffs", [
+        (TORUS, SymbolField("mix", TORUS, _mix), (25, 50, 100, 200)),
+        (TORUS, hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS)), (25, 50, 100, 200)),
+        (TORUS, dhilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS),
+                             perturbation_field("cos-x1-dx1", TORUS)), (25, 50, 200)),
+        (TORUS, EXP_MIXED, (9, 25, 100, 200)),
+        (CIRCLE, EXP_COS, (8, 16, 32, 64)),
+        (SPHERE, scalar_field("1+0.5x3sq", SPHERE), (5, 10, 20, 40)),
+    ], ids=["kn-mix", "kn-hilb", "kn-dhilb", "torus-mult", "circle-mult", "sphere-mult"])
+    def test_leading_block_is_own_window_assembly(self, model, source, cutoffs):
+        big = basis_for(model, cutoffs[-1])
+        top = operators.assemble(source, big)
+        for cutoff in cutoffs[:-1]:
+            basis = basis_for(model, cutoff)
+            d = basis.dim
+            np.testing.assert_array_equal(big.freqs[:d], basis.freqs)
+            own = operators.assemble(source, basis)
+            # the FFT grid, angle count or sphere grid of the larger window
+            # moves the entries by round-off only
+            assert np.abs(top[:d, :d] - own).max() <= 1e-13 * np.abs(own).max(), cutoff
