@@ -36,7 +36,7 @@ from .manifolds import (
     model_by_name,
     quadrature_grid,
 )
-from .operators import assemble, tail_defect, symbol_law_check
+from .operators import assemble, symbol_law_check, symbol_law_predict, tail_defect
 from .presets import (
     PRESET_HELP,
     metric_field,
@@ -44,8 +44,6 @@ from .presets import (
     scalar_field,
     symbol_field,
 )
-
-THREADS_ENV = "BERGMAN_LAB_THREADS"
 
 CLIError = (InputError, UnsupportedModelError, ResolutionError, NotSPDError,
             ChartError, GridMismatchError)
@@ -206,10 +204,12 @@ def _bergman_source(ns, model):
 
 def cmd_bergman(ns, model):
     source = _bergman_source(ns, model)
+    if model.dim == 2 and ns.fiber < 16:
+        raise InputError("fiber resolution must be at least 16")
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
+    law = symbol_law_predict(source, model, pts, ns.fiber)
     mat = assemble(source, _top_window(ns, model))
-    rows = map_sweep(ns, lambda c: (c, *symbol_law_check(
-        source, mat, basis_for(model, c), pts, ns.fiber)))
+    rows = map_sweep(ns, lambda c: (c, *symbol_law_check(mat, basis_for(model, c), law)))
     errs = [r[2] for r in rows]
     tol = _opt(ns.tol, 0.10)
     ok = errs[-1] <= tol and trend_ok(errs)
@@ -306,14 +306,9 @@ def _szego_sources(ns, model):
 def cmd_szego(ns, model):
     if model.kind == "sphere2":
         raise UnsupportedModelError("szego runs on circle or torus2")
-    sources = _szego_sources(ns, model)
-    quad = _cosphere(ns, model)
-
-    def one(c):
-        basis = basis_for(model, c)
-        return (c, *metspace.szego_trace(sources, basis, quad, quantization=ns.quantization))
-
-    rows = map_sweep(ns, one)
+    trace = metspace.szego_trace(_szego_sources(ns, model), _top_window(ns, model),
+                                 _cosphere(ns, model), ns.quantization)
+    rows = map_sweep(ns, lambda c: (c, *trace(basis_for(model, c))))
     tol = _opt(ns.tol, 0.05)
     gap = abs(rows[-1][3] - 1.0)
     ok = gap <= tol
@@ -344,8 +339,11 @@ def cmd_sphere_band(ns, model):
 
 def cmd_sphere_cumulative(ns, model):
     a = _sphere_field(ns, model)
-    grid = _opt(ns.grid, 10)
-    rows = map_sweep(ns, lambda n: (n, sphereband.cumulative_band_sum(a, n, grid, ns.fiber)))
+    pts, _ = quadrature_grid(model, _opt(ns.grid, 10))
+    law = symbol_law_predict(a, model, pts, ns.fiber)
+    mat = assemble(a, _top_window(ns, model))
+    rows = map_sweep(ns, lambda n: (n, sphereband.cumulative_band_sum(
+        a, mat, basis_for(model, n), law)))
     errs = [r[1] for r in rows]
     ratio_tol = _opt(ns.tol, 0.7)
     ok = all(b <= ratio_tol * a_ for a_, b in zip(errs, errs[1:]))
@@ -479,7 +477,7 @@ _CONFIG_TYPES = {
 
 # Values of the flags the command line and the config file leave unset
 _DEFAULTS = {"model": "circle", "fiber": 64, "tnodes": 64, "k": 0,
-             "quantization": "left", "check": False}
+             "quantization": "left", "check": False, "threads": 1}
 
 
 def _apply_config_file(ns: argparse.Namespace) -> None:
@@ -514,10 +512,10 @@ def _apply_config_file(ns: argparse.Namespace) -> None:
 
 
 def resolve_config(ns: argparse.Namespace):
-    """Apply the config file, parse the sweep and resolve the thread count.
+    """Apply the config file and the defaults, parse the sweep and check the thread count.
 
-    Sets ``ns.sweep`` (None when neither --n nor --mu2 is given) and
-    ``ns.threads``; a flag not on the command line takes the file's value, else ``_DEFAULTS``.
+    Sets ``ns.sweep`` (None when neither --n nor --mu2 is given); a flag not
+    on the command line takes the file's value, else ``_DEFAULTS``.
     """
     _apply_config_file(ns)
     for key, value in _DEFAULTS.items():
@@ -534,14 +532,6 @@ def resolve_config(ns: argparse.Namespace):
         if ns.model == "torus2":
             raise InputError("torus sweeps use --mu2")
         ns.sweep = _parse_int_list(ns.n)
-    if ns.threads is None:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            ns.threads = int(raw)
-        except ValueError:
-            raise InputError(
-                f"{THREADS_ENV} must be an integer, got {raw!r}"
-            ) from None
     if ns.threads < 1:
         raise InputError("thread count must be at least 1")
     return ns

@@ -44,11 +44,7 @@ def hilb_symbol(g: MetricField) -> SymbolField:
 
         return ev
 
-    def fn(points: np.ndarray, xi_unit: np.ndarray) -> np.ndarray:
-        return make_evaluator(np.atleast_2d(points))(xi_unit)
-
-    return SymbolField(f"hilb[{g.name}]", model, fn, x_independent=g.x_independent,
-                       make_evaluator=make_evaluator)
+    return SymbolField(f"hilb[{g.name}]", model, make_evaluator, x_independent=g.x_independent)
 
 
 def hilb_n(g: MetricField, basis: EigenBasis, quantization: str = "left") -> np.ndarray:

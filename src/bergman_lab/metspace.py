@@ -16,6 +16,7 @@ three compressions.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -65,13 +66,7 @@ def dhilb_symbol(
 
         return ev
 
-    def fn(points: np.ndarray, xi_unit: np.ndarray) -> np.ndarray:
-        return make_evaluator(np.atleast_2d(points))(xi_unit)
-
-    return SymbolField(
-        f"dhilb[{g.name};{gdot.name};{trace_sign:+d}]", g.model, fn,
-        make_evaluator=make_evaluator,
-    )
+    return SymbolField(f"dhilb[{g.name};{gdot.name};{trace_sign:+d}]", g.model, make_evaluator)
 
 
 def trace_operators(
@@ -124,25 +119,20 @@ def induced_norm_closed(
 
 def szego_trace(
     sources: list,
-    basis: EigenBasis,
+    top: EigenBasis,
     quad: CosphereQuadrature,
     quantization: str = "left",
-) -> tuple[float, float, float]:
-    """Trace of a product of compressions against its symbol-integral law.
+) -> Callable[[EigenBasis], tuple[float, float, float]]:
+    """Traces of a product of compressions against their symbol-integral law.
 
-    Returns (measured, predicted, ratio) with
-    predicted = mu_N^n / (n (2 pi)^n) * integral of the symbol product over S*M.
+    Checks that ``sources`` has 1 to 3 factors, integrates their symbol
+    product over S*M once and assembles each distinct field object once
+    over the top window ``top``.  Returns ``trace(basis)`` -> (measured,
+    predicted, ratio) for a window whose leading blocks are ``basis``, with
+    predicted = mu_N^n / (n (2 pi)^n) * integral of the symbol product.
     """
     if not 1 <= len(sources) <= 3:
         raise InputError("szego_trace supports products of 1 to 3 compressions")
-    mats = {}  # a field object given twice is assembled once
-    for s in sources:
-        if id(s) not in mats:
-            mats[id(s)] = assemble(s, basis, quantization=quantization)
-    seq = [mats[id(s)] for s in sources]
-    if len(seq) == 3:  # Tr(A B) = sum A_ij B_ji: at most one matrix product
-        seq = [seq[0] @ seq[1], seq[2]]
-    measured = float(np.trace(seq[0]) if len(seq) == 1 else np.einsum("ij,ji->", *seq))
     vals = np.ones(quad.points.shape[0])
     for s in sources:
         vals = vals * s.values(quad.points, quad.xis)
@@ -151,6 +141,19 @@ def szego_trace(
     if abs(integral) <= 1e-12 * float((quad.weights * np.abs(vals)).sum()):
         names = ",".join(s.name for s in sources)
         raise InputError(f"the predicted trace of {names!r} is zero up to round-off")
-    n = basis.model.dim
-    predicted = basis.mu_top**n / (n * (2.0 * math.pi) ** n) * integral
-    return measured, predicted, measured / predicted
+    mats = {}  # a field object given twice is assembled once
+    for s in sources:
+        if id(s) not in mats:
+            mats[id(s)] = assemble(s, top, quantization=quantization)
+    n = top.model.dim
+
+    def trace(basis: EigenBasis) -> tuple[float, float, float]:
+        d = basis.dim
+        seq = [mats[id(s)][:d, :d] for s in sources]
+        if len(seq) == 3:  # Tr(A B) = sum A_ij B_ji: at most one matrix product
+            seq = [seq[0] @ seq[1], seq[2]]
+        measured = float(np.trace(seq[0]) if len(seq) == 1 else np.einsum("ij,ji->", *seq))
+        predicted = basis.mu_top**n / (n * (2.0 * math.pi) ** n) * integral
+        return measured, predicted, measured / predicted
+
+    return trace

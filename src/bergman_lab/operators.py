@@ -71,25 +71,22 @@ class ScalarField:
 class SymbolField:
     """Order-zero symbol b(x, xi) on the cosphere, extended 0-homogeneously.
 
-    ``fn`` receives chart points and *unit* (g0) covectors.  ``x_independent``
-    marks pure Fourier multipliers, enabling diagonal assembly.  When a
-    symbol factors through point-only data (metric inverses, volume ratios),
-    ``make_evaluator`` precomputes that data once per point set; assembly
-    loops over many fiber directions then reuse it.
+    ``make_evaluator`` maps chart points to an evaluator of *unit* (g0)
+    covectors, xi_unit -> b(points, xi_unit), so point-only data (metric
+    inverses, volume ratios) is computed once per point set and reused by
+    assembly loops over many fiber directions.  ``x_independent`` marks
+    pure Fourier multipliers, enabling diagonal assembly.
     """
 
     name: str
     model: ManifoldModel
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    make_evaluator: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     x_independent: bool = False
-    make_evaluator: Optional[Callable] = None
 
     def prepared(self, points: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Evaluator xi -> b(points, xi) with point-only work done up front."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ev = self.make_evaluator(pts) if self.make_evaluator is not None else (
-            lambda xi_unit: np.asarray(self.fn(pts, xi_unit), dtype=float)
-        )
+        ev = self.make_evaluator(pts)
 
         def call(xis: np.ndarray) -> np.ndarray:
             xi = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -410,18 +407,29 @@ def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
     return mat + shift * np.eye(mat.shape[0]), shift
 
 
-def symbol_law_predict(
-    source, model: ManifoldModel, points: np.ndarray, mu: float, fiber_res: int = 64
-) -> Tensor2Field:
-    """Leading-term tensor mu^{n+2} / ((2 pi)^n (n+2)) * avg_xi b(x,xi) xi (x) xi."""
-    if model.dim == 2 and fiber_res < 16:
-        raise InputError("fiber resolution must be at least 16")
+def symbol_law_predict(source, model: ManifoldModel, points: np.ndarray,
+                       fiber_res: int = 64) -> Callable[[float], Tensor2Field]:
+    """The cosphere law of ``source`` at ``points``, as a function of the window.
+
+    Integrates b(x, xi) xi (x) xi over each fiber once and returns the law
+    mu -> mu^{n+2} / ((2 pi)^n (n+2)) * that integral, a Tensor2Field: the
+    leading term of the Bergman field of every window with top eigenvalue
+    mu.  A zero integral, or a window at level 0 (mu = 0), is an input error.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     reps, xis, w = fiber_bundle(model, pts, fiber_res)
     integ = fiber_tensor(source.values(reps, xis), xis, w)
+    if not integ.any():
+        raise InputError(f"the predicted tensor of {source.name!r} is identically zero")
     n = model.dim
-    pref = mu ** (n + 2) / ((2.0 * math.pi) ** n * (n + 2))
-    return Tensor2Field(model, pts, pref * integ)
+
+    def law(mu: float) -> Tensor2Field:
+        if mu == 0.0:
+            raise InputError("the symbol law needs a window above level 0")
+        pref = mu ** (n + 2) / ((2.0 * math.pi) ** n * (n + 2))
+        return Tensor2Field(model, pts, pref * integ)
+
+    return law
 
 
 def assemble(source, basis: EigenBasis, quantization: str = "left") -> np.ndarray:
@@ -448,26 +456,21 @@ def assemble(source, basis: EigenBasis, quantization: str = "left") -> np.ndarra
     raise InputError(f"cannot assemble {type(source).__name__}")
 
 
-def symbol_law_check(source, mat: np.ndarray, basis: EigenBasis, points: np.ndarray,
-                     fiber_res: int = 64) -> tuple[float, float, float]:
+def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law) -> tuple[float, float, float]:
     """Sup relative error of one window's Bergman field against the symbol law.
 
     ``mat`` is ``assemble(source, top)`` over a window whose leading block is
-    ``basis``.  Returns (mu, rel_err, pd_shift).  The positivity shift of the
-    block is reported, not applied (it would add shift * dd(I)), so the
-    compared field is that of the symmetrized assembly itself.
+    ``basis``, and ``law`` is ``symbol_law_predict`` of the same source.
+    Returns (mu, rel_err, pd_shift).  The positivity shift of the block is
+    reported, not applied (it would add shift * dd(I)), so the compared
+    field is that of the symmetrized assembly itself.
     """
-    model = basis.model
-    if basis.mu_top == 0.0:
-        raise InputError("the symbol law needs a window above level 0")
-    pred = symbol_law_predict(source, model, points, basis.mu_top, fiber_res)
-    if not pred.values.any():
-        raise InputError(f"the predicted tensor of {source.name!r} is identically zero")
+    pred = law(basis.mu_top)
     block = mat[:basis.dim, :basis.dim]
     _, shift = positivity_repair(block)
     field = dd_kernel(block, basis, pred.points)
-    num = g0_operator_norms(model, pred.points, field.values - pred.values)
-    den = g0_operator_norms(model, pred.points, pred.values)
+    num = g0_operator_norms(basis.model, pred.points, field.values - pred.values)
+    den = g0_operator_norms(basis.model, pred.points, pred.values)
     return basis.mu_top, float((num / den).max()), shift
 
 

@@ -109,14 +109,12 @@ def symbol_field(spec: str, model: ManifoldModel) -> SymbolField:
     """Resolve a named symbol preset (order-zero, 0-homogeneous)."""
     name = spec.strip()
     if name == "one":
-        return SymbolField("one", model, lambda p, xi: np.ones(np.atleast_2d(p).shape[0]),
+        return SymbolField("one", model, lambda p: lambda xi: np.ones(p.shape[0]),
                            x_independent=True)
     if name == "xi1sq":
         if model.kind != "torus2":
             raise UnsupportedModelError("symbol xi1sq is a torus preset")
-        return SymbolField(
-            "xi1sq", model, lambda p, xi: xi[:, 0] ** 2, x_independent=True
-        )
+        return SymbolField("xi1sq", model, lambda p: lambda xi: xi[:, 0] ** 2, x_independent=True)
     raise InputError(f"unknown symbol preset {spec!r}")
 
 

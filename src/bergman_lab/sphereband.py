@@ -25,6 +25,7 @@ from .bergman import _contract, dd_kernel
 from .errors import InputError
 from .fields import Tensor2Field, g0_operator_norms, sup_relative_error
 from .manifolds import (
+    EigenBasis,
     basis_for,
     eval_basis,
     fiber_bundle,
@@ -34,7 +35,7 @@ from .manifolds import (
     quadrature_grid,
     sphere2,
 )
-from .operators import ScalarField, assemble_multiplication, sphere_block
+from .operators import ScalarField, sphere_block
 
 
 def band_constant(n_deg: int) -> float:
@@ -132,24 +133,15 @@ def sphere_band_check(
     return sup_relative_error(measured, band_predict(integral, n_deg, k, points).values, a.name)
 
 
-def cumulative_band_sum(
-    a: ScalarField, n_max: int, grid_res: int = 10, fiber_res: int = 32
-) -> float:
-    """Relative error of the full-window tensor against the cosphere law.
+def cumulative_band_sum(a: ScalarField, mat: np.ndarray, basis: EigenBasis, law) -> float:
+    """Relative error of one full-window tensor against the cosphere law.
 
-    Compares DD Pi_{<=N} B Pi_{<=N} with
-    mu_N^{n+2} / ((n+2) (2 pi)^n) * int b(x, xi) xi (x) xi dS(xi); the
+    Compares DD Pi_{<=N} B Pi_{<=N}, the Bergman field of the leading block
+    of ``mat = assemble(a, top)`` over the window ``basis``, with
+    ``law(mu_N)``, the ``symbol_law_predict`` of ``a``:
+    mu_N^{n+2} / ((n+2) (2 pi)^n) * int b(x, xi) xi (x) xi dS(xi).  The
     sphere remainder is O(1/N), improving on the general o(1).
     """
-    model = sphere2()
-    basis = basis_for(model, n_max)
-    if basis.mu_top == 0.0:
-        raise InputError("the cosphere law needs a window above level 0")
-    mat = assemble_multiplication(a, basis)
-    pts, _ = quadrature_grid(model, grid_res)
-    measured = dd_kernel(mat, basis, pts)
-    reps, xis, wf = fiber_bundle(model, pts, fiber_res)
-    integ = fiber_tensor(a.values(reps), xis, wf)
-    n = model.dim
-    pref = basis.mu_top ** (n + 2) / ((n + 2) * (2.0 * math.pi) ** n)
-    return sup_relative_error(measured, pref * integ, a.name)
+    pred = law(basis.mu_top)
+    measured = dd_kernel(mat[:basis.dim, :basis.dim], basis, pred.points)
+    return sup_relative_error(measured, pred.values, a.name)

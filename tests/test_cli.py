@@ -3,7 +3,6 @@ import importlib
 import importlib.util
 import io
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bergman_lab.cli import COMMANDS, THREADS_ENV, main, trend_ok
+from bergman_lab.cli import COMMANDS, main, trend_ok
 from bergman_lab.errors import InputError, UnsupportedModelError
 from bergman_lab.manifolds import circle, sphere2, torus2
 from bergman_lab.presets import (
@@ -27,13 +26,10 @@ from bergman_lab.presets import (
 CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
 
 
-def run_cli(*args, env=None):
-    """Run the CLI in a child process; ``env`` is merged over ``os.environ``."""
+def run_cli(*args):
+    """Run the CLI in a child process."""
     return subprocess.run(
-        [sys.executable, "-m", "bergman_lab", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, **(env or {})},
+        [sys.executable, "-m", "bergman_lab", *args], capture_output=True, text=True
     )
 
 
@@ -162,10 +158,10 @@ class TestMainInProcess:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("flux_capacitor = on\n")
         assert main(["spectra", "--config", str(cfg)]) == 1
-        # a typed key with an unparsable value is an input error too, and so
-        # is an output path in a directory that does not exist
+        # a typed key with an unparsable or out-of-range value is an input
+        # error too, and so is an output path in a directory that does not exist
         missing_out = tmp_path / "missing" / "x.csv"
-        for line in ("threads = abc\n", "grid = abc\n", "tol = x\n",
+        for line in ("threads = abc\n", "threads = 0\n", "grid = abc\n", "tol = x\n",
                      "check = maybe\n", f"out = {missing_out}\n"):
             cfg.write_text(line)
             capsys.readouterr()
@@ -278,6 +274,22 @@ class TestMainInProcess:
         assert len(capsys.readouterr().out.splitlines()) == 3
         assert calls == [1]
 
+    @pytest.mark.parametrize("argv", [
+        ["bergman", "--model", "torus2", "--symbol", "xi1sq", "--mu2", "9,25,49"],
+        ["sphere-cumulative", "--model", "sphere2", "--n", "2,4,6"],
+    ], ids=["bergman", "sphere-cumulative"])
+    def test_sweep_integrates_its_law_once(self, argv, monkeypatch, capsys):
+        # the law's fiber integral has no window in it: one per command, not per point
+        from bergman_lab import cli
+
+        calls = []
+        predict = cli.symbol_law_predict
+        monkeypatch.setattr(cli, "symbol_law_predict",
+                            lambda *a, **kw: calls.append(1) or predict(*a, **kw))
+        assert main([*argv, "--threads", "2"]) == 0, capsys.readouterr().err
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert calls == [1]
+
     @pytest.mark.parametrize("argv, top, count", [
         (["bergman", "--model", "torus2", "--symbol", "xi1sq", "--mu2", "9,25,49"], 49, 1),
         (["bergman", "--model", "circle", "--f", "exp:cos(theta)", "--n", "8,16,24"], 24, 1),
@@ -292,8 +304,15 @@ class TestMainInProcess:
         (["met-norm", "--model", "torus2", "--gdot", "cos-x1-dx1", "--mu2", "9,25,49",
           "--metric", "aniso-diag:0.3,0.3", "--grid", "8", "--fiber", "16"], 49, 2),
         (["met-norm", "--model", "circle", "--gdot", "cos-theta", "--n", "8,16,24"], 24, 2),
+        (["sphere-cumulative", "--model", "sphere2", "--n", "2,4,6"], 6, 1),
+        # a field named twice is one field object
+        (["szego", "--model", "torus2", "--b", "cos(x1),cos(x1)", "--mu2", "9,25,49"], 49, 1),
+        # a symbol (Kohn-Nirenberg) and a multiplication field
+        (["szego", "--model", "torus2", "--b", "xi1sq,exp:0.3cos(x1)", "--mu2", "9,25,49"],
+         49, 2),
     ], ids=["bergman-torus", "bergman-circle", "tail-torus", "hilb-torus", "hilb-sphere",
-            "metnorm-torus", "metnorm-circle"])
+            "metnorm-torus", "metnorm-circle", "cumulative-sphere", "szego-twice",
+            "szego-mixed"])
     def test_sweep_assembles_its_top_window_once(self, argv, top, count, monkeypatch, capsys):
         from bergman_lab import operators
         from bergman_lab.manifolds import basis_for, model_by_name
@@ -485,24 +504,6 @@ class TestDeterminism:
             assert r.returncode == 0, r.stderr
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_env_variable_thread_control(self, tmp_path):
-        path1, path2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["isometry", "--model", "circle", "--n", "4,8,16"]
-        r1 = run_cli(*args, "--out", str(path1), env={THREADS_ENV: "3"})
-        assert r1.returncode == 0, r1.stderr
-        r2 = run_cli(*args, "--out", str(path2), "--threads", "1")
-        assert r2.returncode == 0, r2.stderr
-        assert path1.read_bytes() == path2.read_bytes()
-        # pool threads do not change the bytes, so show that the variable is
-        # read: a bad value is an input error, unless --threads overrides it
-        for bad in ("0", "abc", ""):
-            r = run_cli(*args, env={THREADS_ENV: bad})
-            assert r.returncode == 1, r.stderr
-            assert r.stderr.startswith("error:")
-            assert "Traceback" not in r.stderr
-        r3 = run_cli(*args, "--threads", "1", env={THREADS_ENV: "abc"})
-        assert r3.returncode == 0, r3.stderr
 
 
 def test_traced_layers_exist(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bergman_lab import metspace
 from bergman_lab.cli import main
+from bergman_lab.errors import InputError
 from bergman_lab.fields import MetricField, MetricPerturbation, reference_metric
 from bergman_lab.hilb import hilb_symbol
 from bergman_lab.manifolds import basis_for, circle, cosphere_quadrature, torus2
@@ -25,6 +26,11 @@ CIRCLE, TORUS = circle(), torus2()
 def trace_norm(g, gdot, basis, **kw):
     """The trace norm of gdot at g on the window, from its own operators."""
     return induced_norm_trace(*trace_operators(g, gdot, basis, **kw), basis)
+
+
+def szego(sources, basis, quad):
+    """(measured, predicted, ratio) of the Szego trace on one window, from its own assemblies."""
+    return szego_trace(sources, basis, quad)(basis)
 
 
 def cos_theta_perturbation():
@@ -242,7 +248,7 @@ class TestSzegoTrace:
         basis = basis_for(TORUS, 100)
         quad = cosphere_quadrature(TORUS, 16, 16)
         one = ScalarField("one", lambda p: np.ones(np.atleast_2d(p).shape[0]))
-        measured, predicted, ratio = szego_trace([one], basis, quad)
+        measured, predicted, ratio = szego([one], basis, quad)
         assert measured == pytest.approx(basis.dim)
         assert ratio == pytest.approx(1.0, abs=0.02)
 
@@ -250,7 +256,7 @@ class TestSzegoTrace:
         basis = basis_for(TORUS, 100)
         quad = cosphere_quadrature(TORUS, 32, 16)
         cosx1 = ScalarField("cosx1", lambda p: np.cos(np.atleast_2d(p)[:, 0]))
-        measured, predicted, ratio = szego_trace([cosx1, cosx1], basis, quad)
+        measured, predicted, ratio = szego([cosx1, cosx1], basis, quad)
         assert predicted == pytest.approx(basis.mu_top**2 * math.pi / 2, rel=1e-10)
         assert ratio == pytest.approx(1.0, abs=0.07)
 
@@ -260,16 +266,18 @@ class TestSzegoTrace:
         basis = basis_for(CIRCLE, 64)
         quad = cosphere_quadrature(CIRCLE, 256, 4)
         f = ScalarField("ecos", lambda p: np.exp(np.cos(np.atleast_2d(p)[:, 0])))
-        measured, predicted, ratio = szego_trace([f], basis, quad)
+        measured, predicted, ratio = szego([f], basis, quad)
         assert predicted == pytest.approx(2 * basis.mu_top * i0, rel=1e-12)
         assert measured == pytest.approx((2 * 64 + 1) * i0, rel=1e-12)
         assert ratio == pytest.approx(1.0, abs=0.01)
 
-    def test_three_factor_limit(self):
+    def test_three_factor_limit(self, monkeypatch):
         basis = basis_for(CIRCLE, 16)
         quad = cosphere_quadrature(CIRCLE, 64, 4)
         one = ScalarField("one", lambda p: np.ones(np.atleast_2d(p).shape[0]))
-        with pytest.raises(Exception):
+        # the factor count is checked before any assembly
+        monkeypatch.setattr(metspace, "assemble", None)
+        with pytest.raises(InputError, match="1 to 3"):
             szego_trace([one] * 4, basis, quad)
 
     def test_repeated_field_is_assembled_once(self, monkeypatch, capsys):
@@ -277,12 +285,12 @@ class TestSzegoTrace:
         quad = cosphere_quadrature(TORUS, 16, 16)
         cosx1 = ScalarField("cosx1", lambda p: np.cos(np.atleast_2d(p)[:, 0]))
         twin = ScalarField("cosx1", lambda p: np.cos(np.atleast_2d(p)[:, 0]))
-        separate = szego_trace([cosx1, twin], basis, quad)
+        separate = szego([cosx1, twin], basis, quad)
         calls = []
         real = metspace.assemble
         monkeypatch.setattr(metspace, "assemble",
                             lambda s, *a, **k: calls.append(s) or real(s, *a, **k))
-        assert szego_trace([cosx1, cosx1], basis, quad) == separate
+        assert szego([cosx1, cosx1], basis, quad) == separate
         assert calls == [cosx1]
         # the command line gives a name listed twice one field object
         calls.clear()
@@ -293,7 +301,8 @@ class TestSzegoTrace:
     def test_mixed_symbol_and_multiplication(self):
         basis = basis_for(TORUS, 64)
         quad = cosphere_quadrature(TORUS, 16, 32)
-        xi1 = SymbolField("xi1sq", TORUS, lambda p, xi: xi[:, 0] ** 2, x_independent=True)
+        xi1 = SymbolField("xi1sq", TORUS, lambda p: lambda xi: xi[:, 0] ** 2,
+                          x_independent=True)
         cosx1 = ScalarField("cosx1sq", lambda p: np.cos(np.atleast_2d(p)[:, 0]) ** 2)
-        measured, predicted, ratio = szego_trace([xi1, cosx1], basis, quad)
+        measured, predicted, ratio = szego([xi1, cosx1], basis, quad)
         assert ratio == pytest.approx(1.0, abs=0.10)

@@ -165,21 +165,21 @@ def _pairing(k, kind):
 class TestKohnNirenberg:
     def test_unit_symbol_is_identity(self):
         basis = basis_for(TORUS, 8)
-        sym = SymbolField("one", TORUS, lambda p, xi: np.ones(p.shape[0]),
+        sym = SymbolField("one", TORUS, lambda p: lambda xi: np.ones(p.shape[0]),
                           x_independent=True)
         op = assemble_kohn_nirenberg(sym, basis)
         assert np.abs(op - np.eye(basis.dim)).max() <= 1e-12
 
     def test_fiber_independent_symbol_equals_multiplication(self):
         basis = basis_for(TORUS, 13)
-        sym = SymbolField("a", TORUS, lambda p, xi: np.exp(0.3 * np.cos(p[:, 0])))
+        sym = SymbolField("a", TORUS, lambda p: lambda xi: np.exp(0.3 * np.cos(p[:, 0])))
         km = assemble_kohn_nirenberg(sym, basis)
         mm = assemble_multiplication(EXP_03, basis)
         assert np.abs(km - mm).max() <= 1e-10
 
     def test_fourier_multiplier_is_diagonal(self):
         basis = basis_for(TORUS, 10)
-        sym = SymbolField("xi1sq", TORUS, lambda p, xi: xi[:, 0] ** 2,
+        sym = SymbolField("xi1sq", TORUS, lambda p: lambda xi: xi[:, 0] ** 2,
                           x_independent=True)
         op = assemble_kohn_nirenberg(sym, basis)
         off = op - np.diag(np.diag(op))
@@ -197,7 +197,7 @@ class TestKohnNirenberg:
             return (1.0 + 0.3 * np.cos(pts[:, 0]) * xi_unit[:, 0] ** 2
                     + 0.2 * np.sin(pts[:, 1]) * xi_unit[:, 0] * xi_unit[:, 1])
 
-        sym = SymbolField("mix", TORUS, bfun)
+        sym = SymbolField("mix", TORUS, lambda p: lambda xi: bfun(p, xi))
         op = assemble_kohn_nirenberg(sym, basis)
 
         res = 48
@@ -253,7 +253,7 @@ class TestKohnNirenberg:
         basis = basis_for(TORUS, 5)
         sym = SymbolField(
             "mix", TORUS,
-            lambda p, xi: 1.0 + 0.4 * np.cos(p[:, 0]) * xi[:, 0] ** 2,
+            lambda p: lambda xi: 1.0 + 0.4 * np.cos(p[:, 0]) * xi[:, 0] ** 2,
         )
         left = assemble_kohn_nirenberg(sym, basis, quantization="left")
         both = assemble_kohn_nirenberg(sym, basis, quantization="symmetric")
@@ -270,14 +270,14 @@ class TestKohnNirenberg:
 
     def test_requires_torus(self):
         basis = basis_for(CIRCLE, 4)
-        sym = SymbolField("one", CIRCLE, lambda p, xi: np.ones(p.shape[0]))
+        sym = SymbolField("one", CIRCLE, lambda p: lambda xi: np.ones(p.shape[0]))
         with pytest.raises(UnsupportedModelError):
             assemble_kohn_nirenberg(sym, basis)
 
     @pytest.mark.parametrize("quantization", ["left", "symmetric"])
     @pytest.mark.parametrize("fn, x_independent", [
-        (lambda p, xi: xi[:, 0], True),  # xi_1 / |xi|
-        (lambda p, xi: np.cos(p[:, 0]) * xi[:, 0], False),
+        (lambda p: lambda xi: xi[:, 0], True),  # xi_1 / |xi|
+        (lambda p: lambda xi: np.cos(p[:, 0]) * xi[:, 0], False),
     ], ids=["x-independent", "general"])
     def test_odd_symbol_is_input_error(self, fn, x_independent, quantization):
         # a symbol odd in xi maps real functions to imaginary ones
@@ -380,9 +380,9 @@ def complex_path(source, basis, quantization, monkeypatch):
     return got, complex_to_real(bc, basis)
 
 
-def _mix(p, xi):
-    return (1.0 + 0.3 * np.cos(p[:, 0]) * xi[:, 0] ** 2
-            + 0.2 * np.sin(p[:, 1]) * xi[:, 0] * xi[:, 1])
+def _mix(p):
+    return lambda xi: (1.0 + 0.3 * np.cos(p[:, 0]) * xi[:, 0] ** 2
+                       + 0.2 * np.sin(p[:, 1]) * xi[:, 0] * xi[:, 1])
 
 
 def _kn_symbols():
@@ -412,7 +412,7 @@ class TestKohnNirenbergFiberFourier:
         # like l^-2 and never reach the Nyquist-band tolerance
         sym = SymbolField(
             "abs-xi1", TORUS,
-            lambda p, xi: (1.0 + 0.2 * np.cos(p[:, 0])) * np.abs(xi[:, 0]),
+            lambda p: lambda xi: (1.0 + 0.2 * np.cos(p[:, 0])) * np.abs(xi[:, 0]),
         )
         with pytest.raises(ResolutionError):
             assemble_kohn_nirenberg(sym, basis_for(TORUS, 9))
@@ -420,11 +420,11 @@ class TestKohnNirenbergFiberFourier:
     def test_evaluations_do_not_grow_with_directions(self):
         calls = []
 
-        def counted(fn):
-            def wrapped(p, xi):
-                calls.append(1)
-                return fn(p, xi)
-            return wrapped
+        def counted(make_evaluator):
+            def prepare(p):
+                ev = make_evaluator(p)
+                return lambda xi: calls.append(1) or ev(xi)
+            return prepare
 
         def directions(basis):
             ks = {(a // math.gcd(a, b), b // math.gcd(a, b))
@@ -434,7 +434,7 @@ class TestKohnNirenbergFiberFourier:
         # a trigonometric polynomial in theta is resolved by the first
         # sampling; an anisotropic hilb symbol needs one doubling
         aniso = hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS))
-        for fn, want in ((_mix, KN_FIBER_RES), (aniso.fn, 2 * KN_FIBER_RES)):
+        for fn, want in ((_mix, KN_FIBER_RES), (aniso.make_evaluator, 2 * KN_FIBER_RES)):
             sym = SymbolField("counted", TORUS, counted(fn))
             for mu2 in (25, 100):
                 calls.clear()
@@ -443,8 +443,8 @@ class TestKohnNirenbergFiberFourier:
         assert directions(basis_for(TORUS, 100)) > 2 * KN_FIBER_RES
 
 
-def _even_multiplier(p, xi):
-    return 1.0 + 0.5 * xi[:, 0] ** 2
+def _even_multiplier(p):
+    return lambda xi: 1.0 + 0.5 * xi[:, 0] ** 2
 
 
 class TestRealGather:
@@ -565,23 +565,23 @@ def eigvalsh_repair(mat):
 class TestSymbolLawPredict:
     def test_unit_symbol_reduces_to_isometry_constant(self):
         pts = np.array([[0.3, 0.9]])
-        pred = symbol_law_predict(ONE, TORUS, pts, mu=3.0)
+        pred = symbol_law_predict(ONE, TORUS, pts)(3.0)
         const = 3.0**4 * (2 * math.pi / 2) / ((2 * math.pi) ** 2 * 4)
         np.testing.assert_allclose(pred.values[0], const * np.eye(2), atol=1e-12)
 
     def test_circle_two_point_fiber(self):
         pts = np.array([[0.7]])
-        pred = symbol_law_predict(EXP_03, CIRCLE, pts, mu=5.0)
+        pred = symbol_law_predict(EXP_03, CIRCLE, pts)(5.0)
         want = 5.0**3 * math.exp(0.3 * math.cos(0.7)) / (3 * math.pi)
         assert pred.values[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_torus_multiplier_moments(self):
         # int cos^4 = 3pi/4 and int cos^2 sin^2 = pi/4 over the fiber circle
-        sym = SymbolField("xi1sq", TORUS, lambda p, xi: xi[:, 0] ** 2,
+        sym = SymbolField("xi1sq", TORUS, lambda p: lambda xi: xi[:, 0] ** 2,
                           x_independent=True)
         pts = np.array([[1.0, 2.0]])
         mu = 2.0
-        pred = symbol_law_predict(sym, TORUS, pts, mu=mu, fiber_res=64)
+        pred = symbol_law_predict(sym, TORUS, pts, fiber_res=64)(mu)
         pref = mu**4 / ((2 * math.pi) ** 2 * 4)
         np.testing.assert_allclose(
             pred.values[0],
@@ -595,7 +595,8 @@ def law_rows(source, model, cutoffs, grid_res):
     """(cutoff, mu, rel_err, pd_shift) per window, sliced from one top-window assembly."""
     mat = operators.assemble(source, basis_for(model, cutoffs[-1]))
     pts, _ = quadrature_grid(model, grid_res)
-    return [(c, *symbol_law_check(source, mat, basis_for(model, c), pts)) for c in cutoffs]
+    law = symbol_law_predict(source, model, pts)
+    return [(c, *symbol_law_check(mat, basis_for(model, c), law)) for c in cutoffs]
 
 
 def defect(f, model, inner, outer, grid_res=16):

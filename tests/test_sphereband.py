@@ -7,7 +7,12 @@ import pytest
 from bergman_lab.bergman import _contract
 from bergman_lab.errors import InputError
 from bergman_lab.manifolds import basis_for, eval_basis, fiber_bundle, quadrature_grid, sphere2
-from bergman_lab.operators import ScalarField, assemble_multiplication, sphere_block
+from bergman_lab.operators import (
+    ScalarField,
+    assemble_multiplication,
+    sphere_block,
+    symbol_law_predict,
+)
 from bergman_lab.presets import scalar_field
 from bergman_lab.sphereband import (
     band_constant,
@@ -210,6 +215,14 @@ def band_errors(a, degrees, k, grid_res=10, fiber_res=32):
     return [sphere_band_check(a, n, k, pts, integral) for n in degrees]
 
 
+def cumulative_errors(a, levels, grid_res=10, fiber_res=32):
+    """cumulative_band_sum at each level, sliced from one top-window assembly as a sweep does."""
+    pts, _ = quadrature_grid(SPHERE, grid_res)
+    law = symbol_law_predict(a, SPHERE, pts, fiber_res)
+    mat = assemble_multiplication(a, basis_for(SPHERE, levels[-1]))
+    return [cumulative_band_sum(a, mat, basis_for(SPHERE, n), law) for n in levels]
+
+
 class TestBandChecks:
     def test_unit_function_prediction_is_exact(self):
         pts, _ = quadrature_grid(SPHERE, 6)
@@ -232,12 +245,12 @@ class TestBandChecks:
         assert err <= 0.15
 
     def test_cumulative_halving_trend(self):
-        errs = [cumulative_band_sum(A_TEST, n) for n in (10, 20)]
+        errs = cumulative_errors(A_TEST, [10, 20])
         assert errs[1] <= 0.7 * errs[0]
 
     def test_cumulative_unit_function_matches_isometry_error(self):
         # a = 1 reduces to the orthonormal-pullback error path
-        err = cumulative_band_sum(ONE, 12)
+        err = cumulative_errors(ONE, [12])[0]
         mu4 = (12 * 13) ** 2
         measured = sum(band_constant(k) for k in range(1, 13))
         pred = mu4 / (16 * math.pi)
