@@ -222,8 +222,9 @@ def cmd_tail_defect(ns, model):
         raise InputError("tail-defect needs a multiplication field --f")
     f = scalar_field(ns.f, model)
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
-    # the largest outer window holds every (inner, outer = 2 inner) pair
-    mat = assemble(f, _top_window(ns, model, 2))
+    # the largest outer window holds every (inner, outer = 2 inner) pair, and
+    # the block couples the inner window's rows only
+    mat = assemble(f, _top_window(ns, model, 2), rows=_top_window(ns, model).dim)
 
     def one(c):
         inner = basis_for(model, c)

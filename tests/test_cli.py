@@ -326,6 +326,38 @@ class TestMainInProcess:
         assert len(capsys.readouterr().out.splitlines()) == 4
         assert windows == [basis_for(model_by_name(argv[2]), top).dim] * count
 
+    def test_tail_defect_gathers_the_inner_rows(self, monkeypatch, capsys):
+        # the block couples the top inner window's rows to the top outer window
+        from bergman_lab import cli
+        from bergman_lab.manifolds import basis_for
+
+        shapes = []
+        real = cli.tail_defect
+        monkeypatch.setattr(cli, "tail_defect", lambda f, mat, *a:
+                            shapes.append(mat.shape) or real(f, mat, *a))
+        assert main(["tail-defect", "--model", "torus2", "--f", "exp:0.3cos(x1)",
+                     "--mu2", "9,25,49"]) == 0, capsys.readouterr().err
+        want = (basis_for(TORUS, 49).dim, basis_for(TORUS, 98).dim)
+        assert shapes == [want] * 3
+
+    @pytest.mark.parametrize("argv, symbol", [
+        # odd in the fiber: b(x, -xi) != b(x, xi)
+        (["bergman", "--model", "circle", "--n", "4,8,12"],
+         lambda p: lambda xi: 1.0 + 0.3 * np.cos(p[:, 0]) * xi[:, 0]),
+        # not constant on the fiber: b(x, dtheta) != b(x, dphi / |dphi|)
+        (["bergman", "--model", "sphere2", "--n", "2,4,6"],
+         lambda p: lambda xi: 1.0 + 0.3 * xi[:, 0] ** 2),
+    ], ids=["circle-odd", "sphere-varying"])
+    def test_fiber_varying_symbol_is_input_error(self, argv, symbol, monkeypatch, capsys):
+        from bergman_lab import cli
+        from bergman_lab.operators import SymbolField
+
+        monkeypatch.setattr(cli, "symbol_field",
+                            lambda name, model: SymbolField(name, model, symbol))
+        assert main([*argv, "--symbol", "varying"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "varies along the fiber" in err, err
+
     @pytest.mark.parametrize("exc, detail", [
         (MemoryError("Unable to allocate 7.28 TiB for an array"), "7.28 TiB"),
         (MemoryError(), "allocation failed"),

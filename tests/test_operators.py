@@ -359,13 +359,18 @@ def complex_path(source, basis, quantization, monkeypatch):
     """Assembly next to the complex-basis oracle: the dense complex matrix of the
     same coefficient table (or of the symbol on the diagonal), through the pairing."""
     seen = []
-    real_gather = operators._real_gather
+    real_gather, mult_gather = operators._real_gather, operators._multiplication_gather
 
     def spy(table, basis, cols, box, hermitian=False):
         seen.append((table, cols, box))
         return real_gather(table, basis, cols, box, hermitian)
 
+    def mult_spy(table, basis, box, rows=None):
+        seen.append((table, np.zeros(basis.dim, int), box))
+        return mult_gather(table, basis, box, rows)
+
     monkeypatch.setattr(operators, "_real_gather", spy)
+    monkeypatch.setattr(operators, "_multiplication_gather", mult_spy)
     got = operators.assemble(source, basis, quantization)
     if seen:
         table, cols, box = seen[0]
@@ -474,6 +479,86 @@ class TestRealGather:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 8 * basis.dim ** 2
+
+
+class TestMultiplicationGather:
+    """Flat multiplication reads the two real Hermitian parts of one table row."""
+
+    @pytest.mark.parametrize("model, cutoff, field, rows", [
+        (CIRCLE, 64, EXP_COS, 33), (CIRCLE, 64, EXP_COS, 32),
+        (TORUS, 100, EXP_MIXED, 161), (TORUS, 100, EXP_MIXED, 160), (TORUS, 100, EXP_MIXED, 1),
+        (SPHERE, 12, scalar_field("exp:0.5cos(phi)+0.3sin(theta)", SPHERE), 49),
+    ])
+    def test_leading_rows_are_the_square_rows(self, model, cutoff, field, rows):
+        basis = basis_for(model, cutoff)
+        square = assemble_multiplication(field, basis)
+        got = operators.assemble(field, basis, rows=rows)
+        assert got.shape == (rows, basis.dim)
+        np.testing.assert_array_equal(got, square[:rows])
+
+    @pytest.mark.parametrize("model, cutoff, field", [
+        (CIRCLE, 64, EXP_COS), (TORUS, 100, EXP_MIXED),
+    ])
+    def test_needs_no_kohn_nirenberg_gather(self, model, cutoff, field, monkeypatch):
+        basis = basis_for(model, cutoff)
+        want = assemble_multiplication(field, basis)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("multiplication read the Kohn-Nirenberg gather")
+
+        monkeypatch.setattr(operators, "_real_gather", refused)
+        got = assemble_multiplication(field, basis)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, got.T)
+
+    def test_non_hermitian_table_is_input_error(self):
+        basis = basis_for(TORUS, 25)
+        _, box = operators._fft_grid(basis)
+        table = np.zeros((2 * box + 1) ** 2, dtype=complex)
+        centre = len(table) // 2
+        table[centre] = 1.0
+        table[centre + 1] = 0.25j  # c(-nu) = 0 is not the conjugate of c(nu)
+        with pytest.raises(InputError, match="imaginary part"):
+            operators._multiplication_gather(table, basis, box)
+        table[centre - 1] = 0.25j  # nor is c(-nu) = -conj(c(nu))
+        with pytest.raises(InputError, match="imaginary part"):
+            operators._multiplication_gather(table, basis, box)
+        table[centre - 1] = -0.25j
+        operators._multiplication_gather(table, basis, box)
+
+    def test_tail_rows_hold_less_than_two_square_matrices(self):
+        # the top window of the tail-defect sweep: inner mu^2 = 400 rows over
+        # the outer mu^2 = 800 window
+        basis = basis_for(TORUS, 800)
+        rows = basis_for(TORUS, 400).dim
+        assemble_multiplication(EXP_03, basis, rows)
+        tracemalloc.start()
+        try:
+            mat = assemble_multiplication(EXP_03, basis, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.shape == (rows, basis.dim)
+        assert peak < 2 * 8 * basis.dim ** 2
+
+
+class TestFiberRestriction:
+    """Off the torus a symbol is multiplication by b(x, e^1), exact only when it
+    is fiber-even (circle) or fiber-constant (sphere); the CLI tests cover the
+    symbols it refuses."""
+
+    @pytest.mark.parametrize("symbol, cutoff", [
+        (hilb_symbol(metric_field("conformal:u=cos(theta)", CIRCLE)), 32),
+        (dhilb_symbol(metric_field("conformal:u=cos(theta)", CIRCLE),
+                      perturbation_field("cos-theta", CIRCLE)), 32),
+        (hilb_symbol(metric_field("conformal:u=0.3x3", SPHERE)), 8),
+    ], ids=["circle-hilb", "circle-dhilb", "sphere-hilb"])
+    def test_admitted_symbol_is_its_restriction(self, symbol, cutoff):
+        basis = basis_for(symbol.model, cutoff)
+        e1 = np.eye(symbol.model.dim)[:1]
+        restriction = ScalarField("b|e1", lambda p: symbol.values(p, e1))
+        np.testing.assert_array_equal(operators.assemble(symbol, basis),
+                                      assemble_multiplication(restriction, basis))
 
 
 class TestPositivityRepair:
