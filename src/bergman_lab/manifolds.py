@@ -80,6 +80,7 @@ class CosphereQuadrature:
     xis: np.ndarray      # (Q, n) unit covector components
     weights: np.ndarray  # (Q,)
     model: ManifoldModel
+    fibers: int          # F: row p * F + f is fiber node f over base point p
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +376,7 @@ def cosphere_quadrature(model: ManifoldModel, base_res: int, fiber_res: int) -> 
     pts, wb = quadrature_grid(model, base_res)
     points, xis, wf = fiber_bundle(model, pts, fiber_res)
     weights = (wb[:, None] * wf).ravel()
-    return CosphereQuadrature(points, xis, weights, model)
+    return CosphereQuadrature(points, xis, weights, model, len(wf))
 
 
 def g0_norm_xi(model: ManifoldModel, points: np.ndarray, xis: np.ndarray) -> np.ndarray:

@@ -27,12 +27,15 @@ from .manifolds import CosphereQuadrature, EigenBasis
 from .operators import SymbolField, assemble, is_diagonal, positivity_repair
 
 
-def _perturbation_scalars(g: MetricField, gdot: MetricPerturbation, points):
-    """xi -> Tr(g^{-1} gdot) and (n+2) <g^{-1} gdot g^{-1} xi, xi> / |xi|_g^2 at the points."""
+def _perturbation_scalars(g: MetricField, gdot: MetricPerturbation, points, fibers: int = 1):
+    """xi -> Tr(g^{-1} gdot) and (n+2) <g^{-1} gdot g^{-1} xi, xi> / |xi|_g^2 at the points.
+
+    Covector row p * fibers + f belongs to point p (``fiber_bundle`` rows)."""
     ginv = g.inverses(points)
     h = gdot.matrices(points)
     tr = np.einsum("pij,pji->p", ginv, h)
     gig = np.einsum("pij,pjk,pkl->pil", ginv, h, ginv)
+    tr, gig, ginv = (np.repeat(a, fibers, axis=0) for a in (tr, gig, ginv))
     n = g.model.dim
     return lambda xis: (tr, (n + 2) * quadratic_form(gig, xis) / quadratic_form(ginv, xis))
 
@@ -110,8 +113,9 @@ def induced_norm_closed(
     quad: CosphereQuadrature,
     trace_sign: int = 1,
 ) -> float:
-    """Cosphere-quadrature evaluation of the closed-form induced norm."""
-    tr, quadr = _perturbation_scalars(g, gdot, quad.points)(quad.xis)
+    """Cosphere-quadrature evaluation of the closed-form induced norm, point data per base point."""
+    base = quad.points[::quad.fibers]
+    tr, quadr = _perturbation_scalars(g, gdot, base, quad.fibers)(quad.xis)
     n = g.model.dim
     pref = 1.0 / (4.0 * n * (2.0 * math.pi) ** n)
     return pref * float((quad.weights * (trace_sign * tr + quadr) ** 2).sum())

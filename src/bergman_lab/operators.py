@@ -5,13 +5,14 @@ read from a table of Fourier coefficients: of f for multiplication, and of
 the symbol under the left Kohn-Nirenberg rule (evaluated at the column
 frequency).  The real basis pairs cos = (u_k + u_{-k})/sqrt(2) and
 sin = (u_k - u_{-k})/(sqrt(2) i), so each real 2 x 2 pair block is a sum or
-difference of four gathered coefficients.  Multiplication reads one table
-row, so its blocks are Toeplitz-plus-Hankel sums of two real tables, the
-Hermitian parts of the row (``_multiplication_gather``), and a caller may ask
-for leading rows only; Kohn-Nirenberg reads a row per column
-(``_real_gather``).  On the sphere multiplication is the Gauss-Legendre x
-trapezoid quadrature sum, separated into a phi DFT and Legendre-weighted
-products.
+difference of four gathered coefficients.  For a Hermitian table row (a real
+field, or a real symbol even in xi) the blocks are Toeplitz-plus-Hankel sums
+of two real tables, the real and imaginary parts of the row, read by one
+gather (``_pair_gather``): multiplication reads one row for every pair, and a
+caller may ask for leading rows only; Kohn-Nirenberg reads the row of each
+column's +-direction pair.  On the sphere multiplication is the
+Gauss-Legendre x trapezoid quadrature sum, separated into a phi DFT and
+Legendre-weighted products.
 """
 
 from __future__ import annotations
@@ -93,12 +94,15 @@ class SymbolField:
 
         def call(xis: np.ndarray) -> np.ndarray:
             xi = np.atleast_2d(np.asarray(xis, dtype=float))
-            if xi.shape[0] == 1 and pts.shape[0] > 1:
+            # one covector row: off the sphere its g0 norm is the same at every point
+            if xi.shape[0] == 1 and self.model.kind == "sphere2":
                 xi = np.broadcast_to(xi, (pts.shape[0], xi.shape[1]))
             norm = g0_norm_xi(self.model, pts, xi)
             if np.any(norm == 0.0):
                 raise InputError("symbol evaluated at xi = 0")
-            return _finite(self.name, ev(xi / norm[:, None]))
+            unit = xi / norm[:, None]
+            unit = np.broadcast_to(unit, (len(pts), unit.shape[1])) if len(unit) == 1 else unit
+            return _finite(self.name, ev(unit))
 
         return call
 
@@ -242,23 +246,43 @@ def _multiplication_gather(table: np.ndarray, basis: EigenBasis, box: int,
     """Leading ``rows`` rows of the real-basis matrix of bc[j, k] = table[nu_j - nu_k].
 
     ``table`` holds frequencies |nu_i| <= box laid out as ``_box``, so its
-    reversal holds c(-nu).  With the real tables E = (Re c(nu) + Re c(-nu))/2
-    and O = (Im c(nu) - Im c(-nu))/2, and delta, sigma = k_p -+ k_q over the
-    pairs, the cos-cos, cos-sin, sin-cos and sin-sin blocks are E(delta) +
-    E(sigma), O(delta) - O(sigma), -(O(delta) + O(sigma)) and E(delta) -
-    E(sigma) (the constant is the cos slot of k = 0 over sqrt(2)): the
-    ``_real_gather`` entries, bit for bit, and exactly symmetric.  The
-    Hermitian mismatch of the table, halved, is checked by ``_check_real``.
+    reversal holds c(-nu).  Its Hermitian parts E = (Re c(nu) + Re c(-nu))/2
+    and O = (Im c(nu) - Im c(-nu))/2 are the one row of ``_pair_gather``; its
+    anti-Hermitian parts are the mismatch checked by ``_check_real``.
     """
-    rows = basis.dim if rows is None else rows
     re, im = table.real, table.imag
     even, odd = 0.5 * (re + re[::-1]), 0.5 * (im - im[::-1])
     mismatch = max(np.abs(0.5 * (re - re[::-1])).max(), np.abs(0.5 * (im + im[::-1])).max())
+    out = _pair_gather(even[None], odd[None], basis, box, rows)
+    _check_real(out, mismatch)
+    return out
+
+
+def _pair_gather(even: np.ndarray, odd: np.ndarray, basis: EigenBasis, box: int,
+                 rows: Optional[int] = None,
+                 table_rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Leading ``rows`` rows (all by default) of the real-basis pair blocks of E and O.
+
+    Rows of ``even`` and ``odd`` hold E (even in nu) and O (odd in nu) over
+    |nu_i| <= box, laid out as ``_box``.  Row pair a (the constant, then the
+    (cos, sin) pairs) reads table row ``table_rows[a]`` (0 by default), so
+    each run of reads stays in one row.  With delta, sigma = k_a -+ k_b, the
+    cos-cos, cos-sin, sin-cos and sin-sin blocks are E(delta) + E(sigma),
+    O(delta) - O(sigma), -(O(delta) + O(sigma)) and E(delta) - E(sigma) (the
+    constant is the cos slot of k = 0 over sqrt(2)).  For one row c with E,
+    O its Hermitian parts this is multiplication, exactly symmetric; with the
+    row of column a's direction, Hermitian rows give G-- = conj(G++) and
+    G-+ = conj(G+-), so it is the transposed left Kohn-Nirenberg matrix.
+    """
+    rows = basis.dim if rows is None else rows
     width = 2 * box + 1
     strides = width ** np.arange(basis.model.dim - 1, -1, -1)
     k = np.append(0, basis.freqs[1::2] @ strides)  # flat offset of k per pair
-    kr = box * strides.sum() + k[: rows // 2 + 1, None]  # flat offset of nu = 0 + k_p
+    kr = box * strides.sum() + k[: rows // 2 + 1, None]  # flat offset of nu = 0 + k_a
+    if table_rows is not None:
+        kr += width ** basis.model.dim * table_rows[: rows // 2 + 1, None]
     delta, sigma = kr - k, kr + k
+    even, odd = even.ravel(), odd.ravel()
     # pair-major layout, index 2i cos and 2i + 1 sin of pair i; the sin slot of
     # k = 0 is a copy of the constant, so the matrix is the view without index 0
     out = np.empty((2 * len(kr), 2 * len(k)))
@@ -270,54 +294,14 @@ def _multiplication_gather(table: np.ndarray, basis: EigenBasis, box: int,
     out = out[1: rows + 1, 1:]
     out[0] *= math.sqrt(0.5)
     out[:, 0] *= math.sqrt(0.5)
-    _check_real(out, mismatch)
     return out
 
 
-def _real_gather(table: np.ndarray, basis: EigenBasis, cols: np.ndarray, box: int,
-                 hermitian: bool = False) -> np.ndarray:
-    """Symmetrized real-basis Kohn-Nirenberg matrix bc[j, k] = table[cols[k], nu_j - nu_k].
-
-    Row c of ``table`` holds frequencies |nu_i| <= box laid out as ``_box``;
-    ``cols`` is the table row of each complex slot.  With G_rs[a, b] =
-    bc[r k_a, s k_b] (r, s = +, -; the constant is the cos slot of k = 0 over
-    sqrt(2)), a, a' = (G++ +- G--)/2 and b, b' = (G+- +- G-+)/2, the cos-cos,
-    cos-sin, sin-cos and sin-sin blocks are Re(a + b), Im(a' - b'), -Im(a' + b')
-    and Re(a - b).  Their imaginary parts vanish when G-- = conj(G++) and G-+ =
-    conj(G+-), as for a symbol even in xi; a larger mismatch is an input error.
-    ``hermitian`` takes the blocks of (bc + bc^H)/2.
-    """
-    d, width = basis.dim, 2 * box + 1
-    strides = width ** np.arange(basis.model.dim - 1, -1, -1)
-    start = cols * width ** len(strides) + box * strides.sum()
-    k = np.append(0, basis.freqs[1::2] @ strides)[:, None]  # flat offset of k per pair
-    plus, minus = np.append(start[0], start[1::2]) - k.T, np.append(start[0], start[2::2]) + k.T
-    flat = table.ravel()
-    a, ap = flat[k + plus], flat[minus - k]  # G++ and G--
-    a, ap = 0.5 * (a + ap), 0.5 * (a - ap)
-    b, bp = flat[k + minus], flat[plus - k]  # G+- and G-+
-    b, bp = 0.5 * (b + bp), 0.5 * (b - bp)
-    if hermitian:
-        a, ap, b = (0.5 * (z + z.conj().T) for z in (a, ap, b))
-        bp = 0.5 * (bp - bp.conj().T)
-    # the mismatches G-- - conj(G++) and G-+ - conj(G+-), halved
-    mismatch = max(np.abs(z).max() for z in (ap.real, a.imag, bp.real, b.imag))
-    cos = np.r_[0, 1:d:2]
-    out = np.empty((d, d))
-    out[np.ix_(cos, cos)] = (a + b).real
-    out[cos, 2::2] = (ap - bp)[:, 1:].imag
-    out[2::2, cos] = -(ap + bp)[1:].imag
-    out[2::2, 2::2] = (a - b)[1:, 1:].real
-    out[0] *= math.sqrt(0.5)
-    out[:, 0] *= math.sqrt(0.5)
-    _check_real(out, mismatch)
-    del a, ap, b, bp  # before the two d x d temporaries of the symmetrization
-    return 0.5 * (out + out.T)
-
-
 def _check_real(entries: np.ndarray, mismatch: float) -> None:
-    """A conjugate-pair mismatch above 1e-9 of the largest entry is an input error."""
-    if mismatch > 1e-9 * max(np.abs(entries).max(), 1.0):
+    """A conjugate-pair mismatch above 1e-9 * max(largest entry, 1) is an input error.
+
+    A mismatch of at most 1e-9 passes without scanning ``entries``."""
+    if mismatch > 1e-9 and mismatch > 1e-9 * np.abs(entries).max():
         raise InputError("quantized matrix has a non-negligible imaginary part")
 
 
@@ -332,14 +316,18 @@ def assemble_kohn_nirenberg(
     x -> b(x, k/|k|) at the row-minus-column frequency; the zero column uses
     the fiber average of b.  ``quantization`` is "left" or "symmetric" (the
     (left + right)/2 variant, equal to the Hermitian part in the complex
-    basis).  Output is in the real basis, symmetrized.
+    basis).  Output is in the real basis, symmetrized; there the symmetric
+    variant is the symmetrized left one, so both values give the same matrix.
 
     An x-independent symbol is evaluated at +k and -k only, on the circle or
     the torus: a real diagonal.  Otherwise (torus only) b is sampled at L
     uniform fiber angles (``_fiber_samples``), and each column is the
     trigonometric interpolant in theta of those samples at the angle of its
     direction: a toroidal quantization whose cost grows with L, not with the
-    number of lattice directions.
+    number of lattice directions.  A symbol with a real matrix is even in
+    xi, and angle l + L/2 is angle l plus pi: the even part (s_l + s_{l+L/2})/2
+    is interpolated in phi = 2 theta on L/2 nodes, one table row per
+    +-direction pair, and the odd part is the mismatch of ``_check_real``.
     """
     model = basis.model
     if model.kind == "sphere2" or (model.dim == 1 and not symbol.x_independent):
@@ -349,56 +337,63 @@ def assemble_kohn_nirenberg(
         )
     if quantization not in ("left", "symmetric"):
         raise InputError(f"unknown quantization {quantization!r}")
-    d = basis.dim
-    cfreqs = _torus_complex_freqs(basis)
     if symbol.x_independent:
         # rows (b(k), b(-k)); the pair (cos_k, sin_k) gets (b(k) + b(-k))/2
-        vals = symbol.values(np.zeros((d - 1, model.dim)), cfreqs[1:].astype(float)).reshape(-1, 2)
+        xis = _torus_complex_freqs(basis)[1:].astype(float)
+        vals = symbol.values(np.zeros_like(xis), xis).reshape(-1, 2)
         avg = symbol.fiber_average(np.zeros((1, model.dim)))
         diag = np.append(avg, np.repeat(vals.mean(axis=1), 2))
         _check_real(diag, 0.5 * np.ptp(vals, axis=1).max(initial=0.0))
         return np.diag(diag)
     m, box = _fft_grid(basis)
     samples = _fiber_samples(symbol, m, box)
-    nfib = samples.shape[0]
-    # distinct primitive directions of the nonzero columns
-    nonzero = np.any(cfreqs != 0, axis=1)
-    g = np.gcd(cfreqs[:, 0], cfreqs[:, 1])[nonzero]
-    dirs, col_dir = np.unique(cfreqs[nonzero] // g[:, None], axis=0, return_inverse=True)
-    angles = np.arctan2(dirs[:, 1], dirs[:, 0])
-    # E[l, dir] = e^{i l theta_dir}, Nyquist row cos(L theta / 2); the
-    # table C.T @ E (C the theta DFT of the samples) equals
-    # samples.T @ (DFT(E) / L), a real weight per sample: one real GEMM
-    phases = np.exp(1j * np.outer(np.fft.fftfreq(nfib, 1.0 / nfib), angles))
-    phases[nfib // 2] = np.cos(0.5 * nfib * angles)
-    weights = np.empty((nfib, len(dirs) + 1))
-    weights[:, :-1] = (np.fft.fft(phases, axis=0) / nfib).real
-    weights[:, -1] = 1.0 / nfib  # zero column: the theta mode 0
-    table = weights.T @ samples.view(float)
-    # column k reads the table row of its direction
-    cols = np.full(d, len(dirs))
-    cols[nonzero] = col_dir.ravel()
-    return _real_gather(table.view(complex), basis, cols, box, quantization == "symmetric")
+    half = samples.shape[0] // 2
+    mismatch = 0.5 * np.abs(samples[:half] - samples[half:]).max()
+    # one primitive direction per (cos_k, sin_k) pair: the basis holds the
+    # representative of +-k with k1 > 0, or k1 = 0 and k2 > 0
+    ks = basis.freqs[1::2]
+    dirs, pair_dir = np.unique(ks // np.gcd(*ks.T)[:, None], axis=0, return_inverse=True)
+    phi = 2.0 * np.arctan2(dirs[:, 1], dirs[:, 0])
+    # Z[l, dir] = e^{i l phi_dir}, Nyquist row cos(L phi / 4); the table
+    # F.T @ Z (F the phi DFT of the even part f) equals f.T @ (DFT(Z) / (L/2)),
+    # a real weight per folded sample: one real GEMM per real table
+    phases = np.exp(1j * np.outer(np.fft.fftfreq(half, 1.0 / half), phi))
+    phases[half // 2] = np.cos(0.5 * half * phi)
+    weights = np.empty((half, len(dirs) + 1))
+    weights[:, :-1] = (np.fft.fft(phases, axis=0) / half).real
+    weights[:, -1] = 1.0 / half  # the zero pair: the phi mode 0, the fiber average
+    even = weights.T @ (0.5 * (samples[:half].real + samples[half:].real))
+    odd = weights.T @ (0.5 * (samples[:half].imag + samples[half:].imag))
+    out = _pair_gather(even, odd, basis, box, table_rows=np.append(len(dirs), pair_dir.ravel()))
+    _check_real(out, mismatch)
+    return 0.5 * (out + out.T)
 
 
 def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
     """x-Fourier coefficients of b at L uniform fiber angles, (L, (2 box + 1)^2).
 
     Row l is the angle 2 pi l / L of ``fiber_covectors``; each row holds the
-    frequencies |nu_i| <= box of b on the m x m grid, laid out as ``_box``.
-    One angle is evaluated at a time.  L starts at KN_FIBER_RES and doubles,
-    reusing the samples it has, until the theta coefficients in the Nyquist
-    band |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest; a symbol not
+    frequencies |nu_i| <= box of b on the m x m grid, laid out as ``_box``,
+    read from the real FFT: nu with nu_2 < 0, or nu_2 = 0 and nu_1 < 0, is
+    the conjugate at -nu, so every row is exactly Hermitian.  One angle is
+    evaluated at a time.  L starts at KN_FIBER_RES and doubles, reusing the
+    samples it has, until the theta coefficients in the Nyquist band
+    |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest; a symbol not
     resolved by KN_FIBER_RES_MAX angles raises ResolutionError.
     """
     pts, _ = quadrature_grid(symbol.model, m)
     evaluate = symbol.prepared(pts)
     origin = np.zeros((1, 2))
+    nu = np.stack(np.divmod(np.arange((2 * box + 1) ** 2), 2 * box + 1)) - box
+    mirror = (nu[1] < 0) | ((nu[1] == 0) & (nu[0] < 0))
+    nu[:, mirror] *= -1
+    index = (nu[0] % m) * (m // 2 + 1) + nu[1]  # into the flat (m, m/2 + 1) real FFT
 
     def sample(xis: np.ndarray) -> np.ndarray:
-        out = np.empty((len(xis), (2 * box + 1) ** 2), dtype=complex)
+        out = np.empty((len(xis), len(index)), dtype=complex)
         for i, xi in enumerate(xis):
-            out[i] = _box(np.fft.fft2(evaluate(xi).reshape(m, m)), box)
+            out[i] = np.fft.rfft2(evaluate(xi).reshape(m, m)).ravel()[index]
+        np.conjugate(out, out=out, where=mirror)
         return out / (m * m)
 
     nfib = KN_FIBER_RES

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bergman_lab import metspace
 from bergman_lab.cli import main
 from bergman_lab.errors import InputError
-from bergman_lab.fields import MetricField, MetricPerturbation, reference_metric
+from bergman_lab.fields import MetricField, MetricPerturbation, quadratic_form, reference_metric
 from bergman_lab.hilb import hilb_symbol
 from bergman_lab.manifolds import basis_for, circle, cosphere_quadrature, torus2
 from bergman_lab.metspace import (
@@ -19,6 +19,7 @@ from bergman_lab.metspace import (
     trace_operators,
 )
 from bergman_lab.operators import ScalarField, SymbolField, is_diagonal
+from bergman_lab.presets import metric_field, perturbation_field
 
 CIRCLE, TORUS = circle(), torus2()
 
@@ -129,6 +130,18 @@ class TestDhilbSymbol:
         np.testing.assert_allclose(plus, minus, rtol=1e-13)
 
 
+def closed_per_row(g, gdot, quad, trace_sign):
+    """Closed-form oracle: the point data on every replicated cosphere row."""
+    ginv = g.inverses(quad.points)
+    h = gdot.matrices(quad.points)
+    tr = np.einsum("pij,pji->p", ginv, h)
+    gig = np.einsum("pij,pjk,pkl->pil", ginv, h, ginv)
+    n = g.model.dim
+    quadr = (n + 2) * quadratic_form(gig, quad.xis) / quadratic_form(ginv, quad.xis)
+    pref = 1.0 / (4.0 * n * (2.0 * math.pi) ** n)
+    return pref * float((quad.weights * (trace_sign * tr + quadr) ** 2).sum())
+
+
 class TestInducedNorm:
     def test_zero_perturbation_gives_zero(self):
         gdot = MetricPerturbation("zero", CIRCLE, lambda p: np.zeros((np.atleast_2d(p).shape[0], 1, 1)))
@@ -138,6 +151,20 @@ class TestInducedNorm:
             reference_metric(CIRCLE), gdot, cosphere_quadrature(CIRCLE, 64, 64)
         )
         assert closed == 0.0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("model, metric, gdot, base_res", [
+        (TORUS, "g0", "cos-x1-dx1", 32),
+        (TORUS, "aniso-diag:0.3,0.3", "cos-x1-dx1", 32),
+        (TORUS, "conformal:u=0.3cos(x1)", "cos-x1-dx1", 16),
+        (CIRCLE, "conformal:u=cos(theta)", "cos-theta", 256),
+    ], ids=["torus-g0", "torus-aniso", "torus-conformal", "circle-conformal"])
+    def test_closed_form_matches_per_row_oracle(self, model, metric, gdot, base_res, sign):
+        # the point data on the base points, repeated per fiber node, is the
+        # per-row computation bit for bit
+        g, h = metric_field(metric, model), perturbation_field(gdot, model)
+        quad = cosphere_quadrature(model, base_res, 64)
+        assert induced_norm_closed(g, h, quad, sign) == closed_per_row(g, h, quad, sign)
 
     def test_circle_closed_form_is_four(self):
         closed = induced_norm_closed(

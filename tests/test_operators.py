@@ -7,7 +7,9 @@ import pytest
 from bergman_lab import operators
 from bergman_lab.errors import InputError, ResolutionError, UnsupportedModelError
 from bergman_lab.hilb import hilb_symbol
-from bergman_lab.manifolds import basis_for, circle, eval_basis, quadrature_grid, sphere2, torus2
+from bergman_lab.manifolds import (
+    basis_for, circle, eval_basis, g0_norm_xi, quadrature_grid, sphere2, torus2,
+)
 from bergman_lab.metspace import dhilb_symbol
 from bergman_lab.operators import (
     KN_FIBER_RES,
@@ -278,7 +280,8 @@ class TestKohnNirenberg:
     @pytest.mark.parametrize("fn, x_independent", [
         (lambda p: lambda xi: xi[:, 0], True),  # xi_1 / |xi|
         (lambda p: lambda xi: np.cos(p[:, 0]) * xi[:, 0], False),
-    ], ids=["x-independent", "general"])
+        (lambda p: lambda xi: 1.0 + 1e-6 * np.cos(p[:, 0]) * xi[:, 0], False),
+    ], ids=["x-independent", "general", "weakly-odd"])
     def test_odd_symbol_is_input_error(self, fn, x_independent, quantization):
         # a symbol odd in xi maps real functions to imaginary ones
         sym = SymbolField("odd", TORUS, fn, x_independent=x_independent)
@@ -357,20 +360,20 @@ def complex_gather(table, basis, cols, box):
 
 def complex_path(source, basis, quantization, monkeypatch):
     """Assembly next to the complex-basis oracle: the dense complex matrix of the
-    same coefficient table (or of the symbol on the diagonal), through the pairing."""
+    same coefficient table (or of the symbol on the diagonal), through the pairing.
+
+    The table is E + iO as ``_pair_gather`` reads it, and each complex slot
+    reads the table row of its pair (the +k and -k slots of a pair share one).
+    """
     seen = []
-    real_gather, mult_gather = operators._real_gather, operators._multiplication_gather
+    pair_gather = operators._pair_gather
 
-    def spy(table, basis, cols, box, hermitian=False):
-        seen.append((table, cols, box))
-        return real_gather(table, basis, cols, box, hermitian)
+    def spy(even, odd, basis, box, rows=None, table_rows=None):
+        pairs = np.zeros(basis.dim // 2 + 1, int) if table_rows is None else table_rows
+        seen.append((even + 1j * odd, np.append(pairs[0], np.repeat(pairs[1:], 2)), box))
+        return pair_gather(even, odd, basis, box, rows, table_rows)
 
-    def mult_spy(table, basis, box, rows=None):
-        seen.append((table, np.zeros(basis.dim, int), box))
-        return mult_gather(table, basis, box, rows)
-
-    monkeypatch.setattr(operators, "_real_gather", spy)
-    monkeypatch.setattr(operators, "_multiplication_gather", mult_spy)
+    monkeypatch.setattr(operators, "_pair_gather", spy)
     got = operators.assemble(source, basis, quantization)
     if seen:
         table, cols, box = seen[0]
@@ -447,6 +450,27 @@ class TestKohnNirenbergFiberFourier:
                 assert len(calls) == want <= 2 * KN_FIBER_RES_MAX
         assert directions(basis_for(TORUS, 100)) > 2 * KN_FIBER_RES
 
+    @pytest.mark.parametrize("mu2, pairs", [(25, None), (100, None), (400, 384)])
+    def test_table_has_one_row_per_direction_pair(self, mu2, pairs, monkeypatch):
+        # a primitive direction and its negative share a row; the last row is
+        # the fiber average of the constant
+        basis = basis_for(TORUS, mu2)
+        ks = {(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in basis.freqs[1:].tolist()}
+        folded = {max(k, (-k[0], -k[1])) for k in ks}
+        assert pairs is None or len(folded) == pairs
+        seen, pair_gather = [], operators._pair_gather
+
+        def spy(even, odd, basis, box, rows=None, table_rows=None):
+            seen.append((even.shape, odd.shape, table_rows))
+            return pair_gather(even, odd, basis, box, rows, table_rows)
+
+        monkeypatch.setattr(operators, "_pair_gather", spy)
+        assemble_kohn_nirenberg(SymbolField("mix", TORUS, _mix), basis)
+        [(even, odd, table_rows)] = seen
+        assert even == odd and even[0] == len(folded) + 1
+        assert table_rows[0] == len(folded)
+        assert sorted(set(table_rows[1:].tolist())) == list(range(len(folded)))
+
 
 def _even_multiplier(p):
     return lambda xi: 1.0 + 0.5 * xi[:, 0] ** 2
@@ -500,14 +524,22 @@ class TestMultiplicationGather:
         (CIRCLE, 64, EXP_COS), (TORUS, 100, EXP_MIXED),
     ])
     def test_needs_no_kohn_nirenberg_gather(self, model, cutoff, field, monkeypatch):
+        # one gather of one table row, whose own buffer is the result: exactly
+        # symmetric, with no symmetrization pass after it
         basis = basis_for(model, cutoff)
         want = assemble_multiplication(field, basis)
+        calls, pair_gather = [], operators._pair_gather
 
-        def refused(*args, **kwargs):
-            raise AssertionError("multiplication read the Kohn-Nirenberg gather")
+        def spy(even, odd, basis, box, rows=None, table_rows=None):
+            out = pair_gather(even, odd, basis, box, rows, table_rows)
+            calls.append((even.shape[0], table_rows, out))
+            return out
 
-        monkeypatch.setattr(operators, "_real_gather", refused)
+        monkeypatch.setattr(operators, "_pair_gather", spy)
         got = assemble_multiplication(field, basis)
+        [(table_rows, pairs, gathered)] = calls
+        assert table_rows == 1 and pairs is None
+        assert got is gathered
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, got.T)
 
@@ -540,6 +572,28 @@ class TestMultiplicationGather:
             tracemalloc.stop()
         assert mat.shape == (rows, basis.dim)
         assert peak < 2 * 8 * basis.dim ** 2
+
+
+class TestPrepared:
+    @pytest.mark.parametrize("symbol", [
+        hilb_symbol(metric_field("conformal:u=cos(theta)", CIRCLE)),
+        dhilb_symbol(metric_field("conformal:u=cos(theta)", CIRCLE),
+                     perturbation_field("cos-theta", CIRCLE)),
+        hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS)),
+        dhilb_symbol(metric_field("g0", TORUS), perturbation_field("cos-x1-dx1", TORUS)),
+        symbol_field("xi1sq", TORUS),
+    ], ids=["circle-hilb", "circle-dhilb", "torus-hilb", "torus-dhilb", "torus-xi1sq"])
+    def test_one_covector_matches_broadcast(self, symbol):
+        # a flat model normalizes one covector row once; the oracle broadcasts
+        # it to every point first and normalizes each row
+        model = symbol.model
+        pts, _ = quadrature_grid(model, 64)
+        ev = symbol.make_evaluator(pts)
+        prepared = symbol.prepared(pts)
+        for xi in np.random.default_rng(3).standard_normal((8, model.dim)):
+            rows = np.broadcast_to(xi, pts.shape)
+            want = ev(rows / g0_norm_xi(model, pts, rows)[:, None])
+            np.testing.assert_array_equal(prepared(xi[None]), want)
 
 
 class TestFiberRestriction:
