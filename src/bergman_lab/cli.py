@@ -434,31 +434,33 @@ COMMANDS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="bergman-lab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--model", choices=["circle", "torus2", "sphere2"])
-        p.add_argument("--n", help="comma-separated level sweep (circle/sphere)")
-        p.add_argument("--mu2", help="comma-separated mu^2 cutoffs (torus)")
-        p.add_argument("--grid", type=int, help="base grid resolution")
-        p.add_argument("--fiber", type=int, help="cosphere fiber nodes")
-        p.add_argument("--tnodes", type=int, help="geodesic t nodes")
-        p.add_argument("--metric", help="metric preset (see list-presets)")
-        p.add_argument("--gdot", help="perturbation preset")
-        p.add_argument("--f", help="multiplication field preset/expression")
-        p.add_argument("--symbol", help="symbol preset")
-        p.add_argument("--b", help="comma-separated fields for szego products")
-        p.add_argument("--a", help="sphere test function")
-        p.add_argument("--k", type=int, help="band offset")
-        p.add_argument("--quantization", choices=["left", "symmetric"])
-        p.add_argument("--out", help="CSV output path (default stdout)")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--check", action="store_true", default=None,
-                       help="evaluate the command's acceptance threshold")
-        p.add_argument("--tol", type=float, help="override the check threshold")
-        p.add_argument("--config", help="key = value config file; flags win")
-    return parser
+    """One parser for every command: the command name and one shared flag set.
+
+    A flag may come before or after the command name.
+    """
+    p = _Parser(prog="bergman-lab", description=__doc__)
+    p.add_argument("command", choices=list(COMMANDS))
+    p.add_argument("--model", choices=["circle", "torus2", "sphere2"])
+    p.add_argument("--n", help="comma-separated level sweep (circle/sphere)")
+    p.add_argument("--mu2", help="comma-separated mu^2 cutoffs (torus)")
+    p.add_argument("--grid", type=int, help="base grid resolution")
+    p.add_argument("--fiber", type=int, help="cosphere fiber nodes")
+    p.add_argument("--tnodes", type=int, help="geodesic t nodes")
+    p.add_argument("--metric", help="metric preset (see list-presets)")
+    p.add_argument("--gdot", help="perturbation preset")
+    p.add_argument("--f", help="multiplication field preset/expression")
+    p.add_argument("--symbol", help="symbol preset")
+    p.add_argument("--b", help="comma-separated fields for szego products")
+    p.add_argument("--a", help="sphere test function")
+    p.add_argument("--k", type=int, help="band offset")
+    p.add_argument("--quantization", choices=["left", "symmetric"])
+    p.add_argument("--out", help="CSV output path (default stdout)")
+    p.add_argument("--threads", type=int)
+    p.add_argument("--check", action="store_true", default=None,
+                   help="evaluate the command's acceptance threshold")
+    p.add_argument("--tol", type=float, help="override the check threshold")
+    p.add_argument("--config", help="key = value config file; flags win")
+    return p
 
 
 def _parse_bool(text: str) -> bool:

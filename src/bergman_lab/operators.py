@@ -378,8 +378,9 @@ def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
     the conjugate at -nu, so every row is exactly Hermitian.  One angle is
     evaluated at a time.  L starts at KN_FIBER_RES and doubles, reusing the
     samples it has, until the theta coefficients in the Nyquist band
-    |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest; a symbol not
-    resolved by KN_FIBER_RES_MAX angles raises ResolutionError.
+    |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest (checked on the
+    columns that are not conjugates, which hold every magnitude); a symbol
+    not resolved by KN_FIBER_RES_MAX angles raises ResolutionError.
     """
     pts, _ = quadrature_grid(symbol.model, m)
     evaluate = symbol.prepared(pts)
@@ -399,7 +400,9 @@ def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
     nfib = KN_FIBER_RES
     samples = sample(fiber_covectors(symbol.model, origin, nfib)[0])
     while True:
-        coeffs = np.abs(np.fft.fft(samples, axis=0))
+        # column -nu is the conjugate of column nu, whose theta coefficients
+        # it holds at -q; the tail band and the max are symmetric in q
+        coeffs = np.abs(np.fft.fft(samples[:, ~mirror], axis=0))
         tail = coeffs[nfib // 2 - 1: nfib // 2 + 2].max()
         if tail <= KN_TAIL_TOL * coeffs.max():
             return samples
@@ -430,15 +433,24 @@ def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
     unbiased field is required.  The zero matrix cannot be lifted.
 
     A diagonal matrix (the x-independent Kohn-Nirenberg case) has its sorted
-    diagonal as eigenvalues.  Otherwise a Cholesky factor of
-    mat - 2e-8 ||mat||_inf I certifies the floor with room for its backward
-    error (Rump, BIT 46, 2006); ``eigvalsh`` runs if it fails.
+    diagonal as eigenvalues.  Otherwise the Gershgorin bound
+    min_i (a_ii - sum_{j != i} |a_ij|) >= 2e-8 ||mat||_inf certifies
+    lambda_min >= 2e-8 rho(mat) without a factorization; failing that, a
+    Cholesky factor of mat - 2e-8 ||mat||_inf I certifies the floor with room
+    for its backward error (Rump, BIT 46, 2006), and ``eigvalsh`` runs if
+    both fail.  Each certificate returns the same ``(mat, 0.0)`` as the
+    eigenvalues would.
     """
     if is_diagonal(mat):
         w = np.sort(np.diagonal(mat))
     else:
+        row_sums = np.abs(mat).sum(axis=1)
+        floor = 2e-8 * row_sums.max()
+        diag = np.diagonal(mat)
+        if (diag + np.abs(diag) - row_sums).min() >= floor:
+            return mat, 0.0
         try:
-            np.linalg.cholesky(mat - 2e-8 * np.abs(mat).sum(axis=1).max() * np.eye(mat.shape[0]))
+            np.linalg.cholesky(mat - floor * np.eye(mat.shape[0]))
             return mat, 0.0
         except np.linalg.LinAlgError:
             pass

@@ -84,32 +84,55 @@ def geodesic_average(source, points, xis, k: int = 0, t_res: int = 64) -> np.nda
     """Unnormalized integral over one period of e^{-itk} b(G^t(x, xi)), per row.
 
     ``points`` (Q, 2) are chart points and ``xis`` (Q, 2) unit covectors.
-    Periodic trapezoid in t: exact once the pullback t -> b(G^t) is a
-    trigonometric polynomial of degree below t_res.
+    Periodic trapezoid in t on the even node count t_res: exact once the
+    pullback t -> b(G^t) is a trigonometric polynomial of degree below t_res.
+    Only the first half of the nodes is flowed: node j + t_res/2 is node j
+    plus pi, and G^{t+pi}(x, xi) is the antipode of G^t(x, xi), the point
+    (pi - theta, phi + pi) with covector (-xi_theta, xi_phi).
     """
     if t_res < 64:
         raise InputError("t quadrature needs at least 64 nodes")
+    if t_res % 2:
+        raise InputError(f"t quadrature needs an even node count, got {t_res}")
     # half-step offset: same exactness for periodic integrands, and meridional
     # geodesics from equatorial points no longer land on poles at the nodes
     ts = 2.0 * math.pi * (np.arange(t_res) + 0.5) / t_res
-    flow_pts, flow_xis = geodesic_flow_sphere(points, xis, ts)  # (T, Q, 2) each
-    vals = source.values(flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2))
+    half = t_res // 2
+    # an antipode is on a pole only when its partner is, so the flow's pole
+    # check covers both halves
+    flow_pts, flow_xis = geodesic_flow_sphere(points, xis, ts[:half])  # (T/2, Q, 2) each
+    pts, cov = flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2)
     weights = (2.0 * math.pi / t_res) * np.exp(-1j * k * ts)
-    return np.tensordot(weights, vals.reshape(t_res, -1), axes=(0, 0))
+    avg = np.tensordot(weights[:half], source.values(pts, cov).reshape(half, -1), axes=(0, 0))
+    # the antipodal half, in place
+    np.subtract(math.pi, pts[:, 0], out=pts[:, 0])
+    np.mod(pts[:, 1] + math.pi, 2.0 * math.pi, out=pts[:, 1])
+    np.negative(cov[:, 0], out=cov[:, 0])
+    return avg + np.tensordot(weights[half:], source.values(pts, cov).reshape(half, -1),
+                              axes=(0, 0))
 
 
 def flow_integral(a, k: int, points: np.ndarray, fiber_res: int = 32, t_res: int = 64) -> np.ndarray:
     """Fiber integral of the geodesic average times xi (x) xi at each point, (P, 2, 2).
 
     The degree-independent part of ``band_predict``: a sweep over N at one
-    offset k computes it once.
+    offset k computes it once.  For the real scalar ``a``, G^t(x, -xi) is
+    G^{-t}(x, xi) with the covector negated and the t nodes are symmetric
+    about 0 mod 2 pi, so the average at -xi is the complex conjugate of the
+    average at xi.  Fiber node f + F/2 is -xi_f for the even node count
+    F = ``fiber_res``, so only the nodes f < F/2 are averaged and the
+    integral is 2 Re sum_{f < F/2} w_f avg_f xi_f (x) xi_f, real by
+    construction.
     """
-    reps, xis, wf = fiber_bundle(sphere2(), points, fiber_res)
-    # imaginary parts cancel only under the fiber pairing xi <-> -xi
-    integ = fiber_tensor(geodesic_average(a, reps, xis, k, t_res), xis, wf)
-    if np.abs(integ.imag).max() > 1e-8 * (1.0 + np.abs(integ.real).max()):
-        raise InputError("band prediction has a non-negligible imaginary part")
-    return integ.real
+    if fiber_res % 2:
+        raise InputError(f"the band prediction needs an even fiber node count, got {fiber_res}")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    reps, xis, wf = fiber_bundle(sphere2(), pts, fiber_res)
+    half = fiber_res // 2
+    reps = reps.reshape(len(pts), fiber_res, 2)[:, :half].reshape(-1, 2)
+    xis = xis.reshape(len(pts), fiber_res, 2)[:, :half].reshape(-1, 2)
+    avg = geodesic_average(a, reps, xis, k, t_res)
+    return 2.0 * fiber_tensor(avg.real, xis, wf[:half])
 
 
 def band_predict(integral: np.ndarray, n_deg: int, k: int, points: np.ndarray) -> Tensor2Field:

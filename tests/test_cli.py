@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bergman_lab.cli import COMMANDS, main, trend_ok
+from bergman_lab.cli import COMMANDS, build_parser, main, trend_ok
 from bergman_lab.errors import InputError, UnsupportedModelError
 from bergman_lab.manifolds import circle, sphere2, torus2
 from bergman_lab.presets import (
@@ -378,6 +378,36 @@ class TestMainInProcess:
         assert main(["sphere-band", "--model", "sphere2", "--a", "x3", "--k", "1",
                      "--n", "5", "--tnodes", "4"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--fiber", "--tnodes"])
+    def test_odd_flow_node_count_is_input_error(self, flag, capsys):
+        # the band prediction folds xi <-> -xi and t <-> t + pi
+        assert main(["sphere-band", "--model", "sphere2", "--n", "5", "--grid", "4",
+                     "--fiber", "8", flag, "65"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "even" in err, err
+
+    def test_cumulative_accepts_odd_fiber(self, capsys):
+        # sphere-cumulative integrates the cosphere law and flows nothing
+        assert main(["sphere-cumulative", "--model", "sphere2", "--n", "2,4",
+                     "--grid", "4", "--fiber", "17"]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_command_parses(self, name):
+        ns = build_parser().parse_args([name, "--model", "circle"])
+        assert ns.command == name and ns.model == "circle"
+
+    @pytest.mark.parametrize("argv", [[], ["--model", "circle"], ["nope"], ["spectra", "extra"]],
+                             ids=["missing", "flags-only", "unknown", "extra"])
+    def test_bad_command_is_input_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_flag_may_precede_command(self, capsys):
+        assert main(["spectra", "--model", "torus2", "--mu2", "5"]) == 0
+        after = capsys.readouterr().out
+        assert main(["--model", "torus2", "--mu2", "5", "spectra"]) == 0
+        assert capsys.readouterr().out == after
 
     def test_list_presets_mentions_required_names(self, capsys):
         assert main(["list-presets"]) == 0

@@ -425,6 +425,21 @@ class TestKohnNirenbergFiberFourier:
         with pytest.raises(ResolutionError):
             assemble_kohn_nirenberg(sym, basis_for(TORUS, 9))
 
+    @pytest.mark.parametrize("name", ["aniso-diag:0.3,0.3", "conformal:u=0.3cos(x1)"])
+    def test_tail_check_columns_hold_every_magnitude(self, name):
+        # the Nyquist tail check reads the columns that are not conjugates:
+        # column -nu holds column nu's theta coefficients at -q, and the tail
+        # band and the max are symmetric in q
+        box, m = 12, 64
+        samples = operators._fiber_samples(hilb_symbol(metric_field(name, TORUS)), m, box)
+        nu = np.stack(np.divmod(np.arange((2 * box + 1) ** 2), 2 * box + 1)) - box
+        mirror = (nu[1] < 0) | ((nu[1] == 0) & (nu[0] < 0))
+        full = np.abs(np.fft.fft(samples, axis=0))
+        half = np.abs(np.fft.fft(samples[:, ~mirror], axis=0))
+        band = slice(len(samples) // 2 - 1, len(samples) // 2 + 2)
+        assert half.max() == pytest.approx(full.max(), rel=1e-14)
+        assert abs(half[band].max() - full[band].max()) <= 1e-15 * full.max()
+
     def test_evaluations_do_not_grow_with_directions(self):
         calls = []
 
@@ -674,6 +689,25 @@ class TestPositivityRepair:
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         spd, shift = positivity_repair(mat)
         assert shift == want_shift and np.array_equal(spd, want_spd)
+
+    @pytest.mark.parametrize("case", ["hilb-torus", "bergman-circle"])
+    def test_gershgorin_certificate_before_cholesky(self, case, monkeypatch):
+        # the anisotropic hilb R is diagonally dominant with a Gershgorin
+        # bound near 16 and needs no factor; the exp(cos theta)
+        # multiplication matrix is not dominant and keeps its Cholesky
+        if case == "hilb-torus":
+            g = metric_field("aniso-diag:0.3,0.3", TORUS)
+            mat = assemble_kohn_nirenberg(hilb_symbol(g), basis_for(TORUS, 100))
+        else:
+            mat = assemble_multiplication(EXP_COS, basis_for(CIRCLE, 96))
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+        spd, shift = positivity_repair(mat)
+        assert calls == ([] if case == "hilb-torus" else [1])
+        want_spd, want_shift = eigvalsh_repair(mat)
+        assert shift == want_shift == 0.0 and spd is mat
+        assert np.array_equal(spd, want_spd)
 
     def test_zero_diagonal_is_input_error(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", None)

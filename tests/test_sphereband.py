@@ -4,9 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bergman_lab import sphereband
 from bergman_lab.bergman import _contract
-from bergman_lab.errors import InputError
-from bergman_lab.manifolds import basis_for, eval_basis, fiber_bundle, quadrature_grid, sphere2
+from bergman_lab.errors import ChartError, InputError
+from bergman_lab.manifolds import (
+    basis_for,
+    eval_basis,
+    fiber_bundle,
+    fiber_tensor,
+    geodesic_flow_sphere,
+    quadrature_grid,
+    sphere2,
+)
 from bergman_lab.operators import (
     ScalarField,
     assemble_multiplication,
@@ -206,6 +215,82 @@ class TestGeodesicAverage:
         for row in range(2):
             single = geodesic_average(A_TEST, pts[row], xis[row], 2)
             assert abs(batch[row] - single[0]) <= 1e-13
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_antipodal_half_matches_flowed_half(self, k):
+        # the unflowed half of the t nodes is the antipode of the flowed
+        # half, covector included: a source that reads xi sees it
+        class Source:
+            @staticmethod
+            def values(p, xi):
+                return np.cos(p[:, 0]) + 0.7 * xi[:, 0] + 0.4 * xi[:, 1] * np.sin(p[:, 1])
+
+        pts = np.array([[1.1, 0.7], [math.pi / 2, 0.3], [0.4, 5.9]])
+        xis = np.array([[0.6, 0.8 * math.sin(1.1)], [1.0, 0.0], [0.0, math.sin(0.4)]])
+        want, bound = unfolded_average(Source, pts, xis, k)
+        assert np.abs(geodesic_average(Source, pts, xis, k) - want).max() <= 1e-13 * bound
+
+    def test_odd_t_nodes_is_input_error(self):
+        # the antipodal fold pairs node j with node j + t_res/2
+        with pytest.raises(InputError, match="even"):
+            geodesic_average(ONE, self.point, self.xi, 0, t_res=65)
+
+    def test_pole_in_the_antipodal_half_is_chart_error(self):
+        # a meridian from theta0 = 2 pi - t_m reaches the north pole at node
+        # t_m of the unflowed half (m >= T/2); its partner node t_m - pi is
+        # at the south pole, so the flowed half raises
+        t_res = 64
+        m = t_res // 2 + 5
+        theta0 = 2 * math.pi - 2 * math.pi * (m + 0.5) / t_res
+        with pytest.raises(ChartError):
+            geodesic_average(A_TEST, np.array([[theta0, 0.3]]), np.array([[1.0, 0.0]]), 0, t_res)
+
+
+def unfolded_average(source, points, xis, k, t_res=64):
+    """The geodesic average with every t node flowed, and its bound 2 pi max |b|."""
+    ts = 2 * math.pi * (np.arange(t_res) + 0.5) / t_res
+    flow_pts, flow_xis = geodesic_flow_sphere(points, xis, ts)
+    vals = source.values(flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2)).reshape(t_res, -1)
+    return (2 * math.pi / t_res) * np.exp(-1j * k * ts) @ vals, 2 * math.pi * np.abs(vals).max()
+
+
+def unfolded_flow_integral(a, k, pts, fiber_res):
+    """The flow integral over every fiber and t node, kept complex, and its bound (2 pi)^2 max |b|."""
+    reps, xis, wf = fiber_bundle(SPHERE, pts, fiber_res)
+    avg, bound = unfolded_average(a, reps, xis, k)
+    return fiber_tensor(avg, xis, wf), 2 * math.pi * bound
+
+
+class TestFoldedFlowIntegral:
+    @pytest.mark.parametrize("fiber_res", [8, 32, 64])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["one-plus-half-x3sq", "x3"])  # the CLI presets
+    def test_matches_unfolded_sum(self, name, k, fiber_res):
+        a = scalar_field(name, SPHERE)
+        pts, _ = quadrature_grid(SPHERE, 6)
+        want, bound = unfolded_flow_integral(a, k, pts, fiber_res)
+        got = flow_integral(a, k, pts, fiber_res)
+        assert got.dtype == float
+        assert np.abs(got - want.real).max() <= 1e-13 * bound
+        assert np.abs(want.imag).max() <= 1e-13 * bound  # what the fold drops
+
+    def test_flows_a_quarter_of_the_rows(self, monkeypatch):
+        calls = []
+
+        def spy(points, xis, t):
+            calls.append((len(t), len(points)))
+            return geodesic_flow_sphere(points, xis, t)
+
+        monkeypatch.setattr(sphereband, "geodesic_flow_sphere", spy)
+        pts, _ = quadrature_grid(SPHERE, 4)
+        flow_integral(A_TEST, 1, pts, 16, 64)
+        assert calls == [(32, 8 * len(pts))]
+
+    def test_odd_fiber_is_input_error(self):
+        # the time-reversal fold pairs fiber node f with node f + F/2
+        pts, _ = quadrature_grid(SPHERE, 4)
+        with pytest.raises(InputError, match="even"):
+            flow_integral(A_TEST, 0, pts, 33)
 
 
 def band_errors(a, degrees, k, grid_res=10, fiber_res=32):
