@@ -42,14 +42,15 @@ def _contract(a, grads_in: np.ndarray, grads_out: np.ndarray) -> np.ndarray:
     return np.einsum("dip,djp->pij", grads_in, t)
 
 
-def dd_kernel(a, basis: EigenBasis, points: np.ndarray) -> Tensor2Field:
+def dd_kernel(a, basis: EigenBasis, points: np.ndarray, grads=None) -> Tensor2Field:
     """Bergman-type tensor field of the kernel with matrix ``a`` over ``basis``.
 
     ``a`` is a (d, d) matrix, or None for the identity.  The result is
-    symmetrized (exact when a is symmetric).
+    symmetrized (exact when a is symmetric).  ``grads`` may give the gradients
+    at ``points`` of a window led by ``basis``, whose leading rows are its own.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, grads = eval_basis(basis, pts)
+    grads = (eval_basis(basis, pts)[1] if grads is None else grads)[:basis.dim]
     vals = _contract(a, grads, grads)
     vals = 0.5 * (vals + np.transpose(vals, (0, 2, 1)))
     return Tensor2Field(basis.model, pts, vals)
@@ -80,9 +81,9 @@ def fit_growth(mus: np.ndarray, measured: np.ndarray, n: int) -> float:
     return float(coef[0])
 
 
-def isometry_measurement(model: ManifoldModel, cutoff, grid_res: int = 16):
-    """(mu, isotropic coefficient of dd(I)) for one spectral window."""
+def isometry_measurement(model: ManifoldModel, cutoff, grid_res: int = 16, grads=None):
+    """(mu, isotropic coefficient of dd(I)) for one spectral window (``grads`` as in dd_kernel)."""
     pts, _ = quadrature_grid(model, grid_res)
     basis = basis_for(model, cutoff)
-    fld = dd_kernel(None, basis, pts)
+    fld = dd_kernel(None, basis, pts, grads)
     return basis.mu_top, isotropic_coefficients(model, fld)

@@ -33,8 +33,10 @@ from .manifolds import (
     basis_for,
     cosphere_quadrature,
     enumerate_levels,
+    eval_basis,
     model_by_name,
     quadrature_grid,
+    sphere2,
 )
 from .operators import assemble, symbol_law_check, symbol_law_predict, tail_defect
 from .presets import (
@@ -164,9 +166,9 @@ def cmd_spectra(ns, model):
 
 
 def cmd_takahashi(ns, model):
-    grid = _opt(ns.grid, 12)
+    pts, _ = quadrature_grid(sphere2(), _opt(ns.grid, 12))
     rows = map_sweep(
-        ns, lambda n: (n, *sphereband.takahashi_check(n, grid)), default=list(range(1, 11))
+        ns, lambda n: (n, *sphereband.takahashi_check(n, points=pts)), default=list(range(1, 11))
     )
     tol = _opt(ns.tol, 1e-8)
     worst = max(r[2] for r in rows)
@@ -178,7 +180,8 @@ def cmd_isometry(ns, model):
     if ns.sweep and len(ns.sweep) < 3:
         raise InputError("isometry fit needs at least 3 sweep values")
     grid = _opt(ns.grid, _default_grid(model))
-    pairs = map_sweep(ns, lambda c: bergman.isometry_measurement(model, c, grid))
+    _, grads = eval_basis(_top_window(ns, model), quadrature_grid(model, grid)[0])
+    pairs = map_sweep(ns, lambda c: bergman.isometry_measurement(model, c, grid, grads))
     mus, measured = np.array(pairs).T
     n = model.dim
     fitted = bergman.fit_growth(mus, measured, n)
@@ -208,8 +211,9 @@ def cmd_bergman(ns, model):
         raise InputError("fiber resolution must be at least 16")
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     law = symbol_law_predict(source, model, pts, ns.fiber)
-    mat = assemble(source, _top_window(ns, model))
-    rows = map_sweep(ns, lambda c: (c, *symbol_law_check(mat, basis_for(model, c), law)))
+    top = _top_window(ns, model)
+    mat, grads = assemble(source, top), eval_basis(top, pts)[1]
+    rows = map_sweep(ns, lambda c: (c, *symbol_law_check(mat, basis_for(model, c), law, grads)))
     errs = [r[2] for r in rows]
     tol = _opt(ns.tol, 0.10)
     ok = errs[-1] <= tol and trend_ok(errs)
@@ -243,10 +247,11 @@ def cmd_hilb_approx(ns, model):
         raise InputError("hilb-approx needs --metric")
     g = metric_field(ns.metric, model)
     pts, w = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
-    r = hilb.hilb_n(g, _top_window(ns, model), quantization=ns.quantization)
+    top = _top_window(ns, model)
+    r, grads = hilb.hilb_n(g, top, quantization=ns.quantization), eval_basis(top, pts)[1]
 
     def one(c):
-        fld, shift = hilb.approximate(r, basis_for(model, c), pts)
+        fld, shift = hilb.approximate(r, basis_for(model, c), pts, grads)
         sup, l2 = relative_errors(fld, g, w)
         return (c, sup, l2, shift)
 
@@ -342,9 +347,10 @@ def cmd_sphere_cumulative(ns, model):
     a = _sphere_field(ns, model)
     pts, _ = quadrature_grid(model, _opt(ns.grid, 10))
     law = symbol_law_predict(a, model, pts, ns.fiber)
-    mat = assemble(a, _top_window(ns, model))
+    top = _top_window(ns, model)
+    mat, grads = assemble(a, top), eval_basis(top, pts)[1]
     rows = map_sweep(ns, lambda n: (n, sphereband.cumulative_band_sum(
-        a, mat, basis_for(model, n), law)))
+        a, mat, basis_for(model, n), law, grads)))
     errs = [r[1] for r in rows]
     ratio_tol = _opt(ns.tol, 0.7)
     ok = all(b <= ratio_tol * a_ for a_, b in zip(errs, errs[1:]))
@@ -356,6 +362,7 @@ def cmd_exact_pullback(ns, model):
     if model.kind not in ("circle", "torus2"):
         raise InputError("exact-pullback supports circle and torus2")
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
+    _, grads = eval_basis(_top_window(ns, model), pts)
 
     def closed_form(cutoff: int) -> np.ndarray:
         if model.kind == "circle":
@@ -369,7 +376,7 @@ def cmd_exact_pullback(ns, model):
 
     def one(cutoff):
         want = closed_form(cutoff)
-        fld = bergman.dd_kernel(None, basis_for(model, cutoff), pts)
+        fld = bergman.dd_kernel(None, basis_for(model, cutoff), pts, grads)
         dev = np.abs(fld.values - want).max() / np.abs(want).max()
         return (cutoff, float(dev))
 

@@ -65,14 +65,16 @@ def hilb_n(g: MetricField, basis: EigenBasis, quantization: str = "left") -> np.
     return assemble(hilb_symbol(g), basis, quantization=quantization)
 
 
-def approximate(r: np.ndarray, basis: EigenBasis, points: np.ndarray) -> tuple[Tensor2Field, float]:
+def approximate(r: np.ndarray, basis: EigenBasis, points: np.ndarray,
+                grads=None) -> tuple[Tensor2Field, float]:
     """Normalized Bergman approximation mu^{-(n+2)} E_N(Hilb_N(g)) of g on one window.
 
     ``r`` is ``hilb_n(g, top)`` over a window whose leading block is
-    ``basis``.  The block's positivity-repair shift is returned, not applied
-    (a shift s would add s * dd(I)), so the field is that of the assembly.
+    ``basis`` (``grads`` as in ``dd_kernel``).  The block's positivity-repair
+    shift is returned, not applied (a shift s would add s * dd(I)), so the
+    field is that of the assembly.
     """
     block = r[:basis.dim, :basis.dim]
     _, shift = positivity_repair(block)
-    field = dd_kernel(block, basis, points)
+    field = dd_kernel(block, basis, points, grads)
     return field.scaled(basis.mu_top ** -(basis.model.dim + 2)), shift

@@ -176,7 +176,6 @@ class EigenBasis:
 
 def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
     levels = tuple(enumerate_levels(model, cutoff))
-    lambdas, kinds, freqs = [], [], []
     if model.kind in (CIRCLE, TORUS2):
         # the constant, then a cos and a sin slot per half-lattice point
         ks = np.repeat(_half_lattice(model, cutoff), 2, axis=0)
@@ -184,14 +183,10 @@ def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
         kinds = [0] + [1, 2] * (len(ks) // 2)
         freqs = np.vstack([np.zeros((1, model.dim), dtype=int), ks])
     elif model.kind == SPHERE2:
-        for lv in levels:
-            l = lv.index
-            lam = math.sqrt(lv.mu_sq)
-            for m in range(-l, l + 1):
-                lambdas.append(lam)
-                kinds.append(0)
-                freqs.append((l, m))
-        freqs = np.array(freqs, dtype=int).reshape(-1, 2)
+        # level l starts at offset l^2, so its entry j has m = j - l^2 - l
+        l = np.repeat(np.arange(len(levels)), [lv.multiplicity for lv in levels])
+        lambdas, kinds = np.sqrt(l * (l + 1.0)), np.zeros(len(l), dtype=int)
+        freqs = np.column_stack([l, np.arange(len(l)) - l * l - l])
     else:
         raise UnsupportedModelError(model.kind)
     return EigenBasis(
@@ -218,7 +213,8 @@ def normalized_legendre(lmax: int, theta: np.ndarray):
     """Fully normalized associated Legendre P̄_l^m(cos theta) and d/dtheta.
 
     Normalization: integral over S^2 of (P̄_l^m e^{im phi})^2 equals 1, no
-    Condon-Shortley sign.  Stable upward recurrence in l for each m.
+    Condon-Shortley sign.  Stable upward recurrence in l, each step over
+    every m (Holmes & Featherstone, J. Geodesy 76, 2002).
     Returns arrays of shape (lmax+1, lmax+1, len(theta)); entries with
     m > l are zero.
     """
@@ -229,20 +225,16 @@ def normalized_legendre(lmax: int, theta: np.ndarray):
     p = np.zeros((lmax + 1, lmax + 1, theta.shape[0]))
     dp = np.zeros_like(p)
     p[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, lmax + 1):
-        p[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * p[m - 1, m - 1]
-    for m in range(0, lmax):
-        p[m + 1, m] = math.sqrt(2.0 * m + 3.0) * ct * p[m, m]
-    for m in range(0, lmax + 1):
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p[l, m] = a * (ct * p[l - 1, m] - b * p[l - 2, m])
-    for m in range(0, lmax + 1):
-        for l in range(max(m, 1), lmax + 1):
-            c = math.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
-            prev = p[l - 1, m] if l - 1 >= m else 0.0
-            dp[l, m] = (l * ct * p[l, m] - c * prev) / st
+    for l in range(1, lmax + 1):
+        p[l, l] = math.sqrt((2.0 * l + 1.0) / (2.0 * l)) * st * p[l - 1, l - 1]
+        p[l, l - 1] = math.sqrt(2.0 * l + 1.0) * ct * p[l - 1, l - 1]
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+        p[l, :l - 1] = a * (ct * p[l - 1, :l - 1] - b * p[l - 2, :l - 1])
+        m = np.arange(l + 1)  # p[l - 1, l] is zero, and so is its coefficient c
+        c = np.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))[:, None]
+        dp[l, :l + 1] = (l * ct * p[l, :l + 1] - c * p[l - 1, :l + 1]) / st
     return p, dp
 
 
@@ -251,17 +243,18 @@ def _eval_sphere(basis: EigenBasis, pts: np.ndarray):
     theta, phi = pts[:, 0], pts[:, 1]
     l, m = basis.freqs[:, 0], basis.freqs[:, 1]
     am, is_cos = np.abs(m), (m >= 0)[:, None]  # cos(0 phi) = 1 for m = 0
-    p, dp = normalized_legendre(int(l.max()), theta)
+    # a table on the distinct colatitudes only (a grid repeats each), gathered in C order
+    colat, at = np.unique(theta, return_inverse=True)
+    p, dp = (tab[l[:, None], am[:, None], at] for tab in normalized_legendre(int(l.max()), colat))
     angles = np.arange(am.max() + 1)[:, None] * phi
     cos_t, sin_t = np.cos(angles)[am], np.sin(angles)[am]  # (d, P) by |m|
     trig = np.where(is_cos, cos_t, sin_t)
     scale = np.where(m == 0, 1.0, math.sqrt(2.0))[:, None]
     # d/dphi: -sqrt(2) m Pbar sin(m phi) for cos rows, sqrt(2) |m| Pbar cos for sin rows
     dcoef = np.where(m > 0, -m, am)[:, None] * scale
-    grads = np.stack([scale * dp[l, am] * trig,
-                      dcoef * p[l, am] * np.where(is_cos, sin_t, cos_t)], axis=1)
+    grads = np.stack([scale * dp * trig, dcoef * p * np.where(is_cos, sin_t, cos_t)], axis=1)
     grads[m == 0, 1] = 0.0
-    return scale * p[l, am] * trig, grads
+    return scale * p * trig, grads
 
 
 def eval_basis(basis: EigenBasis, points: np.ndarray):
@@ -280,11 +273,8 @@ def g0_matrices(model: ManifoldModel, points: np.ndarray) -> np.ndarray:
     """Reference metric g0 in chart components at each point, shape (P, n, n)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     p = pts.shape[0]
-    if model.kind in (CIRCLE, TORUS2):
-        out = np.broadcast_to(np.eye(model.dim), (p, model.dim, model.dim)).copy()
-    else:
-        out = np.zeros((p, 2, 2))
-        out[:, 0, 0] = 1.0
+    out = np.broadcast_to(np.eye(model.dim), (p, model.dim, model.dim)).copy()
+    if model.kind == SPHERE2:
         out[:, 1, 1] = np.sin(pts[:, 0]) ** 2
     return out
 
@@ -394,16 +384,18 @@ def g0_norm_xi(model: ManifoldModel, points: np.ndarray, xis: np.ndarray) -> np.
 _FLOW_BLOCK = 1 << 16
 
 
-def geodesic_flow_sphere(points: np.ndarray, xis: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+def geodesic_flow_sphere(points: np.ndarray, xis: np.ndarray, t, covectors: bool = True):
     """Great-circle flow G^t on S*S^2 in chart coordinates.
 
     Points (P, 2) and covectors (P, 2) flow for each time in ``t``: a 1-D
     vector of T times gives points and covectors of shape (T, P, 2), entry
-    [i] the flow to time t[i]; a scalar time gives (P, 2).  The base frame
-    is built once; the flow runs in ambient R^3 (x cos t + v sin t), so pole
-    crossings along the way are harmless, and converts back to the chart in
-    blocks of about ``_FLOW_BLOCK`` rows.  Raises ChartError if an input
-    point or an *output* point at any time lies on a pole.
+    [i] the flow to time t[i]; a scalar time gives (P, 2).  With
+    ``covectors`` false, None stands in for the covectors, which are not
+    built.  The base frame is built once; the flow runs in ambient R^3
+    (x cos t + v sin t), so pole crossings along the way are harmless, and
+    converts back to the chart in blocks of about ``_FLOW_BLOCK`` rows.
+    Raises ChartError if an input point or an *output* point at any time
+    lies on a pole.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     xi = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -422,7 +414,7 @@ def geodesic_flow_sphere(points: np.ndarray, xis: np.ndarray, t) -> tuple[np.nda
     xi_th, xi_ph = xi[:, 0], xi[:, 1] / st
     v = (xi_th * (ct * cp) + xi_ph * -sp, xi_th * (ct * sp) + xi_ph * cp, xi_th * -st)
     out_pts = np.empty((len(ts), *pts.shape))
-    out_xis = np.empty((len(ts), *pts.shape))
+    out_xis = np.empty((len(ts), *pts.shape)) if covectors else None
     step = max(1, _FLOW_BLOCK // max(len(st), 1))
     for lo in range(0, len(ts), step):
         blk = slice(lo, lo + step)
@@ -433,13 +425,15 @@ def geodesic_flow_sphere(points: np.ndarray, xis: np.ndarray, t) -> tuple[np.nda
         theta_t = np.arccos(x3)
         phi_t = np.mod(np.arctan2(cos_t * x[1] + sin_t * v[1], cos_t * x[0] + sin_t * v[0]),
                        2.0 * math.pi)
+        out_pts[blk, :, 0], out_pts[blk, :, 1] = theta_t, phi_t
+        if not covectors:
+            continue
         st_t, ct_t = np.sin(theta_t), np.cos(theta_t)
         cp_t, sp_t = np.cos(phi_t), np.sin(phi_t)
         # velocity at time t, projected on the frame at the flowed point
         vt = [-sin_t * x[i] + cos_t * v[i] for i in range(3)]
-        out_pts[blk, :, 0], out_pts[blk, :, 1] = theta_t, phi_t
         out_xis[blk, :, 0] = vt[0] * (ct_t * cp_t) + vt[1] * (ct_t * sp_t) + vt[2] * -st_t
         out_xis[blk, :, 1] = (vt[0] * -sp_t + vt[1] * cp_t) * st_t
     if t.ndim == 0:
-        return out_pts[0], out_xis[0]
+        return out_pts[0], None if out_xis is None else out_xis[0]
     return out_pts, out_xis

@@ -208,12 +208,14 @@ def sphere_block(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice) ->
 def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, cols) -> np.ndarray:
     """sum over the (theta, phi) grid of fw Y_j Y_k, j in rows, k in cols (see ``sphere_block``)."""
     lmax, nphi = plm.shape[0] - 1, fw.shape[1]
-    fhat = np.conj(np.fft.fft(fw, axis=1))  # F[i, n] = sum_phi fw e^{i n phi}
+    fhat = np.fft.fft(fw, axis=1)  # F = conj(fhat): F[i, n] = sum_phi fw e^{i n phi}
+    # Re((-i)^j F) for j = 0..3 is C, S, -C, -S (F = C + iS): column j nphi + n
+    tab = np.concatenate([fhat.real, -fhat.imag, -fhat.real, fhat.imag], axis=1)
     mt = np.arange(-lmax, lmax + 1)  # trig index mt + lmax: order a = |mt|, k = 1 for sin
     a, k, s = np.abs(mt), (mt < 0).astype(int), np.where(mt == 0, math.sqrt(0.5), 1.0)
-    quarter = np.array([1, -1j, -1, 1j])  # (-i)^k
-    g = s[:, None] * s * (quarter[(k[:, None] - k) % 4] * fhat[:, (a[:, None] - a) % nphi]
-                          + quarter[(k[:, None] + k) % 4] * fhat[:, (a[:, None] + a) % nphi]).real
+    i1 = (k[:, None] - k) % 4 * nphi + (a[:, None] - a) % nphi
+    i2 = (k[:, None] + k) % 4 * nphi + (a[:, None] + a) % nphi
+    g = s[:, None] * s * (tab[:, i1] + tab[:, i2])
     l, m = basis.freqs[rows, 0], basis.freqs[rows, 1]
     lc, mc = basis.freqs[cols, 0], basis.freqs[cols, 1]
     right = plm[lc, np.abs(mc)].T  # (n_theta, n_cols)
@@ -517,19 +519,21 @@ def assemble(source, basis: EigenBasis, quantization: str = "left",
     raise InputError(f"cannot assemble {type(source).__name__}")
 
 
-def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law) -> tuple[float, float, float]:
+def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law,
+                     grads=None) -> tuple[float, float, float]:
     """Sup relative error of one window's Bergman field against the symbol law.
 
     ``mat`` is ``assemble(source, top)`` over a window whose leading block is
-    ``basis``, and ``law`` is ``symbol_law_predict`` of the same source.
-    Returns (mu, rel_err, pd_shift).  The positivity shift of the block is
-    reported, not applied (it would add shift * dd(I)), so the compared
-    field is that of the symmetrized assembly itself.
+    ``basis`` (``grads`` as in ``dd_kernel``), and ``law`` is
+    ``symbol_law_predict`` of the same source.  Returns (mu, rel_err,
+    pd_shift).  The positivity shift of the block is reported, not applied
+    (it would add shift * dd(I)), so the compared field is that of the
+    symmetrized assembly itself.
     """
     pred = law(basis.mu_top)
     block = mat[:basis.dim, :basis.dim]
     _, shift = positivity_repair(block)
-    field = dd_kernel(block, basis, pred.points)
+    field = dd_kernel(block, basis, pred.points, grads)
     num = g0_operator_norms(basis.model, pred.points, field.values - pred.values)
     den = g0_operator_norms(basis.model, pred.points, pred.values)
     return basis.mu_top, float((num / den).max()), shift

@@ -43,15 +43,14 @@ def band_constant(n_deg: int) -> float:
     return n_deg * (n_deg + 1) * (2 * n_deg + 1) / (8.0 * math.pi)
 
 
-def takahashi_check(n_deg: int, grid_res: int = 12) -> tuple[float, float]:
-    """Max relative deviation of the band pullback from band_constant * g0."""
+def takahashi_check(n_deg: int, grid_res: int = 12, points=None) -> tuple[float, float]:
+    """Max relative deviation of the level-N pullback from band_constant * g0 on the grid."""
     if n_deg < 1:
         raise InputError("band degree must be at least 1")
     model = sphere2()
     basis = basis_for(model, n_deg)
-    pts, _ = quadrature_grid(model, grid_res)
-    _, grads = eval_basis(basis, pts)
-    gband = grads[basis.level_slice(n_deg)]
+    pts = quadrature_grid(model, grid_res)[0] if points is None else points
+    _, gband = eval_basis(basis.subset(basis.level_slice(n_deg)), pts)
     tensor = np.einsum("dip,djp->pij", gband, gband)
     c = band_constant(n_deg)
     dev = g0_operator_norms(model, pts, tensor - c * g0_matrices(model, pts))
@@ -99,15 +98,17 @@ def geodesic_average(source, points, xis, k: int = 0, t_res: int = 64) -> np.nda
     ts = 2.0 * math.pi * (np.arange(t_res) + 0.5) / t_res
     half = t_res // 2
     # an antipode is on a pole only when its partner is, so the flow's pole
-    # check covers both halves
-    flow_pts, flow_xis = geodesic_flow_sphere(points, xis, ts[:half])  # (T/2, Q, 2) each
-    pts, cov = flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2)
+    # check covers both halves; a scalar source reads no covector
+    scalar = isinstance(source, ScalarField)
+    flow_pts, flow_xis = geodesic_flow_sphere(points, xis, ts[:half], covectors=not scalar)
+    pts, cov = flow_pts.reshape(-1, 2), None if scalar else flow_xis.reshape(-1, 2)
     weights = (2.0 * math.pi / t_res) * np.exp(-1j * k * ts)
     avg = np.tensordot(weights[:half], source.values(pts, cov).reshape(half, -1), axes=(0, 0))
     # the antipodal half, in place
     np.subtract(math.pi, pts[:, 0], out=pts[:, 0])
     np.mod(pts[:, 1] + math.pi, 2.0 * math.pi, out=pts[:, 1])
-    np.negative(cov[:, 0], out=cov[:, 0])
+    if not scalar:
+        np.negative(cov[:, 0], out=cov[:, 0])
     return avg + np.tensordot(weights[half:], source.values(pts, cov).reshape(half, -1),
                               axes=(0, 0))
 
@@ -156,15 +157,16 @@ def sphere_band_check(
     return sup_relative_error(measured, band_predict(integral, n_deg, k, points).values, a.name)
 
 
-def cumulative_band_sum(a: ScalarField, mat: np.ndarray, basis: EigenBasis, law) -> float:
+def cumulative_band_sum(a: ScalarField, mat: np.ndarray, basis: EigenBasis, law,
+                        grads=None) -> float:
     """Relative error of one full-window tensor against the cosphere law.
 
     Compares DD Pi_{<=N} B Pi_{<=N}, the Bergman field of the leading block
-    of ``mat = assemble(a, top)`` over the window ``basis``, with
-    ``law(mu_N)``, the ``symbol_law_predict`` of ``a``:
+    of ``mat = assemble(a, top)`` over the window ``basis`` (``grads`` as in
+    ``dd_kernel``), with ``law(mu_N)``, the ``symbol_law_predict`` of ``a``:
     mu_N^{n+2} / ((n+2) (2 pi)^n) * int b(x, xi) xi (x) xi dS(xi).  The
     sphere remainder is O(1/N), improving on the general o(1).
     """
     pred = law(basis.mu_top)
-    measured = dd_kernel(mat[:basis.dim, :basis.dim], basis, pred.points)
+    measured = dd_kernel(mat[:basis.dim, :basis.dim], basis, pred.points, grads)
     return sup_relative_error(measured, pred.values, a.name)

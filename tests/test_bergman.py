@@ -149,6 +149,19 @@ class TestDDKernel:
         scale = 1.0 + np.abs(combo.values).max()
         assert np.abs(combo.values - parts).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("model, cutoff, top, grid", [
+        (CIRCLE, 8, 24, 32), (TORUS, 25, 49, 12), (SPHERE, 4, 9, 8), (SPHERE, 9, 9, 8),
+    ])
+    def test_top_window_gradients_give_the_same_field(self, model, cutoff, top, grid):
+        # a window's gradients are the leading rows of a larger window's
+        pts, _ = quadrature_grid(model, grid)
+        basis = basis_for(model, cutoff)
+        _, grads = eval_basis(basis_for(model, top), pts)
+        a = np.random.default_rng(cutoff).standard_normal((basis.dim, basis.dim))
+        for mat in (a + a.T, None):
+            want = dd_kernel(mat, basis, pts).values
+            assert np.array_equal(dd_kernel(mat, basis, pts, grads).values, want)
+
     def test_window_growth_bound_circle(self):
         # consecutive-window fields are PSD with norm <= C delta mu^{n+1},
         # C stable (within 2x) across the top octave

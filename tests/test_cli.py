@@ -326,6 +326,33 @@ class TestMainInProcess:
         assert len(capsys.readouterr().out.splitlines()) == 4
         assert windows == [basis_for(model_by_name(argv[2]), top).dim] * count
 
+    @pytest.mark.parametrize("argv, top", [
+        (["sphere-cumulative", "--model", "sphere2", "--n", "2,4,6"], 6),
+        (["isometry", "--model", "circle", "--n", "8,16,24"], 24),
+        (["isometry", "--model", "torus2", "--mu2", "9,25,49"], 49),
+        (["isometry", "--model", "sphere2", "--n", "4,6,8", "--grid", "8"], 8),
+        (["hilb-approx", "--model", "torus2", "--metric", "aniso-diag:0.3,0.3",
+          "--mu2", "9,25,49"], 49),
+        (["hilb-approx", "--model", "circle", "--metric", "conformal:u=cos(theta)",
+          "--n", "8,16,24"], 24),
+        (["bergman", "--model", "torus2", "--symbol", "xi1sq", "--mu2", "9,25,49"], 49),
+        (["exact-pullback", "--model", "torus2", "--mu2", "5,25,49"], 49),
+    ], ids=["cumulative-sphere", "isometry-circle", "isometry-torus", "isometry-sphere",
+            "hilb-torus", "hilb-circle", "bergman-torus", "exact-torus"])
+    def test_sweep_evaluates_its_top_window_once(self, argv, top, monkeypatch, capsys):
+        # each window's gradients are the leading rows of the top window's
+        from bergman_lab import bergman, cli, manifolds, operators, sphereband
+        from bergman_lab.manifolds import basis_for, model_by_name
+
+        windows = []
+        real = manifolds.eval_basis
+        for module in (bergman, cli, operators, sphereband):
+            monkeypatch.setattr(module, "eval_basis", lambda basis, *a, **kw:
+                                windows.append(basis.dim) or real(basis, *a, **kw))
+        assert main([*argv, "--threads", "2"]) == 0, capsys.readouterr().err
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert windows == [basis_for(model_by_name(argv[2]), top).dim]
+
     def test_tail_defect_gathers_the_inner_rows(self, monkeypatch, capsys):
         # the block couples the top inner window's rows to the top outer window
         from bergman_lab import cli

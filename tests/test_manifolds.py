@@ -43,6 +43,14 @@ class TestLevels:
         for n in (1, 4, 9):
             assert basis_for(SPHERE, n).dim == (n + 1) ** 2
 
+    @pytest.mark.parametrize("cutoff", [0, 1, 7, 40])
+    def test_sphere_entries_match_level_loop(self, cutoff):
+        basis = basis_for(SPHERE, cutoff)
+        freqs = [[l, m] for l in range(cutoff + 1) for m in range(-l, l + 1)]
+        lambdas = [math.sqrt(float(l * (l + 1))) for l, _ in freqs]
+        assert basis.freqs.tolist() == freqs and basis.freqs.dtype == np.int64
+        assert basis.lambdas.tolist() == lambdas and basis.kinds.tolist() == [0] * len(freqs)
+
     def test_torus_dimension_through_five(self):
         assert basis_for(TORUS, 5).dim == 21
 
@@ -211,6 +219,61 @@ class TestSphereEvaluator:
         assert grads.tobytes() == want_grads.tobytes()
 
 
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_matches_per_point_evaluation(self, grid):
+        # the Legendre table is built once per distinct colatitude and gathered
+        rng = np.random.default_rng(11)
+        if grid:
+            pts, _ = quadrature_grid(SPHERE, 5)  # 10 points on each colatitude
+        else:
+            pts = np.column_stack([rng.uniform(0.01, math.pi - 0.01, 40),
+                                   rng.uniform(0.0, 2 * math.pi, 40)])
+        basis = basis_for(SPHERE, 9)
+        vals, grads = eval_basis(basis, pts)
+        for i in range(len(pts)):
+            one_vals, one_grads = eval_basis(basis, pts[i:i + 1])
+            assert np.array_equal(vals[:, i:i + 1], one_vals)
+            assert np.array_equal(grads[:, :, i:i + 1], one_grads)
+
+    @pytest.mark.parametrize("model, cutoff", [(CIRCLE, 9), (TORUS, 25), (SPHERE, 9),
+                                               (SPHERE, 30)])
+    def test_tables_are_c_contiguous(self, model, cutoff):
+        # sweeps slice leading rows and reshape them for one GEMM: no copy
+        pts, _ = quadrature_grid(model, 6)
+        vals, grads = eval_basis(basis_for(model, cutoff), pts)
+        assert vals.flags.c_contiguous and grads.flags.c_contiguous
+
+    @pytest.mark.parametrize("theta", [0.0, -0.2])
+    def test_pole_among_repeated_colatitudes_is_chart_error(self, theta):
+        pts, _ = quadrature_grid(SPHERE, 4)
+        bad = np.vstack([pts, [[theta, 0.5]], pts, [[theta, 2.0]]])
+        with pytest.raises(ChartError):
+            eval_basis(basis_for(SPHERE, 3), bad)
+
+
+def legendre_loop(lmax, theta):
+    """Reference Legendre table: one (l, m) entry at a time, as before vectorization."""
+    ct, st = np.cos(theta), np.sin(theta)
+    p = np.zeros((lmax + 1, lmax + 1, theta.shape[0]))
+    dp = np.zeros_like(p)
+    p[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, lmax + 1):
+        p[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * p[m - 1, m - 1]
+    for m in range(0, lmax):
+        p[m + 1, m] = math.sqrt(2.0 * m + 3.0) * ct * p[m, m]
+    for m in range(0, lmax + 1):
+        for l in range(m + 2, lmax + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            p[l, m] = a * (ct * p[l - 1, m] - b * p[l - 2, m])
+    for m in range(0, lmax + 1):
+        for l in range(max(m, 1), lmax + 1):
+            c = math.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
+            prev = p[l - 1, m] if l - 1 >= m else 0.0
+            dp[l, m] = (l * ct * p[l, m] - c * prev) / st
+    return p, dp
+
+
 class TestLegendre:
     def test_low_degree_closed_forms(self):
         theta = np.array([0.4, 1.1, 2.3])
@@ -225,6 +288,14 @@ class TestLegendre:
         np.testing.assert_allclose(
             dp[1, 0], -math.sqrt(3 / (4 * math.pi)) * st, atol=1e-13
         )
+
+
+    @pytest.mark.parametrize("lmax", [0, 1, 2, 10, 40, 80])
+    def test_matches_per_entry_loop(self, lmax):
+        theta = np.random.default_rng(lmax).uniform(0.01, math.pi - 0.01, 60)
+        p, dp = normalized_legendre(lmax, theta)
+        want_p, want_dp = legendre_loop(lmax, theta)
+        assert p.tobytes() == want_p.tobytes() and dp.tobytes() == want_dp.tobytes()
 
 
 class TestCosphere:
@@ -299,6 +370,18 @@ class TestGeodesicFlow:
             pts, xis = geodesic_flow_sphere(self.p, self.xi, t)
             norm = g0_norm_xi(SPHERE, pts, xis)
             assert abs(norm[0] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.83, np.linspace(0.1, 6.0, 7)])
+    def test_points_only_flow_builds_no_covector(self, t):
+        pts, xis = cosphere_rows(300)
+        want, _ = geodesic_flow_sphere(pts, xis, t)
+        got, none = geodesic_flow_sphere(pts, xis, t, covectors=False)
+        assert none is None and np.array_equal(got, want)
+
+    def test_points_only_flow_checks_poles(self):
+        start, xi = np.array([[math.pi / 2, 0.0]]), np.array([[1.0, 0.0]])
+        with pytest.raises(ChartError):
+            geodesic_flow_sphere(start, xi, np.array([0.1, math.pi / 2]), covectors=False)
 
     def test_pole_output_is_chart_error(self):
         start = np.array([[math.pi / 2, 0.0]])

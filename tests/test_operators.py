@@ -8,7 +8,8 @@ from bergman_lab import operators
 from bergman_lab.errors import InputError, ResolutionError, UnsupportedModelError
 from bergman_lab.hilb import hilb_symbol
 from bergman_lab.manifolds import (
-    basis_for, circle, eval_basis, g0_norm_xi, quadrature_grid, sphere2, torus2,
+    basis_for, circle, eval_basis, g0_norm_xi, normalized_legendre, quadrature_grid, sphere2,
+    torus2,
 )
 from bergman_lab.metspace import dhilb_symbol
 from bergman_lab.operators import (
@@ -152,6 +153,40 @@ def quadrature_multiplication(f, basis):
     vals, _ = eval_basis(basis, pts)
     mat = (vals * (w * f.values(pts))) @ vals.T
     return 0.5 * (mat + mat.T)
+
+
+def complex_separated_sum(fw, plm, basis, rows, cols):
+    """Reference ``_separated_sum``: the phi sums from the complex table (-i)^k F."""
+    lmax, nphi = plm.shape[0] - 1, fw.shape[1]
+    fhat = np.conj(np.fft.fft(fw, axis=1))
+    mt = np.arange(-lmax, lmax + 1)
+    a, k, s = np.abs(mt), (mt < 0).astype(int), np.where(mt == 0, math.sqrt(0.5), 1.0)
+    quarter = np.array([1, -1j, -1, 1j])
+    g = s[:, None] * s * (quarter[(k[:, None] - k) % 4] * fhat[:, (a[:, None] - a) % nphi]
+                          + quarter[(k[:, None] + k) % 4] * fhat[:, (a[:, None] + a) % nphi]).real
+    l, m = basis.freqs[rows, 0], basis.freqs[rows, 1]
+    lc, mc = basis.freqs[cols, 0], basis.freqs[cols, 1]
+    right = plm[lc, np.abs(mc)].T
+    out = np.empty((len(l), len(lc)))
+    for t in np.unique(m):
+        sel = np.flatnonzero(m == t)
+        out[sel] = plm[l[sel], abs(t)] @ (g[:, t + lmax, mc + lmax] * right)
+    return out
+
+
+class TestSeparatedSum:
+    @pytest.mark.parametrize("cutoff", [0, 3, 16, 40])
+    @pytest.mark.parametrize("name", ["one", "one-plus-half-x3sq",
+                                      "exp:0.5sin(phi)+0.3x3"])
+    def test_real_table_matches_complex_table(self, cutoff, name):
+        basis = basis_for(SPHERE, cutoff)
+        res = operators.default_assembly_res(SPHERE, basis)
+        pts, w = quadrature_grid(SPHERE, res)
+        plm, _ = normalized_legendre(cutoff, pts[:: 2 * res, 0])
+        fw = (w * scalar_field(name, SPHERE).values(pts)).reshape(res, -1)
+        for rows in (slice(None), slice(max(basis.dim - 32, 0), basis.dim)):
+            got = operators._separated_sum(fw, plm, basis, rows, slice(None))
+            assert np.array_equal(got, complex_separated_sum(fw, plm, basis, rows, slice(None)))
 
 
 def _pairing(k, kind):

@@ -77,6 +77,20 @@ class TestTakahashi:
         with pytest.raises(InputError):
             takahashi_check(0)
 
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_evaluates_the_level_rows_only(self, n, monkeypatch):
+        # the level subset keeps the top degree, so its rows are the window's
+        pts, _ = quadrature_grid(SPHERE, 12)
+        basis = basis_for(SPHERE, n)
+        _, want = eval_basis(basis, pts)
+        _, got = eval_basis(basis.subset(basis.level_slice(n)), pts)
+        assert np.array_equal(got, want[basis.level_slice(n)])
+        dims = []
+        monkeypatch.setattr(sphereband, "eval_basis",
+                            lambda b, p: dims.append(b.dim) or eval_basis(b, p))
+        assert takahashi_check(n, points=pts) == takahashi_check(n, grid_res=12)
+        assert dims == [2 * n + 1] * 2
+
 
 class TestBandDD:
     def setup_method(self):
@@ -230,6 +244,31 @@ class TestGeodesicAverage:
         want, bound = unfolded_average(Source, pts, xis, k)
         assert np.abs(geodesic_average(Source, pts, xis, k) - want).max() <= 1e-13 * bound
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_scalar_source_flows_no_covector(self, k, monkeypatch):
+        # a ScalarField ignores covectors, so the flow builds none; a source
+        # with the same values that does read them gets the same average
+        flowed = []
+
+        def spy(points, xis, t, **kwargs):
+            out = geodesic_flow_sphere(points, xis, t, **kwargs)
+            flowed.append(out[1])
+            return out
+
+        class Reading:
+            @staticmethod
+            def values(p, xi):
+                assert xi.shape == p.shape
+                return A_TEST.values(p)
+
+        monkeypatch.setattr(sphereband, "geodesic_flow_sphere", spy)
+        pts = np.array([[1.1, 0.7], [math.pi / 2, 0.3], [0.4, 5.9]])
+        xis = np.array([[0.6, 0.8 * math.sin(1.1)], [1.0, 0.0], [0.0, math.sin(0.4)]])
+        got = geodesic_average(A_TEST, pts, xis, k)
+        assert flowed == [None]
+        assert np.array_equal(got, geodesic_average(Reading, pts, xis, k))
+        assert flowed[1].shape == (32, 3, 2)
+
     def test_odd_t_nodes_is_input_error(self):
         # the antipodal fold pairs node j with node j + t_res/2
         with pytest.raises(InputError, match="even"):
@@ -277,9 +316,9 @@ class TestFoldedFlowIntegral:
     def test_flows_a_quarter_of_the_rows(self, monkeypatch):
         calls = []
 
-        def spy(points, xis, t):
+        def spy(points, xis, t, **kwargs):
             calls.append((len(t), len(points)))
-            return geodesic_flow_sphere(points, xis, t)
+            return geodesic_flow_sphere(points, xis, t, **kwargs)
 
         monkeypatch.setattr(sphereband, "geodesic_flow_sphere", spy)
         pts, _ = quadrature_grid(SPHERE, 4)
