@@ -36,6 +36,8 @@ def _contract(a, grads_in: np.ndarray, grads_out: np.ndarray) -> np.ndarray:
     if a is None:  # identity
         return np.einsum("dip,djp->pij", grads_in, grads_out)
     a = np.asarray(a, dtype=float)
+    if a.ndim == 1 and a.shape == (d_in,) == (d_out,):  # a square diagonal: no GEMM
+        return np.einsum("dip,djp->pij", grads_in, a[:, None, None] * grads_out)
     if a.shape != (d_in, d_out):
         raise InputError(f"matrix shape {a.shape} does not match bases ({d_in}, {d_out})")
     t = (a @ grads_out.reshape(d_out, n * p)).reshape(d_in, n, p)
@@ -45,9 +47,10 @@ def _contract(a, grads_in: np.ndarray, grads_out: np.ndarray) -> np.ndarray:
 def dd_kernel(a, basis: EigenBasis, points: np.ndarray, grads=None) -> Tensor2Field:
     """Bergman-type tensor field of the kernel with matrix ``a`` over ``basis``.
 
-    ``a`` is a (d, d) matrix, or None for the identity.  The result is
-    symmetrized (exact when a is symmetric).  ``grads`` may give the gradients
-    at ``points`` of a window led by ``basis``, whose leading rows are its own.
+    ``a`` is a (d, d) matrix, its 1-D diagonal, or None for the identity.  The
+    result is symmetrized (exact when a is symmetric).  ``grads`` may give the
+    gradients at ``points`` of a window led by ``basis``, whose leading rows
+    are its own.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     grads = (eval_basis(basis, pts)[1] if grads is None else grads)[:basis.dim]

@@ -228,11 +228,12 @@ def cmd_tail_defect(ns, model):
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     # the largest outer window holds every (inner, outer = 2 inner) pair, and
     # the block couples the inner window's rows only
-    mat = assemble(f, _top_window(ns, model, 2), rows=_top_window(ns, model).dim)
+    top = _top_window(ns, model, 2)
+    mat, grads = assemble(f, top, rows=_top_window(ns, model).dim), eval_basis(top, pts)[1]
 
     def one(c):
         inner = basis_for(model, c)
-        return (c, inner.mu_top, tail_defect(f, mat, inner, basis_for(model, 2 * c), pts))
+        return (c, inner.mu_top, tail_defect(f, mat, inner, basis_for(model, 2 * c), pts, grads))
 
     rows = map_sweep(ns, one)
     tol = _opt(ns.tol, 0.20)

@@ -249,11 +249,12 @@ def _multiplication_gather(table: np.ndarray, basis: EigenBasis, box: int,
 
     ``table`` holds frequencies |nu_i| <= box laid out as ``_box``, so its
     reversal holds c(-nu).  Its Hermitian parts E = (Re c(nu) + Re c(-nu))/2
-    and O = (Im c(nu) - Im c(-nu))/2 are the one row of ``_pair_gather``; its
-    anti-Hermitian parts are the mismatch checked by ``_check_real``.
+    and O = (Im c(nu) - Im c(-nu))/2, on the half plane of offsets o >= 0,
+    are the one row of ``_pair_gather``; its anti-Hermitian parts are the
+    mismatch checked by ``_check_real``.
     """
-    re, im = table.real, table.imag
-    even, odd = 0.5 * (re + re[::-1]), 0.5 * (im - im[::-1])
+    re, im, c = table.real, table.imag, len(table) // 2
+    even, odd = 0.5 * (re[c:] + re[c::-1]), 0.5 * (im[c:] - im[c::-1])
     mismatch = max(np.abs(0.5 * (re - re[::-1])).max(), np.abs(0.5 * (im + im[::-1])).max())
     out = _pair_gather(even[None], odd[None], basis, box, rows)
     _check_real(out, mismatch)
@@ -265,33 +266,48 @@ def _pair_gather(even: np.ndarray, odd: np.ndarray, basis: EigenBasis, box: int,
                  table_rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Leading ``rows`` rows (all by default) of the real-basis pair blocks of E and O.
 
-    Rows of ``even`` and ``odd`` hold E (even in nu) and O (odd in nu) over
-    |nu_i| <= box, laid out as ``_box``.  Row pair a (the constant, then the
-    (cos, sin) pairs) reads table row ``table_rows[a]`` (0 by default), so
-    each run of reads stays in one row.  With delta, sigma = k_a -+ k_b, the
-    cos-cos, cos-sin, sin-cos and sin-sin blocks are E(delta) + E(sigma),
-    O(delta) - O(sigma), -(O(delta) + O(sigma)) and E(delta) - E(sigma) (the
-    constant is the cos slot of k = 0 over sqrt(2)).  For one row c with E,
-    O its Hermitian parts this is multiplication, exactly symmetric; with the
+    Rows of ``even`` and ``odd`` hold E (even in nu) and O (odd in nu) on a
+    half plane: entry o is the flat offset o >= 0 from nu = 0 in the layout
+    of ``_box``, and offset -o reads E(o) and -O(o).  Row pair a (the
+    constant, then the (cos, sin) pairs) reads table row ``table_rows[a]``
+    (0 by default), so each run of reads stays in one row.  With delta,
+    sigma = k_a -+ k_b, the cos-cos, cos-sin, sin-cos and sin-sin blocks are
+    E(delta) + E(sigma), O(delta) - O(sigma), -(O(delta) + O(sigma)) and
+    E(delta) - E(sigma) (the constant is the cos slot of k = 0 over
+    sqrt(2)); each of the four is gathered once.  For one row c with E, O
+    its Hermitian parts this is multiplication, exactly symmetric; with the
     row of column a's direction, Hermitian rows give G-- = conj(G++) and
     G-+ = conj(G+-), so it is the transposed left Kohn-Nirenberg matrix.
     """
     rows = basis.dim if rows is None else rows
-    width = 2 * box + 1
-    strides = width ** np.arange(basis.model.dim - 1, -1, -1)
-    k = np.append(0, basis.freqs[1::2] @ strides)  # flat offset of k per pair
-    kr = box * strides.sum() + k[: rows // 2 + 1, None]  # flat offset of nu = 0 + k_a
-    if table_rows is not None:
-        kr += width ** basis.model.dim * table_rows[: rows // 2 + 1, None]
-    delta, sigma = kr - k, kr + k
+    strides = (2 * box + 1) ** np.arange(basis.model.dim - 1, -1, -1)
+    # flat offset of k per pair: every k_b, and so every sigma, is >= 0
+    k = np.append(0, basis.freqs[1::2] @ strides)
+    ka = k[: rows // 2 + 1, None]
+    base = 0 if table_rows is None else even.shape[-1] * table_rows[: len(ka), None]
     even, odd = even.ravel(), odd.ravel()
+    index = np.subtract(ka, k, dtype=np.intp)  # delta
+    flip = index < 0  # O(-o) = -O(o)
+    np.abs(index, out=index)
+    index += base
     # pair-major layout, index 2i cos and 2i + 1 sin of pair i; the sin slot of
     # k = 0 is a copy of the constant, so the matrix is the view without index 0
-    out = np.empty((2 * len(kr), 2 * len(k)))
-    np.add(even[delta], even[sigma], out=out[0::2, 0::2])
-    np.subtract(odd[delta], odd[sigma], out=out[0::2, 1::2])
-    np.negative(odd[delta] + odd[sigma], out=out[1::2, 0::2])
-    np.subtract(even[delta], even[sigma], out=out[1::2, 1::2])
+    out = np.empty((2 * len(ka), 2 * len(k)))
+    d_buf, s_buf = np.take(even, index, mode="clip"), np.empty(index.shape)
+    np.add(ka, k, out=index)  # sigma
+    index += base
+    np.take(even, index, out=s_buf, mode="clip")
+    np.add(d_buf, s_buf, out=out[0::2, 0::2])
+    np.subtract(d_buf, s_buf, out=out[1::2, 1::2])
+    np.take(odd, index, out=s_buf, mode="clip")
+    np.subtract(ka, k, out=index)  # delta again
+    np.abs(index, out=index)
+    index += base
+    np.take(odd, index, out=d_buf, mode="clip")
+    np.negative(d_buf, out=d_buf, where=flip)
+    np.subtract(d_buf, s_buf, out=out[0::2, 1::2])
+    np.add(d_buf, s_buf, out=out[1::2, 0::2])
+    np.negative(out[1::2, 0::2], out=out[1::2, 0::2])
     out[1], out[:, 1] = out[0], out[:, 0]
     out = out[1: rows + 1, 1:]
     out[0] *= math.sqrt(0.5)
@@ -368,43 +384,45 @@ def assemble_kohn_nirenberg(
     odd = weights.T @ (0.5 * (samples[:half].imag + samples[half:].imag))
     out = _pair_gather(even, odd, basis, box, table_rows=np.append(len(dirs), pair_dir.ravel()))
     _check_real(out, mismatch)
-    return 0.5 * (out + out.T)
+    out = out + out.T
+    return np.multiply(out, 0.5, out=out)
 
 
 def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
-    """x-Fourier coefficients of b at L uniform fiber angles, (L, (2 box + 1)^2).
+    """x-Fourier coefficients of b at L uniform fiber angles, (L, ((2 box + 1)^2 + 1) / 2).
 
     Row l is the angle 2 pi l / L of ``fiber_covectors``; each row holds the
-    frequencies |nu_i| <= box of b on the m x m grid, laid out as ``_box``,
-    read from the real FFT: nu with nu_2 < 0, or nu_2 = 0 and nu_1 < 0, is
-    the conjugate at -nu, so every row is exactly Hermitian.  One angle is
-    evaluated at a time.  L starts at KN_FIBER_RES and doubles, reusing the
-    samples it has, until the theta coefficients in the Nyquist band
-    |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest (checked on the
-    columns that are not conjugates, which hold every magnitude); a symbol
-    not resolved by KN_FIBER_RES_MAX angles raises ResolutionError.
+    half plane of frequencies |nu_i| <= box at flat offsets o >= 0 from
+    nu = 0 in the layout of ``_box`` (-o holds the conjugate), read from the
+    real FFT of b on the m x m grid: nu with nu_2 < 0 is the conjugate at
+    -nu.  One angle is evaluated at a time.  L starts at KN_FIBER_RES and
+    doubles, reusing the samples it has, until the theta coefficients in the
+    Nyquist band |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest (the
+    half plane holds every magnitude: column -nu holds column nu's theta
+    coefficients at -q, conjugated); a symbol not resolved by
+    KN_FIBER_RES_MAX angles raises ResolutionError.
     """
     pts, _ = quadrature_grid(symbol.model, m)
     evaluate = symbol.prepared(pts)
     origin = np.zeros((1, 2))
-    nu = np.stack(np.divmod(np.arange((2 * box + 1) ** 2), 2 * box + 1)) - box
-    mirror = (nu[1] < 0) | ((nu[1] == 0) & (nu[0] < 0))
+    width = 2 * box + 1
+    nu = np.stack(np.divmod(np.arange(width * width // 2, width * width), width)) - box
+    mirror = nu[1] < 0
     nu[:, mirror] *= -1
     index = (nu[0] % m) * (m // 2 + 1) + nu[1]  # into the flat (m, m/2 + 1) real FFT
 
     def sample(xis: np.ndarray) -> np.ndarray:
         out = np.empty((len(xis), len(index)), dtype=complex)
         for i, xi in enumerate(xis):
-            out[i] = np.fft.rfft2(evaluate(xi).reshape(m, m)).ravel()[index]
+            np.take(np.fft.rfft2(evaluate(xi).reshape(m, m)).ravel(), index, out=out[i])
         np.conjugate(out, out=out, where=mirror)
-        return out / (m * m)
+        out /= m * m
+        return out
 
     nfib = KN_FIBER_RES
     samples = sample(fiber_covectors(symbol.model, origin, nfib)[0])
     while True:
-        # column -nu is the conjugate of column nu, whose theta coefficients
-        # it holds at -q; the tail band and the max are symmetric in q
-        coeffs = np.abs(np.fft.fft(samples[:, ~mirror], axis=0))
+        coeffs = np.abs(np.fft.fft(samples, axis=0))
         tail = coeffs[nfib // 2 - 1: nfib // 2 + 2].max()
         if tail <= KN_TAIL_TOL * coeffs.max():
             return samples
@@ -533,14 +551,15 @@ def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law,
     pred = law(basis.mu_top)
     block = mat[:basis.dim, :basis.dim]
     _, shift = positivity_repair(block)
-    field = dd_kernel(block, basis, pred.points, grads)
+    a = np.diagonal(block) if is_diagonal(block) else block  # a multiplier: no GEMM
+    field = dd_kernel(a, basis, pred.points, grads)
     num = g0_operator_norms(basis.model, pred.points, field.values - pred.values)
     den = g0_operator_norms(basis.model, pred.points, pred.values)
     return basis.mu_top, float((num / den).max()), shift
 
 
 def tail_defect(f: ScalarField, mat: np.ndarray, inner: EigenBasis, outer: EigenBasis,
-                points: np.ndarray) -> float:
+                points: np.ndarray, grads=None) -> float:
     """Normalized size of the off-window block Pi_{<=N} B (I - Pi_{<=N}).
 
     ``mat`` is ``assemble(f, top, rows)`` over a window whose leading block
@@ -553,7 +572,8 @@ def tail_defect(f: ScalarField, mat: np.ndarray, inner: EigenBasis, outer: Eigen
     rectangular ``mat`` that maximum reads only the leading rows; for the
     fields of the acceptance runs (``exp:cos(theta)`` at n = 64/128,
     ``exp:0.3cos(x1)`` and ``cos(x1)`` at mu^2 = 400/800) it equals the full
-    block's maximum.
+    block's maximum.  ``grads`` may give the gradients at ``points`` of a
+    window led by ``outer``, as in ``dd_kernel``.
     """
     if outer.cutoff < 2 * inner.cutoff:
         raise InputError("outer window must be at least twice the inner window")
@@ -562,9 +582,10 @@ def tail_defect(f: ScalarField, mat: np.ndarray, inner: EigenBasis, outer: Eigen
     d_in, d_out = inner.dim, outer.dim
     block = mat[:d_in, d_in:d_out]
     # sphere quadrature entries are certified only to GRAM_RESIDUAL_TOL
-    if np.abs(block).max() <= GRAM_RESIDUAL_TOL * np.abs(mat[:d_out, :d_out]).max():
+    square = mat[:d_out, :d_out]
+    if max(block.max(), -block.min()) <= GRAM_RESIDUAL_TOL * max(square.max(), -square.min()):
         raise InputError(f"field {f.name!r} has no tail defect: its off-window block is round-off")
-    _, grads = eval_basis(outer, points)
+    grads = (eval_basis(outer, points)[1] if grads is None else grads)[:d_out]
     tensor = _contract(block, grads[:d_in], grads[d_in:])
     sup = float(g0_operator_norms(outer.model, points, tensor).max())
     return sup / inner.mu_top ** (outer.model.dim + 2)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bergman_lab.bergman import (
+    _contract,
     dd_kernel,
     fit_growth,
     isometry_measurement,
@@ -25,6 +26,8 @@ from bergman_lab.manifolds import (
     sphere2,
     torus2,
 )
+from bergman_lab.operators import assemble, is_diagonal
+from bergman_lab.presets import symbol_field
 from test_numerics import spd_sqrt, sym_eig
 
 CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
@@ -115,6 +118,16 @@ class TestDDKernel:
         np.testing.assert_allclose(
             fld.values[0], acc, rtol=1e-10, atol=1e-10 * acc.max()
         )
+
+    def test_diagonal_contraction_is_the_dense_gemm(self):
+        # the matrix of the Fourier multiplier xi1sq, zero on the diagonal
+        # wherever k1 = 0, contracted from its diagonal without a GEMM
+        basis = basis_for(TORUS, 400)
+        mat = assemble(symbol_field("xi1sq", TORUS), basis)
+        diag = np.diagonal(mat)
+        assert is_diagonal(mat) and (diag == 0.0).any()
+        _, grads = eval_basis(basis, quadrature_grid(TORUS, 16)[0])
+        np.testing.assert_array_equal(_contract(diag, grads, grads), _contract(mat, grads, grads))
 
     def test_zero_matrix(self):
         basis = basis_for(TORUS, 4)

@@ -337,8 +337,11 @@ class TestMainInProcess:
           "--n", "8,16,24"], 24),
         (["bergman", "--model", "torus2", "--symbol", "xi1sq", "--mu2", "9,25,49"], 49),
         (["exact-pullback", "--model", "torus2", "--mu2", "5,25,49"], 49),
+        # the largest outer window is twice the top inner one
+        (["tail-defect", "--model", "torus2", "--f", "exp:0.3cos(x1)", "--mu2", "9,25,49"],
+         98),
     ], ids=["cumulative-sphere", "isometry-circle", "isometry-torus", "isometry-sphere",
-            "hilb-torus", "hilb-circle", "bergman-torus", "exact-torus"])
+            "hilb-torus", "hilb-circle", "bergman-torus", "exact-torus", "tail-torus"])
     def test_sweep_evaluates_its_top_window_once(self, argv, top, monkeypatch, capsys):
         # each window's gradients are the leading rows of the top window's
         from bergman_lab import bergman, cli, manifolds, operators, sphereband

@@ -393,19 +393,25 @@ def complex_gather(table, basis, cols, box):
     return table.ravel()[rows[:, None] + start[None, :]]
 
 
+def unfold(half):
+    """Full ``_box`` layout of a half-plane table: offset -o holds the conjugate of o."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
+
+
 def complex_path(source, basis, quantization, monkeypatch):
     """Assembly next to the complex-basis oracle: the dense complex matrix of the
     same coefficient table (or of the symbol on the diagonal), through the pairing.
 
-    The table is E + iO as ``_pair_gather`` reads it, and each complex slot
-    reads the table row of its pair (the +k and -k slots of a pair share one).
+    The table is E + iO as ``_pair_gather`` reads it, unfolded from its half
+    plane (E even, O odd), and each complex slot reads the table row of its
+    pair (the +k and -k slots of a pair share one).
     """
     seen = []
     pair_gather = operators._pair_gather
 
     def spy(even, odd, basis, box, rows=None, table_rows=None):
         pairs = np.zeros(basis.dim // 2 + 1, int) if table_rows is None else table_rows
-        seen.append((even + 1j * odd, np.append(pairs[0], np.repeat(pairs[1:], 2)), box))
+        seen.append((unfold(even + 1j * odd), np.append(pairs[0], np.repeat(pairs[1:], 2)), box))
         return pair_gather(even, odd, basis, box, rows, table_rows)
 
     monkeypatch.setattr(operators, "_pair_gather", spy)
@@ -462,15 +468,14 @@ class TestKohnNirenbergFiberFourier:
 
     @pytest.mark.parametrize("name", ["aniso-diag:0.3,0.3", "conformal:u=0.3cos(x1)"])
     def test_tail_check_columns_hold_every_magnitude(self, name):
-        # the Nyquist tail check reads the columns that are not conjugates:
-        # column -nu holds column nu's theta coefficients at -q, and the tail
+        # the Nyquist tail check reads the half plane of columns: column -nu
+        # holds column nu's theta coefficients at -q, conjugated, and the tail
         # band and the max are symmetric in q
         box, m = 12, 64
         samples = operators._fiber_samples(hilb_symbol(metric_field(name, TORUS)), m, box)
-        nu = np.stack(np.divmod(np.arange((2 * box + 1) ** 2), 2 * box + 1)) - box
-        mirror = (nu[1] < 0) | ((nu[1] == 0) & (nu[0] < 0))
-        full = np.abs(np.fft.fft(samples, axis=0))
-        half = np.abs(np.fft.fft(samples[:, ~mirror], axis=0))
+        assert samples.shape[1] == ((2 * box + 1) ** 2 + 1) // 2
+        full = np.abs(np.fft.fft(unfold(samples), axis=0))
+        half = np.abs(np.fft.fft(samples, axis=0))
         band = slice(len(samples) // 2 - 1, len(samples) // 2 + 2)
         assert half.max() == pytest.approx(full.max(), rel=1e-14)
         assert abs(half[band].max() - full[band].max()) <= 1e-15 * full.max()
@@ -553,6 +558,78 @@ class TestRealGather:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 8 * basis.dim ** 2
+
+
+def full_pair_gather(table, basis, box, table_rows=None):
+    """Real pair blocks read from a full ``_box`` table, with E and O taken at
+    delta and sigma directly: eight gathers, no half plane and no sign flip."""
+    width = 2 * box + 1
+    strides = width ** np.arange(basis.model.dim - 1, -1, -1)
+    k = np.append(0, basis.freqs[1::2] @ strides)
+    kr = box * strides.sum() + k[:, None]
+    if table_rows is not None:
+        kr = kr + width ** basis.model.dim * table_rows[:, None]
+    delta, sigma = kr - k, kr + k
+    even, odd = table.real.ravel(), table.imag.ravel()
+    out = np.empty((2 * len(kr), 2 * len(k)))
+    out[0::2, 0::2] = even[delta] + even[sigma]
+    out[0::2, 1::2] = odd[delta] - odd[sigma]
+    out[1::2, 0::2] = -(odd[delta] + odd[sigma])
+    out[1::2, 1::2] = even[delta] - even[sigma]
+    out[1], out[:, 1] = out[0], out[:, 0]
+    out = out[1:, 1:]
+    out[0] *= math.sqrt(0.5)
+    out[:, 0] *= math.sqrt(0.5)
+    return out
+
+
+class TestHalfPlaneTables:
+    """The flat operators read one half plane of each Hermitian table, once."""
+
+    @pytest.mark.parametrize("source", [
+        EXP_MIXED, SymbolField("mix", TORUS, _mix),
+        hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS)),
+        dhilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS),
+                     perturbation_field("cos-x1-dx1", TORUS)),
+    ], ids=["mult", "kn-mix", "kn-hilb", "kn-dhilb"])
+    def test_half_tables_unfold_to_a_hermitian_table(self, source, monkeypatch):
+        # O(0) = 0 exactly, so the unfolded table is exactly Hermitian, and the
+        # half-plane gather is bit for bit the gather of that full table
+        basis = basis_for(TORUS, 100)
+        seen, pair_gather = [], operators._pair_gather
+
+        def spy(even, odd, basis, box, rows=None, table_rows=None):
+            out = pair_gather(even, odd, basis, box, rows, table_rows)
+            seen.append((unfold(even + 1j * odd), box, table_rows, out))
+            return out
+
+        monkeypatch.setattr(operators, "_pair_gather", spy)
+        operators.assemble(source, basis)
+        [(table, box, table_rows, got)] = seen
+        assert table.shape[-1] == (2 * box + 1) ** 2
+        np.testing.assert_array_equal(table, np.conj(table[..., ::-1]))
+        np.testing.assert_array_equal(got, full_pair_gather(table, basis, box, table_rows))
+
+    def test_gather_holds_one_index_array_and_two_buffers(self):
+        # the top window of the tail-defect sweep; E(delta), E(sigma), O(delta)
+        # and O(sigma) are each gathered once, through two reused buffers
+        basis = basis_for(TORUS, 800)
+        rows = basis_for(TORUS, 400).dim
+        _, box = operators._fft_grid(basis)
+        rng = np.random.default_rng(5)
+        even, odd = rng.standard_normal((2, 1, ((2 * box + 1) ** 2 + 1) // 2))
+        operators._pair_gather(even, odd, basis, box, rows)
+        tracemalloc.start()
+        try:
+            out = operators._pair_gather(even, odd, basis, box, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows, basis.dim)
+        block = (rows // 2 + 1) * (basis.dim // 2 + 1)  # entries of one pair block
+        # the result, one index array, two buffers and the sign mask, plus
+        # 0.5 MB for ufunc buffers and the per-pair offsets
+        assert peak < out.base.nbytes + 3 * 8 * block + block + 500_000
 
 
 class TestMultiplicationGather:
@@ -830,6 +907,18 @@ class TestSymbolLawCheck:
         rows = law_rows(f, CIRCLE, [24, 48], grid_res=48)
         errs = [r[2] for r in rows]
         assert errs[1] < errs[0]
+
+    def test_multiplier_block_is_contracted_from_its_diagonal(self, monkeypatch):
+        # xi1sq is a Fourier multiplier: dd_kernel gets the diagonal, and the
+        # check reads the same numbers as through the dense GEMM
+        source, ranks, dd_kernel = symbol_field("xi1sq", TORUS), [], operators.dd_kernel
+        monkeypatch.setattr(operators, "dd_kernel", lambda a, *args:
+                            ranks.append(np.ndim(a)) or dd_kernel(a, *args))
+        got = law_rows(source, TORUS, [25, 100], grid_res=16)
+        assert ranks == [1, 1]
+        monkeypatch.setattr(operators, "dd_kernel", lambda a, *args:
+                            dd_kernel(np.diag(a) if np.ndim(a) == 1 else a, *args))
+        assert got == law_rows(source, TORUS, [25, 100], grid_res=16)
 
 
 class TestTailDefect:
