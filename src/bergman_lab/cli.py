@@ -249,7 +249,7 @@ def cmd_hilb_approx(ns, model):
     g = metric_field(ns.metric, model)
     pts, w = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     top = _top_window(ns, model)
-    r, grads = hilb.hilb_n(g, top, quantization=ns.quantization), eval_basis(top, pts)[1]
+    r, grads = hilb.hilb_n(g, top), eval_basis(top, pts)[1]
 
     def one(c):
         fld, shift = hilb.approximate(r, basis_for(model, c), pts, grads)
@@ -274,7 +274,7 @@ def cmd_met_norm(ns, model):
     g = metric_field(_opt(ns.metric, "g0"), model)
     gdot = perturbation_field(ns.gdot, model)
     closed = metspace.induced_norm_closed(g, gdot, _cosphere(ns, model))
-    r, rdot = metspace.trace_operators(g, gdot, _top_window(ns, model), ns.quantization)
+    r, rdot = metspace.trace_operators(g, gdot, _top_window(ns, model))
 
     def one(c):
         tr = metspace.induced_norm_trace(r, rdot, basis_for(model, c))
@@ -314,7 +314,7 @@ def cmd_szego(ns, model):
     if model.kind == "sphere2":
         raise UnsupportedModelError("szego runs on circle or torus2")
     trace = metspace.szego_trace(_szego_sources(ns, model), _top_window(ns, model),
-                                 _cosphere(ns, model), ns.quantization)
+                                 _cosphere(ns, model))
     rows = map_sweep(ns, lambda c: (c, *trace(basis_for(model, c))))
     tol = _opt(ns.tol, 0.05)
     gap = abs(rows[-1][3] - 1.0)
@@ -448,7 +448,7 @@ def build_parser() -> _Parser:
     """
     p = _Parser(prog="bergman-lab", description=__doc__)
     p.add_argument("command", choices=list(COMMANDS))
-    p.add_argument("--model", choices=["circle", "torus2", "sphere2"])
+    p.add_argument("--model", choices=_CHOICES["model"])
     p.add_argument("--n", help="comma-separated level sweep (circle/sphere)")
     p.add_argument("--mu2", help="comma-separated mu^2 cutoffs (torus)")
     p.add_argument("--grid", type=int, help="base grid resolution")
@@ -461,7 +461,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b", help="comma-separated fields for szego products")
     p.add_argument("--a", help="sphere test function")
     p.add_argument("--k", type=int, help="band offset")
-    p.add_argument("--quantization", choices=["left", "symmetric"])
+    p.add_argument("--quantization", choices=_CHOICES["quantization"], help="has no effect")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--threads", type=int)
     p.add_argument("--check", action="store_true", default=None,
@@ -484,11 +484,12 @@ _CONFIG_TYPES = {
     "grid": int, "fiber": int, "tnodes": int, "k": int, "threads": int,
     "tol": float, "check": _parse_bool,
 }
+# The values of the flags with a fixed set, on the command line and in the config file
+_CHOICES = {"model": ("circle", "torus2", "sphere2"), "quantization": ("left", "symmetric")}
 
 
 # Values of the flags the command line and the config file leave unset
-_DEFAULTS = {"model": "circle", "fiber": 64, "tnodes": 64, "k": 0,
-             "quantization": "left", "check": False, "threads": 1}
+_DEFAULTS = {"model": "circle", "fiber": 64, "tnodes": 64, "k": 0, "check": False, "threads": 1}
 
 
 def _apply_config_file(ns: argparse.Namespace) -> None:
@@ -515,11 +516,14 @@ def _apply_config_file(ns: argparse.Namespace) -> None:
             if getattr(ns, key) is not None:
                 continue  # a flag given on the command line wins
             try:
-                setattr(ns, key, _CONFIG_TYPES.get(key, str)(value))
+                parsed = _CONFIG_TYPES.get(key, str)(value)
+                if key in _CHOICES and parsed not in _CHOICES[key]:
+                    raise ValueError(value)
             except ValueError:
                 raise InputError(
                     f"{ns.config}:{line_no}: bad value {value!r} for {key!r}"
                 ) from None
+            setattr(ns, key, parsed)
 
 
 def resolve_config(ns: argparse.Namespace):

@@ -47,7 +47,7 @@ def hilb_symbol(g: MetricField) -> SymbolField:
     return SymbolField(f"hilb[{g.name}]", model, make_evaluator, x_independent=g.x_independent)
 
 
-def hilb_n(g: MetricField, basis: EigenBasis, quantization: str = "left") -> np.ndarray:
+def hilb_n(g: MetricField, basis: EigenBasis) -> np.ndarray:
     """Matrix of the inner product <Hilb(g) . , .> on the spectral window, unrepaired.
 
     ``operators.assemble`` picks the assembly: Kohn-Nirenberg on torus2, and
@@ -62,7 +62,7 @@ def hilb_n(g: MetricField, basis: EigenBasis, quantization: str = "left") -> np.
     """
     if g.model.kind == "sphere2" and g.conformal_u is None:
         raise UnsupportedModelError("sphere assembly supports conformal metrics e^u g0 only")
-    return assemble(hilb_symbol(g), basis, quantization=quantization)
+    return assemble(hilb_symbol(g), basis)
 
 
 def approximate(r: np.ndarray, basis: EigenBasis, points: np.ndarray,

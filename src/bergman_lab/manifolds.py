@@ -384,14 +384,13 @@ def g0_norm_xi(model: ManifoldModel, points: np.ndarray, xis: np.ndarray) -> np.
 _FLOW_BLOCK = 1 << 16
 
 
-def geodesic_flow_sphere(points: np.ndarray, xis: np.ndarray, t, covectors: bool = True):
-    """Great-circle flow G^t on S*S^2 in chart coordinates.
+def geodesic_flow_sphere(points: np.ndarray, xis: np.ndarray, t) -> np.ndarray:
+    """Base points of the great-circle flow G^t on S*S^2, in chart coordinates.
 
-    Points (P, 2) and covectors (P, 2) flow for each time in ``t``: a 1-D
-    vector of T times gives points and covectors of shape (T, P, 2), entry
-    [i] the flow to time t[i]; a scalar time gives (P, 2).  With
-    ``covectors`` false, None stands in for the covectors, which are not
-    built.  The base frame is built once; the flow runs in ambient R^3
+    The point (P, 2) with covector (P, 2) flows for each time in ``t``: a 1-D
+    vector of T times gives points of shape (T, P, 2), entry [i] the flow to
+    time t[i]; a scalar time gives (P, 2).  The covector only sets the initial
+    velocity.  The base frame is built once; the flow runs in ambient R^3
     (x cos t + v sin t), so pole crossings along the way are harmless, and
     converts back to the chart in blocks of about ``_FLOW_BLOCK`` rows.
     Raises ChartError if an input point or an *output* point at any time
@@ -413,8 +412,7 @@ def geodesic_flow_sphere(points: np.ndarray, xis: np.ndarray, t, covectors: bool
     x = (st * cp, st * sp, ct)
     xi_th, xi_ph = xi[:, 0], xi[:, 1] / st
     v = (xi_th * (ct * cp) + xi_ph * -sp, xi_th * (ct * sp) + xi_ph * cp, xi_th * -st)
-    out_pts = np.empty((len(ts), *pts.shape))
-    out_xis = np.empty((len(ts), *pts.shape)) if covectors else None
+    out = np.empty((len(ts), *pts.shape))
     step = max(1, _FLOW_BLOCK // max(len(st), 1))
     for lo in range(0, len(ts), step):
         blk = slice(lo, lo + step)
@@ -422,18 +420,7 @@ def geodesic_flow_sphere(points: np.ndarray, xis: np.ndarray, t, covectors: bool
         x3 = np.clip(cos_t * x[2] + sin_t * v[2], -1.0, 1.0)
         if np.any(np.abs(x3) >= 1.0 - 1e-14):
             raise ChartError("flow output at a pole")
-        theta_t = np.arccos(x3)
-        phi_t = np.mod(np.arctan2(cos_t * x[1] + sin_t * v[1], cos_t * x[0] + sin_t * v[0]),
-                       2.0 * math.pi)
-        out_pts[blk, :, 0], out_pts[blk, :, 1] = theta_t, phi_t
-        if not covectors:
-            continue
-        st_t, ct_t = np.sin(theta_t), np.cos(theta_t)
-        cp_t, sp_t = np.cos(phi_t), np.sin(phi_t)
-        # velocity at time t, projected on the frame at the flowed point
-        vt = [-sin_t * x[i] + cos_t * v[i] for i in range(3)]
-        out_xis[blk, :, 0] = vt[0] * (ct_t * cp_t) + vt[1] * (ct_t * sp_t) + vt[2] * -st_t
-        out_xis[blk, :, 1] = (vt[0] * -sp_t + vt[1] * cp_t) * st_t
-    if t.ndim == 0:
-        return out_pts[0], None if out_xis is None else out_xis[0]
-    return out_pts, out_xis
+        out[blk, :, 0] = np.arccos(x3)
+        out[blk, :, 1] = np.mod(np.arctan2(cos_t * x[1] + sin_t * v[1],
+                                           cos_t * x[0] + sin_t * v[0]), 2.0 * math.pi)
+    return out[0] if t.ndim == 0 else out

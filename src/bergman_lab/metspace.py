@@ -76,7 +76,6 @@ def trace_operators(
     g: MetricField,
     gdot: MetricPerturbation,
     basis: EigenBasis,
-    quantization: str = "left",
     trace_sign: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """R = Hilb(g) (``hilb_n``) and Rdot, the assembled variation symbol, over the window.
@@ -87,8 +86,7 @@ def trace_operators(
     """
     if g.model.kind not in ("circle", "torus2"):
         raise UnsupportedModelError("trace norm requires circle or torus2")
-    r = hilb_n(g, basis, quantization=quantization)
-    return r, assemble(dhilb_symbol(g, gdot, trace_sign), basis, quantization=quantization)
+    return hilb_n(g, basis), assemble(dhilb_symbol(g, gdot, trace_sign), basis)
 
 
 def induced_norm_trace(r: np.ndarray, rdot: np.ndarray, basis: EigenBasis) -> float:
@@ -122,10 +120,7 @@ def induced_norm_closed(
 
 
 def szego_trace(
-    sources: list,
-    top: EigenBasis,
-    quad: CosphereQuadrature,
-    quantization: str = "left",
+    sources: list, top: EigenBasis, quad: CosphereQuadrature
 ) -> Callable[[EigenBasis], tuple[float, float, float]]:
     """Traces of a product of compressions against their symbol-integral law.
 
@@ -148,7 +143,7 @@ def szego_trace(
     mats = {}  # a field object given twice is assembled once
     for s in sources:
         if id(s) not in mats:
-            mats[id(s)] = assemble(s, top, quantization=quantization)
+            mats[id(s)] = assemble(s, top)
     n = top.model.dim
 
     def trace(basis: EigenBasis) -> tuple[float, float, float]:

@@ -323,19 +323,14 @@ def _check_real(entries: np.ndarray, mismatch: float) -> None:
         raise InputError("quantized matrix has a non-negligible imaginary part")
 
 
-def assemble_kohn_nirenberg(
-    symbol: SymbolField,
-    basis: EigenBasis,
-    quantization: str = "left",
-) -> np.ndarray:
+def assemble_kohn_nirenberg(symbol: SymbolField, basis: EigenBasis) -> np.ndarray:
     """Quantize an order-zero symbol over a flat eigenbasis.
 
     Column k of the complex-basis matrix holds the Fourier coefficients of
     x -> b(x, k/|k|) at the row-minus-column frequency; the zero column uses
-    the fiber average of b.  ``quantization`` is "left" or "symmetric" (the
-    (left + right)/2 variant, equal to the Hermitian part in the complex
-    basis).  Output is in the real basis, symmetrized; there the symmetric
-    variant is the symmetrized left one, so both values give the same matrix.
+    the fiber average of b.  Output is in the real basis, symmetrized: that
+    is also the (left + right)/2 quantization, whose complex-basis matrix is
+    the Hermitian part of the left one.
 
     An x-independent symbol is evaluated at +k and -k only, on the circle or
     the torus: a real diagonal.  Otherwise (torus only) b is sampled at L
@@ -353,8 +348,6 @@ def assemble_kohn_nirenberg(
             "Kohn-Nirenberg assembly requires the torus, or the circle for an "
             "x-independent symbol"
         )
-    if quantization not in ("left", "symmetric"):
-        raise InputError(f"unknown quantization {quantization!r}")
     if symbol.x_independent:
         # rows (b(k), b(-k)); the pair (cos_k, sin_k) gets (b(k) + b(-k))/2
         xis = _torus_complex_freqs(basis)[1:].astype(float)
@@ -510,8 +503,7 @@ def symbol_law_predict(source, model: ManifoldModel, points: np.ndarray,
     return law
 
 
-def assemble(source, basis: EigenBasis, quantization: str = "left",
-             rows: Optional[int] = None) -> np.ndarray:
+def assemble(source, basis: EigenBasis, rows: Optional[int] = None) -> np.ndarray:
     """The compression of ``source`` over ``basis``: the one place that picks the assembly.
 
     A scalar field is a multiplication operator.  A symbol is quantized by
@@ -530,7 +522,7 @@ def assemble(source, basis: EigenBasis, quantization: str = "left",
     if isinstance(source, SymbolField):
         kind = basis.model.kind
         if kind == "torus2" or (kind == "circle" and source.x_independent):
-            return assemble_kohn_nirenberg(source, basis, quantization=quantization)[:rows]
+            return assemble_kohn_nirenberg(source, basis)[:rows]
         source = source.fiber_restriction()
     if isinstance(source, ScalarField):
         return assemble_multiplication(source, basis, rows)

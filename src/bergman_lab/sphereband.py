@@ -79,15 +79,15 @@ def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> Tensor2Fi
     return Tensor2Field(model, pts, tensor)
 
 
-def geodesic_average(source, points, xis, k: int = 0, t_res: int = 64) -> np.ndarray:
-    """Unnormalized integral over one period of e^{-itk} b(G^t(x, xi)), per row.
+def geodesic_average(a: ScalarField, points, xis, k: int = 0, t_res: int = 64) -> np.ndarray:
+    """Unnormalized integral over one period of e^{-itk} a(G^t(x, xi)), per row.
 
     ``points`` (Q, 2) are chart points and ``xis`` (Q, 2) unit covectors.
     Periodic trapezoid in t on the even node count t_res: exact once the
-    pullback t -> b(G^t) is a trigonometric polynomial of degree below t_res.
+    pullback t -> a(G^t) is a trigonometric polynomial of degree below t_res.
     Only the first half of the nodes is flowed: node j + t_res/2 is node j
-    plus pi, and G^{t+pi}(x, xi) is the antipode of G^t(x, xi), the point
-    (pi - theta, phi + pi) with covector (-xi_theta, xi_phi).
+    plus pi, and the base point of G^{t+pi}(x, xi) is the antipode of that of
+    G^t(x, xi), the point (pi - theta, phi + pi).
     """
     if t_res < 64:
         raise InputError("t quadrature needs at least 64 nodes")
@@ -98,22 +98,18 @@ def geodesic_average(source, points, xis, k: int = 0, t_res: int = 64) -> np.nda
     ts = 2.0 * math.pi * (np.arange(t_res) + 0.5) / t_res
     half = t_res // 2
     # an antipode is on a pole only when its partner is, so the flow's pole
-    # check covers both halves; a scalar source reads no covector
-    scalar = isinstance(source, ScalarField)
-    flow_pts, flow_xis = geodesic_flow_sphere(points, xis, ts[:half], covectors=not scalar)
-    pts, cov = flow_pts.reshape(-1, 2), None if scalar else flow_xis.reshape(-1, 2)
+    # check covers both halves
+    pts = geodesic_flow_sphere(points, xis, ts[:half]).reshape(-1, 2)
     weights = (2.0 * math.pi / t_res) * np.exp(-1j * k * ts)
-    avg = np.tensordot(weights[:half], source.values(pts, cov).reshape(half, -1), axes=(0, 0))
+    avg = np.tensordot(weights[:half], a.values(pts).reshape(half, -1), axes=(0, 0))
     # the antipodal half, in place
     np.subtract(math.pi, pts[:, 0], out=pts[:, 0])
     np.mod(pts[:, 1] + math.pi, 2.0 * math.pi, out=pts[:, 1])
-    if not scalar:
-        np.negative(cov[:, 0], out=cov[:, 0])
-    return avg + np.tensordot(weights[half:], source.values(pts, cov).reshape(half, -1),
-                              axes=(0, 0))
+    return avg + np.tensordot(weights[half:], a.values(pts).reshape(half, -1), axes=(0, 0))
 
 
-def flow_integral(a, k: int, points: np.ndarray, fiber_res: int = 32, t_res: int = 64) -> np.ndarray:
+def flow_integral(a: ScalarField, k: int, points: np.ndarray, fiber_res: int = 32,
+                  t_res: int = 64) -> np.ndarray:
     """Fiber integral of the geodesic average times xi (x) xi at each point, (P, 2, 2).
 
     The degree-independent part of ``band_predict``: a sweep over N at one

@@ -168,6 +168,42 @@ class TestMainInProcess:
             assert main(["spectra", "--config", str(cfg)]) == 1
             assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, line", [
+        (["hilb-approx", "--model", "circle", "--metric", "conformal:u=cos(theta)",
+          "--n", "8,16"], "quantization = bogus"),
+        (["szego", "--model", "circle", "--b", "one", "--n", "4"], "quantization = bogus"),
+        (["spectra"], "quantization = bogus"),
+        (["spectra", "--n", "3"], "model = bogus"),
+    ], ids=["hilb-approx", "szego", "spectra", "model"])
+    def test_config_value_outside_choices_is_input_error(self, argv, line, tmp_path, capsys):
+        # a config value meets the same choices as the flag, on every command
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# choices\n{line}\n")
+        assert main([*argv, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: bad value 'bogus' for"), err
+
+    @pytest.mark.parametrize("argv", [
+        ["hilb-approx", "--model", "torus2", "--metric", "aniso-diag:0.3,0.3", "--mu2", "9,25"],
+        ["met-norm", "--model", "torus2", "--metric", "aniso-diag:0.3,0.3",
+         "--gdot", "cos-x1-dx1", "--mu2", "9,25"],
+    ], ids=["hilb-approx", "met-norm"])
+    def test_quantization_flag_is_byte_neutral(self, argv, tmp_path, capsys):
+        # both values give the same matrices; a value outside the two is
+        # still an input error, from argv and from the config file
+        tables = []
+        for value in ("left", "symmetric"):
+            out = tmp_path / f"{value}.csv"
+            assert main([*argv, "--quantization", value, "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("quantization = right\n")
+        for bad in (["--quantization", "right"], ["--config", str(cfg)]):
+            capsys.readouterr()
+            assert main([*argv, *bad]) == 1
+            assert capsys.readouterr().err.startswith("error:")
+
     def test_given_flag_beats_config_file(self, tmp_path, capsys):
         # --fiber 64 equals the flag's default and still wins over the file
         cfg = tmp_path / "run.cfg"

@@ -348,40 +348,25 @@ class TestGeodesicFlow:
         self.xi = np.array([[0.6, 0.8 * math.sin(1.1)]])
 
     def test_time_zero_is_identity(self):
-        pts, xis = geodesic_flow_sphere(self.p, self.xi, 0.0)
+        pts = geodesic_flow_sphere(self.p, self.xi, 0.0)
         np.testing.assert_allclose(pts, self.p, atol=1e-14)
-        np.testing.assert_allclose(xis, self.xi, atol=1e-14)
 
     def test_periodicity(self):
-        pts, xis = geodesic_flow_sphere(self.p, self.xi, 2 * math.pi)
+        pts = geodesic_flow_sphere(self.p, self.xi, 2 * math.pi)
         np.testing.assert_allclose(pts, self.p, atol=1e-12)
-        np.testing.assert_allclose(xis, self.xi, atol=1e-12)
 
     def test_quarter_great_circle_from_equator(self):
         start = np.array([[math.pi / 2, 0.3]])
         xi = np.array([[0.0, 1.0]])  # unit covector along the equator
-        pts, _ = geodesic_flow_sphere(start, xi, math.pi / 2)
+        pts = geodesic_flow_sphere(start, xi, math.pi / 2)
         np.testing.assert_allclose(
             pts, [[math.pi / 2, 0.3 + math.pi / 2]], atol=1e-12
         )
 
-    def test_covector_norm_is_conserved(self):
-        for t in np.linspace(0.1, 6.0, 17):
-            pts, xis = geodesic_flow_sphere(self.p, self.xi, t)
-            norm = g0_norm_xi(SPHERE, pts, xis)
-            assert abs(norm[0] - 1.0) <= 1e-12
-
-    @pytest.mark.parametrize("t", [0.83, np.linspace(0.1, 6.0, 7)])
-    def test_points_only_flow_builds_no_covector(self, t):
-        pts, xis = cosphere_rows(300)
-        want, _ = geodesic_flow_sphere(pts, xis, t)
-        got, none = geodesic_flow_sphere(pts, xis, t, covectors=False)
-        assert none is None and np.array_equal(got, want)
-
     def test_points_only_flow_checks_poles(self):
         start, xi = np.array([[math.pi / 2, 0.0]]), np.array([[1.0, 0.0]])
         with pytest.raises(ChartError):
-            geodesic_flow_sphere(start, xi, np.array([0.1, math.pi / 2]), covectors=False)
+            geodesic_flow_sphere(start, xi, np.array([0.1, math.pi / 2]))
 
     def test_pole_output_is_chart_error(self):
         start = np.array([[math.pi / 2, 0.0]])
@@ -392,21 +377,20 @@ class TestGeodesicFlow:
     def test_time_vector_matches_per_time_calls(self):
         pts, xis = cosphere_rows(997)
         ts = np.linspace(-7.0, 9.0, 23)
-        flow_pts, flow_xis = geodesic_flow_sphere(pts, xis, ts)
-        assert flow_pts.shape == flow_xis.shape == (23, 997, 2)
+        flow = geodesic_flow_sphere(pts, xis, ts)
+        assert flow.shape == (23, 997, 2)
         for i, t in enumerate(ts):
-            one_pts, one_xis = geodesic_flow_sphere(pts, xis, t)
-            assert one_pts.shape == (997, 2)
-            assert np.array_equal(flow_pts[i], one_pts) and np.array_equal(flow_xis[i], one_xis)
+            one = geodesic_flow_sphere(pts, xis, t)
+            assert one.shape == (997, 2)
+            assert np.array_equal(flow[i], one)
 
     @pytest.mark.parametrize("rows", [5, 40_000])  # one block; one time node per block
     def test_matches_stacked_frame_flow(self, rows):
         pts, xis = cosphere_rows(rows)
         ts = 2.0 * math.pi * (np.arange(6) + 0.5) / 6
-        flow_pts, flow_xis = geodesic_flow_sphere(pts, xis, ts)
+        flow = geodesic_flow_sphere(pts, xis, ts)
         for i, t in enumerate(ts):
-            want_pts, want_xis = stacked_frame_flow(pts, xis, t)
-            assert np.array_equal(flow_pts[i], want_pts) and np.array_equal(flow_xis[i], want_xis)
+            assert np.array_equal(flow[i], stacked_frame_flow(pts, xis, t)[0])
 
     @pytest.mark.parametrize("rows", [1, 40_000])
     def test_pole_at_any_time_node_is_chart_error(self, rows):
@@ -431,7 +415,7 @@ def cosphere_rows(rows, seed=7):
 
 
 def stacked_frame_flow(points, xis, t):
-    """Reference flow to one time t by stacked ambient 3-vectors, as before vectorization."""
+    """Reference flow to one time t by stacked ambient 3-vectors: points and covectors."""
     def frame(theta, phi):
         st, ct, cp, sp = np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
         return (np.stack([st * cp, st * sp, ct], axis=-1),

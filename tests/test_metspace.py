@@ -260,15 +260,6 @@ class TestInducedNorm:
         got = induced_norm_closed(g, scaled, quad)
         assert got == pytest.approx(alpha**2 * base, abs=1e-12 * (1 + alpha**2))
 
-    def test_quantization_variant_within_gap(self):
-        g = reference_metric(TORUS)
-        gdot = cos_x1_dx1()
-        basis = basis_for(TORUS, 64)
-        left = trace_norm(g, gdot, basis, quantization="left")
-        sym = trace_norm(g, gdot, basis, quantization="symmetric")
-        closed = induced_norm_closed(g, gdot, cosphere_quadrature(TORUS, 32, 64))
-        assert abs(left - sym) <= abs(left - closed)
-
 
 class TestSzegoTrace:
     def test_weyl_case_counts_dimension(self):

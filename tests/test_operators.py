@@ -284,16 +284,18 @@ class TestKohnNirenberg:
         expected = 0.5 * (raw + raw.T)
         assert np.abs(op - expected).max() <= 1e-10
 
-    def test_symmetric_variant_matches_symmetrized_left(self):
+    def test_symmetric_variant_matches_symmetrized_left(self, monkeypatch):
         # the (left+right)/2 quantization coincides with the symmetrized left
-        # quantization after the real-basis projection
+        # quantization after the real-basis projection, so the one symmetric
+        # assembly is both
         basis = basis_for(TORUS, 5)
         sym = SymbolField(
             "mix", TORUS,
             lambda p: lambda xi: 1.0 + 0.4 * np.cos(p[:, 0]) * xi[:, 0] ** 2,
         )
-        left = assemble_kohn_nirenberg(sym, basis, quantization="left")
-        both = assemble_kohn_nirenberg(sym, basis, quantization="symmetric")
+        got, left = complex_path(sym, basis, "left", monkeypatch)
+        _, both = complex_path(sym, basis, "symmetric", monkeypatch)
+        assert np.array_equal(got, got.T)
         assert np.abs(left - both).max() <= 1e-12
 
     def test_pairing_arrays_match_per_slot_rule(self):
@@ -311,17 +313,16 @@ class TestKohnNirenberg:
         with pytest.raises(UnsupportedModelError):
             assemble_kohn_nirenberg(sym, basis)
 
-    @pytest.mark.parametrize("quantization", ["left", "symmetric"])
     @pytest.mark.parametrize("fn, x_independent", [
         (lambda p: lambda xi: xi[:, 0], True),  # xi_1 / |xi|
         (lambda p: lambda xi: np.cos(p[:, 0]) * xi[:, 0], False),
         (lambda p: lambda xi: 1.0 + 1e-6 * np.cos(p[:, 0]) * xi[:, 0], False),
     ], ids=["x-independent", "general", "weakly-odd"])
-    def test_odd_symbol_is_input_error(self, fn, x_independent, quantization):
+    def test_odd_symbol_is_input_error(self, fn, x_independent):
         # a symbol odd in xi maps real functions to imaginary ones
         sym = SymbolField("odd", TORUS, fn, x_independent=x_independent)
         with pytest.raises(InputError, match="non-negligible imaginary part"):
-            assemble_kohn_nirenberg(sym, basis_for(TORUS, 25), quantization=quantization)
+            assemble_kohn_nirenberg(sym, basis_for(TORUS, 25))
 
 
 def per_direction_assembly(symbol, basis):
@@ -398,9 +399,12 @@ def unfold(half):
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
-def complex_path(source, basis, quantization, monkeypatch):
+def complex_path(source, basis, rule, monkeypatch):
     """Assembly next to the complex-basis oracle: the dense complex matrix of the
     same coefficient table (or of the symbol on the diagonal), through the pairing.
+
+    ``rule`` is the oracle's quantization: "left" projects the left matrix and
+    symmetrizes, "symmetric" projects its Hermitian part, (left + right)/2.
 
     The table is E + iO as ``_pair_gather`` reads it, unfolded from its half
     plane (E even, O odd), and each complex slot reads the table row of its
@@ -415,7 +419,7 @@ def complex_path(source, basis, quantization, monkeypatch):
         return pair_gather(even, odd, basis, box, rows, table_rows)
 
     monkeypatch.setattr(operators, "_pair_gather", spy)
-    got = operators.assemble(source, basis, quantization)
+    got = operators.assemble(source, basis)
     if seen:
         table, cols, box = seen[0]
         bc = complex_gather(table, basis, cols, box)
@@ -424,7 +428,7 @@ def complex_path(source, basis, quantization, monkeypatch):
         vals = source.values(np.zeros_like(cfreqs[1:]), cfreqs[1:])
         avg = source.fiber_average(np.zeros((1, basis.model.dim)))
         bc = np.diag(np.concatenate([avg, vals])).astype(complex)
-    if quantization == "symmetric":
+    if rule == "symmetric":
         bc = 0.5 * (bc + bc.conj().T)
     return got, complex_to_real(bc, basis)
 
@@ -532,7 +536,7 @@ def _even_multiplier(p):
 
 
 class TestRealGather:
-    @pytest.mark.parametrize("quantization", ["left", "symmetric"])
+    @pytest.mark.parametrize("rule", ["left", "symmetric"])
     @pytest.mark.parametrize("model, cutoff, source", [
         (CIRCLE, 40, EXP_COS),
         (TORUS, 100, EXP_MIXED),
@@ -542,8 +546,9 @@ class TestRealGather:
         (TORUS, 100, hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS))),
     ], ids=["circle-mult", "torus-mult", "circle-diag", "torus-diag", "torus-kn-mix",
             "torus-kn-hilb"])
-    def test_matches_complex_oracle(self, model, cutoff, source, quantization, monkeypatch):
-        got, want = complex_path(source, basis_for(model, cutoff), quantization, monkeypatch)
+    def test_matches_complex_oracle(self, model, cutoff, source, rule, monkeypatch):
+        # one assembly output against both oracle rules
+        got, want = complex_path(source, basis_for(model, cutoff), rule, monkeypatch)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_flat_multiplication_holds_no_complex_matrix(self):

@@ -191,12 +191,13 @@ class TestGeodesicAverage:
 
     def test_invariant_under_time_origin_shift(self):
         # k = 0 averages only see the orbit, not the starting point: compare
-        # with the average started further along the same geodesic
-        from bergman_lab.manifolds import geodesic_flow_sphere
+        # with the average started further along the same geodesic; the
+        # restarted covector comes from the reference flow
+        from test_manifolds import stacked_frame_flow
 
         p0 = np.array([[1.1, 0.7]])
         xi0 = np.array([[0.6, 0.8 * math.sin(1.1)]])
-        p1, xi1 = geodesic_flow_sphere(p0, xi0, 0.83)
+        p1, xi1 = stacked_frame_flow(p0, xi0, 0.83)
         both = geodesic_average(A_TEST, np.vstack([p0, p1]), np.vstack([xi0, xi1]), 0)
         assert both[1].real == pytest.approx(both[0].real, abs=1e-12)
 
@@ -233,41 +234,12 @@ class TestGeodesicAverage:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_antipodal_half_matches_flowed_half(self, k):
         # the unflowed half of the t nodes is the antipode of the flowed
-        # half, covector included: a source that reads xi sees it
-        class Source:
-            @staticmethod
-            def values(p, xi):
-                return np.cos(p[:, 0]) + 0.7 * xi[:, 0] + 0.4 * xi[:, 1] * np.sin(p[:, 1])
-
+        # half: a source that reads both theta and phi sees a wrong antipode
+        source = ScalarField("mix", lambda p: np.cos(p[:, 0]) + 0.4 * np.sin(p[:, 0] + p[:, 1]))
         pts = np.array([[1.1, 0.7], [math.pi / 2, 0.3], [0.4, 5.9]])
         xis = np.array([[0.6, 0.8 * math.sin(1.1)], [1.0, 0.0], [0.0, math.sin(0.4)]])
-        want, bound = unfolded_average(Source, pts, xis, k)
-        assert np.abs(geodesic_average(Source, pts, xis, k) - want).max() <= 1e-13 * bound
-
-    @pytest.mark.parametrize("k", [0, 2])
-    def test_scalar_source_flows_no_covector(self, k, monkeypatch):
-        # a ScalarField ignores covectors, so the flow builds none; a source
-        # with the same values that does read them gets the same average
-        flowed = []
-
-        def spy(points, xis, t, **kwargs):
-            out = geodesic_flow_sphere(points, xis, t, **kwargs)
-            flowed.append(out[1])
-            return out
-
-        class Reading:
-            @staticmethod
-            def values(p, xi):
-                assert xi.shape == p.shape
-                return A_TEST.values(p)
-
-        monkeypatch.setattr(sphereband, "geodesic_flow_sphere", spy)
-        pts = np.array([[1.1, 0.7], [math.pi / 2, 0.3], [0.4, 5.9]])
-        xis = np.array([[0.6, 0.8 * math.sin(1.1)], [1.0, 0.0], [0.0, math.sin(0.4)]])
-        got = geodesic_average(A_TEST, pts, xis, k)
-        assert flowed == [None]
-        assert np.array_equal(got, geodesic_average(Reading, pts, xis, k))
-        assert flowed[1].shape == (32, 3, 2)
+        want, bound = unfolded_average(source, pts, xis, k)
+        assert np.abs(geodesic_average(source, pts, xis, k) - want).max() <= 1e-13 * bound
 
     def test_odd_t_nodes_is_input_error(self):
         # the antipodal fold pairs node j with node j + t_res/2
@@ -288,8 +260,7 @@ class TestGeodesicAverage:
 def unfolded_average(source, points, xis, k, t_res=64):
     """The geodesic average with every t node flowed, and its bound 2 pi max |b|."""
     ts = 2 * math.pi * (np.arange(t_res) + 0.5) / t_res
-    flow_pts, flow_xis = geodesic_flow_sphere(points, xis, ts)
-    vals = source.values(flow_pts.reshape(-1, 2), flow_xis.reshape(-1, 2)).reshape(t_res, -1)
+    vals = source.values(geodesic_flow_sphere(points, xis, ts).reshape(-1, 2)).reshape(t_res, -1)
     return (2 * math.pi / t_res) * np.exp(-1j * k * ts) @ vals, 2 * math.pi * np.abs(vals).max()
 
 
@@ -316,9 +287,9 @@ class TestFoldedFlowIntegral:
     def test_flows_a_quarter_of_the_rows(self, monkeypatch):
         calls = []
 
-        def spy(points, xis, t, **kwargs):
+        def spy(points, xis, t):
             calls.append((len(t), len(points)))
-            return geodesic_flow_sphere(points, xis, t, **kwargs)
+            return geodesic_flow_sphere(points, xis, t)
 
         monkeypatch.setattr(sphereband, "geodesic_flow_sphere", spy)
         pts, _ = quadrature_grid(SPHERE, 4)
