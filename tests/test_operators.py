@@ -313,20 +313,35 @@ class TestKohnNirenberg:
         with pytest.raises(UnsupportedModelError):
             assemble_kohn_nirenberg(sym, basis)
 
+    @pytest.mark.parametrize("rule", ["left", "symmetric"])
     @pytest.mark.parametrize("fn, x_independent", [
         (lambda p: lambda xi: xi[:, 0], True),  # xi_1 / |xi|
         (lambda p: lambda xi: np.cos(p[:, 0]) * xi[:, 0], False),
         (lambda p: lambda xi: 1.0 + 1e-6 * np.cos(p[:, 0]) * xi[:, 0], False),
     ], ids=["x-independent", "general", "weakly-odd"])
-    def test_odd_symbol_is_input_error(self, fn, x_independent):
-        # a symbol odd in xi maps real functions to imaginary ones
+    def test_odd_symbol_is_input_error(self, fn, x_independent, rule):
+        # a symbol odd in xi maps real functions to imaginary ones, under the
+        # left rule and under (left + right)/2 alike, so the one assembly
+        # rejects it for both
         sym = SymbolField("odd", TORUS, fn, x_independent=x_independent)
+        basis = basis_for(TORUS, 25)
+        bc = per_direction_complex(sym, basis)
+        if rule == "symmetric":
+            bc = 0.5 * (bc + bc.conj().T)
+        breal = real_basis_projection(bc, basis)
+        assert np.abs(breal.imag).max() > 1e-9 * np.abs(breal).max()
         with pytest.raises(InputError, match="non-negligible imaginary part"):
-            assemble_kohn_nirenberg(sym, basis_for(TORUS, 25))
+            assemble_kohn_nirenberg(sym, basis)
 
 
 def per_direction_assembly(symbol, basis):
-    """Kohn-Nirenberg oracle: one symbol evaluation and one FFT per direction.
+    """Kohn-Nirenberg oracle in the real basis, symmetrized."""
+    return complex_to_real(per_direction_complex(symbol, basis), basis)
+
+
+def per_direction_complex(symbol, basis):
+    """Complex-basis left Kohn-Nirenberg matrix: one symbol evaluation and one
+    FFT per direction.
 
     Column k (complex basis) holds the 2-D Fourier coefficients of
     x -> b(x, k/|k|) at the row-minus-column frequency, one cached FFT table
@@ -357,7 +372,7 @@ def per_direction_assembly(symbol, basis):
         g = math.gcd(*k)
         coeffs = coeff_table((0, 0) if g == 0 else (k[0] // g, k[1] // g))
         bc[:, j] = coeffs[(cfreqs[:, 0] - k[0]) % m, (cfreqs[:, 1] - k[1]) % m]
-    return complex_to_real(bc, basis)
+    return bc
 
 
 def _real_pairing(basis):
@@ -376,12 +391,17 @@ def _real_pairing(basis):
     return idx_p, idx_m, w_p, w_m
 
 
-def complex_to_real(bc, basis):
-    """Symmetrized real part of a dense complex-basis matrix in the real basis."""
+def real_basis_projection(bc, basis):
+    """A dense complex-basis matrix in the real basis, imaginary part kept."""
     idx_p, idx_m, w_p, w_m = _real_pairing(basis)
     c1 = bc[:, idx_p] * w_p[None, :] + bc[:, idx_m] * w_m[None, :]
-    breal = np.conj(w_p)[:, None] * c1[idx_p, :] + np.conj(w_m)[:, None] * c1[idx_m, :]
-    return 0.5 * (breal.real + breal.real.T)
+    return np.conj(w_p)[:, None] * c1[idx_p, :] + np.conj(w_m)[:, None] * c1[idx_m, :]
+
+
+def complex_to_real(bc, basis):
+    """Symmetrized real part of a dense complex-basis matrix in the real basis."""
+    breal = real_basis_projection(bc, basis).real
+    return 0.5 * (breal + breal.T)
 
 
 def complex_gather(table, basis, cols, box):
