@@ -18,13 +18,21 @@ def sym2x2_eigs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half_tr - disc, half_tr + disc
 
 
+def component_major(mats: np.ndarray) -> np.ndarray:
+    """(P, n, n) matrices as one contiguous (n, n, P) array, the layout ``quadratic_form`` reads."""
+    return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+
+
 def quadratic_form(mats: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """xi^T M xi per point of (P, n, n) mats and (P, n) xis, one component at a
-    time, in the order of ``einsum("pij,pi,pj->p")`` (the same bits, faster)."""
-    total = np.zeros(xis.shape[0])
+    """xi^T M xi per point of component-major (n, n, P) mats, one component at a
+    time, in the order of ``einsum("pij,pi,pj->p")`` (the same bits, faster).
+
+    ``xis`` is (P, n), or one (1, n) row whose components are then scalar
+    coefficients: the same products in the same order, so the same bits."""
+    total = np.zeros(mats.shape[-1])
     for i in range(xis.shape[1]):
         for j in range(xis.shape[1]):
-            total += mats[:, i, j] * xis[:, i] * xis[:, j]
+            total += mats[i, j] * xis[:, i] * xis[:, j]
     return total
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .bergman import dd_kernel
 from .errors import UnsupportedModelError
-from .fields import MetricField, Tensor2Field, quadratic_form
+from .fields import MetricField, Tensor2Field, component_major, quadratic_form
 from .manifolds import EigenBasis
-from .operators import SymbolField, assemble, positivity_repair
+from .operators import SymbolField, assemble, leading_block, positivity_repair
 
 
 def normalization_constant(n: int) -> float:
@@ -28,23 +28,21 @@ def normalization_constant(n: int) -> float:
     return n * (n + 2) * (2.0 * math.pi) ** n / fiber
 
 
+def hilb_factor(g: MetricField, points: np.ndarray):
+    """q -> c_n (dV_{g0}/dV_g) q^{-(n+2)/2} at the points: the hilb symbol of q = |xi|_g^2."""
+    n = g.model.dim
+    coef = normalization_constant(n) * g.volume_ratio(points)
+    return lambda q: coef * q ** (-(n + 2) / 2.0)
+
+
 def hilb_symbol(g: MetricField) -> SymbolField:
     """Strictly positive order-zero symbol inverting the Bergman transform."""
-    model = g.model
-    n = model.dim
-    c_n = normalization_constant(n)
 
     def make_evaluator(points: np.ndarray):
-        ratio = g.volume_ratio(points)
-        ginv = g.inverses(points)
+        factor, ginv = hilb_factor(g, points), component_major(g.inverses(points))
+        return lambda xi_unit: factor(quadratic_form(ginv, xi_unit))
 
-        def ev(xi_unit: np.ndarray) -> np.ndarray:
-            q = quadratic_form(ginv, xi_unit)
-            return c_n * ratio * q ** (-(n + 2) / 2.0)
-
-        return ev
-
-    return SymbolField(f"hilb[{g.name}]", model, make_evaluator, x_independent=g.x_independent)
+    return SymbolField(f"hilb[{g.name}]", g.model, make_evaluator, x_independent=g.x_independent)
 
 
 def hilb_n(g: MetricField, basis: EigenBasis) -> np.ndarray:
@@ -55,10 +53,10 @@ def hilb_n(g: MetricField, basis: EigenBasis) -> np.ndarray:
     fiber); sphere2 takes conformal metrics only (a fiber-independent symbol,
     so multiplication), anything else raises UnsupportedModelError.  For g0
     the symbol is the constant c_n, x-independent, so flat windows get the
-    exact diagonal c_n I with no fiber sampling.  The leading d x d block is
-    the matrix of the first d basis elements up to round-off, so a sweep
-    assembles its top window once; each window repairs its own block with
-    ``positivity_repair``.
+    exact diagonal c_n I, as the 1-D array of its entries, with no fiber
+    sampling.  The leading d x d block is the matrix of the first d basis
+    elements up to round-off, so a sweep assembles its top window once; each
+    window repairs its own block with ``positivity_repair``.
     """
     if g.model.kind == "sphere2" and g.conformal_u is None:
         raise UnsupportedModelError("sphere assembly supports conformal metrics e^u g0 only")
@@ -74,7 +72,7 @@ def approximate(r: np.ndarray, basis: EigenBasis, points: np.ndarray,
     shift is returned, not applied (a shift s would add s * dd(I)), so the
     field is that of the assembly.
     """
-    block = r[:basis.dim, :basis.dim]
+    block = leading_block(r, basis.dim)
     _, shift = positivity_repair(block)
     field = dd_kernel(block, basis, points, grads)
     return field.scaled(basis.mu_top ** -(basis.model.dim + 2)), shift

@@ -21,23 +21,30 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, UnsupportedModelError
-from .fields import MetricField, MetricPerturbation, quadratic_form
-from .hilb import hilb_n, hilb_symbol
+from .fields import MetricField, MetricPerturbation, component_major, quadratic_form
+from .hilb import hilb_factor, hilb_n
 from .manifolds import CosphereQuadrature, EigenBasis
-from .operators import SymbolField, assemble, is_diagonal, positivity_repair
+from .operators import SymbolField, assemble, leading_block, positivity_repair
 
 
 def _perturbation_scalars(g: MetricField, gdot: MetricPerturbation, points, fibers: int = 1):
-    """xi -> Tr(g^{-1} gdot) and (n+2) <g^{-1} gdot g^{-1} xi, xi> / |xi|_g^2 at the points.
+    """xi -> |xi|_g^2, Tr(g^{-1} gdot) and (n+2) <g^{-1} gdot g^{-1} xi, xi> / |xi|_g^2.
 
-    Covector row p * fibers + f belongs to point p (``fiber_bundle`` rows)."""
+    Covector row p * fibers + f belongs to point p (``fiber_bundle`` rows),
+    or one covector row serves every point."""
     ginv = g.inverses(points)
     h = gdot.matrices(points)
     tr = np.einsum("pij,pji->p", ginv, h)
     gig = np.einsum("pij,pjk,pkl->pil", ginv, h, ginv)
     tr, gig, ginv = (np.repeat(a, fibers, axis=0) for a in (tr, gig, ginv))
+    gig, ginv = component_major(gig), component_major(ginv)
     n = g.model.dim
-    return lambda xis: (tr, (n + 2) * quadratic_form(gig, xis) / quadratic_form(ginv, xis))
+
+    def scalars(xis: np.ndarray):
+        q = quadratic_form(ginv, xis)
+        return q, tr, (n + 2) * quadratic_form(gig, xis) / q
+
+    return scalars
 
 
 def dhilb_symbol(
@@ -57,15 +64,14 @@ def dhilb_symbol(
     """
     if trace_sign not in (1, -1):
         raise InputError("trace_sign must be +1 or -1")
-    base = hilb_symbol(g)
 
     def make_evaluator(points: np.ndarray):
-        base_ev = base.make_evaluator(points)
+        factor = hilb_factor(g, points)
         scalars = _perturbation_scalars(g, gdot, points)
 
         def ev(xi_unit: np.ndarray) -> np.ndarray:
-            tr, quadr = scalars(xi_unit)
-            return 0.5 * base_ev(xi_unit) * (trace_sign * tr + quadr)
+            q, tr, quadr = scalars(xi_unit)  # q once, for the hilb factor and the ratio
+            return 0.5 * factor(q) * (trace_sign * tr + quadr)
 
         return ev
 
@@ -94,13 +100,12 @@ def induced_norm_trace(r: np.ndarray, rdot: np.ndarray, basis: EigenBasis) -> fl
 
     ``r`` and ``rdot`` come from ``trace_operators`` over a window whose
     leading blocks are ``basis``.  R's block is repaired onto the SPD cone.
-    A block with no off-diagonal entry (g0, whose symbol is x-independent)
-    divides Rdot by its diagonal; any other is an LU solve.
+    A diagonal R, a 1-D array (g0, whose symbol is x-independent), divides
+    Rdot; any other is an LU solve.
     """
-    d = basis.dim
-    r, _ = positivity_repair(r[:d, :d])
-    rdot = rdot[:d, :d]
-    x = rdot / np.diagonal(r)[:, None] if is_diagonal(r) else np.linalg.solve(r, rdot)
+    r, _ = positivity_repair(leading_block(r, basis.dim))
+    rdot = leading_block(rdot, basis.dim)
+    x = rdot / r[:, None] if r.ndim == 1 else np.linalg.solve(r, rdot)
     val = float(np.einsum("ij,ji->", x, x))
     return basis.mu_top ** (-basis.model.dim) * val
 
@@ -113,7 +118,7 @@ def induced_norm_closed(
 ) -> float:
     """Cosphere-quadrature evaluation of the closed-form induced norm, point data per base point."""
     base = quad.points[::quad.fibers]
-    tr, quadr = _perturbation_scalars(g, gdot, base, quad.fibers)(quad.xis)
+    _, tr, quadr = _perturbation_scalars(g, gdot, base, quad.fibers)(quad.xis)
     n = g.model.dim
     pref = 1.0 / (4.0 * n * (2.0 * math.pi) ** n)
     return pref * float((quad.weights * (trace_sign * tr + quadr) ** 2).sum())
@@ -147,11 +152,14 @@ def szego_trace(
     n = top.model.dim
 
     def trace(basis: EigenBasis) -> tuple[float, float, float]:
-        d = basis.dim
-        seq = [mats[id(s)][:d, :d] for s in sources]
-        if len(seq) == 3:  # Tr(A B) = sum A_ij B_ji: at most one matrix product
-            seq = [seq[0] @ seq[1], seq[2]]
-        measured = float(np.trace(seq[0]) if len(seq) == 1 else np.einsum("ij,ji->", *seq))
+        seq = [leading_block(mats[id(s)], basis.dim) for s in sources]
+        if len(seq) == 1:  # the trace of a diagonal given as a 1-D array is its sum
+            measured = float(seq[0].sum() if seq[0].ndim == 1 else np.trace(seq[0]))
+        else:
+            seq = [np.diag(a) if a.ndim == 1 else a for a in seq]  # products read squares
+            if len(seq) == 3:  # Tr(A B) = sum A_ij B_ji: at most one matrix product
+                seq = [seq[0] @ seq[1], seq[2]]
+            measured = float(np.einsum("ij,ji->", *seq))
         predicted = basis.mu_top**n / (n * (2.0 * math.pi) ** n) * integral
         return measured, predicted, measured / predicted
 

@@ -46,6 +46,9 @@ KN_FIBER_RES = 64
 KN_FIBER_RES_MAX = 1024
 FFT_RES_MAX = 2048
 KN_TAIL_TOL = 1e-14
+# rows per strip of the in-place Kohn-Nirenberg symmetrization, whose one
+# temporary is a strip, not a second d x d matrix
+_SYM_STRIP = 64
 
 
 def _finite(name: str, values) -> np.ndarray:
@@ -78,7 +81,10 @@ class SymbolField:
     ``make_evaluator`` maps chart points to an evaluator of *unit* (g0)
     covectors, xi_unit -> b(points, xi_unit), so point-only data (metric
     inverses, volume ratios) is computed once per point set and reused by
-    assembly loops over many fiber directions.  ``x_independent`` marks
+    assembly loops over many fiber directions.  On the flat models one
+    covector row is passed to the evaluator as one (1, n) row, not repeated
+    per point, so the evaluator must broadcast it against its point data; a
+    result of shape (1,) is broadcast to the points.  ``x_independent`` marks
     pure Fourier multipliers, enabling diagonal assembly.
     """
 
@@ -101,8 +107,8 @@ class SymbolField:
             if np.any(norm == 0.0):
                 raise InputError("symbol evaluated at xi = 0")
             unit = xi / norm[:, None]
-            unit = np.broadcast_to(unit, (len(pts), unit.shape[1])) if len(unit) == 1 else unit
-            return _finite(self.name, ev(unit))
+            vals = ev(unit)
+            return _finite(self.name, np.broadcast_to(vals, len(pts)) if len(unit) == 1 else vals)
 
         return call
 
@@ -333,14 +339,15 @@ def assemble_kohn_nirenberg(symbol: SymbolField, basis: EigenBasis) -> np.ndarra
     the Hermitian part of the left one.
 
     An x-independent symbol is evaluated at +k and -k only, on the circle or
-    the torus: a real diagonal.  Otherwise (torus only) b is sampled at L
-    uniform fiber angles (``_fiber_samples``), and each column is the
-    trigonometric interpolant in theta of those samples at the angle of its
-    direction: a toroidal quantization whose cost grows with L, not with the
-    number of lattice directions.  A symbol with a real matrix is even in
-    xi, and angle l + L/2 is angle l plus pi: the even part (s_l + s_{l+L/2})/2
-    is interpolated in phi = 2 theta on L/2 nodes, one table row per
-    +-direction pair, and the odd part is the mismatch of ``_check_real``.
+    the torus: a real diagonal, returned as a 1-D array.  Otherwise (torus
+    only) b is sampled at L uniform fiber angles (``_fiber_samples``), and
+    each column is the trigonometric interpolant in theta of those samples at
+    the angle of its direction: a toroidal quantization whose cost grows with
+    L, not with the number of lattice directions.  A symbol with a real
+    matrix is even in xi, and angle l + L/2 is angle l plus pi: the even part
+    (s_l + s_{l+L/2})/2 is interpolated in phi = 2 theta on L/2 nodes, one
+    table row per +-direction pair, and the odd part is the mismatch of
+    ``_check_real``.
     """
     model = basis.model
     if model.kind == "sphere2" or (model.dim == 1 and not symbol.x_independent):
@@ -355,7 +362,7 @@ def assemble_kohn_nirenberg(symbol: SymbolField, basis: EigenBasis) -> np.ndarra
         avg = symbol.fiber_average(np.zeros((1, model.dim)))
         diag = np.append(avg, np.repeat(vals.mean(axis=1), 2))
         _check_real(diag, 0.5 * np.ptp(vals, axis=1).max(initial=0.0))
-        return np.diag(diag)
+        return diag
     m, box = _fft_grid(basis)
     samples = _fiber_samples(symbol, m, box)
     half = samples.shape[0] // 2
@@ -377,8 +384,12 @@ def assemble_kohn_nirenberg(symbol: SymbolField, basis: EigenBasis) -> np.ndarra
     odd = weights.T @ (0.5 * (samples[:half].imag + samples[half:].imag))
     out = _pair_gather(even, odd, basis, box, table_rows=np.append(len(dirs), pair_dir.ravel()))
     _check_real(out, mismatch)
-    out = out + out.T
-    return np.multiply(out, 0.5, out=out)
+    # (A + A^T) / 2 in place, one strip of rows and its transposed columns at a time
+    for i in range(0, len(out), _SYM_STRIP):
+        strip = out[i:i + _SYM_STRIP, i:]
+        np.multiply(strip + out[i:, i:i + _SYM_STRIP].T, 0.5, out=strip)
+        out[i:, i:i + _SYM_STRIP] = strip.T
+    return out
 
 
 def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
@@ -407,7 +418,8 @@ def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
     def sample(xis: np.ndarray) -> np.ndarray:
         out = np.empty((len(xis), len(index)), dtype=complex)
         for i, xi in enumerate(xis):
-            np.take(np.fft.rfft2(evaluate(xi).reshape(m, m)).ravel(), index, out=out[i])
+            np.take(np.fft.rfft2(evaluate(xi).reshape(m, m)).ravel(), index, out=out[i],
+                    mode="clip")
         np.conjugate(out, out=out, where=mirror)
         out /= m * m
         return out
@@ -432,9 +444,9 @@ def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
         samples, nfib = doubled, 2 * nfib
 
 
-def is_diagonal(mat: np.ndarray) -> bool:
-    """True when the square matrix has no nonzero off-diagonal entry."""
-    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
+def leading_block(mat: np.ndarray, d: int) -> np.ndarray:
+    """The leading d x d block of a square matrix, or of a diagonal given as a 1-D array."""
+    return mat[:d] if mat.ndim == 1 else mat[:d, :d]
 
 
 def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -445,22 +457,23 @@ def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
     Bergman field by exactly s * dd(I), which callers subtract when an
     unbiased field is required.  The zero matrix cannot be lifted.
 
-    A diagonal matrix (the x-independent Kohn-Nirenberg case) has its sorted
-    diagonal as eigenvalues.  Otherwise the Gershgorin bound
-    min_i (a_ii - sum_{j != i} |a_ij|) >= 2e-8 ||mat||_inf certifies
-    lambda_min >= 2e-8 rho(mat) without a factorization; failing that, a
-    Cholesky factor of mat - 2e-8 ||mat||_inf I certifies the floor with room
-    for its backward error (Rump, BIT 46, 2006), and ``eigvalsh`` runs if
-    both fail.  Each certificate returns the same ``(mat, 0.0)`` as the
-    eigenvalues would.
+    A diagonal given as a 1-D array (the x-independent Kohn-Nirenberg case)
+    is its own eigenvalues, sorted, and a shift adds to it.  Otherwise the
+    Gershgorin bound min_i (a_ii - sum_{j != i} |a_ij|) >= 2e-8 ||mat||_inf
+    certifies lambda_min >= 2e-8 rho(mat) without a factorization when that
+    floor is positive; failing that, a Cholesky factor of
+    mat - 2e-8 ||mat||_inf I certifies the floor with room for its backward
+    error (Rump, BIT 46, 2006), and ``eigvalsh`` runs if both fail.  Each
+    certificate returns the same ``(mat, 0.0)`` as the eigenvalues would.
     """
-    if is_diagonal(mat):
-        w = np.sort(np.diagonal(mat))
+    if mat.ndim == 1:
+        w = np.sort(mat)
     else:
         row_sums = np.abs(mat).sum(axis=1)
         floor = 2e-8 * row_sums.max()
         diag = np.diagonal(mat)
-        if (diag + np.abs(diag) - row_sums).min() >= floor:
+        # the zero matrix has floor 0: it is refused below, never certified
+        if (diag + np.abs(diag) - row_sums).min() >= floor > 0.0:
             return mat, 0.0
         try:
             np.linalg.cholesky(mat - floor * np.eye(mat.shape[0]))
@@ -475,7 +488,7 @@ def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
     if min_eig >= eps:
         return mat, 0.0
     shift = eps - min_eig
-    return mat + shift * np.eye(mat.shape[0]), shift
+    return (mat + shift if mat.ndim == 1 else mat + shift * np.eye(mat.shape[0])), shift
 
 
 def symbol_law_predict(source, model: ManifoldModel, points: np.ndarray,
@@ -508,14 +521,15 @@ def assemble(source, basis: EigenBasis, rows: Optional[int] = None) -> np.ndarra
 
     A scalar field is a multiplication operator.  A symbol is quantized by
     Kohn-Nirenberg on the torus, and on the circle when it is x-independent
-    (a diagonal); elsewhere it is multiplication by its fiber restriction,
-    which is exact for the symbols that reach it: on the circle they are even
-    in the fiber (hilb and its variation), on the sphere constant in it (hilb
-    of a conformal metric, ``one``), and ``fiber_restriction`` refuses others.
-    Every entry depends only on its row and column basis elements, so the
-    leading d x d block over a larger window is the assembly over the first d
-    elements, up to the round-off that the larger FFT grid, angle count or
-    sphere grid moves: sweeps assemble their top window once and slice it.
+    (a diagonal, returned as a 1-D array); elsewhere it is multiplication by
+    its fiber restriction, which is exact for the symbols that reach it: on
+    the circle they are even in the fiber (hilb and its variation), on the
+    sphere constant in it (hilb of a conformal metric, ``one``), and
+    ``fiber_restriction`` refuses others.  Every entry depends only on its
+    row and column basis elements, so the leading d x d block over a larger
+    window is the assembly over the first d elements, up to the round-off
+    that the larger FFT grid, angle count or sphere grid moves: sweeps
+    assemble their top window once and slice it with ``leading_block``.
     ``rows`` keeps the leading rows only; flat multiplication gathers no
     others, and the other assemblies slice the square matrix.
     """
@@ -541,10 +555,9 @@ def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law,
     symmetrized assembly itself.
     """
     pred = law(basis.mu_top)
-    block = mat[:basis.dim, :basis.dim]
+    block = leading_block(mat, basis.dim)
     _, shift = positivity_repair(block)
-    a = np.diagonal(block) if is_diagonal(block) else block  # a multiplier: no GEMM
-    field = dd_kernel(a, basis, pred.points, grads)
+    field = dd_kernel(block, basis, pred.points, grads)
     num = g0_operator_norms(basis.model, pred.points, field.values - pred.values)
     den = g0_operator_norms(basis.model, pred.points, pred.values)
     return basis.mu_top, float((num / den).max()), shift

@@ -25,7 +25,6 @@ from bergman_lab.operators import (
     ScalarField,
     assemble_kohn_nirenberg,
     assemble_multiplication,
-    is_diagonal,
     positivity_repair,
 )
 
@@ -100,6 +99,7 @@ class TestHilbN:
         for model, cutoff in ((CIRCLE, 8), (TORUS, 8), (SPHERE, 6)):
             basis = basis_for(model, cutoff)
             mat, shift = positivity_repair(hilb_n(reference_metric(model), basis))
+            mat = np.diag(mat) if mat.ndim == 1 else mat  # flat models: a 1-D diagonal
             c_n = normalization_constant(model.dim)
             assert np.abs(mat - c_n * np.eye(basis.dim)).max() <= 1e-10 * c_n
             assert shift == 0.0
@@ -115,9 +115,9 @@ class TestHilbN:
             raise AssertionError("fiber sampling for an x-independent symbol")
 
         monkeypatch.setattr(operators, "_fiber_samples", refuse)
-        mat = hilb_n(reference_metric(TORUS), basis)
-        assert is_diagonal(mat)
-        assert np.abs(mat - full).max() <= 1e-14 * np.abs(full).max()
+        diag = hilb_n(reference_metric(TORUS), basis)
+        assert diag.shape == (basis.dim,)
+        assert np.abs(np.diag(diag) - full).max() <= 1e-14 * np.abs(full).max()
 
     def test_circle_conformal_reduces_to_multiplication(self):
         u = lambda p: np.cos(p[:, 0])

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bergman_lab import operators
+from bergman_lab import hilb, metspace, operators
 from bergman_lab.errors import InputError, ResolutionError, UnsupportedModelError
 from bergman_lab.hilb import hilb_symbol
 from bergman_lab.manifolds import (
-    basis_for, circle, eval_basis, g0_norm_xi, normalized_legendre, quadrature_grid, sphere2,
-    torus2,
+    basis_for, circle, cosphere_quadrature, eval_basis, fiber_covectors, g0_norm_xi,
+    normalized_legendre, quadrature_grid, sphere2, torus2,
 )
 from bergman_lab.metspace import dhilb_symbol
 from bergman_lab.operators import (
@@ -205,7 +205,7 @@ class TestKohnNirenberg:
         sym = SymbolField("one", TORUS, lambda p: lambda xi: np.ones(p.shape[0]),
                           x_independent=True)
         op = assemble_kohn_nirenberg(sym, basis)
-        assert np.abs(op - np.eye(basis.dim)).max() <= 1e-12
+        assert np.abs(np.diag(op) - np.eye(basis.dim)).max() <= 1e-12
 
     def test_fiber_independent_symbol_equals_multiplication(self):
         basis = basis_for(TORUS, 13)
@@ -218,7 +218,9 @@ class TestKohnNirenberg:
         basis = basis_for(TORUS, 10)
         sym = SymbolField("xi1sq", TORUS, lambda p: lambda xi: xi[:, 0] ** 2,
                           x_independent=True)
-        op = assemble_kohn_nirenberg(sym, basis)
+        diag = assemble_kohn_nirenberg(sym, basis)
+        assert diag.shape == (basis.dim,)
+        op = np.diag(diag)
         off = op - np.diag(np.diag(op))
         assert np.abs(off).max() <= 1e-12
         for j in range(1, basis.dim):
@@ -448,6 +450,7 @@ def complex_path(source, basis, rule, monkeypatch):
         vals = source.values(np.zeros_like(cfreqs[1:]), cfreqs[1:])
         avg = source.fiber_average(np.zeros((1, basis.model.dim)))
         bc = np.diag(np.concatenate([avg, vals])).astype(complex)
+        got = np.diag(got)  # a 1-D diagonal
     if rule == "symmetric":
         bc = 0.5 * (bc + bc.conj().T)
     return got, complex_to_real(bc, basis)
@@ -478,6 +481,7 @@ class TestKohnNirenbergFiberFourier:
             basis = basis_for(TORUS, mu2)
             want = per_direction_assembly(symbol, basis)
             got = assemble_kohn_nirenberg(symbol, basis)
+            got = np.diag(got) if got.ndim == 1 else got  # hilb-g0: a 1-D diagonal
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), mu2
 
     def test_kinked_symbol_is_unresolved(self):
@@ -625,7 +629,8 @@ class TestHalfPlaneTables:
 
         def spy(even, odd, basis, box, rows=None, table_rows=None):
             out = pair_gather(even, odd, basis, box, rows, table_rows)
-            seen.append((unfold(even + 1j * odd), box, table_rows, out))
+            # a copy: Kohn-Nirenberg symmetrizes the returned array in place
+            seen.append((unfold(even + 1j * odd), box, table_rows, out.copy()))
             return out
 
         monkeypatch.setattr(operators, "_pair_gather", spy)
@@ -747,6 +752,28 @@ class TestPrepared:
             want = ev(rows / g0_norm_xi(model, pts, rows)[:, None])
             np.testing.assert_array_equal(prepared(xi[None]), want)
 
+    @pytest.mark.parametrize("symbol", [
+        hilb_symbol(metric_field("g0", TORUS)),
+        hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS)),
+        dhilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS),
+                     perturbation_field("cos-x1-dx1", TORUS), trace_sign=1),
+        dhilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS),
+                     perturbation_field("cos-x1-dx1", TORUS), trace_sign=-1),
+        symbol_field("xi1sq", TORUS), symbol_field("one", TORUS), SymbolField("mix", TORUS, _mix),
+    ], ids=["hilb-g0", "hilb-aniso", "dhilb+1", "dhilb-1", "xi1sq", "one", "mix"])
+    def test_one_row_is_the_broadcast_path(self, symbol):
+        # the evaluator gets the one normalized (1, n) row, and its quadratic
+        # forms have scalar coefficients in the same term order: the same bits
+        # as the row broadcast to every point of the 128^2 grid
+        pts, _ = quadrature_grid(TORUS, 128)
+        prepared = symbol.prepared(pts)
+        xis = np.vstack([fiber_covectors(TORUS, np.zeros((1, 2)), 16)[0][:, 0],
+                         np.random.default_rng(4).standard_normal((4, 2))])
+        for xi in xis:
+            got = prepared(xi[None])
+            assert got.shape == (len(pts),)
+            np.testing.assert_array_equal(got, prepared(np.broadcast_to(xi, pts.shape)))
+
 
 class TestFiberRestriction:
     """Off the torus a symbol is multiplication by b(x, e^1), exact only when it
@@ -785,6 +812,8 @@ class TestPositivityRepair:
         # the floor scales with the matrix, so the zero matrix has none
         with pytest.raises(InputError):
             positivity_repair(np.zeros((2, 2)))
+        with pytest.raises(InputError):
+            positivity_repair(np.zeros(2))
 
     def test_certified_matrix_needs_no_eigenvalues(self, monkeypatch):
         mat = assemble_multiplication(EXP_MIXED, basis_for(TORUS, 25))
@@ -816,8 +845,8 @@ class TestPositivityRepair:
         [-1.0, -2.0],
     ])
     def test_diagonal_needs_no_factorization(self, diag, monkeypatch):
-        mat = np.diag(diag)
-        want_spd, want_shift = eigvalsh_repair(mat)
+        mat = np.array(diag)
+        want_spd, want_shift = eigvalsh_repair(np.diag(mat))
 
         def refuse(*args, **kwargs):
             raise AssertionError("factorization run on a diagonal matrix")
@@ -825,7 +854,7 @@ class TestPositivityRepair:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         spd, shift = positivity_repair(mat)
-        assert shift == want_shift and np.array_equal(spd, want_spd)
+        assert shift == want_shift and np.array_equal(np.diag(spd), want_spd)
 
     @pytest.mark.parametrize("case", ["hilb-torus", "bergman-circle"])
     def test_gershgorin_certificate_before_cholesky(self, case, monkeypatch):
@@ -849,7 +878,7 @@ class TestPositivityRepair:
     def test_zero_diagonal_is_input_error(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         with pytest.raises(InputError):
-            positivity_repair(np.zeros((3, 3)))
+            positivity_repair(np.zeros(3))
 
     @pytest.mark.parametrize("mu2", [100, 225, 400])
     def test_singular_diagonal_shift_unchanged(self, mu2):
@@ -857,9 +886,9 @@ class TestPositivityRepair:
         # shift from the sorted diagonal is eigvalsh's
         mat = assemble_kohn_nirenberg(symbol_field("xi1sq", TORUS), basis_for(TORUS, mu2))
         spd, shift = positivity_repair(mat)
-        want_spd, want_shift = eigvalsh_repair(mat)
+        want_spd, want_shift = eigvalsh_repair(np.diag(mat))
         assert shift == want_shift > 0.0
-        assert np.array_equal(spd, want_spd)
+        assert np.array_equal(np.diag(spd), want_spd)
 
 
 def eigvalsh_repair(mat):
@@ -986,3 +1015,84 @@ class TestLeadingBlocks:
             # the FFT grid, angle count or sphere grid of the larger window
             # moves the entries by round-off only
             assert np.abs(top[:d, :d] - own).max() <= 1e-13 * np.abs(own).max(), cutoff
+
+
+class TestDiagonalOperators:
+    """A diagonal operator is a 1-D array: each consumer gives what the dense
+    matrix of the same diagonal gives on the general path."""
+
+    G0, COS_X1_DX1 = metric_field("g0", TORUS), perturbation_field("cos-x1-dx1", TORUS)
+
+    @pytest.mark.parametrize("source", [symbol_field("xi1sq", TORUS), hilb_symbol(G0)],
+                             ids=["xi1sq", "hilb-g0"])
+    def test_positivity_repair(self, source):
+        vec = operators.assemble(source, basis_for(TORUS, 100))
+        assert vec.ndim == 1
+        spd, shift = positivity_repair(vec)
+        dense_spd, dense_shift = positivity_repair(np.diag(vec))
+        assert shift == dense_shift
+        np.testing.assert_array_equal(np.diag(spd), dense_spd)
+
+    def test_symbol_law_check(self):
+        source = symbol_field("xi1sq", TORUS)
+        vec = operators.assemble(source, basis_for(TORUS, 100))
+        law = symbol_law_predict(source, TORUS, quadrature_grid(TORUS, 16)[0])
+        for cutoff in (25, 100):
+            basis = basis_for(TORUS, cutoff)
+            assert symbol_law_check(vec, basis, law) == symbol_law_check(np.diag(vec), basis, law)
+
+    def test_hilb_approximate(self):
+        r = hilb.hilb_n(self.G0, basis_for(TORUS, 100))
+        pts, _ = quadrature_grid(TORUS, 16)
+        for cutoff in (25, 100):
+            basis = basis_for(TORUS, cutoff)
+            fld, shift = hilb.approximate(r, basis, pts)
+            dense_fld, dense_shift = hilb.approximate(np.diag(r), basis, pts)
+            assert shift == dense_shift
+            np.testing.assert_array_equal(fld.values, dense_fld.values)
+
+    def test_induced_norm_trace(self):
+        # the dense R is LU-solved where the diagonal divides: equal to round-off
+        r, rdot = metspace.trace_operators(self.G0, self.COS_X1_DX1, basis_for(TORUS, 100))
+        for cutoff in (25, 100):
+            basis = basis_for(TORUS, cutoff)
+            assert metspace.induced_norm_trace(r, rdot, basis) == pytest.approx(
+                metspace.induced_norm_trace(np.diag(r), rdot, basis), rel=1e-14)
+
+    @pytest.mark.parametrize("names", [["one"], ["xi1sq", "exp:0.3cos(x1)"],
+                                       ["xi1sq", "cos(x1)", "cos(x1)"]])
+    def test_szego_trace(self, names, monkeypatch):
+        fields = [symbol_field(n, TORUS) if "(" not in n else scalar_field(n, TORUS) for n in names]
+        top, quad = basis_for(TORUS, 100), cosphere_quadrature(TORUS, 16, 16)
+        windows = [basis_for(TORUS, c) for c in (25, 100)]
+        trace = metspace.szego_trace(fields, top, quad)
+        got = [trace(b) for b in windows]
+        assemble = metspace.assemble
+
+        def dense_assemble(source, basis):
+            mat = assemble(source, basis)
+            return np.diag(mat) if mat.ndim == 1 else mat
+
+        monkeypatch.setattr(metspace, "assemble", dense_assemble)
+        dense = metspace.szego_trace(fields, top, quad)
+        assert got == [dense(b) for b in windows]
+
+    @pytest.mark.parametrize("mu2", [25, 100, 400])
+    def test_kohn_nirenberg_is_the_symmetrized_gather(self, mu2, monkeypatch):
+        # symmetrized in place, strip by strip: exactly (G + G^T) / 2 of the
+        # gathered matrix G, at dimensions 81, 317 and 1257, none a whole
+        # number of strips
+        basis = basis_for(TORUS, mu2)
+        assert basis.dim % operators._SYM_STRIP != 0
+        seen, pair_gather = [], operators._pair_gather
+
+        def spy(*args, **kwargs):
+            out = pair_gather(*args, **kwargs)
+            seen.append(out.copy())
+            return out
+
+        monkeypatch.setattr(operators, "_pair_gather", spy)
+        got = assemble_kohn_nirenberg(SymbolField("mix", TORUS, _mix), basis)
+        [gathered] = seen
+        np.testing.assert_array_equal(got, got.T)
+        np.testing.assert_array_equal(got, 0.5 * (gathered + gathered.T))
