@@ -18,20 +18,20 @@ import numpy as np
 from .bergman import dd_kernel
 from .errors import UnsupportedModelError
 from .fields import MetricField, Tensor2Field, component_major, quadratic_form
-from .manifolds import EigenBasis
+from .manifolds import EigenBasis, ManifoldModel
 from .operators import SymbolField, assemble, leading_block, positivity_repair
 
 
-def normalization_constant(n: int) -> float:
+def normalization_constant(model: ManifoldModel) -> float:
     """c_n = n (n+2) (2 pi)^n / Vol(S^{n-1}), fixed by E_N(Hilb(g0)) -> g0."""
-    fiber = 2.0 if n == 1 else 2.0 * math.pi
-    return n * (n + 2) * (2.0 * math.pi) ** n / fiber
+    n = model.dim
+    return n * (n + 2) * (2.0 * math.pi) ** n / model.sphere_fiber_volume
 
 
 def hilb_factor(g: MetricField, points: np.ndarray):
     """q -> c_n (dV_{g0}/dV_g) q^{-(n+2)/2} at the points: the hilb symbol of q = |xi|_g^2."""
     n = g.model.dim
-    coef = normalization_constant(n) * g.volume_ratio(points)
+    coef = normalization_constant(g.model) * g.volume_ratio(points)
     return lambda q: coef * q ** (-(n + 2) / 2.0)
 
 

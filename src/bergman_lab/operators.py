@@ -10,9 +10,9 @@ field, or a real symbol even in xi) the blocks are Toeplitz-plus-Hankel sums
 of two real tables, the real and imaginary parts of the row, read by one
 gather (``_pair_gather``): multiplication reads one row for every pair, and a
 caller may ask for leading rows only; Kohn-Nirenberg reads the row of each
-column's +-direction pair.  On the sphere multiplication is the
-Gauss-Legendre x trapezoid quadrature sum, separated into a phi DFT and
-Legendre-weighted products.
+column's +-direction pair; both read rows from real FFTs by ``_half_plane``.
+On the sphere multiplication is the Gauss-Legendre x trapezoid quadrature
+sum, separated into a phi DFT and Legendre-weighted products.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ KN_TAIL_TOL = 1e-14
 _SYM_STRIP = 64
 
 
-def _finite(name: str, values) -> np.ndarray:
-    """Field values as a float array; a non-finite value is an input error."""
+def _finite(name: str, values, what: str = "values") -> np.ndarray:
+    """Field values, or their ``what``, as floats; a non-finite one is an input error."""
     vals = np.asarray(values, dtype=float)
     if not np.isfinite(vals).all():
-        raise InputError(f"field {name!r} has non-finite values")
+        raise InputError(f"field {name!r} has non-finite {what}")
     return vals
 
 
@@ -160,24 +160,30 @@ def assemble_multiplication(f: ScalarField, basis: EigenBasis,
     """Leading ``rows`` rows (all by default) of the matrix of <f phi_j, phi_k>, symmetric.
 
     Circle and torus: the complex-basis entry is the Fourier coefficient
-    f^(nu_j - nu_k), gathered from one FFT of f on the uniform m-grid by
-    ``_multiplication_gather``.  m doubles while the coefficients in the
-    Nyquist band |nu_i| >= m/2 - 1 exceed KN_TAIL_TOL of the largest, so
-    aliasing stays below that level; a field not resolved by FFT_RES_MAX
-    points per axis raises ResolutionError.  Sphere: the leading rows of the
-    symmetrized product-quadrature sum of ``sphere_block``.
+    f^(nu_j - nu_k), read by ``_pair_gather`` from the half plane
+    (``_half_plane``) of one real FFT of f on the uniform m-grid.  m doubles
+    while the coefficients in the Nyquist band |nu_i| >= m/2 - 1 exceed
+    KN_TAIL_TOL of the largest, so aliasing stays below that level; a field
+    not resolved by FFT_RES_MAX points per axis raises ResolutionError.
+    Sphere: the leading rows of the symmetrized product-quadrature sum of
+    ``sphere_block``.
     """
     model = basis.model
     if model.kind != "sphere2":
         m, box = _fft_grid(basis)
         while True:
             pts, _ = quadrature_grid(model, m)
-            coeffs = np.fft.fftn(f.values(pts).reshape((m,) * model.dim)) / m**model.dim
-            mags = np.abs(coeffs)
+            with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses an overflow
+                coeffs = np.fft.rfftn(f.values(pts).reshape((m,) * model.dim)) / m**model.dim
+                mags = _finite(f.name, np.abs(coeffs), "Fourier coefficients")
+            # |c(m/2 + 1)| = |c(m/2 - 1)| on the last axis, where the index clips to m/2
             band = np.arange(m // 2 - 1, m // 2 + 2)
-            tail = max(np.take(mags, band, axis=i).max() for i in range(model.dim))
+            tail = max(np.take(mags, band, axis=i, mode="clip").max() for i in range(model.dim))
             if tail <= KN_TAIL_TOL * mags.max():
-                return _multiplication_gather(_box(coeffs, box), basis, box, rows)
+                index, mirror = _half_plane(m, box, model.dim)
+                half = coeffs.ravel()[index]
+                np.conjugate(half, out=half, where=mirror)
+                return _pair_gather(half.real[None], half.imag[None], basis, box, rows)
             if 2 * m > FFT_RES_MAX:
                 raise ResolutionError(
                     f"field {f.name!r} is not resolved by the FFT grid: its Nyquist band is "
@@ -238,33 +244,24 @@ def _fft_grid(basis: EigenBasis) -> tuple[int, int]:
     return max(64, ((4 * kmax + 32 + 31) // 32) * 32), 2 * kmax
 
 
-def _box(coeffs: np.ndarray, box: int) -> np.ndarray:
-    """Entries |nu_i| <= box of an n-D FFT table (indices mod m), in C order over nu + box."""
-    nu = np.arange(-box, box + 1) % coeffs.shape[0]
-    return coeffs[np.ix_(*[nu] * coeffs.ndim)].ravel()
+def _half_plane(m: int, box: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into an n-D real FFT on the m-grid of the half plane of |nu_i| <= box.
+
+    The half plane is the flat offsets o >= 0 from nu = 0 in C order over
+    nu + box; ``mirror`` marks the entries whose last component is
+    negative, which read the conjugate of the coefficient at -nu.
+    """
+    width = 2 * box + 1
+    nu = np.stack(np.unravel_index(np.arange(width**n // 2, width**n), (width,) * n)) - box
+    mirror = nu[-1] < 0
+    nu[:, mirror] *= -1
+    index = np.ravel_multi_index((*(nu[:-1] % m), nu[-1]), (m,) * (n - 1) + (m // 2 + 1,))
+    return index, mirror
 
 
 def _torus_complex_freqs(basis: EigenBasis) -> np.ndarray:
     """Complex frequency per slot: slot of cos_k carries +k, slot of sin_k carries -k."""
     return np.where(basis.kinds[:, None] == 2, -basis.freqs, basis.freqs)
-
-
-def _multiplication_gather(table: np.ndarray, basis: EigenBasis, box: int,
-                           rows: Optional[int] = None) -> np.ndarray:
-    """Leading ``rows`` rows of the real-basis matrix of bc[j, k] = table[nu_j - nu_k].
-
-    ``table`` holds frequencies |nu_i| <= box laid out as ``_box``, so its
-    reversal holds c(-nu).  Its Hermitian parts E = (Re c(nu) + Re c(-nu))/2
-    and O = (Im c(nu) - Im c(-nu))/2, on the half plane of offsets o >= 0,
-    are the one row of ``_pair_gather``; its anti-Hermitian parts are the
-    mismatch checked by ``_check_real``.
-    """
-    re, im, c = table.real, table.imag, len(table) // 2
-    even, odd = 0.5 * (re[c:] + re[c::-1]), 0.5 * (im[c:] - im[c::-1])
-    mismatch = max(np.abs(0.5 * (re - re[::-1])).max(), np.abs(0.5 * (im + im[::-1])).max())
-    out = _pair_gather(even[None], odd[None], basis, box, rows)
-    _check_real(out, mismatch)
-    return out
 
 
 def _pair_gather(even: np.ndarray, odd: np.ndarray, basis: EigenBasis, box: int,
@@ -273,15 +270,15 @@ def _pair_gather(even: np.ndarray, odd: np.ndarray, basis: EigenBasis, box: int,
     """Leading ``rows`` rows (all by default) of the real-basis pair blocks of E and O.
 
     Rows of ``even`` and ``odd`` hold E (even in nu) and O (odd in nu) on a
-    half plane: entry o is the flat offset o >= 0 from nu = 0 in the layout
-    of ``_box``, and offset -o reads E(o) and -O(o).  Row pair a (the
-    constant, then the (cos, sin) pairs) reads table row ``table_rows[a]``
-    (0 by default), so each run of reads stays in one row.  With delta,
+    half plane (``_half_plane``): entry o is the flat offset o >= 0 from
+    nu = 0 in C order over nu + box, and offset -o reads E(o) and -O(o).
+    Row pair a (the constant, then the (cos, sin) pairs) reads table row
+    ``table_rows[a]`` (0 by default), so each run of reads stays in one row.  With delta,
     sigma = k_a -+ k_b, the cos-cos, cos-sin, sin-cos and sin-sin blocks are
     E(delta) + E(sigma), O(delta) - O(sigma), -(O(delta) + O(sigma)) and
     E(delta) - E(sigma) (the constant is the cos slot of k = 0 over
-    sqrt(2)); each of the four is gathered once.  For one row c with E, O
-    its Hermitian parts this is multiplication, exactly symmetric; with the
+    sqrt(2)); each of the four is gathered once.  For one row c = E + iO,
+    the coefficients of f, this is multiplication, exactly symmetric; with the
     row of column a's direction, Hermitian rows give G-- = conj(G++) and
     G-+ = conj(G+-), so it is the transposed left Kohn-Nirenberg matrix.
     """
@@ -396,24 +393,18 @@ def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
     """x-Fourier coefficients of b at L uniform fiber angles, (L, ((2 box + 1)^2 + 1) / 2).
 
     Row l is the angle 2 pi l / L of ``fiber_covectors``; each row holds the
-    half plane of frequencies |nu_i| <= box at flat offsets o >= 0 from
-    nu = 0 in the layout of ``_box`` (-o holds the conjugate), read from the
-    real FFT of b on the m x m grid: nu with nu_2 < 0 is the conjugate at
-    -nu.  One angle is evaluated at a time.  L starts at KN_FIBER_RES and
-    doubles, reusing the samples it has, until the theta coefficients in the
-    Nyquist band |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest (the
-    half plane holds every magnitude: column -nu holds column nu's theta
+    half plane (``_half_plane``) of the real FFT of b on the m x m grid.
+    One angle is evaluated at a time.  L starts at KN_FIBER_RES and doubles,
+    reusing the samples it has, until the theta coefficients in the Nyquist
+    band |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest (the half
+    plane holds every magnitude: column -nu holds column nu's theta
     coefficients at -q, conjugated); a symbol not resolved by
     KN_FIBER_RES_MAX angles raises ResolutionError.
     """
     pts, _ = quadrature_grid(symbol.model, m)
     evaluate = symbol.prepared(pts)
     origin = np.zeros((1, 2))
-    width = 2 * box + 1
-    nu = np.stack(np.divmod(np.arange(width * width // 2, width * width), width)) - box
-    mirror = nu[1] < 0
-    nu[:, mirror] *= -1
-    index = (nu[0] % m) * (m // 2 + 1) + nu[1]  # into the flat (m, m/2 + 1) real FFT
+    index, mirror = _half_plane(m, box, 2)
 
     def sample(xis: np.ndarray) -> np.ndarray:
         out = np.empty((len(xis), len(index)), dtype=complex)
@@ -513,6 +504,7 @@ def symbol_law_predict(source, model: ManifoldModel, points: np.ndarray,
         pref = mu ** (n + 2) / ((2.0 * math.pi) ** n * (n + 2))
         return Tensor2Field(model, pts, pref * integ)
 
+    law.source = source.name
     return law
 
 
@@ -552,15 +544,18 @@ def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law,
     ``symbol_law_predict`` of the same source.  Returns (mu, rel_err,
     pd_shift).  The positivity shift of the block is reported, not applied
     (it would add shift * dd(I)), so the compared field is that of the
-    symmetrized assembly itself.
+    symmetrized assembly itself.  A relative error that is not finite is an
+    input error.
     """
     pred = law(basis.mu_top)
     block = leading_block(mat, basis.dim)
     _, shift = positivity_repair(block)
     field = dd_kernel(block, basis, pred.points, grads)
-    num = g0_operator_norms(basis.model, pred.points, field.values - pred.values)
-    den = g0_operator_norms(basis.model, pred.points, pred.values)
-    return basis.mu_top, float((num / den).max()), shift
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        num = g0_operator_norms(basis.model, pred.points, field.values - pred.values)
+        den = g0_operator_norms(basis.model, pred.points, pred.values)
+        rel_err = _finite(law.source, num / den, "relative error against its symbol law")
+    return basis.mu_top, float(rel_err.max()), shift
 
 
 def tail_defect(f: ScalarField, mat: np.ndarray, inner: EigenBasis, outer: EigenBasis,

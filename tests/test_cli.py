@@ -5,6 +5,7 @@ import io
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,23 @@ class TestMainInProcess:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(field) in err, err
+
+    @pytest.mark.parametrize("argv", [
+        # the law underflows where the field's round-off does not, so the
+        # relative error (on the torus also its operator norm) overflows
+        ["bergman", "--model", "circle", "--f", "exp:700cos(theta)", "--n", "4,8"],
+        ["bergman", "--model", "torus2", "--f", "exp:700cos(x1)", "--mu2", "9,25"],
+        # the field's Fourier sum overflows
+        ["bergman", "--model", "circle", "--f", "exp:709cos(theta)", "--n", "4,8"],
+    ])
+    def test_overflowing_field_is_input_error_without_warning(self, argv, capsys):
+        field = argv[4]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err, err
+        assert not caught, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("spec, reason", [
         ("cos(x1),,cos(x1)", "empty field entry"),
@@ -648,3 +666,15 @@ def test_traced_layers_exist(monkeypatch):
         module = importlib.import_module(f"bergman_lab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_convergence_report_quick_passes(monkeypatch, capsys):
+    """``scripts/convergence_report.py --quick``: five tables, each with a passing check line."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave scripts/ untouched
+    path = Path(__file__).resolve().parents[1] / "scripts" / "convergence_report.py"
+    spec = importlib.util.spec_from_file_location("convergence_report", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.report(quick=True) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("check PASS") for line in out.splitlines()) == 5, out

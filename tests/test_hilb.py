@@ -59,12 +59,12 @@ class TestHilbSymbol:
             pts, _ = quadrature_grid(model, 6)
             xi = np.zeros((pts.shape[0], model.dim))
             xi[:, 0] = 1.0
-            c_n = normalization_constant(model.dim)
+            c_n = normalization_constant(model)
             np.testing.assert_allclose(sym.values(pts, xi), c_n, rtol=1e-13)
 
     def test_normalization_constants(self):
-        assert normalization_constant(1) == pytest.approx(3 * math.pi)
-        assert normalization_constant(2) == pytest.approx(16 * math.pi)
+        assert normalization_constant(CIRCLE) == pytest.approx(3 * math.pi)
+        assert normalization_constant(TORUS) == pytest.approx(16 * math.pi)
 
     def test_circle_conformal_one_line_algebra(self):
         # det ratio e^{-u/2} times |xi|_g^{-3} = e^{3u/2} gives c1 e^u
@@ -100,7 +100,7 @@ class TestHilbN:
             basis = basis_for(model, cutoff)
             mat, shift = positivity_repair(hilb_n(reference_metric(model), basis))
             mat = np.diag(mat) if mat.ndim == 1 else mat  # flat models: a 1-D diagonal
-            c_n = normalization_constant(model.dim)
+            c_n = normalization_constant(model)
             assert np.abs(mat - c_n * np.eye(basis.dim)).max() <= 1e-10 * c_n
             assert shift == 0.0
 
@@ -165,7 +165,7 @@ class TestApproximate:
         basis = basis_for(model, cutoff)
         pts, _ = quadrature_grid(model, grid)
         field, _ = approximate(hilb_n(g, basis), basis, pts)
-        c_n = normalization_constant(model.dim)
+        c_n = normalization_constant(model)
         mult = assemble_multiplication(
             ScalarField("cneu", lambda p: c_n * np.exp(u(np.atleast_2d(p)))),
             basis,

@@ -417,7 +417,7 @@ def complex_gather(table, basis, cols, box):
 
 
 def unfold(half):
-    """Full ``_box`` layout of a half-plane table: offset -o holds the conjugate of o."""
+    """Full C-order box of a half-plane table: offset -o holds the conjugate of o."""
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
@@ -590,7 +590,7 @@ class TestRealGather:
 
 
 def full_pair_gather(table, basis, box, table_rows=None):
-    """Real pair blocks read from a full ``_box`` table, with E and O taken at
+    """Real pair blocks read from a full C-order box table, with E and O taken at
     delta and sigma directly: eight gathers, no half plane and no sign flip."""
     width = 2 * box + 1
     strides = width ** np.arange(basis.model.dim - 1, -1, -1)
@@ -662,6 +662,24 @@ class TestHalfPlaneTables:
         assert peak < out.base.nbytes + 3 * 8 * block + block + 500_000
 
 
+class TestHalfPlaneIndex:
+    """One index reads the half plane of a Fourier table from a real FFT."""
+
+    @pytest.mark.parametrize("n, m, box", [(1, 64, 20), (1, 96, 47), (2, 64, 12), (2, 32, 15)])
+    def test_reads_the_complex_fft_table(self, n, m, box):
+        values = np.random.default_rng(n * m + box).standard_normal((m,) * n)
+        index, mirror = operators._half_plane(m, box, n)
+        half = np.fft.rfftn(values).ravel()[index]
+        np.conjugate(half, out=half, where=mirror)
+        width = 2 * box + 1
+        nu = np.arange(-box, box + 1) % m
+        full = np.fft.fftn(values)[np.ix_(*[nu] * n)].ravel()
+        assert half.shape == ((width**n + 1) // 2,)
+        assert np.abs(half - full[width**n // 2:]).max() <= 1e-13 * np.abs(full).max()
+        table = unfold(half)
+        np.testing.assert_array_equal(table, np.conj(table[::-1]))
+
+
 class TestMultiplicationGather:
     """Flat multiplication reads the two real Hermitian parts of one table row."""
 
@@ -699,21 +717,6 @@ class TestMultiplicationGather:
         assert got is gathered
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, got.T)
-
-    def test_non_hermitian_table_is_input_error(self):
-        basis = basis_for(TORUS, 25)
-        _, box = operators._fft_grid(basis)
-        table = np.zeros((2 * box + 1) ** 2, dtype=complex)
-        centre = len(table) // 2
-        table[centre] = 1.0
-        table[centre + 1] = 0.25j  # c(-nu) = 0 is not the conjugate of c(nu)
-        with pytest.raises(InputError, match="imaginary part"):
-            operators._multiplication_gather(table, basis, box)
-        table[centre - 1] = 0.25j  # nor is c(-nu) = -conj(c(nu))
-        with pytest.raises(InputError, match="imaginary part"):
-            operators._multiplication_gather(table, basis, box)
-        table[centre - 1] = -0.25j
-        operators._multiplication_gather(table, basis, box)
 
     def test_tail_rows_hold_less_than_two_square_matrices(self):
         # the top window of the tail-defect sweep: inner mu^2 = 400 rows over
