@@ -32,7 +32,6 @@ from .manifolds import (
     _torus_half_lattice,
     basis_for,
     cosphere_quadrature,
-    enumerate_levels,
     eval_basis,
     model_by_name,
     quadrature_grid,
@@ -157,11 +156,12 @@ def _top_window(ns, model, scale: int = 1):
 
 
 def cmd_spectra(ns, model):
-    rows = []
-    dim = 0
-    for lv in enumerate_levels(model, _opt(ns.sweep, [10])[-1]):
-        dim += lv.multiplicity
-        rows.append((lv.index, lv.mu_sq, lv.multiplicity, dim))
+    freqs = basis_for(model, _opt(ns.sweep, [10])[-1]).freqs
+    # each entry's integer eigenvalue, read from its frequencies: l(l+1) or |k|^2
+    l = freqs[:, 0]
+    q = l * (l + 1) if model.kind == "sphere2" else (freqs * freqs).sum(axis=1)
+    mu_sq, mult = np.unique(q, return_counts=True)
+    rows = list(zip(range(len(mu_sq)), mu_sq, mult, np.cumsum(mult)))
     return ["level", "mu_sq", "multiplicity", "dim_cum"], rows, None
 
 

@@ -11,6 +11,14 @@ from .errors import GridMismatchError, InputError, NotSPDError
 from .manifolds import ManifoldModel, g0_matrices
 
 
+def _finite(name: str, values, what: str = "values") -> np.ndarray:
+    """Field values, or their ``what``, as floats; a non-finite one is an input error."""
+    vals = np.asarray(values, dtype=float)
+    if not np.isfinite(vals).all():
+        raise InputError(f"field {name!r} has non-finite {what}")
+    return vals
+
+
 def sym2x2_eigs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (smallest, largest) eigenvalues of symmetric (P, 2, 2) values."""
     half_tr = 0.5 * (vals[:, 0, 0] + vals[:, 1, 1])
@@ -166,14 +174,17 @@ def sup_relative_error(measured: Tensor2Field, predicted: np.ndarray, name: str)
 
     Normalized by the sup of the prediction, so points where the predicted
     tensor vanishes do not blow up the report; a prediction that vanishes
-    everywhere (the field ``name`` is zero) is an input error.
+    everywhere (the field ``name`` is zero) is an input error, and so is a
+    ratio that is not finite (the norms of a huge field overflow).
     """
     model, pts = measured.model, measured.points
-    diff = g0_operator_norms(model, pts, measured.values - predicted)
-    ref = g0_operator_norms(model, pts, predicted)
-    if not ref.any():
-        raise InputError(f"the predicted tensor of {name!r} is identically zero")
-    return float(diff.max() / ref.max())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diff = g0_operator_norms(model, pts, measured.values - predicted)
+        ref = g0_operator_norms(model, pts, predicted)
+        if not ref.any():
+            raise InputError(f"the predicted tensor of {name!r} is identically zero")
+        ratio = diff.max() / ref.max()
+        return float(_finite(name, ratio, "relative error against its prediction"))
 
 
 def relative_errors(approx: Tensor2Field, target: MetricField, weights=None):

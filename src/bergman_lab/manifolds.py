@@ -1,7 +1,8 @@
 """Closed-form spectral models: circle, flat 2-torus, round 2-sphere.
 
-Each model provides its distinct Laplace eigenvalue levels, an orthonormal
-real eigenbasis with closed-form values and chart gradients, product
+Each model provides an orthonormal real eigenbasis with closed-form values
+and chart gradients, whose levels are read from the basis's own frequencies
+(|k|^2 on the circle and torus, l(l+1) on the sphere), product
 quadrature grids that integrate basis products exactly, the unit cosphere
 bundle with its hypersurface measure, and (sphere only) the periodic
 geodesic flow.
@@ -63,23 +64,12 @@ def model_by_name(name: str) -> ManifoldModel:
 
 
 @dataclass(frozen=True)
-class SpectralLevel:
-    """One distinct eigenvalue mu^2 with its multiplicity and flat offset."""
-
-    index: int
-    mu_sq: float
-    multiplicity: int
-    offset: int
-
-
-@dataclass(frozen=True)
 class CosphereQuadrature:
     """Flattened product quadrature on S*M; weights sum to Vol(S^{n-1}) Vol(M)."""
 
     points: np.ndarray   # (Q, n) chart coordinates of base points
     xis: np.ndarray      # (Q, n) unit covector components
     weights: np.ndarray  # (Q,)
-    model: ManifoldModel
     fibers: int          # F: row p * F + f is fiber node f over base point p
 
 
@@ -108,46 +98,18 @@ def _half_lattice(model: ManifoldModel, cutoff) -> np.ndarray:
     return _torus_half_lattice(int(cutoff))
 
 
-def enumerate_levels(model: ManifoldModel, cutoff) -> list[SpectralLevel]:
-    """All spectral levels up to the cutoff.
-
-    The cutoff is the top level index for circle and sphere and the value
-    mu^2 for the torus (whose levels are the integers representable as a
-    sum of two squares).
-    """
-    if cutoff < 0:
-        raise InputError("cutoff must be non-negative")
-    levels = []
-    offset = 0
-    if model.kind == SPHERE2:
-        for n in range(int(cutoff) + 1):
-            levels.append(SpectralLevel(n, float(n * (n + 1)), 2 * n + 1, offset))
-            offset += 2 * n + 1
-    elif model.kind in (CIRCLE, TORUS2):
-        # each nonzero shell holds both k and -k of its half-lattice points
-        ks = _half_lattice(model, cutoff)
-        shells, counts = np.unique((ks * ks).sum(axis=1), return_counts=True)
-        mults = [1] + (2 * counts).tolist()
-        for i, (q, mult) in enumerate(zip([0] + shells.tolist(), mults)):
-            levels.append(SpectralLevel(i, float(q), mult, offset))
-            offset += mult
-    else:
-        raise UnsupportedModelError(model.kind)
-    return levels
-
-
 @dataclass(frozen=True)
 class EigenBasis:
     """Ordered orthonormal eigenbasis of H_{<=N}, with closed-form evaluation.
 
     Entries are ordered by level, then deterministically inside each level
     (cos before sin, lexicographic frequency on the torus, m = -l..l on the
-    sphere).  ``lambdas[j]**2`` is the eigenvalue of entry j.
+    sphere).  ``lambdas[j]**2`` is the eigenvalue of entry j, the integer
+    |k|^2 or l(l+1) of its ``freqs`` row.
     """
 
     model: ManifoldModel
     cutoff: float
-    levels: tuple
     lambdas: np.ndarray
     kinds: np.ndarray  # 0 constant, 1 cos, 2 sin (circle/torus); unused on sphere
     freqs: np.ndarray  # circle/torus: (d, n) lattice k; sphere: (d, 2) = (l, m)
@@ -160,22 +122,25 @@ class EigenBasis:
     def mu_top(self) -> float:
         return float(self.lambdas[-1])
 
-    def level_slice(self, index: int) -> slice:
-        lv = self.levels[index]
-        return slice(lv.offset, lv.offset + lv.multiplicity)
-
     def subset(self, rows) -> "EigenBasis":
-        """Entries ``rows`` alone, in that order, without a level table.
+        """Entries ``rows`` alone, in that order.
 
         ``eval_basis`` gives them the same values as those rows of this
         basis, bit for bit, when the subset keeps the top degree.
         """
-        return replace(self, levels=(), lambdas=self.lambdas[rows],
+        return replace(self, lambdas=self.lambdas[rows],
                        kinds=self.kinds[rows], freqs=self.freqs[rows])
 
 
 def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
-    levels = tuple(enumerate_levels(model, cutoff))
+    """The window of every level up to the cutoff, in one lattice pass.
+
+    The cutoff is the top level index for circle and sphere and the value
+    mu^2 for the torus (whose levels are the integers representable as a
+    sum of two squares).
+    """
+    if cutoff < 0:
+        raise InputError("cutoff must be non-negative")
     if model.kind in (CIRCLE, TORUS2):
         # the constant, then a cos and a sin slot per half-lattice point
         ks = np.repeat(_half_lattice(model, cutoff), 2, axis=0)
@@ -184,13 +149,13 @@ def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
         freqs = np.vstack([np.zeros((1, model.dim), dtype=int), ks])
     elif model.kind == SPHERE2:
         # level l starts at offset l^2, so its entry j has m = j - l^2 - l
-        l = np.repeat(np.arange(len(levels)), [lv.multiplicity for lv in levels])
+        l = np.repeat(np.arange(int(cutoff) + 1), 2 * np.arange(int(cutoff) + 1) + 1)
         lambdas, kinds = np.sqrt(l * (l + 1.0)), np.zeros(len(l), dtype=int)
         freqs = np.column_stack([l, np.arange(len(l)) - l * l - l])
     else:
         raise UnsupportedModelError(model.kind)
     return EigenBasis(
-        model, float(cutoff), levels,
+        model, float(cutoff),
         np.array(lambdas), np.array(kinds, dtype=int), freqs,
     )
 
@@ -366,7 +331,7 @@ def cosphere_quadrature(model: ManifoldModel, base_res: int, fiber_res: int) -> 
     pts, wb = quadrature_grid(model, base_res)
     points, xis, wf = fiber_bundle(model, pts, fiber_res)
     weights = (wb[:, None] * wf).ravel()
-    return CosphereQuadrature(points, xis, weights, model, len(wf))
+    return CosphereQuadrature(points, xis, weights, len(wf))
 
 
 def g0_norm_xi(model: ManifoldModel, points: np.ndarray, xis: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, ResolutionError, UnsupportedModelError
-from .fields import Tensor2Field, g0_operator_norms
+from .fields import Tensor2Field, _finite, g0_operator_norms
 from .bergman import dd_kernel, _contract
 from .manifolds import (
     EigenBasis,
@@ -49,14 +49,6 @@ KN_TAIL_TOL = 1e-14
 # rows per strip of the in-place Kohn-Nirenberg symmetrization, whose one
 # temporary is a strip, not a second d x d matrix
 _SYM_STRIP = 64
-
-
-def _finite(name: str, values, what: str = "values") -> np.ndarray:
-    """Field values, or their ``what``, as floats; a non-finite one is an input error."""
-    vals = np.asarray(values, dtype=float)
-    if not np.isfinite(vals).all():
-        raise InputError(f"field {name!r} has non-finite {what}")
-    return vals
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,11 @@ def band_constant(n_deg: int) -> float:
     return n_deg * (n_deg + 1) * (2 * n_deg + 1) / (8.0 * math.pi)
 
 
+def _band(n_deg: int) -> slice:
+    """Rows of degree N in a sphere window: degree l starts at row l^2."""
+    return slice(n_deg * n_deg, (n_deg + 1) ** 2)
+
+
 def takahashi_check(n_deg: int, grid_res: int = 12, points=None) -> tuple[float, float]:
     """Max relative deviation of the level-N pullback from band_constant * g0 on the grid."""
     if n_deg < 1:
@@ -50,7 +55,7 @@ def takahashi_check(n_deg: int, grid_res: int = 12, points=None) -> tuple[float,
     model = sphere2()
     basis = basis_for(model, n_deg)
     pts = quadrature_grid(model, grid_res)[0] if points is None else points
-    _, gband = eval_basis(basis.subset(basis.level_slice(n_deg)), pts)
+    _, gband = eval_basis(basis.subset(_band(n_deg)), pts)
     tensor = np.einsum("dip,djp->pij", gband, gband)
     c = band_constant(n_deg)
     dev = g0_operator_norms(model, pts, tensor - c * g0_matrices(model, pts))
@@ -68,7 +73,7 @@ def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> Tensor2Fi
         raise InputError("band degrees must be at least 1")
     model = sphere2()
     big = basis_for(model, max(n_deg, n_deg + k))
-    sl_in, sl_out = big.level_slice(n_deg), big.level_slice(n_deg + k)
+    sl_in, sl_out = _band(n_deg), _band(n_deg + k)
     cross = sphere_block(a, big, sl_out, sl_in)  # (d_out, d_in)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rows = np.r_[sl_out] if k == 0 else np.r_[sl_out, sl_in]

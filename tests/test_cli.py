@@ -2,9 +2,12 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import math
+import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -120,6 +123,14 @@ class TestMainInProcess:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "level,mu_sq,multiplicity,dim_cum"
         assert out[-1].startswith("4,5,8,21")
+
+    @pytest.mark.parametrize("argv", [
+        ["spectra", "--model", "circle", "--n", "-1"],
+        ["spectra", "--model", "torus2", "--mu2", "-1"],
+    ])
+    def test_negative_spectra_cutoff_is_input_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: cutoff must be non-negative\n"
 
     def test_unknown_preset_is_input_error(self, capsys):
         assert main(["hilb-approx", "--model", "circle", "--metric", "warped",
@@ -295,6 +306,9 @@ class TestMainInProcess:
         ["bergman", "--model", "torus2", "--f", "exp:700cos(x1)", "--mu2", "9,25"],
         # the field's Fourier sum overflows
         ["bergman", "--model", "circle", "--f", "exp:709cos(theta)", "--n", "4,8"],
+        # the operator norms of the sphere tensors overflow
+        ["sphere-band", "--model", "sphere2", "--a", "exp:700cos(theta)", "--n", "2"],
+        ["sphere-cumulative", "--model", "sphere2", "--a", "exp:700cos(theta)", "--n", "2,4"],
     ])
     def test_overflowing_field_is_input_error_without_warning(self, argv, capsys):
         field = argv[4]
@@ -666,6 +680,28 @@ def test_traced_layers_exist(monkeypatch):
         module = importlib.import_module(f"bergman_lab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_traced_worker_run(tmp_path):
+    """A traced benchmark pass (perfbench/worker.py, trace 1) runs and records its spans.
+
+    Tracing also reads attributes of the basis and the symbol (``kinds``,
+    ``freqs``, ``dim``, ``x_independent``), which ``test_traced_layers_exist``
+    does not reach.
+    """
+    root = Path(__file__).resolve().parents[1]
+    result = tmp_path / "result.json"
+    argv = ["hilb-approx", "--model", "torus2", "--metric", "aniso-diag:0.3,0.3",
+            "--mu2", "4,9,16", "--out", str(tmp_path / "hilb.csv")]
+    r = subprocess.run(
+        [sys.executable, "-B", str(root / "perfbench" / "worker.py"), str(result),
+         str(time.monotonic()), "1", *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    names = {span[2] for span in json.loads(result.read_text())["spans"]}
+    assert {"operators.assemble_kohn_nirenberg", "manifolds.basis_for"} <= names, names
 
 
 def test_convergence_report_quick_passes(monkeypatch, capsys):

@@ -8,7 +8,6 @@ from bergman_lab.manifolds import (
     basis_for,
     circle,
     cosphere_quadrature,
-    enumerate_levels,
     eval_basis,
     fiber_bundle,
     fiber_covectors,
@@ -25,16 +24,22 @@ from bergman_lab.manifolds import (
 CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
 
 
+def eigenvalues(basis):
+    """The integer Laplace eigenvalue of each entry, from its frequencies."""
+    f = basis.freqs
+    return f[:, 0] * (f[:, 0] + 1) if basis.model.kind == "sphere2" else (f * f).sum(axis=1)
+
+
 class TestLevels:
     def test_torus_through_five(self):
-        levels = enumerate_levels(TORUS, 5)
-        assert [(int(l.mu_sq), l.multiplicity) for l in levels] == [
+        mu_sq, mult = np.unique(eigenvalues(basis_for(TORUS, 5)), return_counts=True)
+        assert list(zip(mu_sq.tolist(), mult.tolist())) == [
             (0, 1), (1, 4), (2, 4), (4, 4), (5, 8),
         ]
 
     def test_sphere_level_two(self):
-        lv = enumerate_levels(SPHERE, 2)[-1]
-        assert lv.mu_sq == 6.0 and lv.multiplicity == 5
+        q = eigenvalues(basis_for(SPHERE, 2))
+        assert q[-1] == 6 and (q == 6).sum() == 5
 
     def test_circle_dimension(self):
         assert basis_for(CIRCLE, 3).dim == 7
@@ -55,15 +60,17 @@ class TestLevels:
         assert basis_for(TORUS, 5).dim == 21
 
     def test_offsets_are_cumulative(self):
-        levels = enumerate_levels(TORUS, 40)
-        dims = 0
-        for lv in levels:
-            assert lv.offset == dims
-            dims += lv.multiplicity
+        # entries are ordered by level, so each level is one block whose
+        # offset is the number of entries below it
+        q = eigenvalues(basis_for(TORUS, 40))
+        assert np.all(np.diff(q) >= 0)
+        _, offsets, mults = np.unique(q, return_index=True, return_counts=True)
+        assert offsets.tolist() == [0] + np.cumsum(mults)[:-1].tolist()
 
     def test_negative_cutoff(self):
-        with pytest.raises(InputError):
-            enumerate_levels(CIRCLE, -1)
+        for model in (CIRCLE, TORUS, SPHERE):
+            with pytest.raises(InputError, match="cutoff must be non-negative"):
+                basis_for(model, -1)
 
     def test_weyl_count(self):
         # d_{<=N} / (omega_n Vol(M) mu^n / (2 pi)^n) -> 1 within 5%
@@ -112,10 +119,9 @@ class TestEvalBasis:
         assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-10
 
     def test_lambda_matches_level(self):
-        basis = basis_for(TORUS, 25)
-        for lv in basis.levels:
-            lam = basis.lambdas[basis.level_slice(lv.index)]
-            assert np.allclose(lam**2, lv.mu_sq)
+        for model, cutoff in ((CIRCLE, 9), (TORUS, 25), (SPHERE, 6)):
+            basis = basis_for(model, cutoff)
+            assert np.allclose(basis.lambdas**2, eigenvalues(basis)), model.kind
 
     def test_pole_is_chart_error(self):
         basis = basis_for(SPHERE, 2)
