@@ -212,7 +212,7 @@ def cmd_bergman(ns, model):
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     law = symbol_law_predict(source, model, pts, ns.fiber)
     top = _top_window(ns, model)
-    mat, grads = assemble(source, top), eval_basis(top, pts)[1]
+    grads, mat = eval_basis(top, pts)[1], assemble(source, top)
     rows = map_sweep(ns, lambda c: (c, *symbol_law_check(mat, basis_for(model, c), law, grads)))
     errs = [r[2] for r in rows]
     tol = _opt(ns.tol, 0.10)
@@ -229,7 +229,7 @@ def cmd_tail_defect(ns, model):
     # the largest outer window holds every (inner, outer = 2 inner) pair, and
     # the block couples the inner window's rows only
     top = _top_window(ns, model, 2)
-    mat, grads = assemble(f, top, rows=_top_window(ns, model).dim), eval_basis(top, pts)[1]
+    grads, mat = eval_basis(top, pts)[1], assemble(f, top, rows=_top_window(ns, model).dim)
 
     def one(c):
         inner = basis_for(model, c)
@@ -249,7 +249,7 @@ def cmd_hilb_approx(ns, model):
     g = metric_field(ns.metric, model)
     pts, w = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     top = _top_window(ns, model)
-    r, grads = hilb.hilb_n(g, top), eval_basis(top, pts)[1]
+    grads, r = eval_basis(top, pts)[1], hilb.hilb_n(g, top)
 
     def one(c):
         fld, shift = hilb.approximate(r, basis_for(model, c), pts, grads)
@@ -349,7 +349,7 @@ def cmd_sphere_cumulative(ns, model):
     pts, _ = quadrature_grid(model, _opt(ns.grid, 10))
     law = symbol_law_predict(a, model, pts, ns.fiber)
     top = _top_window(ns, model)
-    mat, grads = assemble(a, top), eval_basis(top, pts)[1]
+    grads, mat = eval_basis(top, pts)[1], assemble(a, top)
     rows = map_sweep(ns, lambda n: (n, sphereband.cumulative_band_sum(
         a, mat, basis_for(model, n), law, grads)))
     errs = [r[1] for r in rows]

@@ -118,7 +118,8 @@ class MetricField:
             if np.any(g[:, 0, 0] <= 0.0):
                 raise NotSPDError(f"metric {self.name!r} not positive at a queried point")
         else:
-            det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
+            with np.errstate(over="ignore"):  # an overflow is inf > 0; underflow fails below
+                det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
             if np.any(g[:, 0, 0] <= 0.0) or np.any(det <= 0.0):
                 raise NotSPDError(f"metric {self.name!r} not SPD at a queried point")
         return g
@@ -192,11 +193,15 @@ def relative_errors(approx: Tensor2Field, target: MetricField, weights=None):
 
     Pointwise errors use the g0 operator norm; the L2 version integrates the
     squared pointwise norms with the supplied grid weights (uniform if None).
+    An error that is not finite (the norms of a huge metric overflow) is an
+    input error.
     """
     tgt = target.matrices(approx.points)
-    diff = g0_operator_norms(approx.model, approx.points, approx.values - tgt)
-    ref = g0_operator_norms(approx.model, approx.points, tgt)
-    sup = float((diff / ref).max())
-    w = np.ones(len(diff)) if weights is None else np.asarray(weights, dtype=float)
-    l2 = float(np.sqrt(np.dot(w, diff**2) / np.dot(w, ref**2)))
-    return sup, l2
+    w = np.ones(len(tgt)) if weights is None else np.asarray(weights, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diff = g0_operator_norms(approx.model, approx.points, approx.values - tgt)
+        ref = g0_operator_norms(approx.model, approx.points, tgt)
+        sup = (diff / ref).max()
+        l2 = np.sqrt(np.dot(w, diff**2) / np.dot(w, ref**2))
+        errs = _finite(target.name, [sup, l2], "sup and L2 relative errors")
+    return float(errs[0]), float(errs[1])

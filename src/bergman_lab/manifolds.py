@@ -126,7 +126,8 @@ class EigenBasis:
         """Entries ``rows`` alone, in that order.
 
         ``eval_basis`` gives them the same values as those rows of this
-        basis, bit for bit, when the subset keeps the top degree.
+        basis, bit for bit, when the subset keeps the top degree.  A flat
+        basis is evaluated by (cos, sin) pairs, so it is never subset.
         """
         return replace(self, lambdas=self.lambdas[rows],
                        kinds=self.kinds[rows], freqs=self.freqs[rows])
@@ -161,16 +162,28 @@ def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
 
 
 def _eval_flat(basis: EigenBasis, pts: np.ndarray):
-    """The constant 1/sqrt(vol) and the pairs sqrt(2/vol) (cos, sin)(k . x)."""
+    """The constant 1/sqrt(vol) and the pairs sqrt(2/vol) (cos, sin)(k . x).
+
+    One phase, cosine and sine per (cos, sin) pair, written into the
+    outputs; the basis is the constant, then the pairs (``basis_for``).
+    """
     vol = basis.model.volume
-    is_cos = (basis.kinds == 1)[:, None]
-    phase = basis.freqs @ pts.T  # (d, p)
-    cos_ph, sin_ph = np.cos(phase), np.sin(phase)
+    ks = basis.freqs[1::2]
+    cos_ph = ks @ pts.T  # (pairs, p): the phase, then its cosine
+    sin_ph = np.sin(cos_ph)
+    np.cos(cos_ph, out=cos_ph)
     norm = math.sqrt(2.0 / vol)
-    vals = np.where(is_cos, cos_ph, sin_ph) * norm
-    vals[basis.kinds == 0] = 1.0 / math.sqrt(vol)
+    vals = np.empty((basis.dim, len(pts)))
+    vals[0] = 1.0 / math.sqrt(vol)
+    np.multiply(cos_ph, norm, out=vals[1::2])
+    np.multiply(sin_ph, norm, out=vals[2::2])
     # d/dx_i of each row: k_i times its phase derivative (zero for k = 0)
-    grads = basis.freqs[:, :, None] * np.where(is_cos, -sin_ph, cos_ph)[:, None, :] * norm
+    grads = np.empty((basis.dim, basis.model.dim, len(pts)))
+    grads[0] = 0.0
+    np.negative(sin_ph, out=sin_ph)
+    for rows, deriv in ((grads[1::2], sin_ph), (grads[2::2], cos_ph)):
+        np.multiply(ks[:, :, None], deriv[:, None, :], out=rows)
+        rows *= norm
     return vals, grads
 
 

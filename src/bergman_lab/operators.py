@@ -46,9 +46,10 @@ KN_FIBER_RES = 64
 KN_FIBER_RES_MAX = 1024
 FFT_RES_MAX = 2048
 KN_TAIL_TOL = 1e-14
-# rows per strip of the in-place Kohn-Nirenberg symmetrization, whose one
+# rows (row pairs in the pair gather) per strip of every strip loop: the pair
+# gather, the in-place symmetrization and the Gershgorin row sums, so a
 # temporary is a strip, not a second d x d matrix
-_SYM_STRIP = 64
+_STRIP = 64
 
 
 @dataclass(frozen=True)
@@ -175,15 +176,15 @@ def assemble_multiplication(f: ScalarField, basis: EigenBasis,
                 index, mirror = _half_plane(m, box, model.dim)
                 half = coeffs.ravel()[index]
                 np.conjugate(half, out=half, where=mirror)
-                return _pair_gather(half.real[None], half.imag[None], basis, box, rows)
+                return _pair_gather(lambda lo, hi: (half.real[None], half.imag[None]),
+                                    basis, box, rows)
             if 2 * m > FFT_RES_MAX:
                 raise ResolutionError(
                     f"field {f.name!r} is not resolved by the FFT grid: its Nyquist band is "
                     f"{tail / mags.max():.1e} of its largest coefficient at {m} points per axis"
                 )
             m *= 2
-    mat = sphere_block(f, basis, slice(None), slice(None))
-    return (0.5 * (mat + mat.T))[:rows]
+    return _symmetrize(sphere_block(f, basis, slice(None), slice(None)))[:rows]
 
 
 def sphere_block(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice) -> np.ndarray:
@@ -256,16 +257,16 @@ def _torus_complex_freqs(basis: EigenBasis) -> np.ndarray:
     return np.where(basis.kinds[:, None] == 2, -basis.freqs, basis.freqs)
 
 
-def _pair_gather(even: np.ndarray, odd: np.ndarray, basis: EigenBasis, box: int,
-                 rows: Optional[int] = None,
+def _pair_gather(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+                 basis: EigenBasis, box: int, rows: Optional[int] = None,
                  table_rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Leading ``rows`` rows (all by default) of the real-basis pair blocks of E and O.
 
-    Rows of ``even`` and ``odd`` hold E (even in nu) and O (odd in nu) on a
-    half plane (``_half_plane``): entry o is the flat offset o >= 0 from
-    nu = 0 in C order over nu + box, and offset -o reads E(o) and -O(o).
-    Row pair a (the constant, then the (cos, sin) pairs) reads table row
-    ``table_rows[a]`` (0 by default), so each run of reads stays in one row.  With delta,
+    ``table(lo, hi)`` returns rows lo..hi-1 of E (even in nu) and O (odd in
+    nu), each row on a half plane (``_half_plane``): entry o is the flat
+    offset o >= 0 from nu = 0 in C order over nu + box, and offset -o reads
+    E(o) and -O(o).  Row pair a (the constant, then the (cos, sin) pairs)
+    reads table row ``table_rows[a]`` (0 by default).  With delta,
     sigma = k_a -+ k_b, the cos-cos, cos-sin, sin-cos and sin-sin blocks are
     E(delta) + E(sigma), O(delta) - O(sigma), -(O(delta) + O(sigma)) and
     E(delta) - E(sigma) (the constant is the cos slot of k = 0 over
@@ -273,36 +274,60 @@ def _pair_gather(even: np.ndarray, odd: np.ndarray, basis: EigenBasis, box: int,
     the coefficients of f, this is multiplication, exactly symmetric; with the
     row of column a's direction, Hermitian rows give G-- = conj(G++) and
     G-+ = conj(G+-), so it is the transposed left Kohn-Nirenberg matrix.
+
+    Row pairs are gathered _STRIP at a time, in the stable order of their
+    table row, so each strip asks ``table`` for one contiguous range of rows
+    and every index array and buffer covers one strip; a strip read out of
+    basis order is written to its rows by index.
     """
     rows = basis.dim if rows is None else rows
     strides = (2 * box + 1) ** np.arange(basis.model.dim - 1, -1, -1)
+    width = ((2 * box + 1) ** basis.model.dim + 1) // 2  # entries per table row
     # flat offset of k per pair: every k_b, and so every sigma, is >= 0
     k = np.append(0, basis.freqs[1::2] @ strides)
-    ka = k[: rows // 2 + 1, None]
-    base = 0 if table_rows is None else even.shape[-1] * table_rows[: len(ka), None]
-    even, odd = even.ravel(), odd.ravel()
-    index = np.subtract(ka, k, dtype=np.intp)  # delta
-    flip = index < 0  # O(-o) = -O(o)
-    np.abs(index, out=index)
-    index += base
-    # pair-major layout, index 2i cos and 2i + 1 sin of pair i; the sin slot of
-    # k = 0 is a copy of the constant, so the matrix is the view without index 0
-    out = np.empty((2 * len(ka), 2 * len(k)))
-    d_buf, s_buf = np.take(even, index, mode="clip"), np.empty(index.shape)
-    np.add(ka, k, out=index)  # sigma
-    index += base
-    np.take(even, index, out=s_buf, mode="clip")
-    np.add(d_buf, s_buf, out=out[0::2, 0::2])
-    np.subtract(d_buf, s_buf, out=out[1::2, 1::2])
-    np.take(odd, index, out=s_buf, mode="clip")
-    np.subtract(ka, k, out=index)  # delta again
-    np.abs(index, out=index)
-    index += base
-    np.take(odd, index, out=d_buf, mode="clip")
-    np.negative(d_buf, out=d_buf, where=flip)
-    np.subtract(d_buf, s_buf, out=out[0::2, 1::2])
-    np.add(d_buf, s_buf, out=out[1::2, 0::2])
-    np.negative(out[1::2, 0::2], out=out[1::2, 0::2])
+    pairs = rows // 2 + 1
+    # pair-major layout, pair i's cos row then sin row, each with index 2j cos
+    # and 2j + 1 sin of pair j; the sin slot of k = 0 is a copy of the
+    # constant, so the matrix is the view without index 0
+    out = np.empty((pairs, 2, 2 * len(k)))
+    in_order = table_rows is None  # every pair reads row 0: strips are slices of out
+    if in_order:
+        table_rows = np.zeros(pairs, dtype=np.intp)
+    order = np.argsort(table_rows[:pairs], kind="stable")
+    shape = (min(_STRIP, pairs), len(k))
+    index, flip = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool)
+    d_buf, s_buf = np.empty(shape), np.empty(shape)
+    strip_out = None if in_order else np.empty((shape[0], 2, 2 * len(k)))
+    for lo in range(0, pairs, _STRIP):
+        a = order[lo:lo + _STRIP]
+        block = out[lo:lo + len(a)] if in_order else strip_out[:len(a)]
+        idx, d, s, fl = index[:len(a)], d_buf[:len(a)], s_buf[:len(a)], flip[:len(a)]
+        first = table_rows[a[0]]
+        even, odd = (t.ravel() for t in table(first, table_rows[a[-1]] + 1))
+        ka, base = k[a, None], width * (table_rows[a, None] - first)
+        np.subtract(ka, k, out=idx)  # delta
+        np.less(idx, 0, out=fl)  # O(-o) = -O(o)
+        np.abs(idx, out=idx)
+        idx += base
+        np.take(even, idx, out=d, mode="clip")
+        np.add(ka, k, out=idx)  # sigma
+        idx += base
+        np.take(even, idx, out=s, mode="clip")
+        np.add(d, s, out=block[:, 0, 0::2])
+        np.subtract(d, s, out=block[:, 1, 1::2])
+        np.take(odd, idx, out=s, mode="clip")
+        np.subtract(ka, k, out=idx)  # delta again
+        np.abs(idx, out=idx)
+        idx += base
+        np.take(odd, idx, out=d, mode="clip")
+        del even, odd  # so the next strip's rows are not formed beside these
+        np.negative(d, out=d, where=fl)
+        np.subtract(d, s, out=block[:, 0, 1::2])
+        np.add(d, s, out=block[:, 1, 0::2])
+        np.negative(block[:, 1, 0::2], out=block[:, 1, 0::2])
+        if not in_order:
+            out[a] = block
+    out = out.reshape(2 * pairs, 2 * len(k))
     out[1], out[:, 1] = out[0], out[:, 0]
     out = out[1: rows + 1, 1:]
     out[0] *= math.sqrt(0.5)
@@ -314,7 +339,7 @@ def _check_real(entries: np.ndarray, mismatch: float) -> None:
     """A conjugate-pair mismatch above 1e-9 * max(largest entry, 1) is an input error.
 
     A mismatch of at most 1e-9 passes without scanning ``entries``."""
-    if mismatch > 1e-9 and mismatch > 1e-9 * np.abs(entries).max():
+    if mismatch > 1e-9 and mismatch > 1e-9 * max(entries.max(), -entries.min()):
         raise InputError("quantized matrix has a non-negligible imaginary part")
 
 
@@ -369,16 +394,23 @@ def assemble_kohn_nirenberg(symbol: SymbolField, basis: EigenBasis) -> np.ndarra
     weights = np.empty((half, len(dirs) + 1))
     weights[:, :-1] = (np.fft.fft(phases, axis=0) / half).real
     weights[:, -1] = 1.0 / half  # the zero pair: the phi mode 0, the fiber average
-    even = weights.T @ (0.5 * (samples[:half].real + samples[half:].real))
-    odd = weights.T @ (0.5 * (samples[:half].imag + samples[half:].imag))
-    out = _pair_gather(even, odd, basis, box, table_rows=np.append(len(dirs), pair_dir.ravel()))
+    even = 0.5 * (samples[:half].real + samples[half:].real)
+    odd = 0.5 * (samples[:half].imag + samples[half:].imag)
+    del samples
+    # each strip of the gather forms only its own range of direction rows
+    out = _pair_gather(lambda lo, hi: (weights.T[lo:hi] @ even, weights.T[lo:hi] @ odd),
+                       basis, box, table_rows=np.append(len(dirs), pair_dir.ravel()))
     _check_real(out, mismatch)
-    # (A + A^T) / 2 in place, one strip of rows and its transposed columns at a time
-    for i in range(0, len(out), _SYM_STRIP):
-        strip = out[i:i + _SYM_STRIP, i:]
-        np.multiply(strip + out[i:, i:i + _SYM_STRIP].T, 0.5, out=strip)
-        out[i:, i:i + _SYM_STRIP] = strip.T
-    return out
+    return _symmetrize(out)
+
+
+def _symmetrize(mat: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 in place, one strip of rows and its transposed columns at a time."""
+    for i in range(0, len(mat), _STRIP):
+        strip = mat[i:i + _STRIP, i:]
+        np.multiply(strip + mat[i:, i:i + _STRIP].T, 0.5, out=strip)
+        mat[i:, i:i + _STRIP] = strip.T
+    return mat
 
 
 def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
@@ -452,7 +484,9 @@ def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
     if mat.ndim == 1:
         w = np.sort(mat)
     else:
-        row_sums = np.abs(mat).sum(axis=1)
+        row_sums = np.empty(len(mat))
+        for i in range(0, len(mat), _STRIP):
+            np.abs(mat[i:i + _STRIP]).sum(axis=1, out=row_sums[i:i + _STRIP])
         floor = 2e-8 * row_sums.max()
         diag = np.diagonal(mat)
         # the zero matrix has floor 0: it is refused below, never certified

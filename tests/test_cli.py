@@ -309,6 +309,11 @@ class TestMainInProcess:
         # the operator norms of the sphere tensors overflow
         ["sphere-band", "--model", "sphere2", "--a", "exp:700cos(theta)", "--n", "2"],
         ["sphere-cumulative", "--model", "sphere2", "--a", "exp:700cos(theta)", "--n", "2,4"],
+        # the relative errors of a huge metric overflow; on the torus its
+        # determinant overflows, and underflows where the metric is small
+        ["hilb-approx", "--model", "circle", "--metric", "conformal:u=400cos(theta)",
+         "--n", "4,8,16"],
+        ["hilb-approx", "--model", "torus2", "--metric", "conformal:u=400cos(x1)", "--mu2", "4,9"],
     ])
     def test_overflowing_field_is_input_error_without_warning(self, argv, capsys):
         field = argv[4]
@@ -318,6 +323,16 @@ class TestMainInProcess:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(field) in err, err
         assert not caught, [str(w.message) for w in caught]
+
+    def test_large_finite_metric_still_runs(self, tmp_path):
+        out = tmp_path / "h.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["hilb-approx", "--model", "circle", "--metric",
+                         "conformal:u=40cos(theta)", "--n", "4,8,16", "--out", str(out)]) == 0
+        assert not caught, [str(w.message) for w in caught]
+        cells = [c for line in out.read_text().splitlines()[1:] for c in line.split(",")]
+        assert len(cells) == 12 and np.isfinite(np.array(cells, dtype=float)).all()
 
     @pytest.mark.parametrize("spec, reason", [
         ("cos(x1),,cos(x1)", "empty field entry"),

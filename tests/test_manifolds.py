@@ -118,6 +118,23 @@ class TestEvalBasis:
         gram = (vals * w) @ vals.T
         assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-10
 
+    @pytest.mark.parametrize("model, cutoff", [(CIRCLE, 37), (TORUS, 0), (TORUS, 130)])
+    def test_flat_pairs_give_the_per_row_bits(self, model, cutoff):
+        # one phase, cosine and sine per (cos, sin) pair, in the order of
+        # operations of a phase per row selected by kind
+        basis = basis_for(model, cutoff)
+        pts = np.random.default_rng(cutoff).uniform(0.0, 2.0 * np.pi, (53, model.dim))
+        vals, grads = eval_basis(basis, pts)
+        is_cos = (basis.kinds == 1)[:, None]
+        phase = basis.freqs @ pts.T
+        cos_ph, sin_ph = np.cos(phase), np.sin(phase)
+        norm = math.sqrt(2.0 / model.volume)
+        want = np.where(is_cos, cos_ph, sin_ph) * norm
+        want[0] = 1.0 / math.sqrt(model.volume)
+        np.testing.assert_array_equal(vals, want)
+        want = basis.freqs[:, :, None] * np.where(is_cos, -sin_ph, cos_ph)[:, None, :] * norm
+        np.testing.assert_array_equal(grads, want)
+
     def test_lambda_matches_level(self):
         for model, cutoff in ((CIRCLE, 9), (TORUS, 25), (SPHERE, 6)):
             basis = basis_for(model, cutoff)

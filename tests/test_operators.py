@@ -421,6 +421,11 @@ def unfold(half):
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
+def whole_table(table, table_rows=None):
+    """Every row of the E and O tables that ``_pair_gather`` reads a strip at a time."""
+    return table(0, 1 if table_rows is None else int(table_rows.max()) + 1)
+
+
 def complex_path(source, basis, rule, monkeypatch):
     """Assembly next to the complex-basis oracle: the dense complex matrix of the
     same coefficient table (or of the symbol on the diagonal), through the pairing.
@@ -435,10 +440,11 @@ def complex_path(source, basis, rule, monkeypatch):
     seen = []
     pair_gather = operators._pair_gather
 
-    def spy(even, odd, basis, box, rows=None, table_rows=None):
+    def spy(table, basis, box, rows=None, table_rows=None):
+        even, odd = whole_table(table, table_rows)
         pairs = np.zeros(basis.dim // 2 + 1, int) if table_rows is None else table_rows
         seen.append((unfold(even + 1j * odd), np.append(pairs[0], np.repeat(pairs[1:], 2)), box))
-        return pair_gather(even, odd, basis, box, rows, table_rows)
+        return pair_gather(table, basis, box, rows, table_rows)
 
     monkeypatch.setattr(operators, "_pair_gather", spy)
     got = operators.assemble(source, basis)
@@ -543,9 +549,10 @@ class TestKohnNirenbergFiberFourier:
         assert pairs is None or len(folded) == pairs
         seen, pair_gather = [], operators._pair_gather
 
-        def spy(even, odd, basis, box, rows=None, table_rows=None):
+        def spy(table, basis, box, rows=None, table_rows=None):
+            even, odd = whole_table(table, table_rows)
             seen.append((even.shape, odd.shape, table_rows))
-            return pair_gather(even, odd, basis, box, rows, table_rows)
+            return pair_gather(table, basis, box, rows, table_rows)
 
         monkeypatch.setattr(operators, "_pair_gather", spy)
         assemble_kohn_nirenberg(SymbolField("mix", TORUS, _mix), basis)
@@ -627,8 +634,9 @@ class TestHalfPlaneTables:
         basis = basis_for(TORUS, 100)
         seen, pair_gather = [], operators._pair_gather
 
-        def spy(even, odd, basis, box, rows=None, table_rows=None):
-            out = pair_gather(even, odd, basis, box, rows, table_rows)
+        def spy(table, basis, box, rows=None, table_rows=None):
+            out = pair_gather(table, basis, box, rows, table_rows)
+            even, odd = whole_table(table, table_rows)
             # a copy: Kohn-Nirenberg symmetrizes the returned array in place
             seen.append((unfold(even + 1j * odd), box, table_rows, out.copy()))
             return out
@@ -648,18 +656,139 @@ class TestHalfPlaneTables:
         _, box = operators._fft_grid(basis)
         rng = np.random.default_rng(5)
         even, odd = rng.standard_normal((2, 1, ((2 * box + 1) ** 2 + 1) // 2))
-        operators._pair_gather(even, odd, basis, box, rows)
+        operators._pair_gather(lambda lo, hi: (even, odd), basis, box, rows)
         tracemalloc.start()
         try:
-            out = operators._pair_gather(even, odd, basis, box, rows)
+            out = operators._pair_gather(lambda lo, hi: (even, odd), basis, box, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.shape == (rows, basis.dim)
-        block = (rows // 2 + 1) * (basis.dim // 2 + 1)  # entries of one pair block
-        # the result, one index array, two buffers and the sign mask, plus
-        # 0.5 MB for ufunc buffers and the per-pair offsets
-        assert peak < out.base.nbytes + 3 * 8 * block + block + 500_000
+        strip = operators._STRIP * (basis.dim // 2 + 1)  # entries of one strip of pairs
+        # the result, then one strip each of the index array, the two buffers
+        # and the sign mask, plus 0.3 MB for ufunc buffers and the per-pair
+        # offsets (a whole pair block of each held 20 MB more)
+        assert peak < out.base.nbytes + 3 * 8 * strip + strip + 300_000
+
+
+class TestStrips:
+    """Each large operator is built a strip of rows at a time, bit for bit as whole."""
+
+    @pytest.mark.parametrize("model, cutoff, rows", [
+        (CIRCLE, 200, None),  # 201 pairs: three strips and 9 pairs
+        (TORUS, 100, None),  # 159 pairs
+        (TORUS, 225, 333),  # the leading 167 of 355 pairs
+    ])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["one-row", "shuffled-rows"])
+    def test_gather_matches_full_table_oracle(self, model, cutoff, rows, shuffled):
+        basis = basis_for(model, cutoff)
+        _, box = operators._fft_grid(basis)
+        pairs = basis.dim // 2 + 1
+        used = pairs if rows is None else rows // 2 + 1
+        assert used > 2 * operators._STRIP and used % operators._STRIP != 0
+        rng = np.random.default_rng(cutoff)
+        count = 7 if shuffled else 1
+        even, odd = rng.standard_normal((2, count, ((2 * box + 1) ** model.dim + 1) // 2))
+        # table rows out of basis order: the gather visits pairs by table row
+        table_rows = rng.integers(0, count, pairs) if shuffled else None
+        calls = []
+
+        def table(lo, hi):
+            calls.append((lo, hi))
+            return even[lo:hi], odd[lo:hi]
+
+        got = operators._pair_gather(table, basis, box, rows, table_rows)
+        want = full_pair_gather(unfold(even + 1j * odd), basis, box, table_rows)
+        np.testing.assert_array_equal(got, want[:rows])
+        # one call per strip, each a range of rows that starts where the last ended
+        assert len(calls) == -(-used // operators._STRIP)
+        assert all(lo < hi and lo >= prev_hi - 1 for (_, prev_hi), (lo, hi)
+                   in zip([(0, 1)] + calls, calls))
+
+    def test_kohn_nirenberg_forms_each_direction_row_once(self, monkeypatch):
+        # table rows in direction order: each strip forms its own range, and
+        # a row is formed twice only where two strips share it
+        basis = basis_for(TORUS, 400)
+        calls, pair_gather = [], operators._pair_gather
+
+        def spy(table, basis, box, rows=None, table_rows=None):
+            def counted(lo, hi):
+                calls.append((lo, hi))
+                return table(lo, hi)
+            spy.directions = int(table_rows.max()) + 1
+            return pair_gather(counted, basis, box, rows, table_rows)
+
+        monkeypatch.setattr(operators, "_pair_gather", spy)
+        assemble_kohn_nirenberg(SymbolField("mix", TORUS, _mix), basis)
+        assert len(calls) > 2 and spy.directions == 385
+        assert sum(hi - lo for lo, hi in calls) <= spy.directions + len(calls) - 1
+        assert all(b[0] >= a[1] - 1 for a, b in zip(calls, calls[1:]))
+
+    def test_sphere_multiplication_is_the_symmetrized_block(self):
+        # symmetrized in place by the strip loop of Kohn-Nirenberg, at d = 169
+        basis = basis_for(SPHERE, 12)
+        field = scalar_field("exp:0.5cos(phi)+0.3sin(theta)", SPHERE)
+        block = operators.sphere_block(field, basis, slice(None), slice(None))
+        assert basis.dim % operators._STRIP != 0
+        np.testing.assert_array_equal(assemble_multiplication(field, basis),
+                                      0.5 * (block + block.T))
+
+
+def traced_peak(fn):
+    """The result of a second call of ``fn`` and its tracemalloc peak in bytes."""
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGuards:
+    """No assembly holds a second array the size of its operator.
+
+    Each bound lies between the peak of the whole-matrix code and that of
+    the strip loops, measured at these sizes (numpy 2.4): Kohn-Nirenberg
+    3.97 -> 1.77 times 8 d^2, the sphere multiplication 2.00 -> 1.39, a
+    certified positivity repair 1.00 -> 0.06, and the flat evaluator 2.35
+    -> 1.36 times the bytes of its outputs.
+    """
+
+    def test_kohn_nirenberg_holds_one_square_matrix(self):
+        # the hilb-approx top window: d = 1257, the tables formed strip by strip
+        basis = basis_for(TORUS, 400)
+        sym = hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS))
+        mat, peak = traced_peak(lambda: assemble_kohn_nirenberg(sym, basis))
+        assert mat.shape == (basis.dim, basis.dim)
+        assert peak < 2.25 * 8 * basis.dim ** 2
+
+    def test_sphere_multiplication_holds_one_square_matrix(self):
+        # the sphere-cumulative top window: d = 1681, symmetrized in place
+        basis = basis_for(SPHERE, 40)
+        field = scalar_field("one-plus-half-x3sq", SPHERE)
+        mat, peak = traced_peak(lambda: assemble_multiplication(field, basis))
+        assert mat.shape == (basis.dim, basis.dim)
+        assert peak < 1.6 * 8 * basis.dim ** 2
+
+    def test_certified_repair_holds_strips(self):
+        # a Gershgorin-certified leading block, its row sums taken by strips
+        d = 1257
+        rng = np.random.default_rng(7)
+        big = rng.uniform(-1.0, 1.0, (d + 1, d + 1))
+        big += big.T
+        big[np.diag_indices(d + 1)] = 4.0 * d
+        block = big[1:, 1:]
+        (spd, shift), peak = traced_peak(lambda: positivity_repair(block))
+        assert shift == 0.0 and spd is block
+        assert peak < 0.25 * 8 * d ** 2
+
+    def test_flat_evaluation_holds_its_outputs_and_one_trig_table(self):
+        # the hilb-approx top window on its 16 x 16 grid
+        basis = basis_for(TORUS, 400)
+        pts, _ = quadrature_grid(TORUS, 16)
+        (vals, grads), peak = traced_peak(lambda: eval_basis(basis, pts))
+        assert peak < 1.6 * (vals.nbytes + grads.nbytes)
 
 
 class TestHalfPlaneIndex:
@@ -705,9 +834,9 @@ class TestMultiplicationGather:
         want = assemble_multiplication(field, basis)
         calls, pair_gather = [], operators._pair_gather
 
-        def spy(even, odd, basis, box, rows=None, table_rows=None):
-            out = pair_gather(even, odd, basis, box, rows, table_rows)
-            calls.append((even.shape[0], table_rows, out))
+        def spy(table, basis, box, rows=None, table_rows=None):
+            out = pair_gather(table, basis, box, rows, table_rows)
+            calls.append((whole_table(table, table_rows)[0].shape[0], table_rows, out))
             return out
 
         monkeypatch.setattr(operators, "_pair_gather", spy)
@@ -1086,7 +1215,7 @@ class TestDiagonalOperators:
         # gathered matrix G, at dimensions 81, 317 and 1257, none a whole
         # number of strips
         basis = basis_for(TORUS, mu2)
-        assert basis.dim % operators._SYM_STRIP != 0
+        assert basis.dim % operators._STRIP != 0
         seen, pair_gather = [], operators._pair_gather
 
         def spy(*args, **kwargs):
