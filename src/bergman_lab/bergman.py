@@ -40,8 +40,10 @@ def _contract(a, grads_in: np.ndarray, grads_out: np.ndarray) -> np.ndarray:
         return np.einsum("dip,djp->pij", grads_in, a[:, None, None] * grads_out)
     if a.shape != (d_in, d_out):
         raise InputError(f"matrix shape {a.shape} does not match bases ({d_in}, {d_out})")
-    t = (a @ grads_out.reshape(d_out, n * p)).reshape(d_in, n, p)
-    return np.einsum("dip,djp->pij", grads_in, t)
+    vals = np.empty((p, n, n))
+    for j in range(n):  # one (d_in, P) product at a time: the bits of the (d_in, n P) GEMM
+        vals[:, :, j] = np.einsum("dip,dp->pi", grads_in, a @ grads_out[:, j, :])
+    return vals
 
 
 def dd_kernel(a, basis: EigenBasis, points: np.ndarray, grads=None) -> Tensor2Field:

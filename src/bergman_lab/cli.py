@@ -226,16 +226,14 @@ def cmd_tail_defect(ns, model):
         raise InputError("tail-defect needs a multiplication field --f")
     f = scalar_field(ns.f, model)
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
-    # the largest outer window holds every (inner, outer = 2 inner) pair, and
-    # the block couples the inner window's rows only
-    top = _top_window(ns, model, 2)
-    grads, mat = eval_basis(top, pts)[1], assemble(f, top, rows=_top_window(ns, model).dim)
-
-    def one(c):
-        inner = basis_for(model, c)
-        return (c, inner.mu_top, tail_defect(f, mat, inner, basis_for(model, 2 * c), pts, grads))
-
-    rows = map_sweep(ns, one)
+    # the largest outer window holds every (inner, outer = 2 inner) pair; one
+    # pass over its strips serves the whole sweep
+    grads = eval_basis(_top_window(ns, model, 2), pts)[1]
+    sweep = sweep_values(ns)
+    inners = [basis_for(model, c) for c in sweep]
+    defects = tail_defect(f, [(b, basis_for(model, 2 * c)) for c, b in zip(sweep, inners)],
+                          pts, grads)
+    rows = [(c, b.mu_top, d) for c, b, d in zip(sweep, inners, defects)]
     tol = _opt(ns.tol, 0.20)
     ratio = rows[-1][2] / rows[0][2]
     ok = ratio <= tol

@@ -112,16 +112,19 @@ class MetricField:
 
     def matrices(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g = np.asarray(self.matrix_fn(pts), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused here, with no warning
+            g = _finite(self.name, self.matrix_fn(pts), "matrices")
         g = 0.5 * (g + np.transpose(g, (0, 2, 1)))
         if self.model.dim == 1:
             if np.any(g[:, 0, 0] <= 0.0):
                 raise NotSPDError(f"metric {self.name!r} not positive at a queried point")
         else:
-            with np.errstate(over="ignore"):  # an overflow is inf > 0; underflow fails below
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
                 det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
             if np.any(g[:, 0, 0] <= 0.0) or np.any(det <= 0.0):
                 raise NotSPDError(f"metric {self.name!r} not SPD at a queried point")
+            # ``inverses`` and ``volume_ratio`` divide by this same product
+            _finite(self.name, det, "determinants")
         return g
 
     def inverses(self, points: np.ndarray) -> np.ndarray:

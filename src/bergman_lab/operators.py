@@ -8,9 +8,11 @@ sin = (u_k - u_{-k})/(sqrt(2) i), so each real 2 x 2 pair block is a sum or
 difference of four gathered coefficients.  For a Hermitian table row (a real
 field, or a real symbol even in xi) the blocks are Toeplitz-plus-Hankel sums
 of two real tables, the real and imaginary parts of the row, read by one
-gather (``_pair_gather``): multiplication reads one row for every pair, and a
-caller may ask for leading rows only; Kohn-Nirenberg reads the row of each
-column's +-direction pair; both read rows from real FFTs by ``_half_plane``.
+gather, a strip of row pairs at a time (``_pair_strips``): multiplication
+reads one row for every pair, and ``tail_defect`` reads the strips of the
+leading rows without forming the matrix; Kohn-Nirenberg reads the row of
+each column's +-direction pair; both read rows from real FFTs by
+``_half_plane``.
 On the sphere multiplication is the Gauss-Legendre x trapezoid quadrature
 sum, separated into a phi DFT and Legendre-weighted products.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, ResolutionError, UnsupportedModelError
 from .fields import Tensor2Field, _finite, g0_operator_norms
-from .bergman import dd_kernel, _contract
+from .bergman import dd_kernel
 from .manifolds import (
     EigenBasis,
     ManifoldModel,
@@ -148,43 +150,69 @@ def default_assembly_res(model: ManifoldModel, basis: EigenBasis) -> int:
     return int(basis.cutoff) + 24
 
 
-def assemble_multiplication(f: ScalarField, basis: EigenBasis,
-                            rows: Optional[int] = None) -> np.ndarray:
-    """Leading ``rows`` rows (all by default) of the matrix of <f phi_j, phi_k>, symmetric.
+def assemble_multiplication(f: ScalarField, basis: EigenBasis) -> np.ndarray:
+    """The matrix of <f phi_j, phi_k>, symmetric.
 
-    Circle and torus: the complex-basis entry is the Fourier coefficient
-    f^(nu_j - nu_k), read by ``_pair_gather`` from the half plane
-    (``_half_plane``) of one real FFT of f on the uniform m-grid.  m doubles
-    while the coefficients in the Nyquist band |nu_i| >= m/2 - 1 exceed
-    KN_TAIL_TOL of the largest, so aliasing stays below that level; a field
-    not resolved by FFT_RES_MAX points per axis raises ResolutionError.
-    Sphere: the leading rows of the symmetrized product-quadrature sum of
-    ``sphere_block``.
+    Circle and torus: the pair strips of the table of ``_flat_table``,
+    collected into the matrix by ``_pair_gather``.  Sphere: the symmetrized
+    product-quadrature sum of ``sphere_block``.
+    """
+    if basis.model.kind == "sphere2":
+        return _symmetrize(sphere_block(f, basis, slice(None), slice(None)))
+    table, box = _flat_table(f, basis)
+    return _pair_gather(table, basis, box)
+
+
+def _flat_table(f: ScalarField, basis: EigenBasis):
+    """The E and O rows of f's Fourier table for ``_pair_strips``, and its box.
+
+    The complex-basis entry is the Fourier coefficient f^(nu_j - nu_k), read
+    from the half plane (``_half_plane``) of one real FFT of f on the uniform
+    m-grid.  m doubles while the coefficients in the Nyquist band |nu_i| >=
+    m/2 - 1 exceed KN_TAIL_TOL of the largest, so aliasing stays below that
+    level; a field not resolved by FFT_RES_MAX points per axis raises
+    ResolutionError.
     """
     model = basis.model
-    if model.kind != "sphere2":
-        m, box = _fft_grid(basis)
-        while True:
-            pts, _ = quadrature_grid(model, m)
-            with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses an overflow
-                coeffs = np.fft.rfftn(f.values(pts).reshape((m,) * model.dim)) / m**model.dim
-                mags = _finite(f.name, np.abs(coeffs), "Fourier coefficients")
-            # |c(m/2 + 1)| = |c(m/2 - 1)| on the last axis, where the index clips to m/2
-            band = np.arange(m // 2 - 1, m // 2 + 2)
-            tail = max(np.take(mags, band, axis=i, mode="clip").max() for i in range(model.dim))
-            if tail <= KN_TAIL_TOL * mags.max():
-                index, mirror = _half_plane(m, box, model.dim)
-                half = coeffs.ravel()[index]
-                np.conjugate(half, out=half, where=mirror)
-                return _pair_gather(lambda lo, hi: (half.real[None], half.imag[None]),
-                                    basis, box, rows)
-            if 2 * m > FFT_RES_MAX:
-                raise ResolutionError(
-                    f"field {f.name!r} is not resolved by the FFT grid: its Nyquist band is "
-                    f"{tail / mags.max():.1e} of its largest coefficient at {m} points per axis"
-                )
-            m *= 2
-    return _symmetrize(sphere_block(f, basis, slice(None), slice(None)))[:rows]
+    m, box = _fft_grid(basis)
+    while True:
+        pts, _ = quadrature_grid(model, m)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses an overflow
+            coeffs = np.fft.rfftn(f.values(pts).reshape((m,) * model.dim)) / m**model.dim
+            mags = _finite(f.name, np.abs(coeffs), "Fourier coefficients")
+        # |c(m/2 + 1)| = |c(m/2 - 1)| on the last axis, where the index clips to m/2
+        band = np.arange(m // 2 - 1, m // 2 + 2)
+        tail = max(np.take(mags, band, axis=i, mode="clip").max() for i in range(model.dim))
+        if tail <= KN_TAIL_TOL * mags.max():
+            index, mirror = _half_plane(m, box, model.dim)
+            half = coeffs.ravel()[index]
+            np.conjugate(half, out=half, where=mirror)
+            return (lambda lo, hi: (half.real[None], half.imag[None])), box
+        if 2 * m > FFT_RES_MAX:
+            raise ResolutionError(
+                f"field {f.name!r} is not resolved by the FFT grid: its Nyquist band is "
+                f"{tail / mags.max():.1e} of its largest coefficient at {m} points per axis"
+            )
+        m *= 2
+
+
+def _multiplication_strips(f: ScalarField, basis: EigenBasis, rows: int):
+    """The leading ``rows`` rows of ``assemble_multiplication(f, basis)`` as (r, strip) pairs.
+
+    ``strip`` holds rows r, r + 1, ... of the matrix, every column; the
+    strips follow one another from row 0.  On the circle and the torus each
+    is one strip of ``_pair_strips``, a view of a buffer that the next strip
+    reuses, and no matrix is formed; on the sphere the one strip is the
+    leading rows of the assembled matrix.
+    """
+    if basis.model.kind == "sphere2":
+        yield 0, assemble_multiplication(f, basis)[:rows]
+        return
+    table, box = _flat_table(f, basis)
+    for a, block in _pair_strips(table, basis, box, rows // 2 + 1):
+        first = 2 * a[0] - 1  # the matrix row of the block's first row: -1 is the dropped one
+        strip = block.reshape(2 * len(a), -1)[max(-first, 0): rows - first, 1:]
+        yield max(first, 0), strip
 
 
 def sphere_block(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice) -> np.ndarray:
@@ -218,16 +246,18 @@ def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, col
     tab = np.concatenate([fhat.real, -fhat.imag, -fhat.real, fhat.imag], axis=1)
     mt = np.arange(-lmax, lmax + 1)  # trig index mt + lmax: order a = |mt|, k = 1 for sin
     a, k, s = np.abs(mt), (mt < 0).astype(int), np.where(mt == 0, math.sqrt(0.5), 1.0)
-    i1 = (k[:, None] - k) % 4 * nphi + (a[:, None] - a) % nphi
-    i2 = (k[:, None] + k) % 4 * nphi + (a[:, None] + a) % nphi
-    g = s[:, None] * s * (tab[:, i1] + tab[:, i2])
     l, m = basis.freqs[rows, 0], basis.freqs[rows, 1]
     lc, mc = basis.freqs[cols, 0], basis.freqs[cols, 1]
     right = plm[lc, np.abs(mc)].T  # (n_theta, n_cols)
     out = np.empty((len(l), len(lc)))
     for t in np.unique(m):  # one GEMM per row trig index, over every column
+        r = t + lmax
+        # the trig products of row index t with every column index, (n_theta, 2 lmax + 1)
+        i1 = (k[r] - k) % 4 * nphi + (a[r] - a) % nphi
+        i2 = (k[r] + k) % 4 * nphi + (a[r] + a) % nphi
+        slab = s[r] * s * (tab[:, i1] + tab[:, i2])
         sel = np.flatnonzero(m == t)
-        out[sel] = plm[l[sel], abs(t)] @ (g[:, t + lmax, mc + lmax] * right)
+        out[sel] = plm[l[sel], abs(t)] @ (slab[:, mc + lmax] * right)
     return out
 
 
@@ -257,10 +287,10 @@ def _torus_complex_freqs(basis: EigenBasis) -> np.ndarray:
     return np.where(basis.kinds[:, None] == 2, -basis.freqs, basis.freqs)
 
 
-def _pair_gather(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-                 basis: EigenBasis, box: int, rows: Optional[int] = None,
-                 table_rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """Leading ``rows`` rows (all by default) of the real-basis pair blocks of E and O.
+def _pair_strips(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+                 basis: EigenBasis, box: int, pairs: int,
+                 table_rows: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None):
+    """The real-basis pair blocks of E and O of the leading ``pairs`` row pairs, by strips.
 
     ``table(lo, hi)`` returns rows lo..hi-1 of E (even in nu) and O (odd in
     nu), each row on a half plane (``_half_plane``): entry o is the flat
@@ -275,32 +305,31 @@ def _pair_gather(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     row of column a's direction, Hermitian rows give G-- = conj(G++) and
     G-+ = conj(G+-), so it is the transposed left Kohn-Nirenberg matrix.
 
-    Row pairs are gathered _STRIP at a time, in the stable order of their
-    table row, so each strip asks ``table`` for one contiguous range of rows
-    and every index array and buffer covers one strip; a strip read out of
-    basis order is written to its rows by index.
+    Yields (a, block) for each strip of _STRIP row pairs a, visited in the
+    stable order of their table row, so each strip asks ``table`` for one
+    contiguous range of rows, and every index array and buffer covers one
+    strip.  ``block`` is (len(a), 2, 2 len(k)): pair a's cos row, then its
+    sin row, each with index 2j cos and 2j + 1 sin of pair j.  The sin slot
+    of k = 0 is a copy of the constant and the constant's row and column are
+    scaled by sqrt(1/2), so the matrix is the pair layout without index 0.
+    Blocks in basis order are slices of ``out`` (pairs, 2, 2 len(k)) when it
+    is given; otherwise every block is one reused buffer.
     """
-    rows = basis.dim if rows is None else rows
     strides = (2 * box + 1) ** np.arange(basis.model.dim - 1, -1, -1)
     width = ((2 * box + 1) ** basis.model.dim + 1) // 2  # entries per table row
     # flat offset of k per pair: every k_b, and so every sigma, is >= 0
     k = np.append(0, basis.freqs[1::2] @ strides)
-    pairs = rows // 2 + 1
-    # pair-major layout, pair i's cos row then sin row, each with index 2j cos
-    # and 2j + 1 sin of pair j; the sin slot of k = 0 is a copy of the
-    # constant, so the matrix is the view without index 0
-    out = np.empty((pairs, 2, 2 * len(k)))
-    in_order = table_rows is None  # every pair reads row 0: strips are slices of out
+    in_order = table_rows is None
     if in_order:
         table_rows = np.zeros(pairs, dtype=np.intp)
     order = np.argsort(table_rows[:pairs], kind="stable")
     shape = (min(_STRIP, pairs), len(k))
     index, flip = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool)
     d_buf, s_buf = np.empty(shape), np.empty(shape)
-    strip_out = None if in_order else np.empty((shape[0], 2, 2 * len(k)))
+    strip_out = None if in_order and out is not None else np.empty((shape[0], 2, 2 * len(k)))
     for lo in range(0, pairs, _STRIP):
         a = order[lo:lo + _STRIP]
-        block = out[lo:lo + len(a)] if in_order else strip_out[:len(a)]
+        block = out[lo:lo + len(a)] if strip_out is None else strip_out[:len(a)]
         idx, d, s, fl = index[:len(a)], d_buf[:len(a)], s_buf[:len(a)], flip[:len(a)]
         first = table_rows[a[0]]
         even, odd = (t.ravel() for t in table(first, table_rows[a[-1]] + 1))
@@ -325,14 +354,28 @@ def _pair_gather(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
         np.subtract(d, s, out=block[:, 0, 1::2])
         np.add(d, s, out=block[:, 1, 0::2])
         np.negative(block[:, 1, 0::2], out=block[:, 1, 0::2])
-        if not in_order:
+        const = np.flatnonzero(a == 0)  # the constant's pair, in one strip only
+        block[const, 1] = block[const, 0]
+        block[:, :, 1] = block[:, :, 0]
+        block[const, 1] *= math.sqrt(0.5)
+        block[:, :, 1] *= math.sqrt(0.5)
+        yield a, block
+
+
+def _pair_gather(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+                 basis: EigenBasis, box: int,
+                 table_rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """The real-basis matrix of the pair blocks of ``_pair_strips``, collected strip by strip.
+
+    Strips in basis order are written straight into the matrix; a strip out
+    of basis order is written to its rows by index.
+    """
+    pairs = basis.dim // 2 + 1
+    out = np.empty((pairs, 2, 2 * pairs))
+    for a, block in _pair_strips(table, basis, box, pairs, table_rows, out):
+        if table_rows is not None:
             out[a] = block
-    out = out.reshape(2 * pairs, 2 * len(k))
-    out[1], out[:, 1] = out[0], out[:, 0]
-    out = out[1: rows + 1, 1:]
-    out[0] *= math.sqrt(0.5)
-    out[:, 0] *= math.sqrt(0.5)
-    return out
+    return out.reshape(2 * pairs, 2 * pairs)[1:, 1:]
 
 
 def _check_real(entries: np.ndarray, mismatch: float) -> None:
@@ -534,7 +577,7 @@ def symbol_law_predict(source, model: ManifoldModel, points: np.ndarray,
     return law
 
 
-def assemble(source, basis: EigenBasis, rows: Optional[int] = None) -> np.ndarray:
+def assemble(source, basis: EigenBasis) -> np.ndarray:
     """The compression of ``source`` over ``basis``: the one place that picks the assembly.
 
     A scalar field is a multiplication operator.  A symbol is quantized by
@@ -548,16 +591,14 @@ def assemble(source, basis: EigenBasis, rows: Optional[int] = None) -> np.ndarra
     window is the assembly over the first d elements, up to the round-off
     that the larger FFT grid, angle count or sphere grid moves: sweeps
     assemble their top window once and slice it with ``leading_block``.
-    ``rows`` keeps the leading rows only; flat multiplication gathers no
-    others, and the other assemblies slice the square matrix.
     """
     if isinstance(source, SymbolField):
         kind = basis.model.kind
         if kind == "torus2" or (kind == "circle" and source.x_independent):
-            return assemble_kohn_nirenberg(source, basis)[:rows]
+            return assemble_kohn_nirenberg(source, basis)
         source = source.fiber_restriction()
     if isinstance(source, ScalarField):
-        return assemble_multiplication(source, basis, rows)
+        return assemble_multiplication(source, basis)
     raise InputError(f"cannot assemble {type(source).__name__}")
 
 
@@ -584,34 +625,51 @@ def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law,
     return basis.mu_top, float(rel_err.max()), shift
 
 
-def tail_defect(f: ScalarField, mat: np.ndarray, inner: EigenBasis, outer: EigenBasis,
-                points: np.ndarray, grads=None) -> float:
-    """Normalized size of the off-window block Pi_{<=N} B (I - Pi_{<=N}).
+def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -> list[float]:
+    """Normalized size of the off-window block Pi_{<=N} B (I - Pi_{<=N}) of each window pair.
 
-    ``mat`` is ``assemble(f, top, rows)`` over a window whose leading block
-    is the ``outer`` window, with at least the ``inner`` window's rows.
-    Takes the block [:d_in, d_in:d_out] coupling the ``inner`` window to the
-    rest of the outer one, and reports mu_N^{-(n+2)} times the sup over
-    ``points`` of the g0 operator norm of its mixed-derivative field.  A
-    field whose block is round-off next to the largest entry of the rows
-    given, ``mat[:d_out, :d_out]``, is rejected (such as a constant).  On a
-    rectangular ``mat`` that maximum reads only the leading rows; for the
-    fields of the acceptance runs (``exp:cos(theta)`` at n = 64/128,
-    ``exp:0.3cos(x1)`` and ``cos(x1)`` at mu^2 = 400/800) it equals the full
-    block's maximum.  ``grads`` may give the gradients at ``points`` of a
-    window led by ``outer``, as in ``dd_kernel``.
+    For each (inner, outer) pair in ``windows`` the block [:d_in, d_in:d_out]
+    of the multiplication matrix couples the inner window to the rest of the
+    outer one, and the defect is mu_N^{-(n+2)} times the sup over ``points``
+    of the g0 operator norm of its mixed-derivative field.  No matrix is
+    formed: one pass over the strips (``_multiplication_strips``) of the
+    largest inner window's rows over the largest outer window, ``top``, fills
+    every window's product ``block @ grads[d_in:d_out]`` a strip of rows at a
+    time (the bits of one GEMM) and the largest |entry| of its block and of
+    the rows given of its square [:d_out, :d_out].  A block that is round-off
+    next to that square (a constant field) is an input error; for the fields
+    of the acceptance runs those rows hold the whole square's largest entry.
+    ``grads`` may give the gradients at ``points`` of a window led by
+    ``top``, as in ``dd_kernel``.
     """
-    if outer.cutoff < 2 * inner.cutoff:
-        raise InputError("outer window must be at least twice the inner window")
-    if inner.mu_top == 0.0:
-        raise InputError("tail defect needs an inner window above level 0")
-    d_in, d_out = inner.dim, outer.dim
-    block = mat[:d_in, d_in:d_out]
-    # sphere quadrature entries are certified only to GRAM_RESIDUAL_TOL
-    square = mat[:d_out, :d_out]
-    if max(block.max(), -block.min()) <= GRAM_RESIDUAL_TOL * max(square.max(), -square.min()):
-        raise InputError(f"field {f.name!r} has no tail defect: its off-window block is round-off")
-    grads = (eval_basis(outer, points)[1] if grads is None else grads)[:d_out]
-    tensor = _contract(block, grads[:d_in], grads[d_in:])
-    sup = float(g0_operator_norms(outer.model, points, tensor).max())
-    return sup / inner.mu_top ** (outer.model.dim + 2)
+    for inner, outer in windows:
+        if outer.cutoff < 2 * inner.cutoff:
+            raise InputError("outer window must be at least twice the inner window")
+        if inner.mu_top == 0.0:
+            raise InputError("tail defect needs an inner window above level 0")
+    top = max((outer for _, outer in windows), key=lambda b: b.dim)
+    rows = max(inner.dim for inner, _ in windows)
+    grads = (eval_basis(top, points)[1] if grads is None else grads)[:top.dim]
+    flat = grads.reshape(len(grads), -1)
+    products = [np.empty((inner.dim, flat.shape[1])) for inner, _ in windows]
+    maxima = np.zeros((len(windows), 2))  # largest |entry| of each block and square
+    for r, strip in _multiplication_strips(f, top, rows):
+        for (inner, outer), t, big in zip(windows, products, maxima):
+            d_in, d_out = inner.dim, outer.dim
+            block = strip[:max(d_in - r, 0), d_in:d_out]
+            if len(block):
+                np.matmul(block, flat[d_in:d_out], out=t[r:r + len(block)])
+                big[0] = max(big[0], block.max(), -block.min())
+            square = strip[:max(d_out - r, 0), :d_out]
+            if len(square):
+                big[1] = max(big[1], square.max(), -square.min())
+    defects = []
+    for (inner, outer), t, (block_max, square_max) in zip(windows, products, maxima):
+        # sphere quadrature entries are certified only to GRAM_RESIDUAL_TOL
+        if block_max <= GRAM_RESIDUAL_TOL * square_max:
+            raise InputError(f"field {f.name!r} has no tail defect: its off-window block is round-off")
+        grads_in = grads[:inner.dim]
+        tensor = np.einsum("dip,djp->pij", grads_in, t.reshape(grads_in.shape))
+        sup = float(g0_operator_norms(outer.model, points, tensor).max())
+        defects.append(sup / inner.mu_top ** (outer.model.dim + 2))
+    return defects

@@ -12,6 +12,8 @@ from bergman_lab.manifolds import (
     normalized_legendre, quadrature_grid, sphere2, torus2,
 )
 from bergman_lab.metspace import dhilb_symbol
+from bergman_lab.bergman import _contract
+from bergman_lab.fields import g0_operator_norms
 from bergman_lab.operators import (
     KN_FIBER_RES,
     KN_FIBER_RES_MAX,
@@ -440,11 +442,11 @@ def complex_path(source, basis, rule, monkeypatch):
     seen = []
     pair_gather = operators._pair_gather
 
-    def spy(table, basis, box, rows=None, table_rows=None):
+    def spy(table, basis, box, table_rows=None):
         even, odd = whole_table(table, table_rows)
         pairs = np.zeros(basis.dim // 2 + 1, int) if table_rows is None else table_rows
         seen.append((unfold(even + 1j * odd), np.append(pairs[0], np.repeat(pairs[1:], 2)), box))
-        return pair_gather(table, basis, box, rows, table_rows)
+        return pair_gather(table, basis, box, table_rows)
 
     monkeypatch.setattr(operators, "_pair_gather", spy)
     got = operators.assemble(source, basis)
@@ -549,10 +551,10 @@ class TestKohnNirenbergFiberFourier:
         assert pairs is None or len(folded) == pairs
         seen, pair_gather = [], operators._pair_gather
 
-        def spy(table, basis, box, rows=None, table_rows=None):
+        def spy(table, basis, box, table_rows=None):
             even, odd = whole_table(table, table_rows)
             seen.append((even.shape, odd.shape, table_rows))
-            return pair_gather(table, basis, box, rows, table_rows)
+            return pair_gather(table, basis, box, table_rows)
 
         monkeypatch.setattr(operators, "_pair_gather", spy)
         assemble_kohn_nirenberg(SymbolField("mix", TORUS, _mix), basis)
@@ -634,8 +636,8 @@ class TestHalfPlaneTables:
         basis = basis_for(TORUS, 100)
         seen, pair_gather = [], operators._pair_gather
 
-        def spy(table, basis, box, rows=None, table_rows=None):
-            out = pair_gather(table, basis, box, rows, table_rows)
+        def spy(table, basis, box, table_rows=None):
+            out = pair_gather(table, basis, box, table_rows)
             even, odd = whole_table(table, table_rows)
             # a copy: Kohn-Nirenberg symmetrizes the returned array in place
             seen.append((unfold(even + 1j * odd), box, table_rows, out.copy()))
@@ -649,26 +651,36 @@ class TestHalfPlaneTables:
         np.testing.assert_array_equal(got, full_pair_gather(table, basis, box, table_rows))
 
     def test_gather_holds_one_index_array_and_two_buffers(self):
-        # the top window of the tail-defect sweep; E(delta), E(sigma), O(delta)
-        # and O(sigma) are each gathered once, through two reused buffers
+        # the top window of the tail-defect sweep, streamed with no matrix;
+        # E(delta), E(sigma), O(delta) and O(sigma) are each gathered once,
+        # through two reused buffers
         basis = basis_for(TORUS, 800)
-        rows = basis_for(TORUS, 400).dim
+        pairs = basis_for(TORUS, 400).dim // 2 + 1
         _, box = operators._fft_grid(basis)
         rng = np.random.default_rng(5)
         even, odd = rng.standard_normal((2, 1, ((2 * box + 1) ** 2 + 1) // 2))
-        operators._pair_gather(lambda lo, hi: (even, odd), basis, box, rows)
-        tracemalloc.start()
-        try:
-            out = operators._pair_gather(lambda lo, hi: (even, odd), basis, box, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (rows, basis.dim)
+
+        def stream():
+            return sum(len(a) for a, _ in operators._pair_strips(
+                lambda lo, hi: (even, odd), basis, box, pairs))
+
+        got, peak = traced_peak(stream)
+        assert got == pairs
         strip = operators._STRIP * (basis.dim // 2 + 1)  # entries of one strip of pairs
-        # the result, then one strip each of the index array, the two buffers
-        # and the sign mask, plus 0.3 MB for ufunc buffers and the per-pair
-        # offsets (a whole pair block of each held 20 MB more)
-        assert peak < out.base.nbytes + 3 * 8 * strip + strip + 300_000
+        # one block (a strip of cos and sin rows, 4 strip), then one strip
+        # each of the index array, the two buffers and the sign mask, plus
+        # 0.3 MB for ufunc buffers and the per-pair offsets (a whole pair
+        # block of each held 20 MB more)
+        assert peak < 4 * 8 * strip + 3 * 8 * strip + strip + 300_000
+
+
+def placed_rows(table, basis, box, rows, table_rows=None):
+    """Leading ``rows`` rows of the matrix, each ``_pair_strips`` block placed by its pairs."""
+    pairs = rows // 2 + 1
+    layout = np.full((pairs, 2, 2 * (basis.dim // 2 + 1)), np.nan)
+    for a, block in operators._pair_strips(table, basis, box, pairs, table_rows):
+        layout[a] = block
+    return layout.reshape(2 * pairs, -1)[1: rows + 1, 1:]
 
 
 class TestStrips:
@@ -697,7 +709,9 @@ class TestStrips:
             calls.append((lo, hi))
             return even[lo:hi], odd[lo:hi]
 
-        got = operators._pair_gather(table, basis, box, rows, table_rows)
+        # the collected matrix, or the leading rows of the strips alone
+        got = (operators._pair_gather(table, basis, box, table_rows) if rows is None
+               else placed_rows(table, basis, box, rows, table_rows))
         want = full_pair_gather(unfold(even + 1j * odd), basis, box, table_rows)
         np.testing.assert_array_equal(got, want[:rows])
         # one call per strip, each a range of rows that starts where the last ended
@@ -705,18 +719,34 @@ class TestStrips:
         assert all(lo < hi and lo >= prev_hi - 1 for (_, prev_hi), (lo, hi)
                    in zip([(0, 1)] + calls, calls))
 
+    @pytest.mark.parametrize("model, cutoff, field, rows", [
+        (CIRCLE, 200, EXP_COS, 401),  # every row: 201 pairs
+        (CIRCLE, 200, EXP_COS, 300),
+        (TORUS, 225, EXP_MIXED, 333),  # the leading 167 of 355 pairs
+    ])
+    def test_multiplication_strips_match_full_table_oracle(self, model, cutoff, field, rows):
+        # the strips of tail-defect, concatenated, are the oracle's rows bit for bit
+        basis = basis_for(model, cutoff)
+        assert (rows // 2 + 1) % operators._STRIP != 0
+        table, box = operators._flat_table(field, basis)
+        even, odd = table(0, 1)
+        want = full_pair_gather(unfold(even + 1j * odd), basis, box)[:rows]
+        got = np.concatenate([s.copy() for _, s in
+                              operators._multiplication_strips(field, basis, rows)])
+        np.testing.assert_array_equal(got, want)
+
     def test_kohn_nirenberg_forms_each_direction_row_once(self, monkeypatch):
         # table rows in direction order: each strip forms its own range, and
         # a row is formed twice only where two strips share it
         basis = basis_for(TORUS, 400)
         calls, pair_gather = [], operators._pair_gather
 
-        def spy(table, basis, box, rows=None, table_rows=None):
+        def spy(table, basis, box, table_rows=None):
             def counted(lo, hi):
                 calls.append((lo, hi))
                 return table(lo, hi)
             spy.directions = int(table_rows.max()) + 1
-            return pair_gather(counted, basis, box, rows, table_rows)
+            return pair_gather(counted, basis, box, table_rows)
 
         monkeypatch.setattr(operators, "_pair_gather", spy)
         assemble_kohn_nirenberg(SymbolField("mix", TORUS, _mix), basis)
@@ -818,11 +848,14 @@ class TestMultiplicationGather:
         (SPHERE, 12, scalar_field("exp:0.5cos(phi)+0.3sin(theta)", SPHERE), 49),
     ])
     def test_leading_rows_are_the_square_rows(self, model, cutoff, field, rows):
+        # the strips that tail-defect reads follow one another from row 0;
+        # each is a view of one reused buffer, copied before the next
         basis = basis_for(model, cutoff)
         square = assemble_multiplication(field, basis)
-        got = operators.assemble(field, basis, rows=rows)
-        assert got.shape == (rows, basis.dim)
-        np.testing.assert_array_equal(got, square[:rows])
+        strips = [(r, s.copy()) for r, s in operators._multiplication_strips(field, basis, rows)]
+        starts = np.cumsum([0] + [len(s) for _, s in strips])
+        assert [r for r, _ in strips] == starts[:-1].tolist() and starts[-1] == rows
+        np.testing.assert_array_equal(np.concatenate([s for _, s in strips]), square[:rows])
 
     @pytest.mark.parametrize("model, cutoff, field", [
         (CIRCLE, 64, EXP_COS), (TORUS, 100, EXP_MIXED),
@@ -834,8 +867,8 @@ class TestMultiplicationGather:
         want = assemble_multiplication(field, basis)
         calls, pair_gather = [], operators._pair_gather
 
-        def spy(table, basis, box, rows=None, table_rows=None):
-            out = pair_gather(table, basis, box, rows, table_rows)
+        def spy(table, basis, box, table_rows=None):
+            out = pair_gather(table, basis, box, table_rows)
             calls.append((whole_table(table, table_rows)[0].shape[0], table_rows, out))
             return out
 
@@ -846,21 +879,6 @@ class TestMultiplicationGather:
         assert got is gathered
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, got.T)
-
-    def test_tail_rows_hold_less_than_two_square_matrices(self):
-        # the top window of the tail-defect sweep: inner mu^2 = 400 rows over
-        # the outer mu^2 = 800 window
-        basis = basis_for(TORUS, 800)
-        rows = basis_for(TORUS, 400).dim
-        assemble_multiplication(EXP_03, basis, rows)
-        tracemalloc.start()
-        try:
-            mat = assemble_multiplication(EXP_03, basis, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert mat.shape == (rows, basis.dim)
-        assert peak < 2 * 8 * basis.dim ** 2
 
 
 class TestPrepared:
@@ -1071,10 +1089,10 @@ def law_rows(source, model, cutoffs, grid_res):
 
 
 def defect(f, model, inner, outer, grid_res=16):
-    """Tail defect of one (inner, outer) pair, from the outer window's assembly."""
-    big = basis_for(model, outer)
+    """Tail defect of one (inner, outer) pair."""
     pts, _ = quadrature_grid(model, grid_res)
-    return tail_defect(f, assemble_multiplication(f, big), basis_for(model, inner), big, pts)
+    [value] = tail_defect(f, [(basis_for(model, inner), basis_for(model, outer))], pts)
+    return value
 
 
 class TestSymbolLawCheck:
@@ -1122,6 +1140,40 @@ class TestTailDefect:
     def test_window_precondition(self):
         with pytest.raises(InputError):
             defect(COS_THETA, CIRCLE, 8, 12)
+
+    @pytest.mark.parametrize("model, field, cutoffs, grid_res", [
+        (CIRCLE, scalar_field("exp:cos(theta)", CIRCLE), (8, 16, 32, 64), 48),
+        (TORUS, scalar_field("exp:0.3cos(x1)", TORUS), (9, 25, 100, 225), 10),
+        (SPHERE, scalar_field("exp:0.5cos(phi)+0.3sin(theta)", SPHERE), (2, 4, 6), 8),
+    ], ids=["circle", "torus", "sphere"])
+    def test_streamed_defects_are_the_block_contraction(self, model, field, cutoffs, grid_res):
+        # one pass over the strips serves every window, bit for bit as the
+        # contraction of each window's block of the assembled top window
+        windows = [(basis_for(model, c), basis_for(model, 2 * c)) for c in cutoffs]
+        top = windows[-1][1]
+        pts, _ = quadrature_grid(model, grid_res)
+        grads = eval_basis(top, pts)[1]
+        mat = assemble_multiplication(field, top)
+        want = []
+        for inner, outer in windows:
+            d_in, d_out = inner.dim, outer.dim
+            tensor = _contract(mat[:d_in, d_in:d_out], grads[:d_in], grads[d_in:d_out])
+            sup = float(g0_operator_norms(model, pts, tensor).max())
+            want.append(sup / inner.mu_top ** (model.dim + 2))
+        assert tail_defect(field, windows, pts, grads) == want
+        assert tail_defect(field, windows, pts) == want
+
+    def test_streamed_defect_holds_no_block(self):
+        # the acceptance tail_torus top pair: the 1,257 x 2,521 block (25 MB)
+        # is never formed; what is held beside the gradients is the (d_in, 2 P)
+        # product, one strip of pairs and the gather's buffers (0.27 times the
+        # block's bytes)
+        inner, outer = basis_for(TORUS, 400), basis_for(TORUS, 800)
+        pts, _ = quadrature_grid(TORUS, 10)
+        grads = eval_basis(outer, pts)[1]
+        field = scalar_field("exp:0.3cos(x1)", TORUS)
+        _, peak = traced_peak(lambda: tail_defect(field, [(inner, outer)], pts, grads))
+        assert peak < 0.3 * 8 * inner.dim * outer.dim
 
 
 class TestLeadingBlocks:
