@@ -222,8 +222,6 @@ def cmd_bergman(ns, model):
 
 
 def cmd_tail_defect(ns, model):
-    if ns.f is None:
-        raise InputError("tail-defect needs a multiplication field --f")
     f = scalar_field(ns.f, model)
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     # the largest outer window holds every (inner, outer = 2 inner) pair; one
@@ -242,8 +240,6 @@ def cmd_tail_defect(ns, model):
 
 
 def cmd_hilb_approx(ns, model):
-    if ns.metric is None:
-        raise InputError("hilb-approx needs --metric")
     g = metric_field(ns.metric, model)
     pts, w = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     top = _top_window(ns, model)
@@ -267,8 +263,6 @@ def _cosphere(ns, model):
 
 
 def cmd_met_norm(ns, model):
-    if ns.gdot is None:
-        raise InputError("met-norm needs --gdot")
     g = metric_field(_opt(ns.metric, "g0"), model)
     gdot = perturbation_field(ns.gdot, model)
     closed = metspace.induced_norm_closed(g, gdot, _cosphere(ns, model))
@@ -290,8 +284,6 @@ def cmd_met_norm(ns, model):
 
 def _szego_sources(ns, model):
     """One field per --b entry; a name given twice is the same field object."""
-    if not ns.b:
-        raise InputError("szego needs --b with 1 to 3 comma-separated fields")
     # no field name contains ';' or ',', so either one separates the fields
     if ";" in ns.b and "," in ns.b:
         raise InputError(f"--b {ns.b!r} mixes ';' and ',': separate the fields with one of them")
@@ -309,8 +301,6 @@ def _szego_sources(ns, model):
 
 
 def cmd_szego(ns, model):
-    if model.kind == "sphere2":
-        raise UnsupportedModelError("szego runs on circle or torus2")
     trace = metspace.szego_trace(_szego_sources(ns, model), _top_window(ns, model),
                                  _cosphere(ns, model))
     rows = map_sweep(ns, lambda c: (c, *trace(basis_for(model, c))))
@@ -322,8 +312,6 @@ def cmd_szego(ns, model):
 
 
 def _sphere_field(ns, model):
-    if model.kind != "sphere2":
-        raise InputError(f"{ns.command} requires --model sphere2")
     return scalar_field(_opt(ns.a, "one-plus-half-x3sq"), model)
 
 
@@ -358,8 +346,6 @@ def cmd_sphere_cumulative(ns, model):
 
 def cmd_exact_pullback(ns, model):
     """dd(I) against the closed-form lattice/trigonometric sums, exactly."""
-    if model.kind not in ("circle", "torus2"):
-        raise InputError("exact-pullback supports circle and torus2")
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     _, grads = eval_basis(_top_window(ns, model), pts)
 
@@ -422,20 +408,23 @@ def cmd_list_presets(ns, model):
     return None, None, None
 
 
+# name -> (command function, the models it runs on, the flags it needs); main
+# refuses any other model, and a needed flag that is unset or empty, before any work
+_ALL, _FLAT = ("circle", "torus2", "sphere2"), ("circle", "torus2")
 COMMANDS = {
-    "spectra": cmd_spectra,
-    "exact-pullback": cmd_exact_pullback,
-    "takahashi": cmd_takahashi,
-    "isometry": cmd_isometry,
-    "bergman": cmd_bergman,
-    "tail-defect": cmd_tail_defect,
-    "hilb-approx": cmd_hilb_approx,
-    "met-norm": cmd_met_norm,
-    "szego": cmd_szego,
-    "sphere-band": cmd_sphere_band,
-    "sphere-cumulative": cmd_sphere_cumulative,
-    "gradient-check": cmd_gradient_check,
-    "list-presets": cmd_list_presets,
+    "spectra": (cmd_spectra, _ALL, ()),
+    "exact-pullback": (cmd_exact_pullback, _FLAT, ()),
+    "takahashi": (cmd_takahashi, _ALL, ()),
+    "isometry": (cmd_isometry, _ALL, ()),
+    "bergman": (cmd_bergman, _ALL, ()),
+    "tail-defect": (cmd_tail_defect, _ALL, ("f",)),
+    "hilb-approx": (cmd_hilb_approx, _ALL, ("metric",)),
+    "met-norm": (cmd_met_norm, _FLAT, ("gdot",)),
+    "szego": (cmd_szego, _FLAT, ("b",)),
+    "sphere-band": (cmd_sphere_band, ("sphere2",), ()),
+    "sphere-cumulative": (cmd_sphere_cumulative, ("sphere2",), ()),
+    "gradient-check": (cmd_gradient_check, _FLAT, ()),
+    "list-presets": (cmd_list_presets, _ALL, ()),
 }
 
 
@@ -483,7 +472,7 @@ _CONFIG_TYPES = {
     "tol": float, "check": _parse_bool,
 }
 # The values of the flags with a fixed set, on the command line and in the config file
-_CHOICES = {"model": ("circle", "torus2", "sphere2"), "quantization": ("left", "symmetric")}
+_CHOICES = {"model": _ALL, "quantization": ("left", "symmetric")}
 
 
 # Values of the flags the command line and the config file leave unset
@@ -553,7 +542,13 @@ def resolve_config(ns: argparse.Namespace):
 def main(argv=None) -> int:
     try:
         ns = resolve_config(build_parser().parse_args(argv))
-        header, rows, check = COMMANDS[ns.command](ns, model_by_name(ns.model))
+        run, models, needs = COMMANDS[ns.command]
+        if ns.model not in models:
+            raise UnsupportedModelError(f"{ns.command} runs on {' or '.join(models)}")
+        for flag in needs:
+            if not getattr(ns, flag):
+                raise InputError(f"{ns.command} needs --{flag}")
+        header, rows, check = run(ns, model_by_name(ns.model))
         if header is not None:
             write_csv(header, rows, ns.out)
         if ns.check and check is not None:

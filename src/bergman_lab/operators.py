@@ -66,7 +66,8 @@ class ScalarField:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def values(self, points: np.ndarray, xis: Optional[np.ndarray] = None) -> np.ndarray:
-        return _finite(self.name, self.fn(np.atleast_2d(points)))
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses, naming the field
+            return _finite(self.name, self.fn(np.atleast_2d(points)))
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,13 @@ class SymbolField:
 
         def call(xis: np.ndarray) -> np.ndarray:
             xi = np.atleast_2d(np.asarray(xis, dtype=float))
-            # one covector row: off the sphere its g0 norm is the same at every point
-            if xi.shape[0] == 1 and self.model.kind == "sphere2":
-                xi = np.broadcast_to(xi, (pts.shape[0], xi.shape[1]))
+            # one covector row has one g0 norm off the sphere, one per point on it
             norm = g0_norm_xi(self.model, pts, xi)
             if np.any(norm == 0.0):
                 raise InputError("symbol evaluated at xi = 0")
             unit = xi / norm[:, None]
-            vals = ev(unit)
+            with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses, naming the field
+                vals = ev(unit)
             return _finite(self.name, np.broadcast_to(vals, len(pts)) if len(unit) == 1 else vals)
 
         return call
@@ -288,8 +288,7 @@ def _torus_complex_freqs(basis: EigenBasis) -> np.ndarray:
 
 
 def _pair_strips(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-                 basis: EigenBasis, box: int, pairs: int,
-                 table_rows: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None):
+                 basis: EigenBasis, box: int, pairs: int, table_rows: Optional[np.ndarray] = None):
     """The real-basis pair blocks of E and O of the leading ``pairs`` row pairs, by strips.
 
     ``table(lo, hi)`` returns rows lo..hi-1 of E (even in nu) and O (odd in
@@ -312,24 +311,22 @@ def _pair_strips(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     sin row, each with index 2j cos and 2j + 1 sin of pair j.  The sin slot
     of k = 0 is a copy of the constant and the constant's row and column are
     scaled by sqrt(1/2), so the matrix is the pair layout without index 0.
-    Blocks in basis order are slices of ``out`` (pairs, 2, 2 len(k)) when it
-    is given; otherwise every block is one reused buffer.
+    Every block is a view of one buffer that the next strip reuses.
     """
     strides = (2 * box + 1) ** np.arange(basis.model.dim - 1, -1, -1)
     width = ((2 * box + 1) ** basis.model.dim + 1) // 2  # entries per table row
     # flat offset of k per pair: every k_b, and so every sigma, is >= 0
     k = np.append(0, basis.freqs[1::2] @ strides)
-    in_order = table_rows is None
-    if in_order:
+    if table_rows is None:
         table_rows = np.zeros(pairs, dtype=np.intp)
     order = np.argsort(table_rows[:pairs], kind="stable")
     shape = (min(_STRIP, pairs), len(k))
     index, flip = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool)
     d_buf, s_buf = np.empty(shape), np.empty(shape)
-    strip_out = None if in_order and out is not None else np.empty((shape[0], 2, 2 * len(k)))
+    buf = np.empty((shape[0], 2, 2 * len(k)))
     for lo in range(0, pairs, _STRIP):
         a = order[lo:lo + _STRIP]
-        block = out[lo:lo + len(a)] if strip_out is None else strip_out[:len(a)]
+        block = buf[:len(a)]
         idx, d, s, fl = index[:len(a)], d_buf[:len(a)], s_buf[:len(a)], flip[:len(a)]
         first = table_rows[a[0]]
         even, odd = (t.ravel() for t in table(first, table_rows[a[-1]] + 1))
@@ -365,16 +362,11 @@ def _pair_strips(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
 def _pair_gather(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
                  basis: EigenBasis, box: int,
                  table_rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """The real-basis matrix of the pair blocks of ``_pair_strips``, collected strip by strip.
-
-    Strips in basis order are written straight into the matrix; a strip out
-    of basis order is written to its rows by index.
-    """
+    """The real-basis matrix of ``_pair_strips``: each strip is written to its rows by index."""
     pairs = basis.dim // 2 + 1
     out = np.empty((pairs, 2, 2 * pairs))
-    for a, block in _pair_strips(table, basis, box, pairs, table_rows, out):
-        if table_rows is not None:
-            out[a] = block
+    for a, block in _pair_strips(table, basis, box, pairs, table_rows):
+        out[a] = block
     return out.reshape(2 * pairs, 2 * pairs)[1:, 1:]
 
 

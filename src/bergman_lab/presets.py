@@ -96,12 +96,7 @@ def scalar_field(spec: str, model: ManifoldModel) -> ScalarField:
         return scalar_field("1+0.5x3sq", model)
     if name.startswith("exp:"):
         inner = parse_scalar_expr(name[4:], model)
-
-        def fn(p: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore"):  # reported as a non-finite field value
-                return np.exp(inner(p))
-
-        return ScalarField(name, fn)
+        return ScalarField(name, lambda p: np.exp(inner(p)))
     return ScalarField(name, parse_scalar_expr(name, model))
 
 

@@ -316,6 +316,10 @@ class TestMainInProcess:
         ["hilb-approx", "--model", "torus2", "--metric", "conformal:u=400cos(x1)", "--mu2", "4,9"],
         # the determinant of a finite metric overflows where it is made
         ["hilb-approx", "--model", "torus2", "--metric", "conformal:u=400", "--mu2", "4,9"],
+        # the hilb symbol of a huge metric, and its variation, overflow where
+        # they are evaluated
+        ["hilb-approx", "--model", "torus2", "--metric", "aniso-diag:400,0.3", "--mu2", "4,9"],
+        ["gradient-check", "--model", "torus2", "--metric", "aniso-diag:400,0.3"],
     ])
     def test_overflowing_field_is_input_error_without_warning(self, argv, capsys):
         field = argv[4]
@@ -323,7 +327,9 @@ class TestMainInProcess:
             warnings.simplefilter("always")
             assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and repr(field) in err, err
+        # the error names the field, or the symbol built from the metric
+        names = (repr(field), f"'hilb[{field}]'", f"'dhilb[{field};")
+        assert err.startswith("error:") and any(n in err for n in names), err
         assert not caught, [str(w.message) for w in caught]
 
     def test_large_finite_metric_still_runs(self, tmp_path):
@@ -530,6 +536,42 @@ class TestMainInProcess:
         assert "aniso-diag:e1,e2" in text
         assert "one-plus-half-x3sq" in text
 
+    @pytest.mark.parametrize("argv, models", [
+        (["exact-pullback", "--model", "sphere2", "--n", "5"], "circle or torus2"),
+        (["met-norm", "--model", "sphere2", "--gdot", "conf:0.3x3", "--n", "2,4"],
+         "circle or torus2"),
+        (["szego", "--model", "sphere2", "--b", "one", "--n", "4"], "circle or torus2"),
+        (["gradient-check", "--model", "sphere2"], "circle or torus2"),
+        (["sphere-band", "--model", "circle", "--n", "5"], "sphere2"),
+        (["sphere-cumulative", "--model", "torus2", "--mu2", "4,9"], "sphere2"),
+    ], ids=["exact-pullback", "met-norm", "szego", "gradient-check", "sphere-band",
+            "sphere-cumulative"])
+    def test_command_outside_its_models_is_input_error(self, argv, models, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {argv[0]} runs on {models}\n"
+
+    def test_model_is_refused_before_any_work(self, monkeypatch, capsys):
+        # met-norm on the sphere stops before its cosphere closed form and R
+        from bergman_lab import cli, operators
+
+        calls = []
+        monkeypatch.setattr(cli, "cosphere_quadrature", lambda *a: calls.append("cosphere"))
+        for name in ("assemble_kohn_nirenberg", "assemble_multiplication"):
+            monkeypatch.setattr(operators, name, lambda *a, _name=name: calls.append(_name))
+        assert main(["met-norm", "--model", "sphere2", "--gdot", "conf:0.3x3", "--n", "2,4"]) == 1
+        assert capsys.readouterr().err == "error: met-norm runs on circle or torus2\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["tail-defect", "--model", "circle", "--n", "1,2"], "--f"),
+        (["hilb-approx", "--model", "torus2", "--mu2", "4,9"], "--metric"),
+        (["met-norm", "--model", "circle", "--n", "2,4"], "--gdot"),
+        (["szego", "--model", "torus2", "--mu2", "9"], "--b"),
+    ], ids=["tail-defect", "hilb-approx", "met-norm", "szego"])
+    def test_missing_needed_flag_is_input_error(self, argv, flag, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {argv[0]} needs {flag}\n"
+
     def test_exact_pullback_commands(self, capsys):
         assert main(["exact-pullback", "--model", "circle", "--n", "5,20",
                      "--check"]) == 0
@@ -562,10 +604,6 @@ VALID = {
                 "--a": ["one-plus-half-x3sq", "x3", "1+0.5cos(phi)"],
                 "--metric": ["g0", "conformal:u=0.3x3"]},
 }
-# The models a command runs on, where it does not run on all three
-MODELS = {"exact-pullback": ["circle", "torus2"], "met-norm": ["circle", "torus2"],
-          "szego": ["circle", "torus2"], "gradient-check": ["circle", "torus2"],
-          "sphere-band": ["sphere2"], "sphere-cumulative": ["sphere2"]}
 # Typed options; a small grid and fiber are always given, as the cost of a
 # sphere band grows with their product
 TYPED = {"--grid": ["4", "6"], "--fiber": ["16"], "--tnodes": ["64"],
@@ -593,7 +631,8 @@ def runs(draw):
     The others change one of these to a bad value.
     """
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    model = draw(st.sampled_from(MODELS.get(command, sorted(VALID))))
+    _, models, _ = COMMANDS[command]
+    model = draw(st.sampled_from(sorted(models)))
     options = {"--model": model}
     sweep = sorted(draw(st.lists(st.integers(1, 9), min_size=3, max_size=3, unique=True)))
     options["--mu2" if model == "torus2" else "--n"] = ",".join(map(str, sweep))

@@ -889,10 +889,13 @@ class TestPrepared:
         hilb_symbol(metric_field("aniso-diag:0.3,0.3", TORUS)),
         dhilb_symbol(metric_field("g0", TORUS), perturbation_field("cos-x1-dx1", TORUS)),
         symbol_field("xi1sq", TORUS),
-    ], ids=["circle-hilb", "circle-dhilb", "torus-hilb", "torus-dhilb", "torus-xi1sq"])
+        hilb_symbol(metric_field("conformal:u=0.3x3", SPHERE)), symbol_field("one", SPHERE),
+    ], ids=["circle-hilb", "circle-dhilb", "torus-hilb", "torus-dhilb", "torus-xi1sq",
+            "sphere-hilb", "sphere-one"])
     def test_one_covector_matches_broadcast(self, symbol):
-        # a flat model normalizes one covector row once; the oracle broadcasts
-        # it to every point first and normalizes each row
+        # a flat model normalizes one covector row once, the sphere once per
+        # point; the oracle broadcasts it to every point first and normalizes
+        # each row
         model = symbol.model
         pts, _ = quadrature_grid(model, 64)
         ev = symbol.make_evaluator(pts)
