@@ -408,8 +408,8 @@ def cmd_list_presets(ns, model):
     return None, None, None
 
 
-# name -> (command function, the models it runs on, the flags it needs); main
-# refuses any other model, and a needed flag that is unset or empty, before any work
+# name -> (function, models it runs on, flags it needs); main refuses another model, or an
+# unset or empty needed flag, before any work. takahashi ignores the model: it runs on sphere2
 _ALL, _FLAT = ("circle", "torus2", "sphere2"), ("circle", "torus2")
 COMMANDS = {
     "spectra": (cmd_spectra, _ALL, ()),

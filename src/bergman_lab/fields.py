@@ -19,6 +19,12 @@ def _finite(name: str, values, what: str = "values") -> np.ndarray:
     return vals
 
 
+def _evaluated(name: str, fn: Callable[[], object], what: str = "values") -> np.ndarray:
+    """``fn()`` checked by ``_finite``; numpy does not warn of the overflow it refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(name, fn(), what)
+
+
 def sym2x2_eigs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (smallest, largest) eigenvalues of symmetric (P, 2, 2) values."""
     half_tr = 0.5 * (vals[:, 0, 0] + vals[:, 1, 1])
@@ -112,8 +118,7 @@ class MetricField:
 
     def matrices(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        with np.errstate(over="ignore", invalid="ignore"):  # refused here, with no warning
-            g = _finite(self.name, self.matrix_fn(pts), "matrices")
+        g = _evaluated(self.name, lambda: self.matrix_fn(pts), "matrices")
         g = 0.5 * (g + np.transpose(g, (0, 2, 1)))
         if self.model.dim == 1:
             if np.any(g[:, 0, 0] <= 0.0):

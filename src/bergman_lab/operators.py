@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, ResolutionError, UnsupportedModelError
-from .fields import Tensor2Field, _finite, g0_operator_norms
+from .fields import Tensor2Field, _evaluated, _finite, g0_operator_norms
 from .bergman import dd_kernel
 from .manifolds import (
     EigenBasis,
@@ -66,8 +66,7 @@ class ScalarField:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def values(self, points: np.ndarray, xis: Optional[np.ndarray] = None) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses, naming the field
-            return _finite(self.name, self.fn(np.atleast_2d(points)))
+        return _evaluated(self.name, lambda: self.fn(np.atleast_2d(points)))
 
 
 @dataclass(frozen=True)
@@ -101,9 +100,8 @@ class SymbolField:
             if np.any(norm == 0.0):
                 raise InputError("symbol evaluated at xi = 0")
             unit = xi / norm[:, None]
-            with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses, naming the field
-                vals = ev(unit)
-            return _finite(self.name, np.broadcast_to(vals, len(pts)) if len(unit) == 1 else vals)
+            vals = _evaluated(self.name, lambda: ev(unit))
+            return np.broadcast_to(vals, len(pts)) if len(unit) == 1 else vals
 
         return call
 
