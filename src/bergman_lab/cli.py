@@ -35,7 +35,6 @@ from .manifolds import (
     eval_basis,
     model_by_name,
     quadrature_grid,
-    sphere2,
 )
 from .operators import assemble, symbol_law_check, symbol_law_predict, tail_defect
 from .presets import (
@@ -121,8 +120,9 @@ def _default_grid(model) -> int:
 # --- command implementations -------------------------------------------------
 #
 # Each command takes the resolved argparse namespace and the --model manifold
-# and returns (header, rows, check), where check is (ok, detail) or None.  A
-# flag left unset is None and the command supplies its own default with _opt.
+# and returns (header, rows, check): check is None or (ok, value, detail), where
+# value is the number the verdict compares with ns.tol (set by main from COMMANDS).
+# Any other flag left unset is None and the command supplies its default with _opt.
 
 def _opt(value, default):
     """The flag's value when it was given, else the command's default."""
@@ -165,15 +165,17 @@ def cmd_spectra(ns, model):
     return ["level", "mu_sq", "multiplicity", "dim_cum"], rows, None
 
 
+def _max_deviation(ns, deviations):
+    worst = max(deviations)
+    return worst <= ns.tol, worst, f"max deviation {worst:.3e} vs {ns.tol:.0e}"
+
+
 def cmd_takahashi(ns, model):
-    pts, _ = quadrature_grid(sphere2(), _opt(ns.grid, 12))
+    pts, _ = quadrature_grid(model, _opt(ns.grid, 12))
     rows = map_sweep(
         ns, lambda n: (n, *sphereband.takahashi_check(n, points=pts)), default=list(range(1, 11))
     )
-    tol = _opt(ns.tol, 1e-8)
-    worst = max(r[2] for r in rows)
-    ok = worst <= tol
-    return ["n", "c_n", "deviation"], rows, (ok, f"max deviation {worst:.3e} vs {tol:.0e}")
+    return ["n", "c_n", "deviation"], rows, _max_deviation(ns, [r[2] for r in rows])
 
 
 def cmd_isometry(ns, model):
@@ -191,10 +193,9 @@ def cmd_isometry(ns, model):
     for cutoff, mu, m in zip(ns.sweep, mus, measured):
         coeff = m / mu ** (n + 2)
         rows.append((cutoff, mu, coeff, theory, abs(coeff - theory) / theory))
-    tol = _opt(ns.tol, 0.05)
-    ok = fit_rel <= tol
     header = [_sweep_column(model), "mu", "measured_coeff", "theory_coeff", "rel_err"]
-    return header, rows, (ok, f"fitted {fitted:.6g} vs {theory:.6g} ({fit_rel:.2%})")
+    return header, rows, (fit_rel <= ns.tol, fit_rel,
+                          f"fitted {fitted:.6g} vs {theory:.6g} ({fit_rel:.2%})")
 
 
 def _bergman_source(ns, model):
@@ -215,10 +216,9 @@ def cmd_bergman(ns, model):
     grads, mat = eval_basis(top, pts)[1], assemble(source, top)
     rows = map_sweep(ns, lambda c: (c, *symbol_law_check(mat, basis_for(model, c), law, grads)))
     errs = [r[2] for r in rows]
-    tol = _opt(ns.tol, 0.10)
-    ok = errs[-1] <= tol and trend_ok(errs)
+    ok = errs[-1] <= ns.tol and trend_ok(errs)
     header = [_sweep_column(model), "mu", "rel_err", "pd_shift"]
-    return header, rows, (ok, f"final err {errs[-1]:.2%} vs {tol:.0%}, trend {errs}")
+    return header, rows, (ok, errs[-1], f"final err {errs[-1]:.2%} vs {ns.tol:.0%}, trend {errs}")
 
 
 def cmd_tail_defect(ns, model):
@@ -232,11 +232,9 @@ def cmd_tail_defect(ns, model):
     defects = tail_defect(f, [(b, basis_for(model, 2 * c)) for c, b in zip(sweep, inners)],
                           pts, grads)
     rows = [(c, b.mu_top, d) for c, b, d in zip(sweep, inners, defects)]
-    tol = _opt(ns.tol, 0.20)
     ratio = rows[-1][2] / rows[0][2]
-    ok = ratio <= tol
-    header = [_sweep_column(model), "mu", "defect"]
-    return header, rows, (ok, f"defect ratio last/first {ratio:.3f} vs {tol}")
+    detail = f"defect ratio last/first {ratio:.3f} vs {ns.tol}"
+    return [_sweep_column(model), "mu", "defect"], rows, (ratio <= ns.tol, ratio, detail)
 
 
 def cmd_hilb_approx(ns, model):
@@ -252,10 +250,9 @@ def cmd_hilb_approx(ns, model):
 
     rows = map_sweep(ns, one)
     sups = [r[1] for r in rows]
-    tol = _opt(ns.tol, 0.05 if model.kind == "circle" else 0.10)
-    ok = sups[-1] <= tol and trend_ok(sups)
+    ok = sups[-1] <= ns.tol and trend_ok(sups)
     header = [_sweep_column(model), "sup_rel_err", "l2_rel_err", "pd_shift"]
-    return header, rows, (ok, f"final sup err {sups[-1]:.2%} vs {tol:.0%}")
+    return header, rows, (ok, sups[-1], f"final sup err {sups[-1]:.2%} vs {ns.tol:.0%}")
 
 
 def _cosphere(ns, model):
@@ -273,13 +270,12 @@ def cmd_met_norm(ns, model):
         return (c, tr, closed, tr / closed)
 
     rows = map_sweep(ns, one)
-    tol = _opt(ns.tol, 0.10)
     gap = abs(rows[-1][1] - closed) / closed
     gaps = [abs(r[1] - closed) for r in rows]
     converging = gap <= 1e-9 or trend_ok(gaps)  # sub-noise gaps count as converged
-    ok = gap <= tol and converging
+    ok = gap <= ns.tol and converging
     header = [_sweep_column(model), "trace_norm", "closed_form", "ratio"]
-    return header, rows, (ok, f"final |trace-closed|/closed {gap:.2%} vs {tol:.0%}")
+    return header, rows, (ok, gap, f"final |trace-closed|/closed {gap:.2%} vs {ns.tol:.0%}")
 
 
 def _szego_sources(ns, model):
@@ -304,11 +300,9 @@ def cmd_szego(ns, model):
     trace = metspace.szego_trace(_szego_sources(ns, model), _top_window(ns, model),
                                  _cosphere(ns, model))
     rows = map_sweep(ns, lambda c: (c, *trace(basis_for(model, c))))
-    tol = _opt(ns.tol, 0.05)
     gap = abs(rows[-1][3] - 1.0)
-    ok = gap <= tol
     header = [_sweep_column(model), "measured", "predicted", "ratio"]
-    return header, rows, (ok, f"final |ratio-1| {gap:.2%} vs {tol:.0%}")
+    return header, rows, (gap <= ns.tol, gap, f"final |ratio-1| {gap:.2%} vs {ns.tol:.0%}")
 
 
 def _sphere_field(ns, model):
@@ -323,11 +317,10 @@ def cmd_sphere_band(ns, model):
     rows = map_sweep(ns, lambda n: (n, ns.k, sphereband.sphere_band_check(
         a, n, ns.k, pts, integral)))
     errs = [r[2] for r in rows]
-    tol = _opt(ns.tol, 0.10 if ns.k == 0 else 0.15)
-    ok = all(e <= tol for e in errs)
+    ok = max(errs) <= ns.tol
     if ns.k == 0 and len(errs) >= 2:
         ok = ok and errs[-1] <= 0.7 * errs[0]
-    return ["n", "k", "rel_err"], rows, (ok, f"errors {errs} vs {tol}")
+    return ["n", "k", "rel_err"], rows, (ok, max(errs), f"errors {errs} vs {ns.tol}")
 
 
 def cmd_sphere_cumulative(ns, model):
@@ -339,9 +332,8 @@ def cmd_sphere_cumulative(ns, model):
     rows = map_sweep(ns, lambda n: (n, sphereband.cumulative_band_sum(
         a, mat, basis_for(model, n), law, grads)))
     errs = [r[1] for r in rows]
-    ratio_tol = _opt(ns.tol, 0.7)
-    ok = all(b <= ratio_tol * a_ for a_, b in zip(errs, errs[1:]))
-    return ["n", "rel_err"], rows, (ok, f"errors {errs}, halving tol {ratio_tol}")
+    ratio = max((b / a_ for a_, b in zip(errs, errs[1:])), default=0.0)
+    return ["n", "rel_err"], rows, (ratio <= ns.tol, ratio, f"errors {errs}, halving tol {ns.tol}")
 
 
 def cmd_exact_pullback(ns, model):
@@ -366,11 +358,8 @@ def cmd_exact_pullback(ns, model):
         return (cutoff, float(dev))
 
     rows = map_sweep(ns, one)
-    tol = _opt(ns.tol, 1e-10)
-    worst = max(r[1] for r in rows)
-    ok = worst <= tol
     header = [_sweep_column(model), "rel_dev"]
-    return header, rows, (ok, f"max deviation {worst:.3e} vs {tol:.0e}")
+    return header, rows, _max_deviation(ns, [r[1] for r in rows])
 
 
 def cmd_gradient_check(ns, model):
@@ -397,10 +386,10 @@ def cmd_gradient_check(ns, model):
     scale = float(np.abs(exact).max())
     if rows[0][1] <= 1e-9 * scale:
         # the symbol is linear in g here (circle), so differences are exact
-        return ["eps", "max_abs_err"], rows, (True, "derivative exact to rounding")
+        return ["eps", "max_abs_err"], rows, (True, None, "derivative exact to rounding")
     ratio = rows[0][1] / rows[1][1]
-    ok = 50.0 <= ratio <= 200.0
-    return ["eps", "max_abs_err"], rows, (ok, f"error ratio {ratio:.1f} in [50, 200]")
+    ok = 50.0 <= ratio <= 200.0  # a fixed band: the command has no --tol
+    return ["eps", "max_abs_err"], rows, (ok, ratio, f"error ratio {ratio:.1f} in [50, 200]")
 
 
 def cmd_list_presets(ns, model):
@@ -408,23 +397,25 @@ def cmd_list_presets(ns, model):
     return None, None, None
 
 
-# name -> (function, models it runs on, flags it needs); main refuses another model, or an
-# unset or empty needed flag, before any work. takahashi ignores the model: it runs on sphere2
+# name -> (function, models it runs on, flags it needs, default --tol or None if it has no
+# threshold). A command runs on its first model by default; main refuses another model, an
+# unset or empty needed flag, or a --tol it has no threshold for, before any work.
 _ALL, _FLAT = ("circle", "torus2", "sphere2"), ("circle", "torus2")
 COMMANDS = {
-    "spectra": (cmd_spectra, _ALL, ()),
-    "exact-pullback": (cmd_exact_pullback, _FLAT, ()),
-    "takahashi": (cmd_takahashi, _ALL, ()),
-    "isometry": (cmd_isometry, _ALL, ()),
-    "bergman": (cmd_bergman, _ALL, ()),
-    "tail-defect": (cmd_tail_defect, _ALL, ("f",)),
-    "hilb-approx": (cmd_hilb_approx, _ALL, ("metric",)),
-    "met-norm": (cmd_met_norm, _FLAT, ("gdot",)),
-    "szego": (cmd_szego, _FLAT, ("b",)),
-    "sphere-band": (cmd_sphere_band, ("sphere2",), ()),
-    "sphere-cumulative": (cmd_sphere_cumulative, ("sphere2",), ()),
-    "gradient-check": (cmd_gradient_check, _FLAT, ()),
-    "list-presets": (cmd_list_presets, _ALL, ()),
+    "spectra": (cmd_spectra, _ALL, (), None),
+    "exact-pullback": (cmd_exact_pullback, _FLAT, (), 1e-10),
+    "takahashi": (cmd_takahashi, ("sphere2",), (), 1e-8),
+    "isometry": (cmd_isometry, _ALL, (), 0.05),
+    "bergman": (cmd_bergman, _ALL, (), 0.10),
+    "tail-defect": (cmd_tail_defect, _ALL, ("f",), 0.20),
+    "hilb-approx": (cmd_hilb_approx, _ALL, ("metric",),
+                    lambda ns: 0.05 if ns.model == "circle" else 0.10),
+    "met-norm": (cmd_met_norm, _FLAT, ("gdot",), 0.10),
+    "szego": (cmd_szego, _FLAT, ("b",), 0.05),
+    "sphere-band": (cmd_sphere_band, ("sphere2",), (), lambda ns: 0.10 if ns.k == 0 else 0.15),
+    "sphere-cumulative": (cmd_sphere_cumulative, ("sphere2",), (), 0.7),
+    "gradient-check": (cmd_gradient_check, _FLAT, (), None),
+    "list-presets": (cmd_list_presets, _ALL, (), None),
 }
 
 
@@ -476,7 +467,7 @@ _CHOICES = {"model": _ALL, "quantization": ("left", "symmetric")}
 
 
 # Values of the flags the command line and the config file leave unset
-_DEFAULTS = {"model": "circle", "fiber": 64, "tnodes": 64, "k": 0, "check": False, "threads": 1}
+_DEFAULTS = {"fiber": 64, "tnodes": 64, "k": 0, "check": False, "threads": 1}
 
 
 def _apply_config_file(ns: argparse.Namespace) -> None:
@@ -517,9 +508,11 @@ def resolve_config(ns: argparse.Namespace):
     """Apply the config file and the defaults, parse the sweep and check the thread count.
 
     Sets ``ns.sweep`` (None when neither --n nor --mu2 is given); a flag not
-    on the command line takes the file's value, else ``_DEFAULTS``.
+    on the command line takes the file's value, else ``_DEFAULTS``, and the
+    model the command's first model.
     """
     _apply_config_file(ns)
+    ns.model = _opt(ns.model, COMMANDS[ns.command][1][0])
     for key, value in _DEFAULTS.items():
         if getattr(ns, key) is None:
             setattr(ns, key, value)
@@ -542,17 +535,20 @@ def resolve_config(ns: argparse.Namespace):
 def main(argv=None) -> int:
     try:
         ns = resolve_config(build_parser().parse_args(argv))
-        run, models, needs = COMMANDS[ns.command]
+        run, models, needs, tol = COMMANDS[ns.command]
         if ns.model not in models:
             raise UnsupportedModelError(f"{ns.command} runs on {' or '.join(models)}")
         for flag in needs:
             if not getattr(ns, flag):
                 raise InputError(f"{ns.command} needs --{flag}")
+        if tol is None and ns.tol is not None:
+            raise InputError(f"{ns.command} has no threshold for --tol to set")
+        ns.tol = _opt(ns.tol, tol(ns) if callable(tol) else tol)
         header, rows, check = run(ns, model_by_name(ns.model))
         if header is not None:
             write_csv(header, rows, ns.out)
         if ns.check and check is not None:
-            ok, detail = check
+            ok, _, detail = check
             stream = sys.stderr if ns.out is None else sys.stdout
             stream.write(f"check {'PASS' if ok else 'FAIL'}: {detail}\n")
             if not ok:

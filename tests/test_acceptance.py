@@ -4,8 +4,9 @@ The acceptance criteria are the ``--check`` runs of
 ``scripts/run_acceptance_experiments.sh``.  ``test_script_line`` runs each
 ``run`` line of the script in-process through ``cli.main``, with ``$OUTDIR``
 set to a temporary directory, so the thresholds are the CLI's own defaults;
-it prints the command's check line and compares the fresh table with the
-reference copy in ``out/``.  C4-C11 name the script lines that check them.
+it parses the command's check line as the benchmark does
+(``perfbench/margins.py``) and compares the fresh table with the reference
+copy in ``out/``.  C4-C11 name the script lines that check them.
 C1-C3 and C12 carry their own closed forms, an independent lattice
 enumeration, time bounds and a determinism run in child processes.
 
@@ -15,6 +16,7 @@ Regenerate the reference tables after a deliberate change of values with
 ``OPENBLAS_NUM_THREADS=1 OUTDIR=out sh scripts/run_acceptance_experiments.sh``.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -29,7 +31,7 @@ import pytest
 
 from bergman_lab import sphereband
 from bergman_lab.bergman import dd_kernel
-from bergman_lab.cli import main
+from bergman_lab.cli import COMMANDS, build_parser, main, resolve_config
 from bergman_lab.manifolds import basis_for, circle, quadrature_grid, torus2
 
 CIRCLE, TORUS = circle(), torus2()
@@ -62,11 +64,31 @@ def assert_matches_reference(fresh: Path, reference: Path) -> None:
                 assert abs(float(a) - float(b)) <= 1e-9 * abs(float(b)) + 1e-12, (col, a, b)
 
 
+def load_margins(monkeypatch):
+    """``perfbench/margins.py``, the benchmark's parser of check lines."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("perfbench_margins",
+                                                  ROOT / "perfbench" / "margins.py")
+    margins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(margins)
+    return margins
+
+
 @pytest.mark.parametrize("stem", list(SCRIPT))
-def test_script_line(stem, tmp_path, monkeypatch):
+def test_script_line(stem, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OUTDIR", str(tmp_path))
     argv = [os.path.expandvars(a) for a in SCRIPT[stem]]
-    assert main(argv) == 0  # main prints the check line; a failed check exits 2
+    assert main(argv) == 0  # a failed check exits 2
+    out = capsys.readouterr().out
+    print(out, end="")
+    check = load_margins(monkeypatch).parse_check(out, argv)
+    assert (check is None) == ("--check" not in argv), out
+    if check is not None:
+        assert check["ok"], check
+        tol = COMMANDS[argv[0]][3]
+        if tol is not None:  # gradient-check prints its fixed band
+            ns = resolve_config(build_parser().parse_args(argv))
+            assert check["threshold"] == (tol(ns) if callable(tol) else tol), check
     assert_matches_reference(tmp_path / f"{stem}.csv", ROOT / "out" / f"{stem}.csv")
 
 

@@ -550,11 +550,64 @@ class TestMainInProcess:
         (["gradient-check", "--model", "sphere2"], "circle or torus2"),
         (["sphere-band", "--model", "circle", "--n", "5"], "sphere2"),
         (["sphere-cumulative", "--model", "torus2", "--mu2", "4,9"], "sphere2"),
+        (["takahashi", "--model", "torus2", "--mu2", "1,2"], "sphere2"),
     ], ids=["exact-pullback", "met-norm", "szego", "gradient-check", "sphere-band",
-            "sphere-cumulative"])
+            "sphere-cumulative", "takahashi"])
     def test_command_outside_its_models_is_input_error(self, argv, models, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {argv[0]} runs on {models}\n"
+
+    def test_command_without_model_runs_on_its_first_model(self, capsys):
+        # the sphere commands default to sphere2, not to the circle
+        assert main(["sphere-cumulative", "--n", "2,4", "--grid", "4"]) == 0
+        assert capsys.readouterr().out.startswith("n,rel_err\n")
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_tol_without_threshold_is_input_error(self, via_config, tmp_path, capsys):
+        # gradient-check checks a fixed band, so a --tol would be ignored
+        argv = ["gradient-check", "--model", "torus2", "--check"]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("tol = 0.5\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--tol", "0.5"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gradient-check ") and "--tol" in err, err
+
+    @pytest.mark.parametrize("argv", [
+        ["exact-pullback", "--model", "circle", "--n", "2,4"],
+        ["takahashi", "--n", "1,2"],
+        ["isometry", "--model", "circle", "--n", "4,8,16", "--grid", "32"],
+        ["bergman", "--model", "circle", "--f", "exp:cos(theta)", "--n", "8,12,16",
+         "--grid", "32"],
+        ["tail-defect", "--model", "circle", "--f", "exp:cos(theta)", "--n", "2,4,8",
+         "--grid", "32"],
+        ["hilb-approx", "--model", "circle", "--metric", "conformal:u=cos(theta)",
+         "--n", "8,12,16", "--grid", "32"],
+        ["met-norm", "--model", "circle", "--gdot", "cos-theta", "--n", "4,8,16"],
+        ["szego", "--model", "circle", "--b", "exp-cos-theta", "--n", "16"],
+        ["sphere-band", "--model", "sphere2", "--a", "x3", "--k", "1", "--n", "4",
+         "--grid", "6", "--fiber", "8"],
+        ["sphere-cumulative", "--model", "sphere2", "--n", "2,4", "--grid", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_threshold_edge(self, argv, monkeypatch):
+        # the value a check returns is what its verdict compares with --tol
+        run, *scope = COMMANDS[argv[0]]
+        checks = []
+
+        def spy(ns, model):
+            result = run(ns, model)
+            checks.append(result[2])
+            return result
+
+        monkeypatch.setitem(COMMANDS, argv[0], (spy, *scope))
+        assert main(argv) == 0
+        _, value, _ = checks[0]
+        assert value > 0
+        assert main([*argv, "--check", "--tol", repr(value * (1 + 1e-6))]) == 0
+        assert main([*argv, "--check", "--tol", repr(value * (1 - 1e-6))]) == 2
 
     def test_model_is_refused_before_any_work(self, monkeypatch, capsys):
         # met-norm on the sphere stops before its cosphere closed form and R
@@ -637,7 +690,7 @@ def runs(draw):
     The others change one of these to a bad value.
     """
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    _, models, _ = COMMANDS[command]
+    models = COMMANDS[command][1]
     model = draw(st.sampled_from(sorted(models)))
     options = {"--model": model}
     sweep = sorted(draw(st.lists(st.integers(1, 9), min_size=3, max_size=3, unique=True)))
