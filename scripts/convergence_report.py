@@ -17,8 +17,12 @@ Usage: python scripts/convergence_report.py [--quick]
 import argparse
 import contextlib
 import sys
+from pathlib import Path
 
-from bergman_lab.cli import main
+# this checkout's src/ first, never an installed copy (as the acceptance script does)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bergman_lab.cli import main  # noqa: E402
 
 # (argv up to the sweep flag, full sweep, quick sweep)
 RUNS = [

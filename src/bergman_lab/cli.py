@@ -210,9 +210,9 @@ def cmd_bergman(ns, model):
     source = _bergman_source(ns, model)
     if model.dim == 2 and ns.fiber < 16:
         raise InputError("fiber resolution must be at least 16")
+    top = _top_window(ns, model)
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     law = symbol_law_predict(source, model, pts, ns.fiber)
-    top = _top_window(ns, model)
     grads, mat = eval_basis(top, pts)[1], assemble(source, top)
     rows = map_sweep(ns, lambda c: (c, *symbol_law_check(mat, basis_for(model, c), law, grads)))
     errs = [r[2] for r in rows]
@@ -262,8 +262,9 @@ def _cosphere(ns, model):
 def cmd_met_norm(ns, model):
     g = metric_field(_opt(ns.metric, "g0"), model)
     gdot = perturbation_field(ns.gdot, model)
+    top = _top_window(ns, model)
     closed = metspace.induced_norm_closed(g, gdot, _cosphere(ns, model))
-    r, rdot = metspace.trace_operators(g, gdot, _top_window(ns, model))
+    r, rdot = metspace.trace_operators(g, gdot, top)
 
     def one(c):
         tr = metspace.induced_norm_trace(r, rdot, basis_for(model, c))
@@ -311,6 +312,8 @@ def _sphere_field(ns, model):
 
 def cmd_sphere_band(ns, model):
     a = _sphere_field(ns, model)
+    if sweep_values(ns)[0] + ns.k < 1:  # band_dd refuses it too, after the flow integral
+        raise InputError("band degrees must be at least 1")
     pts, _ = quadrature_grid(model, _opt(ns.grid, 10))
     # the flow integral does not depend on the degree: one per command
     integral = sphereband.flow_integral(a, ns.k, pts, ns.fiber, ns.tnodes)
@@ -325,9 +328,9 @@ def cmd_sphere_band(ns, model):
 
 def cmd_sphere_cumulative(ns, model):
     a = _sphere_field(ns, model)
+    top = _top_window(ns, model)
     pts, _ = quadrature_grid(model, _opt(ns.grid, 10))
     law = symbol_law_predict(a, model, pts, ns.fiber)
-    top = _top_window(ns, model)
     grads, mat = eval_basis(top, pts)[1], assemble(a, top)
     rows = map_sweep(ns, lambda n: (n, sphereband.cumulative_band_sum(
         a, mat, basis_for(model, n), law, grads)))
@@ -378,8 +381,10 @@ def cmd_gradient_check(ns, model):
     exact = sym.values(pts, xi)
     rows = []
     for eps in (1e-3, 1e-4):
-        gp = MetricField("p", model, lambda p, e=eps: g.matrix_fn(p) + e * gdot.matrix_fn(p))
-        gm = MetricField("m", model, lambda p, e=eps: g.matrix_fn(p) - e * gdot.matrix_fn(p))
+        gp = MetricField(f"{g.name}+{eps:g}*{gdot.name}", model,
+                         lambda p, e=eps: g.matrix_fn(p) + e * gdot.matrix_fn(p))
+        gm = MetricField(f"{g.name}-{eps:g}*{gdot.name}", model,
+                         lambda p, e=eps: g.matrix_fn(p) - e * gdot.matrix_fn(p))
         fd = (hilb.hilb_symbol(gp).values(pts, xi)
               - hilb.hilb_symbol(gm).values(pts, xi)) / (2 * eps)
         rows.append((eps, float(np.abs(fd - exact).max())))
@@ -476,32 +481,37 @@ def _apply_config_file(ns: argparse.Namespace) -> None:
         return
     if not os.path.exists(ns.config):
         raise InputError(f"config file {ns.config!r} not found")
+    try:
+        with open(ns.config, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 ({exc.reason})"
+        raise InputError(f"cannot read config file {ns.config!r}: {reason}") from None
     seen = set()
-    with open(ns.config) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{ns.config}:{line_no}: expected key = value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key == "command" or not hasattr(ns, key):
-                raise InputError(f"{ns.config}:{line_no}: unknown key {key!r}")
-            if key in seen:
-                raise InputError(f"{ns.config}:{line_no}: repeated key {key!r}")
-            seen.add(key)
-            if getattr(ns, key) is not None:
-                continue  # a flag given on the command line wins
-            try:
-                parsed = _CONFIG_TYPES.get(key, str)(value)
-                if key in _CHOICES and parsed not in _CHOICES[key]:
-                    raise ValueError(value)
-            except ValueError:
-                raise InputError(
-                    f"{ns.config}:{line_no}: bad value {value!r} for {key!r}"
-                ) from None
-            setattr(ns, key, parsed)
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{ns.config}:{line_no}: expected key = value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key == "command" or not hasattr(ns, key):
+            raise InputError(f"{ns.config}:{line_no}: unknown key {key!r}")
+        if key in seen:
+            raise InputError(f"{ns.config}:{line_no}: repeated key {key!r}")
+        seen.add(key)
+        if getattr(ns, key) is not None:
+            continue  # a flag given on the command line wins
+        try:
+            parsed = _CONFIG_TYPES.get(key, str)(value)
+            if key in _CHOICES and parsed not in _CHOICES[key]:
+                raise ValueError(value)
+        except ValueError:
+            raise InputError(
+                f"{ns.config}:{line_no}: bad value {value!r} for {key!r}"
+            ) from None
+        setattr(ns, key, parsed)
 
 
 def resolve_config(ns: argparse.Namespace):

@@ -142,6 +142,12 @@ def basis_for(model: ManifoldModel, cutoff) -> EigenBasis:
     """
     if cutoff < 0:
         raise InputError("cutoff must be non-negative")
+    # every array below holds at most 16 bytes per point of the lattice box: a
+    # box numpy cannot size is an input error, one memory cannot hold a MemoryError
+    n = int(cutoff)
+    box = {CIRCLE: 2 * n + 1, TORUS2: (2 * math.isqrt(n) + 1) ** 2, SPHERE2: (n + 1) ** 2}
+    if 16 * box.get(model.kind, 0) > np.iinfo(np.intp).max:
+        raise InputError(f"cutoff {cutoff} is too large for the lattice")
     if model.kind in (CIRCLE, TORUS2):
         # the constant, then a cos and a sin slot per half-lattice point
         ks = np.repeat(_half_lattice(model, cutoff), 2, axis=0)

@@ -9,12 +9,12 @@ difference of four gathered coefficients.  For a Hermitian table row (a real
 field, or a real symbol even in xi) the blocks are Toeplitz-plus-Hankel sums
 of two real tables, the real and imaginary parts of the row, read by one
 gather, a strip of row pairs at a time (``_pair_strips``): multiplication
-reads one row for every pair, and ``tail_defect`` reads the strips of the
-leading rows without forming the matrix; Kohn-Nirenberg reads the row of
-each column's +-direction pair; both read rows from real FFTs by
-``_half_plane``.
+reads one row for every pair, Kohn-Nirenberg the row of each column's
++-direction pair; both read rows from real FFTs by ``_half_plane``.
 On the sphere multiplication is the Gauss-Legendre x trapezoid quadrature
-sum, separated into a phi DFT and Legendre-weighted products.
+sum, separated into a phi DFT and Legendre-weighted products.  Every
+producer yields (rows, strip): matrix row indices, and those rows over every
+column; ``_collect`` builds each matrix from them.
 """
 
 from __future__ import annotations
@@ -151,14 +151,22 @@ def default_assembly_res(model: ManifoldModel, basis: EigenBasis) -> int:
 def assemble_multiplication(f: ScalarField, basis: EigenBasis) -> np.ndarray:
     """The matrix of <f phi_j, phi_k>, symmetric.
 
-    Circle and torus: the pair strips of the table of ``_flat_table``,
-    collected into the matrix by ``_pair_gather``.  Sphere: the symmetrized
-    product-quadrature sum of ``sphere_block``.
+    Circle and torus: the ``_pair_strips`` of the ``_flat_table``, collected by
+    ``_collect``.  Sphere: the symmetrized quadrature sum of ``sphere_block``.
     """
     if basis.model.kind == "sphere2":
         return _symmetrize(sphere_block(f, basis, slice(None), slice(None)))
     table, box = _flat_table(f, basis)
-    return _pair_gather(table, basis, box)
+    return _collect(_pair_strips(table, basis, box, basis.dim), (basis.dim, basis.dim))
+
+
+def _collect(strips, shape: tuple[int, int]) -> np.ndarray:
+    """The matrix of ``shape`` whose rows the (rows, strip) pairs give, each written by index."""
+    out = np.empty(shape)
+    for rows, strip in strips:
+        out[rows] = strip
+        del strip  # a sphere strip is not held while the next one is formed
+    return out
 
 
 def _flat_table(f: ScalarField, basis: EigenBasis):
@@ -194,25 +202,6 @@ def _flat_table(f: ScalarField, basis: EigenBasis):
         m *= 2
 
 
-def _multiplication_strips(f: ScalarField, basis: EigenBasis, rows: int):
-    """The leading ``rows`` rows of ``assemble_multiplication(f, basis)`` as (r, strip) pairs.
-
-    ``strip`` holds rows r, r + 1, ... of the matrix, every column; the
-    strips follow one another from row 0.  On the circle and the torus each
-    is one strip of ``_pair_strips``, a view of a buffer that the next strip
-    reuses, and no matrix is formed; on the sphere the one strip is the
-    leading rows of the assembled matrix.
-    """
-    if basis.model.kind == "sphere2":
-        yield 0, assemble_multiplication(f, basis)[:rows]
-        return
-    table, box = _flat_table(f, basis)
-    for a, block in _pair_strips(table, basis, box, rows // 2 + 1):
-        first = 2 * a[0] - 1  # the matrix row of the block's first row: -1 is the dropped one
-        strip = block.reshape(2 * len(a), -1)[max(-first, 0): rows - first, 1:]
-        yield max(first, 0), strip
-
-
 def sphere_block(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice) -> np.ndarray:
     """Block [rows, cols] of the quadrature sum sum_q w_q f_q Y_j(q) Y_k(q), separated.
 
@@ -220,24 +209,31 @@ def sphere_block(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice) ->
     - k pi/2) (k = 1 for sin, s_0 = 1/sqrt(2)), so the phi sum of w f Y Y' is
     s_a s_b Re((-i)^(k-k') F[a-b] + (-i)^(k+k') F[a+b]) Pbar Pbar', F the phi
     DFT of w f on each latitude, indexed mod the phi node count as the
-    trapezoid aliases; the theta sum is one GEMM per row trig index.  A Gram
-    residual of the top 32 slots (the same sum with f = 1) flags a coarse grid.
+    trapezoid aliases; the theta sum is one GEMM per row trig index, and
+    ``_collect`` writes each to its rows.  A Gram residual of the top 32 slots
+    (the same sum with f = 1) flags a coarse grid.
     """
     res = default_assembly_res(basis.model, basis)
     pts, w = quadrature_grid(basis.model, res)
     plm, _ = normalized_legendre(int(basis.cutoff), pts[:: 2 * res, 0])
-    top = slice(max(basis.dim - 32, 0), basis.dim)
-    gram = _separated_sum(w.reshape(res, -1), plm, basis, top, slice(None))
+    top, slots = slice(max(basis.dim - 32, 0), basis.dim), range(basis.dim)
+    gram = _collect(_separated_sum(w.reshape(res, -1), plm, basis, top, slice(None)),
+                    (len(slots[top]), basis.dim))
     resid = np.abs(gram - np.eye(gram.shape[0], basis.dim, top.start)).max()
     if resid > GRAM_RESIDUAL_TOL:
         raise ResolutionError(
             f"assembly grid too coarse: Gram residual {resid:.2e} > {GRAM_RESIDUAL_TOL:.0e}"
         )
-    return _separated_sum((w * f.values(pts)).reshape(res, -1), plm, basis, rows, cols)
+    return _collect(_separated_sum((w * f.values(pts)).reshape(res, -1), plm, basis, rows, cols),
+                    (len(slots[rows]), len(slots[cols])))
 
 
-def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, cols) -> np.ndarray:
-    """sum over the (theta, phi) grid of fw Y_j Y_k, j in rows, k in cols (see ``sphere_block``)."""
+def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, cols):
+    """The sum over the (theta, phi) grid of fw Y_j Y_k, j in rows, k in cols, by strips.
+
+    Yields, per row trig index (see ``sphere_block``), the positions in
+    ``rows`` of its rows and their rows of the sum: one whole GEMM each.
+    """
     lmax, nphi = plm.shape[0] - 1, fw.shape[1]
     fhat = np.fft.fft(fw, axis=1)  # F = conj(fhat): F[i, n] = sum_phi fw e^{i n phi}
     # Re((-i)^j F) for j = 0..3 is C, S, -C, -S (F = C + iS): column j nphi + n
@@ -247,7 +243,6 @@ def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, col
     l, m = basis.freqs[rows, 0], basis.freqs[rows, 1]
     lc, mc = basis.freqs[cols, 0], basis.freqs[cols, 1]
     right = plm[lc, np.abs(mc)].T  # (n_theta, n_cols)
-    out = np.empty((len(l), len(lc)))
     for t in np.unique(m):  # one GEMM per row trig index, over every column
         r = t + lmax
         # the trig products of row index t with every column index, (n_theta, 2 lmax + 1)
@@ -255,8 +250,7 @@ def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, col
         i2 = (k[r] + k) % 4 * nphi + (a[r] + a) % nphi
         slab = s[r] * s * (tab[:, i1] + tab[:, i2])
         sel = np.flatnonzero(m == t)
-        out[sel] = plm[l[sel], abs(t)] @ (slab[:, mc + lmax] * right)
-    return out
+        yield sel, plm[l[sel], abs(t)] @ (slab[:, mc + lmax] * right)
 
 
 def _fft_grid(basis: EigenBasis) -> tuple[int, int]:
@@ -286,8 +280,8 @@ def _torus_complex_freqs(basis: EigenBasis) -> np.ndarray:
 
 
 def _pair_strips(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-                 basis: EigenBasis, box: int, pairs: int, table_rows: Optional[np.ndarray] = None):
-    """The real-basis pair blocks of E and O of the leading ``pairs`` row pairs, by strips.
+                 basis: EigenBasis, box: int, rows: int, table_rows: Optional[np.ndarray] = None):
+    """The leading ``rows`` rows of the real-basis matrix of E and O, by strips.
 
     ``table(lo, hi)`` returns rows lo..hi-1 of E (even in nu) and O (odd in
     nu), each row on a half plane (``_half_plane``): entry o is the flat
@@ -298,19 +292,22 @@ def _pair_strips(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     E(delta) + E(sigma), O(delta) - O(sigma), -(O(delta) + O(sigma)) and
     E(delta) - E(sigma) (the constant is the cos slot of k = 0 over
     sqrt(2)); each of the four is gathered once.  For one row c = E + iO,
-    the coefficients of f, this is multiplication, exactly symmetric; with the
-    row of column a's direction, Hermitian rows give G-- = conj(G++) and
-    G-+ = conj(G+-), so it is the transposed left Kohn-Nirenberg matrix.
+    the coefficients of f, this is multiplication, and the strips are rows of
+    an exactly symmetric matrix, in basis order; with the row of pair a's
+    direction, Hermitian rows give G-- = conj(G++) and G-+ = conj(G+-), so
+    they are rows of the transposed left Kohn-Nirenberg matrix, out of order.
 
-    Yields (a, block) for each strip of _STRIP row pairs a, visited in the
+    Yields (rows, strip) for each strip of _STRIP row pairs, visited in the
     stable order of their table row, so each strip asks ``table`` for one
     contiguous range of rows, and every index array and buffer covers one
-    strip.  ``block`` is (len(a), 2, 2 len(k)): pair a's cos row, then its
-    sin row, each with index 2j cos and 2j + 1 sin of pair j.  The sin slot
-    of k = 0 is a copy of the constant and the constant's row and column are
-    scaled by sqrt(1/2), so the matrix is the pair layout without index 0.
-    Every block is a view of one buffer that the next strip reuses.
+    strip.  Pairs are gathered in the pair layout (cos row, sin row; column
+    2j cos and 2j + 1 sin of pair j), whose sin slot of k = 0 is a copy of
+    the constant, scaled with its row and column by sqrt(1/2): the matrix is
+    that layout without index 0, so pair a is rows 2a - 1 and 2a.  Each strip
+    is a view of one buffer that the next strip reuses, split where a row is
+    dropped (the constant's cos slot; row ``rows`` of an even count).
     """
+    pairs = rows // 2 + 1
     strides = (2 * box + 1) ** np.arange(basis.model.dim - 1, -1, -1)
     width = ((2 * box + 1) ** basis.model.dim + 1) // 2  # entries per table row
     # flat offset of k per pair: every k_b, and so every sigma, is >= 0
@@ -354,18 +351,11 @@ def _pair_strips(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
         block[:, :, 1] = block[:, :, 0]
         block[const, 1] *= math.sqrt(0.5)
         block[:, :, 1] *= math.sqrt(0.5)
-        yield a, block
-
-
-def _pair_gather(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-                 basis: EigenBasis, box: int,
-                 table_rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """The real-basis matrix of ``_pair_strips``: each strip is written to its rows by index."""
-    pairs = basis.dim // 2 + 1
-    out = np.empty((pairs, 2, 2 * pairs))
-    for a, block in _pair_strips(table, basis, box, pairs, table_rows):
-        out[a] = block
-    return out.reshape(2 * pairs, 2 * pairs)[1:, 1:]
+        at = (2 * a[:, None] + (-1, 0)).ravel()  # the matrix row of each pair-layout row
+        cut = np.flatnonzero((at < 0) | (at >= rows))
+        for i, j in zip(np.append(0, cut + 1), np.append(cut, len(at))):
+            if i < j:
+                yield at[i:j], block.reshape(len(at), -1)[i:j, 1:]
 
 
 def _check_real(entries: np.ndarray, mismatch: float) -> None:
@@ -431,8 +421,9 @@ def assemble_kohn_nirenberg(symbol: SymbolField, basis: EigenBasis) -> np.ndarra
     odd = 0.5 * (samples[:half].imag + samples[half:].imag)
     del samples
     # each strip of the gather forms only its own range of direction rows
-    out = _pair_gather(lambda lo, hi: (weights.T[lo:hi] @ even, weights.T[lo:hi] @ odd),
-                       basis, box, table_rows=np.append(len(dirs), pair_dir.ravel()))
+    out = _collect(_pair_strips(lambda lo, hi: (weights.T[lo:hi] @ even, weights.T[lo:hi] @ odd),
+                                basis, box, basis.dim, np.append(len(dirs), pair_dir.ravel())),
+                   (basis.dim, basis.dim))
     _check_real(out, mismatch)
     return _symmetrize(out)
 
@@ -621,16 +612,16 @@ def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -
     For each (inner, outer) pair in ``windows`` the block [:d_in, d_in:d_out]
     of the multiplication matrix couples the inner window to the rest of the
     outer one, and the defect is mu_N^{-(n+2)} times the sup over ``points``
-    of the g0 operator norm of its mixed-derivative field.  No matrix is
-    formed: one pass over the strips (``_multiplication_strips``) of the
-    largest inner window's rows over the largest outer window, ``top``, fills
-    every window's product ``block @ grads[d_in:d_out]`` a strip of rows at a
-    time (the bits of one GEMM) and the largest |entry| of its block and of
-    the rows given of its square [:d_out, :d_out].  A block that is round-off
-    next to that square (a constant field) is an input error; for the fields
-    of the acceptance runs those rows hold the whole square's largest entry.
-    ``grads`` may give the gradients at ``points`` of a window led by
-    ``top``, as in ``dd_kernel``.
+    of the g0 operator norm of its mixed-derivative field.  One pass over
+    the strips of the largest inner window's rows over the largest outer
+    window, ``top``, fills every window's product ``block @ grads[d_in:d_out]``
+    a strip of rows at a time (the bits of one GEMM) and the largest |entry|
+    of its block and of the rows given of its square [:d_out, :d_out].  On the
+    circle and the torus the strips are those of ``_pair_strips`` and no
+    matrix is formed.  A block that is round-off next to that square (a
+    constant field) is an input error; for the fields of the acceptance runs
+    those rows hold the whole square's largest entry.  ``grads`` may give the
+    gradients at ``points`` of a window led by ``top``, as in ``dd_kernel``.
     """
     for inner, outer in windows:
         if outer.cutoff < 2 * inner.cutoff:
@@ -643,7 +634,15 @@ def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -
     flat = grads.reshape(len(grads), -1)
     products = [np.empty((inner.dim, flat.shape[1])) for inner, _ in windows]
     maxima = np.zeros((len(windows), 2))  # largest |entry| of each block and square
-    for r, strip in _multiplication_strips(f, top, rows):
+    if top.model.kind == "sphere2":
+        # a symmetrized row needs a column of the sum too, and no row or column
+        # sub-block of the sphere GEMMs has the whole product's bits
+        strips = [(np.arange(rows), assemble_multiplication(f, top)[:rows])]
+    else:
+        table, box = _flat_table(f, top)
+        strips = _pair_strips(table, top, box, rows)
+    for index, strip in strips:
+        r = index[0]  # the strips hold rows r, r + 1, ..., in basis order
         for (inner, outer), t, big in zip(windows, products, maxima):
             d_in, d_out = inner.dim, outer.dim
             block = strip[:max(d_in - r, 0), d_in:d_out]

@@ -179,6 +179,15 @@ class TestMainInProcess:
             capsys.readouterr()
             assert main(["spectra", "--config", str(cfg)]) == 1
             assert capsys.readouterr().err.startswith("error:")
+        # a config path that cannot be read: a directory, or a byte that is not UTF-8
+        cfg.write_bytes(b"grid = 8  # \xe9\n")
+        for path in (tmp_path, cfg):
+            capsys.readouterr()
+            assert main(["isometry", "--model", "circle", "--n", "4,8,16",
+                         "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read config file {str(path)!r}: "), err
+            assert len(err.splitlines()) == 1, err
 
     @pytest.mark.parametrize("argv, line", [
         (["hilb-approx", "--model", "circle", "--metric", "conformal:u=cos(theta)",
@@ -270,6 +279,11 @@ class TestMainInProcess:
         ["sphere-band", "--model", "sphere2", "--n", "5", "--fiber", "1"],
         ["sphere-cumulative", "--model", "sphere2", "--n", "3", "--fiber", "0"],
         ["sphere-cumulative", "--model", "sphere2", "--n", "3", "--fiber", "1"],
+        # a cutoff whose lattice arrays numpy cannot size
+        ["spectra", "--model", "circle", "--n", "9223372036854775807"],
+        ["takahashi", "--n", "99999999999999999999"],
+        ["spectra", "--model", "sphere2", "--n", "99999999999999999999"],
+        ["isometry", "--model", "torus2", "--mu2", "4,9," + "9" * 38],
     ])
     def test_bad_sweep_grid_or_fiber_is_input_error(self, argv, capsys):
         assert main(argv) == 1
@@ -457,14 +471,14 @@ class TestMainInProcess:
         from bergman_lab.manifolds import basis_for
 
         calls, strips = [], operators._pair_strips
-        monkeypatch.setattr(operators, "_pair_strips", lambda table, basis, box, pairs, *a: (
-            calls.append((basis.dim, pairs)) or strips(table, basis, box, pairs, *a)))
+        monkeypatch.setattr(operators, "_pair_strips", lambda table, basis, box, rows, *a: (
+            calls.append((basis.dim, rows)) or strips(table, basis, box, rows, *a)))
         for name in ("assemble_kohn_nirenberg", "assemble_multiplication"):
             monkeypatch.setattr(operators, name, lambda *a, _name=name: calls.append(_name))
         assert main(["tail-defect", "--model", "torus2", "--f", "exp:0.3cos(x1)",
                      "--mu2", "9,25,49", "--threads", "2"]) == 0, capsys.readouterr().err
         assert len(capsys.readouterr().out.splitlines()) == 4
-        assert calls == [(basis_for(TORUS, 98).dim, basis_for(TORUS, 49).dim // 2 + 1)]
+        assert calls == [(basis_for(TORUS, 98).dim, basis_for(TORUS, 49).dim)]
 
     @pytest.mark.parametrize("argv, symbol", [
         # odd in the fiber: b(x, -xi) != b(x, xi)
@@ -621,6 +635,32 @@ class TestMainInProcess:
         assert capsys.readouterr().err == "error: met-norm runs on circle or torus2\n"
         assert calls == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sphere-band", "--grid", "40", "--fiber", "256", "--tnodes", "256"], "no sweep"),
+        (["sphere-band", "--k", "-50", "--n", "3", "--grid", "40", "--fiber", "256",
+          "--tnodes", "256"], "band degrees must be at least 1\n"),
+        (["met-norm", "--model", "torus2", "--gdot", "cos-x1-dx1", "--grid", "256",
+          "--fiber", "512"], "no sweep"),
+        (["bergman", "--model", "torus2", "--symbol", "xi1sq", "--grid", "64",
+          "--fiber", "4096"], "no sweep"),
+        (["sphere-cumulative", "--grid", "40", "--fiber", "256"], "no sweep"),
+    ], ids=["band-no-sweep", "band-degree", "met-norm", "bergman", "cumulative"])
+    def test_sweep_is_refused_before_any_quadrature(self, argv, message, monkeypatch, capsys):
+        # each of these ran its flow integral or cosphere quadrature for
+        # seconds before the error line
+        from bergman_lab import cli, sphereband
+
+        calls = []
+        monkeypatch.setattr(sphereband, "flow_integral", lambda *a: calls.append("flow"))
+        monkeypatch.setattr(cli, "cosphere_quadrature", lambda *a: calls.append("cosphere"))
+        monkeypatch.setattr(cli, "symbol_law_predict", lambda *a: calls.append("law"))
+        assert main(argv) == 1
+        if message == "no sweep":
+            message = ("no sweep given: use --n for circle/sphere levels "
+                       "or --mu2 for torus cutoffs\n")
+        assert capsys.readouterr().err == f"error: {message}"
+        assert calls == []
+
     @pytest.mark.parametrize("argv, flag", [
         (["tail-defect", "--model", "circle", "--n", "1,2"], "--f"),
         (["hilb-approx", "--model", "torus2", "--mu2", "4,9"], "--metric"),
@@ -642,6 +682,13 @@ class TestMainInProcess:
     def test_gradient_check_command(self, capsys):
         assert main(["gradient-check", "--model", "torus2", "--check"]) == 0
         assert main(["gradient-check", "--model", "circle", "--check"]) == 0
+
+    def test_gradient_check_names_its_perturbed_metrics(self, capsys):
+        # g + eps gdot is named from the metric, eps and the perturbation
+        assert main(["gradient-check", "--model", "circle",
+                     "--metric", "conformal:u=400cos(theta)"]) == 1
+        assert capsys.readouterr().err == ("error: metric 'conformal:u=400cos(theta)+0.001*cos-theta'"
+                                           " not positive at a queried point\n")
 
 
 # zero, constant and overflowing fields, and fields the FFT grid doubles for
@@ -816,6 +863,15 @@ def test_traced_worker_run(tmp_path):
     assert r.returncode == 0, r.stderr
     names = {span[2] for span in json.loads(result.read_text())["spans"]}
     assert {"operators.assemble_kohn_nirenberg", "manifolds.basis_for"} <= names, names
+
+
+def test_convergence_report_runs_uninstalled(tmp_path):
+    """``python scripts/convergence_report.py`` imports this checkout's src/ with no PYTHONPATH."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "convergence_report.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, "-B", str(script), "--help"], env=env, cwd=tmp_path,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
 
 
 def test_convergence_report_quick_passes(monkeypatch, capsys):

@@ -187,7 +187,8 @@ class TestSeparatedSum:
         plm, _ = normalized_legendre(cutoff, pts[:: 2 * res, 0])
         fw = (w * scalar_field(name, SPHERE).values(pts)).reshape(res, -1)
         for rows in (slice(None), slice(max(basis.dim - 32, 0), basis.dim)):
-            got = operators._separated_sum(fw, plm, basis, rows, slice(None))
+            got = operators._collect(operators._separated_sum(fw, plm, basis, rows, slice(None)),
+                                     (len(basis.freqs[rows]), basis.dim))
             assert np.array_equal(got, complex_separated_sum(fw, plm, basis, rows, slice(None)))
 
 
@@ -424,7 +425,7 @@ def unfold(half):
 
 
 def whole_table(table, table_rows=None):
-    """Every row of the E and O tables that ``_pair_gather`` reads a strip at a time."""
+    """Every row of the E and O tables that ``_pair_strips`` reads a strip at a time."""
     return table(0, 1 if table_rows is None else int(table_rows.max()) + 1)
 
 
@@ -435,20 +436,20 @@ def complex_path(source, basis, rule, monkeypatch):
     ``rule`` is the oracle's quantization: "left" projects the left matrix and
     symmetrizes, "symmetric" projects its Hermitian part, (left + right)/2.
 
-    The table is E + iO as ``_pair_gather`` reads it, unfolded from its half
+    The table is E + iO as ``_pair_strips`` reads it, unfolded from its half
     plane (E even, O odd), and each complex slot reads the table row of its
     pair (the +k and -k slots of a pair share one).
     """
     seen = []
-    pair_gather = operators._pair_gather
+    pair_strips = operators._pair_strips
 
-    def spy(table, basis, box, table_rows=None):
+    def spy(table, basis, box, rows, table_rows=None):
         even, odd = whole_table(table, table_rows)
         pairs = np.zeros(basis.dim // 2 + 1, int) if table_rows is None else table_rows
         seen.append((unfold(even + 1j * odd), np.append(pairs[0], np.repeat(pairs[1:], 2)), box))
-        return pair_gather(table, basis, box, table_rows)
+        return pair_strips(table, basis, box, rows, table_rows)
 
-    monkeypatch.setattr(operators, "_pair_gather", spy)
+    monkeypatch.setattr(operators, "_pair_strips", spy)
     got = operators.assemble(source, basis)
     if seen:
         table, cols, box = seen[0]
@@ -549,14 +550,14 @@ class TestKohnNirenbergFiberFourier:
         ks = {(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in basis.freqs[1:].tolist()}
         folded = {max(k, (-k[0], -k[1])) for k in ks}
         assert pairs is None or len(folded) == pairs
-        seen, pair_gather = [], operators._pair_gather
+        seen, pair_strips = [], operators._pair_strips
 
-        def spy(table, basis, box, table_rows=None):
+        def spy(table, basis, box, rows, table_rows=None):
             even, odd = whole_table(table, table_rows)
             seen.append((even.shape, odd.shape, table_rows))
-            return pair_gather(table, basis, box, table_rows)
+            return pair_strips(table, basis, box, rows, table_rows)
 
-        monkeypatch.setattr(operators, "_pair_gather", spy)
+        monkeypatch.setattr(operators, "_pair_strips", spy)
         assemble_kohn_nirenberg(SymbolField("mix", TORUS, _mix), basis)
         [(even, odd, table_rows)] = seen
         assert even == odd and even[0] == len(folded) + 1
@@ -634,18 +635,24 @@ class TestHalfPlaneTables:
         # O(0) = 0 exactly, so the unfolded table is exactly Hermitian, and the
         # half-plane gather is bit for bit the gather of that full table
         basis = basis_for(TORUS, 100)
-        seen, pair_gather = [], operators._pair_gather
+        seen, collected = [], []
+        pair_strips, collect = operators._pair_strips, operators._collect
 
-        def spy(table, basis, box, table_rows=None):
-            out = pair_gather(table, basis, box, table_rows)
+        def strips_spy(table, basis, box, rows, table_rows=None):
             even, odd = whole_table(table, table_rows)
+            seen.append((unfold(even + 1j * odd), box, table_rows))
+            return pair_strips(table, basis, box, rows, table_rows)
+
+        def collect_spy(strips, shape):
+            out = collect(strips, shape)
             # a copy: Kohn-Nirenberg symmetrizes the returned array in place
-            seen.append((unfold(even + 1j * odd), box, table_rows, out.copy()))
+            collected.append(out.copy())
             return out
 
-        monkeypatch.setattr(operators, "_pair_gather", spy)
+        monkeypatch.setattr(operators, "_pair_strips", strips_spy)
+        monkeypatch.setattr(operators, "_collect", collect_spy)
         operators.assemble(source, basis)
-        [(table, box, table_rows, got)] = seen
+        [(table, box, table_rows)], [got] = seen, collected
         assert table.shape[-1] == (2 * box + 1) ** 2
         np.testing.assert_array_equal(table, np.conj(table[..., ::-1]))
         np.testing.assert_array_equal(got, full_pair_gather(table, basis, box, table_rows))
@@ -655,17 +662,17 @@ class TestHalfPlaneTables:
         # E(delta), E(sigma), O(delta) and O(sigma) are each gathered once,
         # through two reused buffers
         basis = basis_for(TORUS, 800)
-        pairs = basis_for(TORUS, 400).dim // 2 + 1
+        rows = basis_for(TORUS, 400).dim
         _, box = operators._fft_grid(basis)
         rng = np.random.default_rng(5)
         even, odd = rng.standard_normal((2, 1, ((2 * box + 1) ** 2 + 1) // 2))
 
         def stream():
-            return sum(len(a) for a, _ in operators._pair_strips(
-                lambda lo, hi: (even, odd), basis, box, pairs))
+            return sum(len(r) for r, _ in operators._pair_strips(
+                lambda lo, hi: (even, odd), basis, box, rows))
 
         got, peak = traced_peak(stream)
-        assert got == pairs
+        assert got == rows
         strip = operators._STRIP * (basis.dim // 2 + 1)  # entries of one strip of pairs
         # one block (a strip of cos and sin rows, 4 strip), then one strip
         # each of the index array, the two buffers and the sign mask, plus
@@ -675,12 +682,21 @@ class TestHalfPlaneTables:
 
 
 def placed_rows(table, basis, box, rows, table_rows=None):
-    """Leading ``rows`` rows of the matrix, each ``_pair_strips`` block placed by its pairs."""
-    pairs = rows // 2 + 1
-    layout = np.full((pairs, 2, 2 * (basis.dim // 2 + 1)), np.nan)
-    for a, block in operators._pair_strips(table, basis, box, pairs, table_rows):
-        layout[a] = block
-    return layout.reshape(2 * pairs, -1)[1: rows + 1, 1:]
+    """Leading ``rows`` rows of the matrix, each ``_pair_strips`` strip placed by its rows."""
+    out = np.full((rows, basis.dim), np.nan)
+    for r, strip in operators._pair_strips(table, basis, box, rows, table_rows):
+        out[r] = strip
+    return out
+
+
+def tail_strips(field, basis, rows):
+    """The (rows, strip) pairs ``tail_defect`` reads for the leading ``rows`` rows:
+    the strips of ``_pair_strips`` on the flat models, and on the sphere the
+    leading rows of the assembled matrix."""
+    if basis.model.kind == "sphere2":
+        return [(np.arange(rows), assemble_multiplication(field, basis)[:rows])]
+    table, box = operators._flat_table(field, basis)
+    return operators._pair_strips(table, basis, box, rows)
 
 
 class TestStrips:
@@ -710,7 +726,8 @@ class TestStrips:
             return even[lo:hi], odd[lo:hi]
 
         # the collected matrix, or the leading rows of the strips alone
-        got = (operators._pair_gather(table, basis, box, table_rows) if rows is None
+        got = (operators._collect(operators._pair_strips(table, basis, box, basis.dim, table_rows),
+                                  (basis.dim, basis.dim)) if rows is None
                else placed_rows(table, basis, box, rows, table_rows))
         want = full_pair_gather(unfold(even + 1j * odd), basis, box, table_rows)
         np.testing.assert_array_equal(got, want[:rows])
@@ -731,24 +748,23 @@ class TestStrips:
         table, box = operators._flat_table(field, basis)
         even, odd = table(0, 1)
         want = full_pair_gather(unfold(even + 1j * odd), basis, box)[:rows]
-        got = np.concatenate([s.copy() for _, s in
-                              operators._multiplication_strips(field, basis, rows)])
+        got = np.concatenate([s.copy() for _, s in tail_strips(field, basis, rows)])
         np.testing.assert_array_equal(got, want)
 
     def test_kohn_nirenberg_forms_each_direction_row_once(self, monkeypatch):
         # table rows in direction order: each strip forms its own range, and
         # a row is formed twice only where two strips share it
         basis = basis_for(TORUS, 400)
-        calls, pair_gather = [], operators._pair_gather
+        calls, pair_strips = [], operators._pair_strips
 
-        def spy(table, basis, box, table_rows=None):
+        def spy(table, basis, box, rows, table_rows=None):
             def counted(lo, hi):
                 calls.append((lo, hi))
                 return table(lo, hi)
             spy.directions = int(table_rows.max()) + 1
-            return pair_gather(counted, basis, box, table_rows)
+            return pair_strips(counted, basis, box, rows, table_rows)
 
-        monkeypatch.setattr(operators, "_pair_gather", spy)
+        monkeypatch.setattr(operators, "_pair_strips", spy)
         assemble_kohn_nirenberg(SymbolField("mix", TORUS, _mix), basis)
         assert len(calls) > 2 and spy.directions == 385
         assert sum(hi - lo for lo, hi in calls) <= spy.directions + len(calls) - 1
@@ -848,11 +864,14 @@ class TestMultiplicationGather:
         (SPHERE, 12, scalar_field("exp:0.5cos(phi)+0.3sin(theta)", SPHERE), 49),
     ])
     def test_leading_rows_are_the_square_rows(self, model, cutoff, field, rows):
-        # the strips that tail-defect reads follow one another from row 0;
-        # each is a view of one reused buffer, copied before the next
+        # the strips that tail-defect reads follow one another from row 0,
+        # each a run of consecutive rows; each is a view of one reused buffer,
+        # copied before the next
         basis = basis_for(model, cutoff)
         square = assemble_multiplication(field, basis)
-        strips = [(r, s.copy()) for r, s in operators._multiplication_strips(field, basis, rows)]
+        strips = [(r, s.copy()) for r, s in tail_strips(field, basis, rows)]
+        assert all(np.array_equal(r, np.arange(r[0], r[0] + len(s))) for r, s in strips)
+        strips = [(int(r[0]), s) for r, s in strips]
         starts = np.cumsum([0] + [len(s) for _, s in strips])
         assert [r for r, _ in strips] == starts[:-1].tolist() and starts[-1] == rows
         np.testing.assert_array_equal(np.concatenate([s for _, s in strips]), square[:rows])
@@ -865,16 +884,22 @@ class TestMultiplicationGather:
         # symmetric, with no symmetrization pass after it
         basis = basis_for(model, cutoff)
         want = assemble_multiplication(field, basis)
-        calls, pair_gather = [], operators._pair_gather
+        calls, collected = [], []
+        pair_strips, collect = operators._pair_strips, operators._collect
 
-        def spy(table, basis, box, table_rows=None):
-            out = pair_gather(table, basis, box, table_rows)
-            calls.append((whole_table(table, table_rows)[0].shape[0], table_rows, out))
+        def strips_spy(table, basis, box, rows, table_rows=None):
+            calls.append((whole_table(table, table_rows)[0].shape[0], table_rows))
+            return pair_strips(table, basis, box, rows, table_rows)
+
+        def collect_spy(strips, shape):
+            out = collect(strips, shape)
+            collected.append(out)
             return out
 
-        monkeypatch.setattr(operators, "_pair_gather", spy)
+        monkeypatch.setattr(operators, "_pair_strips", strips_spy)
+        monkeypatch.setattr(operators, "_collect", collect_spy)
         got = assemble_multiplication(field, basis)
-        [(table_rows, pairs, gathered)] = calls
+        [(table_rows, pairs)], [gathered] = calls, collected
         assert table_rows == 1 and pairs is None
         assert got is gathered
         np.testing.assert_array_equal(got, want)
@@ -1271,14 +1296,14 @@ class TestDiagonalOperators:
         # number of strips
         basis = basis_for(TORUS, mu2)
         assert basis.dim % operators._STRIP != 0
-        seen, pair_gather = [], operators._pair_gather
+        seen, collect = [], operators._collect
 
         def spy(*args, **kwargs):
-            out = pair_gather(*args, **kwargs)
+            out = collect(*args, **kwargs)
             seen.append(out.copy())
             return out
 
-        monkeypatch.setattr(operators, "_pair_gather", spy)
+        monkeypatch.setattr(operators, "_collect", spy)
         got = assemble_kohn_nirenberg(SymbolField("mix", TORUS, _mix), basis)
         [gathered] = seen
         np.testing.assert_array_equal(got, got.T)
