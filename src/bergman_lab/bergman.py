@@ -18,19 +18,15 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .fields import Tensor2Field
-from .manifolds import (
-    EigenBasis,
-    ManifoldModel,
-    basis_for,
-    eval_basis,
-    g0_matrices,
-    quadrature_grid,
-)
+from .manifolds import EigenBasis, ManifoldModel, basis_for, eval_basis, g0_matrices
 
 
 def _contract(a, grads_in: np.ndarray, grads_out: np.ndarray) -> np.ndarray:
-    """sum_{i,j} a_ij grads_in[i] (x) grads_out[j] at every point; (P, n, n)."""
+    """sum_{i,j} a_ij grads_in[i] (x) grads_out[j] at every point; (P, n, n).
+
+    The one pairing of two sets of gradients: the Bergman fields, the band
+    tensors, the tail defects and the Takahashi pullback all end in it.
+    """
     d_in, n, p = grads_in.shape
     d_out = grads_out.shape[0]
     if a is None:  # identity
@@ -46,25 +42,29 @@ def _contract(a, grads_in: np.ndarray, grads_out: np.ndarray) -> np.ndarray:
     return vals
 
 
-def dd_kernel(a, basis: EigenBasis, points: np.ndarray, grads=None) -> Tensor2Field:
-    """Bergman-type tensor field of the kernel with matrix ``a`` over ``basis``.
+def dd_kernel(a, basis: EigenBasis, points: np.ndarray, grads=None) -> np.ndarray:
+    """Bergman-type tensor field of the kernel with matrix ``a`` over ``basis``: (P, n, n).
 
     ``a`` is a (d, d) matrix, its 1-D diagonal, or None for the identity.  The
     result is symmetrized (exact when a is symmetric).  ``grads`` may give the
     gradients at ``points`` of a window led by ``basis``, whose leading rows
-    are its own.
+    are its own.  A field that is not finite is an input error.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    grads = (eval_basis(basis, pts)[1] if grads is None else grads)[:basis.dim]
-    vals = _contract(a, grads, grads)
-    vals = 0.5 * (vals + np.transpose(vals, (0, 2, 1)))
-    return Tensor2Field(basis.model, pts, vals)
+    if grads is None:
+        grads = eval_basis(basis, np.atleast_2d(np.asarray(points, dtype=float)))[1]
+    grads = grads[:basis.dim]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+        vals = _contract(a, grads, grads)
+        vals = 0.5 * (vals + np.transpose(vals, (0, 2, 1)))
+    if not np.isfinite(vals).all():
+        raise InputError("tensor field has non-finite values")
+    return vals
 
 
-def isotropic_coefficients(model: ManifoldModel, field: Tensor2Field) -> float:
-    """Mean over the grid of Tr(g0^{-1} T)/n: the isotropic part of the field."""
-    g0 = g0_matrices(model, field.points)  # diagonal on every model
-    ratios = np.diagonal(field.values, axis1=1, axis2=2) / np.diagonal(g0, axis1=1, axis2=2)
+def isotropic_coefficients(model: ManifoldModel, points: np.ndarray, values: np.ndarray) -> float:
+    """Mean over the grid of Tr(g0^{-1} T)/n: the isotropic part of the (P, n, n) values."""
+    g0 = g0_matrices(model, points)  # diagonal on every model
+    ratios = np.diagonal(values, axis1=1, axis2=2) / np.diagonal(g0, axis1=1, axis2=2)
     return float(ratios.sum(axis=1).mean() / model.dim)
 
 
@@ -86,9 +86,8 @@ def fit_growth(mus: np.ndarray, measured: np.ndarray, n: int) -> float:
     return float(coef[0])
 
 
-def isometry_measurement(model: ManifoldModel, cutoff, grid_res: int = 16, grads=None):
-    """(mu, isotropic coefficient of dd(I)) for one spectral window (``grads`` as in dd_kernel)."""
-    pts, _ = quadrature_grid(model, grid_res)
+def isometry_measurement(model: ManifoldModel, cutoff, points: np.ndarray, grads=None):
+    """(mu, isotropic coefficient of dd(I) at ``points``) of one window (``grads``: dd_kernel)."""
     basis = basis_for(model, cutoff)
-    fld = dd_kernel(None, basis, pts, grads)
-    return basis.mu_top, isotropic_coefficients(model, fld)
+    field = dd_kernel(None, basis, points, grads)
+    return basis.mu_top, isotropic_coefficients(model, points, field)

@@ -21,7 +21,6 @@ import numpy as np
 from . import bergman, hilb, metspace, sphereband
 from .errors import (
     ChartError,
-    GridMismatchError,
     InputError,
     NotSPDError,
     ResolutionError,
@@ -45,8 +44,7 @@ from .presets import (
     symbol_field,
 )
 
-CLIError = (InputError, UnsupportedModelError, ResolutionError, NotSPDError,
-            ChartError, GridMismatchError)
+CLIError = (InputError, UnsupportedModelError, ResolutionError, NotSPDError, ChartError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,9 +179,9 @@ def cmd_takahashi(ns, model):
 def cmd_isometry(ns, model):
     if ns.sweep and len(ns.sweep) < 3:
         raise InputError("isometry fit needs at least 3 sweep values")
-    grid = _opt(ns.grid, _default_grid(model))
-    _, grads = eval_basis(_top_window(ns, model), quadrature_grid(model, grid)[0])
-    pairs = map_sweep(ns, lambda c: bergman.isometry_measurement(model, c, grid, grads))
+    pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
+    _, grads = eval_basis(_top_window(ns, model), pts)
+    pairs = map_sweep(ns, lambda c: bergman.isometry_measurement(model, c, pts, grads))
     mus, measured = np.array(pairs).T
     n = model.dim
     fitted = bergman.fit_growth(mus, measured, n)
@@ -214,7 +212,8 @@ def cmd_bergman(ns, model):
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
     law = symbol_law_predict(source, model, pts, ns.fiber)
     grads, mat = eval_basis(top, pts)[1], assemble(source, top)
-    rows = map_sweep(ns, lambda c: (c, *symbol_law_check(mat, basis_for(model, c), law, grads)))
+    rows = map_sweep(ns, lambda c: (c, *symbol_law_check(mat, basis_for(model, c), law, pts,
+                                                          grads)))
     errs = [r[2] for r in rows]
     ok = errs[-1] <= ns.tol and trend_ok(errs)
     header = [_sweep_column(model), "mu", "rel_err", "pd_shift"]
@@ -245,7 +244,7 @@ def cmd_hilb_approx(ns, model):
 
     def one(c):
         fld, shift = hilb.approximate(r, basis_for(model, c), pts, grads)
-        sup, l2 = relative_errors(fld, g, w)
+        sup, l2 = relative_errors(pts, fld, g, w)
         return (c, sup, l2, shift)
 
     rows = map_sweep(ns, one)
@@ -312,8 +311,10 @@ def _sphere_field(ns, model):
 
 def cmd_sphere_band(ns, model):
     a = _sphere_field(ns, model)
-    if sweep_values(ns)[0] + ns.k < 1:  # band_dd refuses it too, after the flow integral
+    sweep = sweep_values(ns)
+    if sweep[0] + ns.k < 1:  # band_dd refuses both too, after the flow integral
         raise InputError("band degrees must be at least 1")
+    basis_for(model, sweep[-1] + max(ns.k, 0))  # the lattice bound of the top degree
     pts, _ = quadrature_grid(model, _opt(ns.grid, 10))
     # the flow integral does not depend on the degree: one per command
     integral = sphereband.flow_integral(a, ns.k, pts, ns.fiber, ns.tnodes)
@@ -333,7 +334,7 @@ def cmd_sphere_cumulative(ns, model):
     law = symbol_law_predict(a, model, pts, ns.fiber)
     grads, mat = eval_basis(top, pts)[1], assemble(a, top)
     rows = map_sweep(ns, lambda n: (n, sphereband.cumulative_band_sum(
-        a, mat, basis_for(model, n), law, grads)))
+        a, mat, basis_for(model, n), law, pts, grads)))
     errs = [r[1] for r in rows]
     ratio = max((b / a_ for a_, b in zip(errs, errs[1:])), default=0.0)
     return ["n", "rel_err"], rows, (ratio <= ns.tol, ratio, f"errors {errs}, halving tol {ns.tol}")
@@ -357,7 +358,7 @@ def cmd_exact_pullback(ns, model):
     def one(cutoff):
         want = closed_form(cutoff)
         fld = bergman.dd_kernel(None, basis_for(model, cutoff), pts, grads)
-        dev = np.abs(fld.values - want).max() / np.abs(want).max()
+        dev = np.abs(fld - want).max() / np.abs(want).max()
         return (cutoff, float(dev))
 
     rows = map_sweep(ns, one)
@@ -496,7 +497,7 @@ def _apply_config_file(ns: argparse.Namespace) -> None:
             raise InputError(f"{ns.config}:{line_no}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key == "command" or not hasattr(ns, key):
+        if key in ("command", "config") or not hasattr(ns, key):
             raise InputError(f"{ns.config}:{line_no}: unknown key {key!r}")
         if key in seen:
             raise InputError(f"{ns.config}:{line_no}: repeated key {key!r}")

@@ -19,7 +19,3 @@ class UnsupportedModelError(ValueError):
 
 class ResolutionError(RuntimeError):
     """A quadrature grid is too coarse for the requested assembly."""
-
-
-class GridMismatchError(ValueError):
-    """Two sampled fields do not share the same point grid."""

@@ -1,4 +1,4 @@
-"""Sampled tensor fields and metric fields on chart grids."""
+"""Metric fields, perturbations, and the norms and errors of (P, n, n) tensor values."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridMismatchError, InputError, NotSPDError
+from .errors import InputError, NotSPDError
 from .manifolds import ManifoldModel, g0_matrices
 
 
@@ -82,24 +82,6 @@ def g0_operator_norms(model: ManifoldModel, points: np.ndarray, values: np.ndarr
 
 
 @dataclass(frozen=True)
-class Tensor2Field:
-    """Symmetric covariant 2-tensor sampled on a chart point grid."""
-
-    model: ManifoldModel
-    points: np.ndarray   # (P, n)
-    values: np.ndarray   # (P, n, n)
-
-    def __post_init__(self):
-        if not np.isfinite(self.values).all():
-            raise InputError("tensor field has non-finite values")
-        if self.values.shape[0] != self.points.shape[0]:
-            raise GridMismatchError("values and points disagree in length")
-
-    def scaled(self, c: float) -> "Tensor2Field":
-        return Tensor2Field(self.model, self.points, c * self.values)
-
-
-@dataclass(frozen=True)
 class MetricField:
     """Riemannian metric as an SPD chart-matrix field.
 
@@ -165,7 +147,7 @@ class MetricPerturbation:
 
     def matrices(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        h = np.asarray(self.matrix_fn(pts), dtype=float)
+        h = _evaluated(self.name, lambda: self.matrix_fn(pts), "matrices")
         return 0.5 * (h + np.transpose(h, (0, 2, 1)))
 
 
@@ -178,37 +160,38 @@ def reference_metric(model: ManifoldModel) -> MetricField:
     )
 
 
-def sup_relative_error(measured: Tensor2Field, predicted: np.ndarray, name: str) -> float:
+def sup_relative_error(model: ManifoldModel, points: np.ndarray, measured: np.ndarray,
+                       predicted: np.ndarray, name: str) -> float:
     """sup |measured - predicted| / sup |predicted|, pointwise in the g0 operator norm.
 
+    ``measured`` and ``predicted`` are (P, n, n) values at ``points``.
     Normalized by the sup of the prediction, so points where the predicted
     tensor vanishes do not blow up the report; a prediction that vanishes
     everywhere (the field ``name`` is zero) is an input error, and so is a
     ratio that is not finite (the norms of a huge field overflow).
     """
-    model, pts = measured.model, measured.points
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        diff = g0_operator_norms(model, pts, measured.values - predicted)
-        ref = g0_operator_norms(model, pts, predicted)
+        diff = g0_operator_norms(model, points, measured - predicted)
+        ref = g0_operator_norms(model, points, predicted)
         if not ref.any():
             raise InputError(f"the predicted tensor of {name!r} is identically zero")
         ratio = diff.max() / ref.max()
         return float(_finite(name, ratio, "relative error against its prediction"))
 
 
-def relative_errors(approx: Tensor2Field, target: MetricField, weights=None):
-    """(sup, L2) relative error of a tensor field against a metric field.
+def relative_errors(points: np.ndarray, approx: np.ndarray, target: MetricField, weights=None):
+    """(sup, L2) relative error of (P, n, n) values at ``points`` against a metric field.
 
     Pointwise errors use the g0 operator norm; the L2 version integrates the
     squared pointwise norms with the supplied grid weights (uniform if None).
     An error that is not finite (the norms of a huge metric overflow) is an
     input error.
     """
-    tgt = target.matrices(approx.points)
+    tgt = target.matrices(points)
     w = np.ones(len(tgt)) if weights is None else np.asarray(weights, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        diff = g0_operator_norms(approx.model, approx.points, approx.values - tgt)
-        ref = g0_operator_norms(approx.model, approx.points, tgt)
+        diff = g0_operator_norms(target.model, points, approx - tgt)
+        ref = g0_operator_norms(target.model, points, tgt)
         sup = (diff / ref).max()
         l2 = np.sqrt(np.dot(w, diff**2) / np.dot(w, ref**2))
         errs = _finite(target.name, [sup, l2], "sup and L2 relative errors")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bergman import dd_kernel
 from .errors import UnsupportedModelError
-from .fields import MetricField, Tensor2Field, component_major, quadratic_form
+from .fields import MetricField, component_major, quadratic_form
 from .manifolds import EigenBasis, ManifoldModel
 from .operators import SymbolField, assemble, leading_block, positivity_repair
 
@@ -64,8 +64,8 @@ def hilb_n(g: MetricField, basis: EigenBasis) -> np.ndarray:
 
 
 def approximate(r: np.ndarray, basis: EigenBasis, points: np.ndarray,
-                grads=None) -> tuple[Tensor2Field, float]:
-    """Normalized Bergman approximation mu^{-(n+2)} E_N(Hilb_N(g)) of g on one window.
+                grads=None) -> tuple[np.ndarray, float]:
+    """Normalized Bergman approximation mu^{-(n+2)} E_N(Hilb_N(g)) of g on one window, (P, n, n).
 
     ``r`` is ``hilb_n(g, top)`` over a window whose leading block is
     ``basis`` (``grads`` as in ``dd_kernel``).  The block's positivity-repair
@@ -74,5 +74,4 @@ def approximate(r: np.ndarray, basis: EigenBasis, points: np.ndarray,
     """
     block = leading_block(r, basis.dim)
     _, shift = positivity_repair(block)
-    field = dd_kernel(block, basis, points, grads)
-    return field.scaled(basis.mu_top ** -(basis.model.dim + 2)), shift
+    return basis.mu_top ** -(basis.model.dim + 2) * dd_kernel(block, basis, points, grads), shift

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,12 +72,11 @@ class CosphereQuadrature:
     fibers: int          # F: row p * F + f is fiber node f over base point p
 
 
-@lru_cache(maxsize=None)
 def _torus_half_lattice(mu2_max: int) -> np.ndarray:
     """One representative k per {k, -k} pair with 0 < |k|^2 <= mu2_max, (K, 2).
 
     The representative has k1 > 0, or k1 = 0 and k2 > 0; rows are sorted by
-    (|k|^2, k1, k2).  The array is cached, so it is read-only.
+    (|k|^2, k1, k2).
     """
     kmax = math.isqrt(mu2_max)
     a, b = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
@@ -86,9 +84,7 @@ def _torus_half_lattice(mu2_max: int) -> np.ndarray:
     q = a * a + b * b
     keep = (q <= mu2_max) & ((a > 0) | (b > 0))
     order = np.lexsort((b[keep], a[keep], q[keep]))
-    ks = np.column_stack([a[keep], b[keep]])[order]
-    ks.setflags(write=False)
-    return ks
+    return np.column_stack([a[keep], b[keep]])[order]
 
 
 def _half_lattice(model: ManifoldModel, cutoff) -> np.ndarray:

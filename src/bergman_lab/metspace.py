@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, UnsupportedModelError
-from .fields import MetricField, MetricPerturbation, component_major, quadratic_form
+from .fields import MetricField, MetricPerturbation, _finite, component_major, quadratic_form
 from .hilb import hilb_factor, hilb_n
 from .manifolds import CosphereQuadrature, EigenBasis
 from .operators import SymbolField, assemble, leading_block, positivity_repair
@@ -116,12 +116,17 @@ def induced_norm_closed(
     quad: CosphereQuadrature,
     trace_sign: int = 1,
 ) -> float:
-    """Cosphere-quadrature evaluation of the closed-form induced norm, point data per base point."""
+    """Cosphere-quadrature evaluation of the closed-form induced norm, point data per base point.
+
+    A sum that is not finite (the integrand of a huge ``gdot`` overflows) is
+    an input error naming ``gdot``."""
     base = quad.points[::quad.fibers]
-    _, tr, quadr = _perturbation_scalars(g, gdot, base, quad.fibers)(quad.xis)
     n = g.model.dim
     pref = 1.0 / (4.0 * n * (2.0 * math.pi) ** n)
-    return pref * float((quad.weights * (trace_sign * tr + quadr) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+        _, tr, quadr = _perturbation_scalars(g, gdot, base, quad.fibers)(quad.xis)
+        total = (quad.weights * (trace_sign * tr + quadr) ** 2).sum()
+    return pref * float(_finite(gdot.name, total, "closed-form norm"))
 
 
 def szego_trace(

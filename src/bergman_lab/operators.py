@@ -26,8 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, ResolutionError, UnsupportedModelError
-from .fields import Tensor2Field, _evaluated, _finite, g0_operator_norms
-from .bergman import dd_kernel
+from .fields import _evaluated, _finite, g0_operator_norms
+from .bergman import _contract, dd_kernel
 from .manifolds import (
     EigenBasis,
     ManifoldModel,
@@ -533,13 +533,14 @@ def positivity_repair(mat: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def symbol_law_predict(source, model: ManifoldModel, points: np.ndarray,
-                       fiber_res: int = 64) -> Callable[[float], Tensor2Field]:
+                       fiber_res: int = 64) -> Callable[[float], np.ndarray]:
     """The cosphere law of ``source`` at ``points``, as a function of the window.
 
     Integrates b(x, xi) xi (x) xi over each fiber once and returns the law
-    mu -> mu^{n+2} / ((2 pi)^n (n+2)) * that integral, a Tensor2Field: the
+    mu -> mu^{n+2} / ((2 pi)^n (n+2)) * that integral, (P, n, n) values: the
     leading term of the Bergman field of every window with top eigenvalue
-    mu.  A zero integral, or a window at level 0 (mu = 0), is an input error.
+    mu.  A zero integral, or a window at level 0 (mu = 0), is an input error;
+    a law that overflows is refused by name where it is compared.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     reps, xis, w = fiber_bundle(model, pts, fiber_res)
@@ -548,11 +549,12 @@ def symbol_law_predict(source, model: ManifoldModel, points: np.ndarray,
         raise InputError(f"the predicted tensor of {source.name!r} is identically zero")
     n = model.dim
 
-    def law(mu: float) -> Tensor2Field:
+    def law(mu: float) -> np.ndarray:
         if mu == 0.0:
             raise InputError("the symbol law needs a window above level 0")
         pref = mu ** (n + 2) / ((2.0 * math.pi) ** n * (n + 2))
-        return Tensor2Field(model, pts, pref * integ)
+        with np.errstate(over="ignore"):
+            return pref * integ
 
     law.source = source.name
     return law
@@ -583,14 +585,14 @@ def assemble(source, basis: EigenBasis) -> np.ndarray:
     raise InputError(f"cannot assemble {type(source).__name__}")
 
 
-def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law,
+def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law, points: np.ndarray,
                      grads=None) -> tuple[float, float, float]:
     """Sup relative error of one window's Bergman field against the symbol law.
 
     ``mat`` is ``assemble(source, top)`` over a window whose leading block is
     ``basis`` (``grads`` as in ``dd_kernel``), and ``law`` is
-    ``symbol_law_predict`` of the same source.  Returns (mu, rel_err,
-    pd_shift).  The positivity shift of the block is reported, not applied
+    ``symbol_law_predict`` of the same source at ``points``.  Returns (mu,
+    rel_err, pd_shift).  The positivity shift of the block is reported, not applied
     (it would add shift * dd(I)), so the compared field is that of the
     symmetrized assembly itself.  A relative error that is not finite is an
     input error.
@@ -598,10 +600,10 @@ def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law,
     pred = law(basis.mu_top)
     block = leading_block(mat, basis.dim)
     _, shift = positivity_repair(block)
-    field = dd_kernel(block, basis, pred.points, grads)
+    field = dd_kernel(block, basis, points, grads)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        num = g0_operator_norms(basis.model, pred.points, field.values - pred.values)
-        den = g0_operator_norms(basis.model, pred.points, pred.values)
+        num = g0_operator_norms(basis.model, points, field - pred)
+        den = g0_operator_norms(basis.model, points, pred)
         rel_err = _finite(law.source, num / den, "relative error against its symbol law")
     return basis.mu_top, float(rel_err.max()), shift
 
@@ -658,7 +660,7 @@ def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -
         if block_max <= GRAM_RESIDUAL_TOL * square_max:
             raise InputError(f"field {f.name!r} has no tail defect: its off-window block is round-off")
         grads_in = grads[:inner.dim]
-        tensor = np.einsum("dip,djp->pij", grads_in, t.reshape(grads_in.shape))
+        tensor = _contract(None, grads_in, t.reshape(grads_in.shape))
         sup = float(g0_operator_norms(outer.model, points, tensor).max())
         defects.append(sup / inner.mu_top ** (outer.model.dim + 2))
     return defects

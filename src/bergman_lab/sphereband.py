@@ -23,7 +23,7 @@ import numpy as np
 
 from .bergman import _contract, dd_kernel
 from .errors import InputError
-from .fields import Tensor2Field, g0_operator_norms, sup_relative_error
+from .fields import g0_operator_norms, sup_relative_error
 from .manifolds import (
     EigenBasis,
     basis_for,
@@ -56,14 +56,13 @@ def takahashi_check(n_deg: int, grid_res: int = 12, points=None) -> tuple[float,
     basis = basis_for(model, n_deg)
     pts = quadrature_grid(model, grid_res)[0] if points is None else points
     _, gband = eval_basis(basis.subset(_band(n_deg)), pts)
-    tensor = np.einsum("dip,djp->pij", gband, gband)
     c = band_constant(n_deg)
-    dev = g0_operator_norms(model, pts, tensor - c * g0_matrices(model, pts))
+    dev = g0_operator_norms(model, pts, _contract(None, gband, gband) - c * g0_matrices(model, pts))
     return c, float(dev.max() / c)
 
 
-def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> Tensor2Field:
-    """Symmetrized mixed-band tensor of multiplication by ``a``.
+def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> np.ndarray:
+    """Symmetrized mixed-band tensor of multiplication by ``a`` at ``points``, (P, 2, 2).
 
     sum_{m,m'} <a Y_{N,m}, Y_{N+k,m'}>  dY_{N+k,m'} (x) dY_{N,m}, the
     cross matrix being the (N+k, N) block of the multiplication quadrature.
@@ -80,8 +79,7 @@ def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> Tensor2Fi
     _, grads = eval_basis(big.subset(rows), pts)
     d_out, d_in = cross.shape
     tensor = _contract(cross, grads[:d_out], grads[-d_in:])
-    tensor = 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
-    return Tensor2Field(model, pts, tensor)
+    return 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
 
 
 def geodesic_average(a: ScalarField, points, xis, k: int = 0, t_res: int = 64) -> np.ndarray:
@@ -137,14 +135,12 @@ def flow_integral(a: ScalarField, k: int, points: np.ndarray, fiber_res: int = 3
     return 2.0 * fiber_tensor(avg.real, xis, wf[:half])
 
 
-def band_predict(integral: np.ndarray, n_deg: int, k: int, points: np.ndarray) -> Tensor2Field:
+def band_predict(integral: np.ndarray, n_deg: int, k: int) -> np.ndarray:
     """Geodesic-flow prediction for the (N+k, N) band tensor from its ``flow_integral``."""
-    model = sphere2()
     mu_in = math.sqrt(n_deg * (n_deg + 1))
     mu_out = math.sqrt((n_deg + k) * (n_deg + k + 1))
     scale = mu_in * mu_out * (2 * n_deg + k + 1) / 2.0
-    pref = (2.0 * math.pi) ** (-(model.dim + 1)) * scale
-    return Tensor2Field(model, np.atleast_2d(np.asarray(points, dtype=float)), pref * integral)
+    return (2.0 * math.pi) ** (-(sphere2().dim + 1)) * scale * integral
 
 
 def sphere_band_check(
@@ -154,20 +150,19 @@ def sphere_band_check(
 
     ``integral`` is the ``flow_integral`` of ``a`` and k at ``points``.
     """
-    measured = band_dd(a, n_deg, k, points)
-    return sup_relative_error(measured, band_predict(integral, n_deg, k, points).values, a.name)
+    return sup_relative_error(sphere2(), points, band_dd(a, n_deg, k, points),
+                              band_predict(integral, n_deg, k), a.name)
 
 
 def cumulative_band_sum(a: ScalarField, mat: np.ndarray, basis: EigenBasis, law,
-                        grads=None) -> float:
+                        points: np.ndarray, grads=None) -> float:
     """Relative error of one full-window tensor against the cosphere law.
 
     Compares DD Pi_{<=N} B Pi_{<=N}, the Bergman field of the leading block
     of ``mat = assemble(a, top)`` over the window ``basis`` (``grads`` as in
-    ``dd_kernel``), with ``law(mu_N)``, the ``symbol_law_predict`` of ``a``:
-    mu_N^{n+2} / ((n+2) (2 pi)^n) * int b(x, xi) xi (x) xi dS(xi).  The
-    sphere remainder is O(1/N), improving on the general o(1).
+    ``dd_kernel``), with ``law(mu_N)``, the ``symbol_law_predict`` of ``a``
+    at ``points``: mu_N^{n+2} / ((n+2) (2 pi)^n) * int b(x, xi) xi (x) xi
+    dS(xi).  The sphere remainder is O(1/N), improving on the general o(1).
     """
-    pred = law(basis.mu_top)
-    measured = dd_kernel(mat[:basis.dim, :basis.dim], basis, pred.points, grads)
-    return sup_relative_error(measured, pred.values, a.name)
+    measured = dd_kernel(mat[:basis.dim, :basis.dim], basis, points, grads)
+    return sup_relative_error(basis.model, points, measured, law(basis.mu_top), a.name)

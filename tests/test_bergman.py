@@ -90,16 +90,16 @@ class TestDDKernel:
         pts, _ = quadrature_grid(CIRCLE, 16)
         fld = dd_kernel(np.eye(basis.dim), basis, pts)
         want = 14.0 / math.pi  # (1 + 4 + 9)/pi
-        np.testing.assert_allclose(fld.values[:, 0, 0], want, rtol=1e-13)
+        np.testing.assert_allclose(fld[:, 0, 0], want, rtol=1e-13)
 
     def test_torus_identity_lattice_sum(self):
         basis = basis_for(TORUS, 5)
         pts, _ = quadrature_grid(TORUS, 8)
         fld = dd_kernel(np.eye(basis.dim), basis, pts)
         want = 17.0 / (2 * math.pi**2)
-        np.testing.assert_allclose(fld.values[:, 0, 0], want, rtol=1e-12)
-        np.testing.assert_allclose(fld.values[:, 1, 1], want, rtol=1e-12)
-        np.testing.assert_allclose(fld.values[:, 0, 1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(fld[:, 0, 0], want, rtol=1e-12)
+        np.testing.assert_allclose(fld[:, 1, 1], want, rtol=1e-12)
+        np.testing.assert_allclose(fld[:, 0, 1], 0.0, atol=1e-12)
 
     def test_torus_identity_matches_independent_enumeration(self):
         # independent oracle: direct half-lattice sum of k (x) k / (2 pi^2)
@@ -116,7 +116,7 @@ class TestDDKernel:
         pts = np.array([[0.3, 5.1]])
         fld = dd_kernel(np.eye(basis.dim), basis, pts)
         np.testing.assert_allclose(
-            fld.values[0], acc, rtol=1e-10, atol=1e-10 * acc.max()
+            fld[0], acc, rtol=1e-10, atol=1e-10 * acc.max()
         )
 
     def test_diagonal_contraction_is_the_dense_gemm(self):
@@ -133,15 +133,15 @@ class TestDDKernel:
         basis = basis_for(TORUS, 4)
         pts, _ = quadrature_grid(TORUS, 4)
         fld = dd_kernel(np.zeros((basis.dim, basis.dim)), basis, pts)
-        assert np.abs(fld.values).max() == 0.0
+        assert np.abs(fld).max() == 0.0
 
     def test_translation_invariance_on_flat_models(self):
         for model, cutoff, res in ((CIRCLE, 20, 32), (TORUS, 20, 8)):
             basis = basis_for(model, cutoff)
             pts, _ = quadrature_grid(model, res)
             fld = dd_kernel(None, basis, pts)
-            spread = fld.values - fld.values[0]
-            assert np.abs(spread).max() <= 1e-10 * np.abs(fld.values).max()
+            spread = fld - fld[0]
+            assert np.abs(spread).max() <= 1e-10 * np.abs(fld).max()
 
     def test_dimension_mismatch(self):
         basis = basis_for(CIRCLE, 3)
@@ -158,9 +158,9 @@ class TestDDKernel:
         b = b + b.T
         pts = np.array([[0.2], [1.9]])
         combo = dd_kernel(alpha * a + beta * b, basis, pts)
-        parts = alpha * dd_kernel(a, basis, pts).values + beta * dd_kernel(b, basis, pts).values
-        scale = 1.0 + np.abs(combo.values).max()
-        assert np.abs(combo.values - parts).max() <= 1e-12 * scale
+        parts = alpha * dd_kernel(a, basis, pts) + beta * dd_kernel(b, basis, pts)
+        scale = 1.0 + np.abs(combo).max()
+        assert np.abs(combo - parts).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("model, cutoff, top, grid", [
         (CIRCLE, 8, 24, 32), (TORUS, 25, 49, 12), (SPHERE, 4, 9, 8), (SPHERE, 9, 9, 8),
@@ -172,8 +172,8 @@ class TestDDKernel:
         _, grads = eval_basis(basis_for(model, top), pts)
         a = np.random.default_rng(cutoff).standard_normal((basis.dim, basis.dim))
         for mat in (a + a.T, None):
-            want = dd_kernel(mat, basis, pts).values
-            assert np.array_equal(dd_kernel(mat, basis, pts, grads).values, want)
+            want = dd_kernel(mat, basis, pts)
+            assert np.array_equal(dd_kernel(mat, basis, pts, grads), want)
 
     def test_window_growth_bound_circle(self):
         # consecutive-window fields are PSD with norm <= C delta mu^{n+1},
@@ -187,8 +187,8 @@ class TestDDKernel:
             a[lo:] = 1.0  # window (n0, n0+delta]
             pts, _ = quadrature_grid(CIRCLE, 16)
             fld = dd_kernel(np.diag(a), big, pts)
-            assert fld.values.min() >= 0.0
-            consts.append(np.abs(fld.values).max() / (delta * n0**2))
+            assert fld.min() >= 0.0
+            consts.append(np.abs(fld).max() / (delta * n0**2))
         assert max(consts) <= 2.0 * min(consts)
 
     def test_window_growth_bound_torus(self):
@@ -201,8 +201,8 @@ class TestDDKernel:
             a = np.zeros(big.dim)
             a[lo:] = 1.0  # annulus mu^2 in (mu2, 2 mu2]
             fld = dd_kernel(np.diag(a), big, pts)
-            sup = g0_operator_norms(TORUS, pts, fld.values).max()
-            assert sym2x2_eigs(fld.values)[0].min() >= -1e-10 * sup
+            sup = g0_operator_norms(TORUS, pts, fld).max()
+            assert sym2x2_eigs(fld)[0].min() >= -1e-10 * sup
             mu = math.sqrt(mu2)
             delta = math.sqrt(outer) - mu
             consts.append(sup / (delta * mu**3))
@@ -216,8 +216,8 @@ class TestENMap:
         basis = basis_for(CIRCLE, 4)
         pts, _ = quadrature_grid(CIRCLE, 8)
         np.testing.assert_allclose(
-            dd_kernel(np.eye(basis.dim), basis, pts).values,
-            dd_kernel(None, basis, pts).values,
+            dd_kernel(np.eye(basis.dim), basis, pts),
+            dd_kernel(None, basis, pts),
             rtol=1e-14,
         )
 
@@ -226,8 +226,8 @@ class TestENMap:
         pts, _ = quadrature_grid(CIRCLE, 8)
         c = 2.75
         np.testing.assert_allclose(
-            dd_kernel(c * np.eye(basis.dim), basis, pts).values,
-            c * dd_kernel(None, basis, pts).values,
+            dd_kernel(c * np.eye(basis.dim), basis, pts),
+            c * dd_kernel(None, basis, pts),
             rtol=1e-13,
         )
 
@@ -239,7 +239,7 @@ class TestENMap:
         b = rng.normal(size=(basis.dim, basis.dim))
         r = b @ b.T + basis.dim * np.eye(basis.dim)
         pts, _ = quadrature_grid(TORUS, 4)
-        lhs = dd_kernel(r, basis, pts).values
+        lhs = dd_kernel(r, basis, pts)
         root = spd_sqrt(r)
         _, grads = eval_basis(basis, pts)
         tg = np.einsum("ab,bip->aip", root, grads)
@@ -252,8 +252,8 @@ class TestPullback:
         basis = basis_for(CIRCLE, 6)
         pts, _ = quadrature_grid(CIRCLE, 8)
         o = random_orthogonal(basis.dim)
-        base = dd_kernel(None, basis, pts).values
-        got = pullback_by_transform(o, basis, pts).values
+        base = dd_kernel(None, basis, pts)
+        got = pullback_by_transform(o, basis, pts)
         assert np.abs(got - base).max() <= 1e-10 * np.abs(base).max()
 
     @given(st.integers(0, 2**31))
@@ -263,8 +263,8 @@ class TestPullback:
         rng = np.random.default_rng(seed)
         q = rng.normal(size=(basis.dim, basis.dim)) + 2 * np.eye(basis.dim)
         o, _ = np.linalg.qr(rng.normal(size=(basis.dim, basis.dim)))
-        a = pullback_by_transform(o @ q, basis, pts).values
-        b = pullback_by_transform(q, basis, pts).values
+        a = pullback_by_transform(o @ q, basis, pts)
+        b = pullback_by_transform(q, basis, pts)
         assert np.abs(a - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
     def test_rank_one_stretch(self):
@@ -273,8 +273,8 @@ class TestPullback:
         j = 2  # stretch one direction by 2: adds 3 dphi_j (x) dphi_j
         q = np.eye(basis.dim)
         q[j, j] = 2.0
-        got = pullback_by_transform(q, basis, pts).values
-        base = dd_kernel(None, basis, pts).values
+        got = pullback_by_transform(q, basis, pts)
+        base = dd_kernel(None, basis, pts)
         _, grads = eval_basis(basis, pts)
         bump = 3.0 * np.einsum("ip,jp->pij", grads[j], grads[j])
         assert np.abs(got - base - bump).max() <= 1e-12 * np.abs(got).max()
@@ -284,12 +284,12 @@ class TestPullback:
         small = basis_for(CIRCLE, 3)
         big = basis_for(CIRCLE, 4)
         pts, _ = quadrature_grid(CIRCLE, 8)
-        target = dd_kernel(None, small, pts).values
+        target = dd_kernel(None, small, pts)
         errs = []
         for t in (1e-2, 1e-3):
             q = np.eye(big.dim)
             q[small.dim:, small.dim:] *= t
-            got = pullback_by_transform(q, big, pts).values
+            got = pullback_by_transform(q, big, pts)
             errs.append(np.abs(got - target).max())
         ratio = errs[0] / errs[1]
         assert 50 <= ratio <= 200
@@ -348,7 +348,8 @@ class TestEmbeddingMargins:
 
 def isometry_fit(model, cutoffs, grid_res):
     """fit_growth over isometry_measurement: the fit the isometry command makes."""
-    pairs = [isometry_measurement(model, c, grid_res) for c in cutoffs]
+    pts, _ = quadrature_grid(model, grid_res)
+    pairs = [isometry_measurement(model, c, pts) for c in cutoffs]
     return fit_growth([p[0] for p in pairs], [p[1] for p in pairs], model.dim)
 
 

@@ -28,6 +28,9 @@ from bergman_lab.presets import (
 )
 
 CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
+# coefficients whose squares overflow: 1e307, and 1e308 (the largest power of ten
+# a float holds); 1e310 parses to inf
+E307, E308, E310 = ("1" + "0" * z for z in (307, 308, 310))
 
 
 def run_cli(*args):
@@ -179,6 +182,11 @@ class TestMainInProcess:
             capsys.readouterr()
             assert main(["spectra", "--config", str(cfg)]) == 1
             assert capsys.readouterr().err.startswith("error:")
+        # a config file cannot name another one: the key is refused as ``command`` is
+        cfg.write_text("config = other.cfg\n")
+        capsys.readouterr()
+        assert main(["spectra", "--model", "circle", "--n", "3", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'config'\n"
         # a config path that cannot be read: a directory, or a byte that is not UTF-8
         cfg.write_bytes(b"grid = 8  # \xe9\n")
         for path in (tmp_path, cfg):
@@ -343,13 +351,31 @@ class TestMainInProcess:
          "hilb[aniso-diag:400,0.3]"),
         (["gradient-check", "--model", "torus2", "--metric", "aniso-diag:400,0.3"],
          "dhilb[aniso-diag:400,0.3;cos-x1-dx1;-1]"),
-    ], ids=[f"argv{i}" for i in range(10)])
+        # the closed-form integrand of a huge perturbation overflows; an
+        # infinite one is refused where its matrices are evaluated
+        (["met-norm", "--model", "torus2", "--gdot", f"conf:{E307}cos(x1)+{E307}cos(x1)",
+          "--mu2", "4,9"], f"conf:{E307}cos(x1)+{E307}cos(x1)"),
+        (["met-norm", "--model", "circle", "--gdot", f"conf:{E307}cos(theta)+{E307}cos(theta)",
+          "--n", "4,8"], f"conf:{E307}cos(theta)+{E307}cos(theta)"),
+        (["met-norm", "--model", "torus2", "--gdot", f"conf:{E310}cos(x1)", "--mu2", "4,9"],
+         f"conf:{E310}cos(x1)"),
+        (["gradient-check", "--model", "torus2", "--gdot", f"conf:{E310}cos(x1)"],
+         f"conf:{E310}cos(x1)"),
+    ], ids=[f"argv{i}" for i in range(14)])
     def test_overflowing_field_is_input_error_without_warning(self, argv, name, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(name) in err, err
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_overflowing_bergman_field_is_input_error_without_warning(self, capsys):
+        # the contraction of a finite matrix overflows: dd_kernel refuses its field
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sphere-cumulative", "--a", f"{E308}x3", "--n", "4,8"]) == 1
+        assert capsys.readouterr().err == "error: tensor field has non-finite values\n"
         assert not caught, [str(w.message) for w in caught]
 
     def test_large_finite_metric_still_runs(self, tmp_path):
@@ -644,7 +670,9 @@ class TestMainInProcess:
         (["bergman", "--model", "torus2", "--symbol", "xi1sq", "--grid", "64",
           "--fiber", "4096"], "no sweep"),
         (["sphere-cumulative", "--grid", "40", "--fiber", "256"], "no sweep"),
-    ], ids=["band-no-sweep", "band-degree", "met-norm", "bergman", "cumulative"])
+        (["sphere-band", "--n", "99999999999999999999", "--grid", "24", "--fiber", "128",
+          "--tnodes", "128"], "cutoff 99999999999999999999 is too large for the lattice\n"),
+    ], ids=["band-no-sweep", "band-degree", "met-norm", "bergman", "cumulative", "band-lattice"])
     def test_sweep_is_refused_before_any_quadrature(self, argv, message, monkeypatch, capsys):
         # each of these ran its flow integral or cosphere quadrature for
         # seconds before the error line

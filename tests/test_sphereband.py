@@ -109,7 +109,7 @@ class TestBandDD:
         _, grads = eval_basis(big, self.pts)
         want = _contract(cross, grads[sl_out], grads[sl_in])
         want = 0.5 * (want + np.transpose(want, (0, 2, 1)))
-        got = band_dd(field, n_deg, k, self.pts).values
+        got = band_dd(field, n_deg, k, self.pts)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("n_deg, k", [(5, 0), (5, 2), (6, -1), (40, 0), (20, 1)])
@@ -125,7 +125,7 @@ class TestBandDD:
         cross = sphere_block(field, big, sl_out, sl_in)
         want = _contract(cross, all_grads[sl_out], all_grads[sl_in])
         want = 0.5 * (want + np.transpose(want, (0, 2, 1)))
-        assert np.array_equal(band_dd(field, n_deg, k, self.pts).values, want)
+        assert np.array_equal(band_dd(field, n_deg, k, self.pts), want)
 
     def test_unit_function_diagonal_band(self):
         fld = band_dd(ONE, 5, 0, self.pts)
@@ -133,25 +133,25 @@ class TestBandDD:
 
         g0 = g0_matrices(SPHERE, self.pts)
         c = band_constant(5)
-        assert np.abs(fld.values - c * g0).max() <= 1e-10 * c
+        assert np.abs(fld - c * g0).max() <= 1e-10 * c
 
     def test_unit_function_off_band_vanishes(self):
         fld = band_dd(ONE, 5, 1, self.pts)
-        assert np.abs(fld.values).max() <= 1e-10
+        assert np.abs(fld).max() <= 1e-10
 
     def test_odd_function_same_parity_vanishes(self):
         fld = band_dd(X3, 5, 0, self.pts)
-        assert np.abs(fld.values).max() <= 1e-10
+        assert np.abs(fld).max() <= 1e-10
         fld2 = band_dd(X3, 5, 2, self.pts)
-        assert np.abs(fld2.values).max() <= 1e-10
+        assert np.abs(fld2).max() <= 1e-10
 
     def test_antipodal_symmetry_of_band_metrics(self):
         # k = 0 band metrics are even: pulling back through the antipodal
         # map theta -> pi - theta, phi -> phi + pi (frame flip diag(-1, 1))
         pts = np.array([[0.7, 0.4], [1.2, 2.0], [2.0, 5.0]])
         anti = np.column_stack([math.pi - pts[:, 0], np.mod(pts[:, 1] + math.pi, 2 * math.pi)])
-        f1 = band_dd(A_TEST, 4, 0, pts).values
-        f2 = band_dd(A_TEST, 4, 0, anti).values
+        f1 = band_dd(A_TEST, 4, 0, pts)
+        f2 = band_dd(A_TEST, 4, 0, anti)
         flip = np.diag([-1.0, 1.0])
         pulled = np.einsum("ia,pab,bj->pij", flip, f2, flip)
         assert np.abs(pulled - f1).max() <= 1e-10 * np.abs(f1).max()
@@ -167,8 +167,8 @@ class TestBandDD:
         )
         pts = np.array([[0.9, 0.5], [1.4, 3.0]])
         shifted = np.column_stack([pts[:, 0], np.mod(pts[:, 1] + gamma, 2 * math.pi)])
-        f_rot = band_dd(rotated, 4, 0, shifted).values
-        f_base = band_dd(base, 4, 0, pts).values
+        f_rot = band_dd(rotated, 4, 0, shifted)
+        f_base = band_dd(base, 4, 0, pts)
         assert np.abs(f_rot - f_base).max() <= 1e-8 * np.abs(f_base).max()
 
 
@@ -316,16 +316,16 @@ def cumulative_errors(a, levels, grid_res=10, fiber_res=32):
     pts, _ = quadrature_grid(SPHERE, grid_res)
     law = symbol_law_predict(a, SPHERE, pts, fiber_res)
     mat = assemble_multiplication(a, basis_for(SPHERE, levels[-1]))
-    return [cumulative_band_sum(a, mat, basis_for(SPHERE, n), law) for n in levels]
+    return [cumulative_band_sum(a, mat, basis_for(SPHERE, n), law, pts) for n in levels]
 
 
 class TestBandChecks:
     def test_unit_function_prediction_is_exact(self):
         pts, _ = quadrature_grid(SPHERE, 6)
-        pred = band_predict(flow_integral(ONE, 0, pts), 7, 0, pts)
+        pred = band_predict(flow_integral(ONE, 0, pts), 7, 0)
         meas = band_dd(ONE, 7, 0, pts)
-        assert np.abs(pred.values - meas.values).max() <= 1e-8 * np.abs(
-            meas.values
+        assert np.abs(pred - meas).max() <= 1e-8 * np.abs(
+            meas
         ).max()
 
     def test_even_test_function_small_error(self):
@@ -357,10 +357,10 @@ class TestBandChecks:
         # the diagonal band blocks ignores the odd part of a entirely
         pts, _ = quadrature_grid(SPHERE, 6)
         odd = ScalarField("odd", lambda p: 0.7 * np.cos(np.atleast_2d(p)[:, 0]))
-        total = sum(band_dd(odd, l, 0, pts).values.sum() for l in range(1, 9))
+        total = sum(band_dd(odd, l, 0, pts).sum() for l in range(1, 9))
         assert abs(total) <= 1e-9
         mixed = ScalarField("a+odd", lambda p: A_TEST.fn(p) + odd.fn(p))
         for l in (3, 6):
-            with_odd = band_dd(mixed, l, 0, pts).values
-            even_only = band_dd(A_TEST, l, 0, pts).values
+            with_odd = band_dd(mixed, l, 0, pts)
+            even_only = band_dd(A_TEST, l, 0, pts)
             assert np.abs(with_odd - even_only).max() <= 1e-10 * np.abs(even_only).max()
