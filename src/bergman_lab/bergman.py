@@ -53,8 +53,13 @@ def dd_kernel(a, basis: EigenBasis, points: np.ndarray, grads=None) -> np.ndarra
     if grads is None:
         grads = eval_basis(basis, np.atleast_2d(np.asarray(points, dtype=float)))[1]
     grads = grads[:basis.dim]
+    return _symmetric_field(a, grads, grads)
+
+
+def _symmetric_field(a, grads_in: np.ndarray, grads_out: np.ndarray) -> np.ndarray:
+    """The ``_contract`` of ``a``, symmetrized; a field that is not finite is an input error."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
-        vals = _contract(a, grads, grads)
+        vals = _contract(a, grads_in, grads_out)
         vals = 0.5 * (vals + np.transpose(vals, (0, 2, 1)))
     if not np.isfinite(vals).all():
         raise InputError("tensor field has non-finite values")

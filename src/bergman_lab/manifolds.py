@@ -222,19 +222,25 @@ def _eval_sphere(basis: EigenBasis, pts: np.ndarray):
     """Pbar_l^0, and sqrt(2) Pbar_l^|m| times cos(m phi) (m > 0) or sin(|m| phi) (m < 0)."""
     theta, phi = pts[:, 0], pts[:, 1]
     l, m = basis.freqs[:, 0], basis.freqs[:, 1]
-    am, is_cos = np.abs(m), (m >= 0)[:, None]  # cos(0 phi) = 1 for m = 0
+    am = np.abs(m)
     # a table on the distinct colatitudes only (a grid repeats each), gathered in C order
     colat, at = np.unique(theta, return_inverse=True)
     p, dp = (tab[l[:, None], am[:, None], at] for tab in normalized_legendre(int(l.max()), colat))
     angles = np.arange(am.max() + 1)[:, None] * phi
-    cos_t, sin_t = np.cos(angles)[am], np.sin(angles)[am]  # (d, P) by |m|
-    trig = np.where(is_cos, cos_t, sin_t)
+    # row |m| is cos(|m| phi) and row M + 1 + |m| sin(|m| phi); cos(0 phi) = 1 for m = 0
+    cos_sin, sin_row = np.concatenate([np.cos(angles), np.sin(angles)]), am + len(angles)
+    trig = cos_sin[np.where(m >= 0, am, sin_row)]  # (d, P)
     scale = np.where(m == 0, 1.0, math.sqrt(2.0))[:, None]
     # d/dphi: -sqrt(2) m Pbar sin(m phi) for cos rows, sqrt(2) |m| Pbar cos for sin rows
     dcoef = np.where(m > 0, -m, am)[:, None] * scale
-    grads = np.stack([scale * dp * trig, dcoef * p * np.where(is_cos, sin_t, cos_t)], axis=1)
+    # the outputs written in place, each product in the order (scale dp) trig
+    values, grads = np.empty_like(p), np.empty((len(p), 2, p.shape[1]))
+    np.multiply(np.multiply(scale, dp, out=grads[:, 0]), trig, out=grads[:, 0])
+    np.multiply(np.multiply(scale, p, out=values), trig, out=values)
+    np.take(cos_sin, np.where(m >= 0, sin_row, am), axis=0, out=trig, mode="clip")  # co-trig
+    np.multiply(np.multiply(dcoef, p, out=grads[:, 1]), trig, out=grads[:, 1])
     grads[m == 0, 1] = 0.0
-    return scale * p * trig, grads
+    return values, grads
 
 
 def eval_basis(basis: EigenBasis, points: np.ndarray):

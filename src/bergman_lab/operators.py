@@ -14,7 +14,8 @@ reads one row for every pair, Kohn-Nirenberg the row of each column's
 On the sphere multiplication is the Gauss-Legendre x trapezoid quadrature
 sum, separated into a phi DFT and Legendre-weighted products.  Every
 producer yields (rows, strip): matrix row indices, and those rows over every
-column; ``_collect`` builds each matrix from them.
+column; ``_collect`` builds each matrix from them, and ``_strip_products``
+multiplies them into gradients with no matrix formed.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ KN_TAIL_TOL = 1e-14
 # gather, the in-place symmetrization and the Gershgorin row sums, so a
 # temporary is a strip, not a second d x d matrix
 _STRIP = 64
+# rows per sphere strip: whole row trig index groups (at most N + 1 rows each,
+# never split) batched up to this height, so a product is one tall GEMM
+_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,22 @@ def _collect(strips, shape: tuple[int, int]) -> np.ndarray:
     out = np.empty(shape)
     for rows, strip in strips:
         out[rows] = strip
-        del strip  # a sphere strip is not held while the next one is formed
     return out
+
+
+def _strip_products(strips, grads: np.ndarray, windows) -> list[np.ndarray]:
+    """One pass over (rows, strip) pairs: for each (d, cols) in ``windows``, the products
+    of the strip rows below d over ``cols`` with ``grads[cols]``, shaped as the gradients."""
+    flat = grads.reshape(len(grads), -1)
+    products = [np.empty((d, flat.shape[1])) for d, _ in windows]
+    for rows, strip in strips:
+        for (d, cols), out in zip(windows, products):
+            keep = rows < d
+            if keep.all():
+                out[rows] = strip[:, cols] @ flat[cols]
+            elif keep.any():
+                out[rows[keep]] = strip[keep, cols] @ flat[cols]
+    return [t.reshape(len(t), *grads.shape[1:]) for t in products]
 
 
 def _flat_table(f: ScalarField, basis: EigenBasis):
@@ -203,36 +221,42 @@ def _flat_table(f: ScalarField, basis: EigenBasis):
 
 
 def sphere_block(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice) -> np.ndarray:
-    """Block [rows, cols] of the quadrature sum sum_q w_q f_q Y_j(q) Y_k(q), separated.
+    """Block [rows, cols] of the quadrature sum of ``sphere_strips``, collected."""
+    slots = range(basis.dim)
+    return _collect(sphere_strips(f, basis, rows, cols), (len(slots[rows]), len(slots[cols])))
+
+
+def sphere_strips(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice):
+    """The strips of block [rows, cols] of sum_q w_q f_q Y_j(q) Y_k(q), separated.
 
     On the ``default_assembly_res`` grid Y = Pbar_l^a(theta) s_a sqrt(2) cos(a phi
     - k pi/2) (k = 1 for sin, s_0 = 1/sqrt(2)), so the phi sum of w f Y Y' is
     s_a s_b Re((-i)^(k-k') F[a-b] + (-i)^(k+k') F[a+b]) Pbar Pbar', F the phi
     DFT of w f on each latitude, indexed mod the phi node count as the
-    trapezoid aliases; the theta sum is one GEMM per row trig index, and
-    ``_collect`` writes each to its rows.  A Gram residual of the top 32 slots
-    (the same sum with f = 1) flags a coarse grid.
+    trapezoid aliases; the theta sum is ``_separated_sum``, not symmetrized.  A
+    Gram residual of the top 32 slots (the same sum with f = 1), checked before
+    the first strip is formed, flags a coarse grid.
     """
     res = default_assembly_res(basis.model, basis)
     pts, w = quadrature_grid(basis.model, res)
     plm, _ = normalized_legendre(int(basis.cutoff), pts[:: 2 * res, 0])
-    top, slots = slice(max(basis.dim - 32, 0), basis.dim), range(basis.dim)
+    top = slice(max(basis.dim - 32, 0), basis.dim)
     gram = _collect(_separated_sum(w.reshape(res, -1), plm, basis, top, slice(None)),
-                    (len(slots[top]), basis.dim))
+                    (min(basis.dim, 32), basis.dim))
     resid = np.abs(gram - np.eye(gram.shape[0], basis.dim, top.start)).max()
     if resid > GRAM_RESIDUAL_TOL:
         raise ResolutionError(
             f"assembly grid too coarse: Gram residual {resid:.2e} > {GRAM_RESIDUAL_TOL:.0e}"
         )
-    return _collect(_separated_sum((w * f.values(pts)).reshape(res, -1), plm, basis, rows, cols),
-                    (len(slots[rows]), len(slots[cols])))
+    return _separated_sum((w * f.values(pts)).reshape(res, -1), plm, basis, rows, cols)
 
 
 def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, cols):
     """The sum over the (theta, phi) grid of fw Y_j Y_k, j in rows, k in cols, by strips.
 
-    Yields, per row trig index (see ``sphere_block``), the positions in
-    ``rows`` of its rows and their rows of the sum: one whole GEMM each.
+    One whole GEMM per row trig index (see ``sphere_strips``), written into one
+    reused buffer; yields, per batch of whole groups of at most _BATCH rows (or
+    one larger group), the positions in ``rows`` of its rows and their rows.
     """
     lmax, nphi = plm.shape[0] - 1, fw.shape[1]
     fhat = np.fft.fft(fw, axis=1)  # F = conj(fhat): F[i, n] = sum_phi fw e^{i n phi}
@@ -243,14 +267,22 @@ def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, col
     l, m = basis.freqs[rows, 0], basis.freqs[rows, 1]
     lc, mc = basis.freqs[cols, 0], basis.freqs[cols, 1]
     right = plm[lc, np.abs(mc)].T  # (n_theta, n_cols)
-    for t in np.unique(m):  # one GEMM per row trig index, over every column
+    ts, counts = np.unique(m, return_counts=True)
+    buf = np.empty((max(min(_BATCH, len(m)), counts.max()), len(lc)))
+    batch, n = [], 0
+    for t, count in zip(ts, counts):  # one GEMM per row trig index, over every column
+        if n + count > len(buf):
+            yield np.concatenate(batch), buf[:n]
+            batch, n = [], 0
         r = t + lmax
         # the trig products of row index t with every column index, (n_theta, 2 lmax + 1)
         i1 = (k[r] - k) % 4 * nphi + (a[r] - a) % nphi
         i2 = (k[r] + k) % 4 * nphi + (a[r] + a) % nphi
         slab = s[r] * s * (tab[:, i1] + tab[:, i2])
-        sel = np.flatnonzero(m == t)
-        yield sel, plm[l[sel], abs(t)] @ (slab[:, mc + lmax] * right)
+        batch.append(np.flatnonzero(m == t))
+        np.matmul(plm[l[batch[-1]], abs(t)], slab[:, mc + lmax] * right, out=buf[n:n + count])
+        n += count
+    yield np.concatenate(batch), buf[:n]
 
 
 def _fft_grid(basis: EigenBasis) -> tuple[int, int]:
@@ -633,8 +665,6 @@ def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -
     top = max((outer for _, outer in windows), key=lambda b: b.dim)
     rows = max(inner.dim for inner, _ in windows)
     grads = (eval_basis(top, points)[1] if grads is None else grads)[:top.dim]
-    flat = grads.reshape(len(grads), -1)
-    products = [np.empty((inner.dim, flat.shape[1])) for inner, _ in windows]
     maxima = np.zeros((len(windows), 2))  # largest |entry| of each block and square
     if top.model.kind == "sphere2":
         # a symmetrized row needs a column of the sum too, and no row or column
@@ -643,24 +673,27 @@ def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -
     else:
         table, box = _flat_table(f, top)
         strips = _pair_strips(table, top, box, rows)
-    for index, strip in strips:
-        r = index[0]  # the strips hold rows r, r + 1, ..., in basis order
-        for (inner, outer), t, big in zip(windows, products, maxima):
-            d_in, d_out = inner.dim, outer.dim
-            block = strip[:max(d_in - r, 0), d_in:d_out]
-            if len(block):
-                np.matmul(block, flat[d_in:d_out], out=t[r:r + len(block)])
-                big[0] = max(big[0], block.max(), -block.min())
-            square = strip[:max(d_out - r, 0), :d_out]
-            if len(square):
-                big[1] = max(big[1], square.max(), -square.min())
+
+    def watched(strips):  # each strip's share of the maxima, before its products
+        for index, strip in strips:
+            r = index[0]  # the strips hold rows r, r + 1, ..., in basis order
+            for (inner, outer), big in zip(windows, maxima):
+                block = strip[:max(inner.dim - r, 0), inner.dim:outer.dim]
+                if len(block):
+                    big[0] = max(big[0], block.max(), -block.min())
+                square = strip[:max(outer.dim - r, 0), :outer.dim]
+                if len(square):
+                    big[1] = max(big[1], square.max(), -square.min())
+            yield index, strip
+
+    products = _strip_products(watched(strips), grads, [(inner.dim, slice(inner.dim, outer.dim))
+                                                        for inner, outer in windows])
     defects = []
     for (inner, outer), t, (block_max, square_max) in zip(windows, products, maxima):
         # sphere quadrature entries are certified only to GRAM_RESIDUAL_TOL
         if block_max <= GRAM_RESIDUAL_TOL * square_max:
             raise InputError(f"field {f.name!r} has no tail defect: its off-window block is round-off")
-        grads_in = grads[:inner.dim]
-        tensor = _contract(None, grads_in, t.reshape(grads_in.shape))
+        tensor = _contract(None, grads[:inner.dim], t)
         sup = float(g0_operator_norms(outer.model, points, tensor).max())
         defects.append(sup / inner.mu_top ** (outer.model.dim + 2))
     return defects

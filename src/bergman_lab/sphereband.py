@@ -21,11 +21,10 @@ import math
 
 import numpy as np
 
-from .bergman import _contract, dd_kernel
+from .bergman import _contract, _symmetric_field
 from .errors import InputError
 from .fields import g0_operator_norms, sup_relative_error
 from .manifolds import (
-    EigenBasis,
     basis_for,
     eval_basis,
     fiber_bundle,
@@ -35,7 +34,7 @@ from .manifolds import (
     quadrature_grid,
     sphere2,
 )
-from .operators import ScalarField, sphere_block
+from .operators import ScalarField, _strip_products, sphere_block, sphere_strips
 
 
 def band_constant(n_deg: int) -> float:
@@ -78,8 +77,9 @@ def band_dd(a: ScalarField, n_deg: int, k: int, points: np.ndarray) -> np.ndarra
     rows = np.r_[sl_out] if k == 0 else np.r_[sl_out, sl_in]
     _, grads = eval_basis(big.subset(rows), pts)
     d_out, d_in = cross.shape
-    tensor = _contract(cross, grads[:d_out], grads[-d_in:])
-    return 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name where it is compared
+        tensor = _contract(cross, grads[:d_out], grads[-d_in:])
+        return 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
 
 
 def geodesic_average(a: ScalarField, points, xis, k: int = 0, t_res: int = 64) -> np.ndarray:
@@ -131,8 +131,9 @@ def flow_integral(a: ScalarField, k: int, points: np.ndarray, fiber_res: int = 3
     half = fiber_res // 2
     reps = reps.reshape(len(pts), fiber_res, 2)[:, :half].reshape(-1, 2)
     xis = xis.reshape(len(pts), fiber_res, 2)[:, :half].reshape(-1, 2)
-    avg = geodesic_average(a, reps, xis, k, t_res)
-    return 2.0 * fiber_tensor(avg.real, xis, wf[:half])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name where it is compared
+        avg = geodesic_average(a, reps, xis, k, t_res)
+        return 2.0 * fiber_tensor(avg.real, xis, wf[:half])
 
 
 def band_predict(integral: np.ndarray, n_deg: int, k: int) -> np.ndarray:
@@ -154,15 +155,21 @@ def sphere_band_check(
                               band_predict(integral, n_deg, k), a.name)
 
 
-def cumulative_band_sum(a: ScalarField, mat: np.ndarray, basis: EigenBasis, law,
-                        points: np.ndarray, grads=None) -> float:
-    """Relative error of one full-window tensor against the cosphere law.
+def cumulative_band_sum(a: ScalarField, windows: list, law, points: np.ndarray) -> list[float]:
+    """Relative error of the Bergman field of multiplication by ``a`` over each window.
 
-    Compares DD Pi_{<=N} B Pi_{<=N}, the Bergman field of the leading block
-    of ``mat = assemble(a, top)`` over the window ``basis`` (``grads`` as in
-    ``dd_kernel``), with ``law(mu_N)``, the ``symbol_law_predict`` of ``a``
-    at ``points``: mu_N^{n+2} / ((n+2) (2 pi)^n) * int b(x, xi) xi (x) xi
-    dS(xi).  The sphere remainder is O(1/N), improving on the general o(1).
+    Compares DD Pi_{<=N} B Pi_{<=N} with ``law(mu_N)``, the ``symbol_law_predict``
+    of ``a`` at ``points``: mu_N^{n+2} / ((n+2) (2 pi)^n) * int b xi (x) xi dS(xi).
+    One pass over the strips of the quadrature sum S of the top window, the last,
+    fills every window's S[:d, :d] G; G^T S^T G is the transpose of G^T S G, so the
+    symmetrized field is that of (S + S^T) / 2.  The remainder is O(1/N) on the sphere.
     """
-    measured = dd_kernel(mat[:basis.dim, :basis.dim], basis, points, grads)
-    return sup_relative_error(basis.model, points, measured, law(basis.mu_top), a.name)
+    grads = eval_basis(windows[-1], points)[1]
+    strips = sphere_strips(a, windows[-1], slice(None), slice(None))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite field is refused below
+        products = _strip_products(strips, grads, [(b.dim, slice(b.dim)) for b in windows])
+    errs = []
+    for basis, t in zip(windows, products):
+        measured = _symmetric_field(None, grads[:basis.dim], t)
+        errs.append(sup_relative_error(basis.model, points, measured, law(basis.mu_top), a.name))
+    return errs

@@ -361,7 +361,11 @@ class TestMainInProcess:
          f"conf:{E310}cos(x1)"),
         (["gradient-check", "--model", "torus2", "--gdot", f"conf:{E310}cos(x1)"],
          f"conf:{E310}cos(x1)"),
-    ], ids=[f"argv{i}" for i in range(14)])
+        # the geodesic average and the flow integral overflow, and at k = 1
+        # the band tensor's symmetrization too
+        (["sphere-band", "--a", f"{E308}x3", "--n", "4"], f"{E308}x3"),
+        (["sphere-band", "--a", f"{E308}x3", "--n", "4", "--k", "1"], f"{E308}x3"),
+    ], ids=[f"argv{i}" for i in range(16)])
     def test_overflowing_field_is_input_error_without_warning(self, argv, name, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -448,17 +452,38 @@ class TestMainInProcess:
             "metnorm-torus", "metnorm-circle", "cumulative-sphere", "szego-twice",
             "szego-mixed"])
     def test_sweep_assembles_its_top_window_once(self, argv, top, count, monkeypatch, capsys):
-        from bergman_lab import operators
+        # an assembly, or one pass over the strips that sphere-cumulative streams
+        from bergman_lab import operators, sphereband
         from bergman_lab.manifolds import basis_for, model_by_name
 
         windows = []
-        for name in ("assemble_kohn_nirenberg", "assemble_multiplication"):
-            real = getattr(operators, name)
-            monkeypatch.setattr(operators, name, lambda source, basis, *a, _real=real, **kw:
+        for module, name in ((operators, "assemble_kohn_nirenberg"),
+                             (operators, "assemble_multiplication"),
+                             (sphereband, "sphere_strips")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda source, basis, *a, _real=real, **kw:
                                 windows.append(basis.dim) or _real(source, basis, *a, **kw))
         assert main([*argv, "--threads", "2"]) == 0, capsys.readouterr().err
         assert len(capsys.readouterr().out.splitlines()) == 4
         assert windows == [basis_for(model_by_name(argv[2]), top).dim] * count
+
+    def test_cumulative_sweep_forms_no_top_window_matrix(self, monkeypatch, capsys):
+        # the strips of the top window are contracted as they are made: no
+        # d_top x d_top matrix is collected, and none is symmetrized
+        from bergman_lab import operators
+        from bergman_lab.manifolds import basis_for
+
+        shapes, symmetrized = [], []
+        collect, symmetrize = operators._collect, operators._symmetrize
+        monkeypatch.setattr(operators, "_collect", lambda strips, shape: (
+            shapes.append(shape) or collect(strips, shape)))
+        monkeypatch.setattr(operators, "_symmetrize", lambda mat: (
+            symmetrized.append(mat.shape) or symmetrize(mat)))
+        assert main(["sphere-cumulative", "--n", "10,20,40"]) == 0, capsys.readouterr().err
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        d_top = basis_for(SPHERE, 40).dim
+        assert shapes and (d_top, d_top) not in shapes
+        assert symmetrized == []
 
     @pytest.mark.parametrize("argv, top", [
         (["sphere-cumulative", "--model", "sphere2", "--n", "2,4,6"], 6),

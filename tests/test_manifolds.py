@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ class TestSphereEvaluator:
         pts, _ = quadrature_grid(model, 6)
         vals, grads = eval_basis(basis_for(model, cutoff), pts)
         assert vals.flags.c_contiguous and grads.flags.c_contiguous
+
+    def test_evaluates_into_its_outputs(self):
+        # the sphere-cumulative top window: the trig rows and their co-trig rows
+        # are gathered once and the outputs written in place
+        basis = basis_for(SPHERE, 40)
+        pts, _ = quadrature_grid(SPHERE, 10)
+        eval_basis(basis, pts)
+        tracemalloc.start()
+        try:
+            vals, grads = eval_basis(basis, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vals.nbytes + grads.nbytes + 4 * vals.nbytes
 
     @pytest.mark.parametrize("theta", [0.0, -0.2])
     def test_pole_among_repeated_colatitudes_is_chart_error(self, theta):

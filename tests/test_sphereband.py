@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bergman_lab import sphereband
-from bergman_lab.bergman import _contract
+from bergman_lab import operators, sphereband
+from bergman_lab.bergman import _contract, dd_kernel
 from bergman_lab.errors import ChartError, InputError
+from bergman_lab.fields import sup_relative_error
 from bergman_lab.manifolds import (
     basis_for,
     eval_basis,
@@ -312,11 +313,10 @@ def band_errors(a, degrees, k, grid_res=10, fiber_res=32):
 
 
 def cumulative_errors(a, levels, grid_res=10, fiber_res=32):
-    """cumulative_band_sum at each level, sliced from one top-window assembly as a sweep does."""
+    """cumulative_band_sum of every level, in one pass over the top window as a sweep does."""
     pts, _ = quadrature_grid(SPHERE, grid_res)
     law = symbol_law_predict(a, SPHERE, pts, fiber_res)
-    mat = assemble_multiplication(a, basis_for(SPHERE, levels[-1]))
-    return [cumulative_band_sum(a, mat, basis_for(SPHERE, n), law, pts) for n in levels]
+    return cumulative_band_sum(a, [basis_for(SPHERE, n) for n in levels], law, pts)
 
 
 class TestBandChecks:
@@ -343,6 +343,19 @@ class TestBandChecks:
     def test_cumulative_halving_trend(self):
         errs = cumulative_errors(A_TEST, [10, 20])
         assert errs[1] <= 0.7 * errs[0]
+
+    def test_cumulative_stream_is_the_assembled_field(self):
+        # the strips contracted as they are made, several batches of whole trig
+        # groups at d = 961, against the fields of the symmetrized matrix
+        pts, _ = quadrature_grid(SPHERE, 8)
+        law = symbol_law_predict(A_TEST, SPHERE, pts, 32)
+        windows = [basis_for(SPHERE, n) for n in (5, 20, 30)]
+        assert windows[-1].dim > 2 * operators._BATCH
+        mat = assemble_multiplication(A_TEST, windows[-1])
+        want = [sup_relative_error(SPHERE, pts, dd_kernel(mat[:b.dim, :b.dim], b, pts),
+                                   law(b.mu_top), A_TEST.name) for b in windows]
+        got = cumulative_band_sum(A_TEST, windows, law, pts)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_cumulative_unit_function_matches_isometry_error(self):
         # a = 1 reduces to the orthonormal-pullback error path
