@@ -310,6 +310,7 @@ def _sphere_field(ns, model):
 
 
 def cmd_sphere_band(ns, model):
+    """Band errors; a flow integral at most 1e-12 of its bound (2 pi)^2 max |a| is round-off."""
     a = _sphere_field(ns, model)
     sweep = sweep_values(ns)
     if sweep[0] + ns.k < 1:  # band_dd refuses both too, after the flow integral
@@ -318,6 +319,8 @@ def cmd_sphere_band(ns, model):
     pts, _ = quadrature_grid(model, _opt(ns.grid, 10))
     # the flow integral does not depend on the degree: one per command
     integral = sphereband.flow_integral(a, ns.k, pts, ns.fiber, ns.tnodes)
+    if np.abs(integral).max() <= 1e-12 * (2 * math.pi) ** 2 * np.abs(a.values(pts)).max():
+        raise InputError(f"field {a.name!r} has no band at k = {ns.k}: its integral is round-off")
     rows = map_sweep(ns, lambda n: (n, ns.k, sphereband.sphere_band_check(
         a, n, ns.k, pts, integral)))
     errs = [r[2] for r in rows]

@@ -12,10 +12,10 @@ gather, a strip of row pairs at a time (``_pair_strips``): multiplication
 reads one row for every pair, Kohn-Nirenberg the row of each column's
 +-direction pair; both read rows from real FFTs by ``_half_plane``.
 On the sphere multiplication is the Gauss-Legendre x trapezoid quadrature
-sum, separated into a phi DFT and Legendre-weighted products.  Every
-producer yields (rows, strip): matrix row indices, and those rows over every
-column; ``_collect`` builds each matrix from them, and ``_strip_products``
-multiplies them into gradients with no matrix formed.
+sum, separated into a phi DFT and Legendre-weighted products over the band
+that the field's phi spectrum reaches.  Every producer yields (rows, cols,
+strip): row indices, the sorted columns it covers (or ``slice(None)``) and
+those entries, the others being zero, for ``_collect`` and ``_strip_products``.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ KN_TAIL_TOL = 1e-14
 # gather, the in-place symmetrization and the Gershgorin row sums, so a
 # temporary is a strip, not a second d x d matrix
 _STRIP = 64
-# rows per sphere strip: whole row trig index groups (at most N + 1 rows each,
-# never split) batched up to this height, so a product is one tall GEMM
-_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -165,25 +162,28 @@ def assemble_multiplication(f: ScalarField, basis: EigenBasis) -> np.ndarray:
 
 
 def _collect(strips, shape: tuple[int, int]) -> np.ndarray:
-    """The matrix of ``shape`` whose rows the (rows, strip) pairs give, each written by index."""
-    out = np.empty(shape)
-    for rows, strip in strips:
-        out[rows] = strip
+    """The matrix of ``shape`` that the (rows, cols, strip) triples give, zero elsewhere."""
+    out = np.zeros(shape)
+    for rows, cols, strip in strips:
+        out[(rows, cols) if isinstance(cols, slice) else np.ix_(rows, cols)] = strip
     return out
 
 
 def _strip_products(strips, grads: np.ndarray, windows) -> list[np.ndarray]:
-    """One pass over (rows, strip) pairs: for each (d, cols) in ``windows``, the products
-    of the strip rows below d over ``cols`` with ``grads[cols]``, shaped as the gradients."""
+    """One pass over (rows, cols, strip) triples: for each (d, lo, hi) in ``windows``, the
+    products of the strip rows below d over its columns in lo..hi-1 with their gradients
+    (gathered once per strip), shaped as the gradients."""
     flat = grads.reshape(len(grads), -1)
-    products = [np.empty((d, flat.shape[1])) for d, _ in windows]
-    for rows, strip in strips:
-        for (d, cols), out in zip(windows, products):
+    products = [np.empty((d, flat.shape[1])) for d, _, _ in windows]
+    for rows, cols, strip in strips:
+        at, right = np.arange(len(flat))[cols], flat[cols]
+        for (d, lo, hi), out in zip(windows, products):
+            i, j = np.searchsorted(at, (lo, hi))  # the columns are sorted
             keep = rows < d
             if keep.all():
-                out[rows] = strip[:, cols] @ flat[cols]
+                out[rows] = strip[:, i:j] @ right[i:j]
             elif keep.any():
-                out[rows[keep]] = strip[keep, cols] @ flat[cols]
+                out[rows[keep]] = strip[keep, i:j] @ right[i:j]
     return [t.reshape(len(t), *grads.shape[1:]) for t in products]
 
 
@@ -234,8 +234,8 @@ def sphere_strips(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice):
     s_a s_b Re((-i)^(k-k') F[a-b] + (-i)^(k+k') F[a+b]) Pbar Pbar', F the phi
     DFT of w f on each latitude, indexed mod the phi node count as the
     trapezoid aliases; the theta sum is ``_separated_sum``, not symmetrized.  A
-    Gram residual of the top 32 slots (the same sum with f = 1), checked before
-    the first strip is formed, flags a coarse grid.
+    Gram residual of the top 32 slots (the same band sum with f = 1), checked
+    before the first strip is formed, flags a coarse grid.
     """
     res = default_assembly_res(basis.model, basis)
     pts, w = quadrature_grid(basis.model, res)
@@ -254,9 +254,10 @@ def sphere_strips(f: ScalarField, basis: EigenBasis, rows: slice, cols: slice):
 def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, cols):
     """The sum over the (theta, phi) grid of fw Y_j Y_k, j in rows, k in cols, by strips.
 
-    One whole GEMM per row trig index (see ``sphere_strips``), written into one
-    reused buffer; yields, per batch of whole groups of at most _BATCH rows (or
-    one larger group), the positions in ``rows`` of its rows and their rows.
+    A trig product (``sphere_strips``) reads Re F (equal kinds) or Im F at a -+ b;
+    it is in the band when either exceeds KN_TAIL_TOL of the largest |F| on some
+    latitude (always, if F is not finite).  Yields per row trig index the positions
+    in ``rows`` of its rows, in ``cols`` of its band's columns, and one GEMM over them.
     """
     lmax, nphi = plm.shape[0] - 1, fw.shape[1]
     fhat = np.fft.fft(fw, axis=1)  # F = conj(fhat): F[i, n] = sum_phi fw e^{i n phi}
@@ -264,25 +265,20 @@ def _separated_sum(fw: np.ndarray, plm: np.ndarray, basis: EigenBasis, rows, col
     tab = np.concatenate([fhat.real, -fhat.imag, -fhat.real, fhat.imag], axis=1)
     mt = np.arange(-lmax, lmax + 1)  # trig index mt + lmax: order a = |mt|, k = 1 for sin
     a, k, s = np.abs(mt), (mt < 0).astype(int), np.where(mt == 0, math.sqrt(0.5), 1.0)
+    big = np.abs(fhat).max()
+    live = ~(np.abs(tab).max(axis=0) <= KN_TAIL_TOL * big) | ~np.isfinite(big)
     l, m = basis.freqs[rows, 0], basis.freqs[rows, 1]
     lc, mc = basis.freqs[cols, 0], basis.freqs[cols, 1]
     right = plm[lc, np.abs(mc)].T  # (n_theta, n_cols)
-    ts, counts = np.unique(m, return_counts=True)
-    buf = np.empty((max(min(_BATCH, len(m)), counts.max()), len(lc)))
-    batch, n = [], 0
-    for t, count in zip(ts, counts):  # one GEMM per row trig index, over every column
-        if n + count > len(buf):
-            yield np.concatenate(batch), buf[:n]
-            batch, n = [], 0
+    for t in sorted(set(m.tolist())):  # not np.unique, whose first call imports numpy.ma
         r = t + lmax
         # the trig products of row index t with every column index, (n_theta, 2 lmax + 1)
         i1 = (k[r] - k) % 4 * nphi + (a[r] - a) % nphi
         i2 = (k[r] + k) % 4 * nphi + (a[r] + a) % nphi
         slab = s[r] * s * (tab[:, i1] + tab[:, i2])
-        batch.append(np.flatnonzero(m == t))
-        np.matmul(plm[l[batch[-1]], abs(t)], slab[:, mc + lmax] * right, out=buf[n:n + count])
-        n += count
-    yield np.concatenate(batch), buf[:n]
+        near = np.flatnonzero((live[i1] | live[i2])[mc + lmax])
+        group = np.flatnonzero(m == t)
+        yield group, near, plm[l[group], abs(t)] @ (slab[:, mc[near] + lmax] * right[:, near])
 
 
 def _fft_grid(basis: EigenBasis) -> tuple[int, int]:
@@ -329,7 +325,7 @@ def _pair_strips(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     direction, Hermitian rows give G-- = conj(G++) and G-+ = conj(G+-), so
     they are rows of the transposed left Kohn-Nirenberg matrix, out of order.
 
-    Yields (rows, strip) for each strip of _STRIP row pairs, visited in the
+    Yields (rows, slice(None), strip) per strip of _STRIP row pairs, in the
     stable order of their table row, so each strip asks ``table`` for one
     contiguous range of rows, and every index array and buffer covers one
     strip.  Pairs are gathered in the pair layout (cos row, sin row; column
@@ -387,7 +383,7 @@ def _pair_strips(table: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
         cut = np.flatnonzero((at < 0) | (at >= rows))
         for i, j in zip(np.append(0, cut + 1), np.append(cut, len(at))):
             if i < j:
-                yield at[i:j], block.reshape(len(at), -1)[i:j, 1:]
+                yield at[i:j], slice(None), block.reshape(len(at), -1)[i:j, 1:]
 
 
 def _check_real(entries: np.ndarray, mismatch: float) -> None:
@@ -650,12 +646,13 @@ def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -
     the strips of the largest inner window's rows over the largest outer
     window, ``top``, fills every window's product ``block @ grads[d_in:d_out]``
     a strip of rows at a time (the bits of one GEMM) and the largest |entry|
-    of its block and of the rows given of its square [:d_out, :d_out].  On the
-    circle and the torus the strips are those of ``_pair_strips`` and no
-    matrix is formed.  A block that is round-off next to that square (a
-    constant field) is an input error; for the fields of the acceptance runs
-    those rows hold the whole square's largest entry.  ``grads`` may give the
-    gradients at ``points`` of a window led by ``top``, as in ``dd_kernel``.
+    of its block and of the rows given of its square [:d_out, :d_out].  The
+    strips are those of ``_pair_strips``, or on the sphere the one strip
+    (S[:d_in] + S[:, :d_in]^T) / 2 from one pass over the band of the sum S.  A
+    block that is round-off next to that square (a constant field) is an input
+    error; for the fields of the acceptance runs those rows hold the whole
+    square's largest entry.  ``grads`` may give the gradients at ``points`` of
+    a window led by ``top``.
     """
     for inner, outer in windows:
         if outer.cutoff < 2 * inner.cutoff:
@@ -667,26 +664,26 @@ def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -
     grads = (eval_basis(top, points)[1] if grads is None else grads)[:top.dim]
     maxima = np.zeros((len(windows), 2))  # largest |entry| of each block and square
     if top.model.kind == "sphere2":
-        # a symmetrized row needs a column of the sum too, and no row or column
-        # sub-block of the sphere GEMMs has the whole product's bits
-        strips = [(np.arange(rows), assemble_multiplication(f, top)[:rows])]
+        sym = np.zeros((rows, top.dim))
+        for index, cols, strip in sphere_strips(f, top, slice(None), slice(None)):
+            sym[np.ix_(index[index < rows], cols)] += strip[index < rows]
+            sym[np.ix_(cols[cols < rows], index)] += strip[:, cols < rows].T
+        strips = [(np.arange(rows), slice(None), np.multiply(sym, 0.5, out=sym))]
     else:
         table, box = _flat_table(f, top)
         strips = _pair_strips(table, top, box, rows)
 
     def watched(strips):  # each strip's share of the maxima, before its products
-        for index, strip in strips:
-            r = index[0]  # the strips hold rows r, r + 1, ..., in basis order
+        for index, cols, strip in strips:
+            r = index[0]  # the strips hold rows r, r + 1, ..., in basis order, every column
             for (inner, outer), big in zip(windows, maxima):
                 block = strip[:max(inner.dim - r, 0), inner.dim:outer.dim]
-                if len(block):
-                    big[0] = max(big[0], block.max(), -block.min())
+                big[0] = max(big[0], block.max(initial=0.0), -block.min(initial=0.0))
                 square = strip[:max(outer.dim - r, 0), :outer.dim]
-                if len(square):
-                    big[1] = max(big[1], square.max(), -square.min())
-            yield index, strip
+                big[1] = max(big[1], square.max(initial=0.0), -square.min(initial=0.0))
+            yield index, cols, strip
 
-    products = _strip_products(watched(strips), grads, [(inner.dim, slice(inner.dim, outer.dim))
+    products = _strip_products(watched(strips), grads, [(inner.dim, inner.dim, outer.dim)
                                                         for inner, outer in windows])
     defects = []
     for (inner, outer), t, (block_max, square_max) in zip(windows, products, maxima):

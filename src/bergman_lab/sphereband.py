@@ -167,7 +167,7 @@ def cumulative_band_sum(a: ScalarField, windows: list, law, points: np.ndarray) 
     grads = eval_basis(windows[-1], points)[1]
     strips = sphere_strips(a, windows[-1], slice(None), slice(None))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite field is refused below
-        products = _strip_products(strips, grads, [(b.dim, slice(b.dim)) for b in windows])
+        products = _strip_products(strips, grads, [(b.dim, 0, b.dim) for b in windows])
     errs = []
     for basis, t in zip(windows, products):
         measured = _symmetric_field(None, grads[:basis.dim], t)

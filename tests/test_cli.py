@@ -485,6 +485,42 @@ class TestMainInProcess:
         assert shapes and (d_top, d_top) not in shapes
         assert symmetrized == []
 
+    def test_sphere_tail_defect_forms_no_outer_window_matrix(self, monkeypatch, capsys):
+        # the symmetrized rows of the inner window come from one pass over the
+        # band strips: no d_out x d_out matrix is collected or symmetrized, and
+        # the defects are those of the whole matrix (printed by the code that
+        # assembled it) to 1e-13
+        from bergman_lab import operators
+        from bergman_lab.manifolds import basis_for
+
+        shapes, symmetrized = [], []
+        collect, symmetrize = operators._collect, operators._symmetrize
+        monkeypatch.setattr(operators, "_collect", lambda strips, shape: (
+            shapes.append(shape) or collect(strips, shape)))
+        monkeypatch.setattr(operators, "_symmetrize", lambda mat: (
+            symmetrized.append(mat.shape) or symmetrize(mat)))
+        assert main(["tail-defect", "--model", "sphere2", "--f", "exp:0.5cos(phi)",
+                     "--n", "5,10,20", "--grid", "8"]) == 0, capsys.readouterr().err
+        d_out = basis_for(SPHERE, 40).dim
+        assert (d_out, d_out) not in shapes and symmetrized == []
+        rows = capsys.readouterr().out.splitlines()[1:]
+        got = [float(r.split(",")[2]) for r in rows]
+        want = [0.0091172708587946554, 0.0092416346126943938, 0.0034636348348040069]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("argv, name, k", [
+        (["sphere-band", "--model", "sphere2", "--k", "1", "--n", "5,10"], "1+0.5x3sq", 1),
+        (["sphere-band", "--model", "sphere2", "--a", "x3", "--k", "0", "--n", "5,10"], "x3", 0),
+    ])
+    def test_band_vanishing_by_parity_is_input_error(self, argv, name, k, capsys):
+        # the flow integral is round-off (about 1e-15 against 10-25 for the
+        # bands that do not vanish), so a relative error would be noise
+        assert main([*argv, "--check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: field {name!r} has no band at k = {k}: "
+                                "its integral is round-off\n")
+
     @pytest.mark.parametrize("argv, top", [
         (["sphere-cumulative", "--model", "sphere2", "--n", "2,4,6"], 6),
         (["isometry", "--model", "circle", "--n", "8,16,24"], 24),

@@ -134,31 +134,66 @@ class TestMultiplication:
         got = assemble_multiplication(field, basis)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("cutoff, rows", [(16, slice(None)), (40, slice(39**2, 41**2))])
+    @pytest.mark.parametrize("name", ["exp:0.5sin(phi)+0.3x3", "exp:0.5cos(phi)"])
+    def test_sphere_band_matches_quadrature_oracle(self, cutoff, rows, name):
+        # the band sum, unsymmetrized: Im F in the cross-kind products, and a
+        # broad phi spectrum; at N = 40 the rows of the two top levels
+        basis = basis_for(SPHERE, cutoff)
+        field = scalar_field(name, SPHERE)
+        want = quadrature_sum(field, basis, rows)
+        got = operators.sphere_block(field, basis, rows, slice(None))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("cutoff", [10, 20, 40])
+    def test_axisymmetric_field_couples_equal_trig_indices_only(self, cutoff):
+        # the phi spectrum of 1 + x3^2 / 2 is round-off beyond frequency 0
+        # (exactly zero at N = 30 and 40, not at N = 10 and 20)
+        basis = basis_for(SPHERE, cutoff)
+        block = operators.sphere_block(scalar_field("one-plus-half-x3sq", SPHERE), basis,
+                                       slice(None), slice(None))
+        m = basis.freqs[:, 1]
+        assert not block[m[:, None] != m].any()
+
     def test_assembled_matrices_symmetric(self):
         basis = basis_for(TORUS, 8)
         op = assemble_multiplication(EXP_03, basis)
         assert np.abs(op - op.T).max() <= 1e-12
 
 
-def quadrature_multiplication(f, basis):
-    """Multiplication oracle: the basis on a quadrature grid, one d x d x P product.
+def quadrature_sum(f, basis, rows=slice(None)):
+    """Multiplication oracle: ``rows`` of the sum over a quadrature grid of w f Y_j Y_k.
 
     Flat models: 2 kmax + 48 trapezoid points per axis, which integrate every
     basis product times the first 48 Fourier modes of f exactly.  Sphere:
     the ``default_assembly_res`` grid, whose sum the assembly reorganizes.
+    The basis is evaluated on 1,024 points at a time.
     """
     if basis.model.kind == "sphere2":
         res = operators.default_assembly_res(basis.model, basis)
     else:
         res = 2 * int(np.abs(basis.freqs).max()) + 48
     pts, w = quadrature_grid(basis.model, res)
-    vals, _ = eval_basis(basis, pts)
-    mat = (vals * (w * f.values(pts))) @ vals.T
+    fw = w * f.values(pts)
+    total = 0.0
+    for lo in range(0, len(pts), 1024):
+        vals, _ = eval_basis(basis, pts[lo:lo + 1024])
+        total = total + (vals[rows] * fw[lo:lo + 1024]) @ vals.T
+    return total
+
+
+def quadrature_multiplication(f, basis):
+    """The symmetrized ``quadrature_sum`` of every row."""
+    mat = quadrature_sum(f, basis)
     return 0.5 * (mat + mat.T)
 
 
-def complex_separated_sum(fw, plm, basis, rows, cols):
-    """Reference ``_separated_sum``: the phi sums from the complex table (-i)^k F."""
+def complex_separated_sum(fw, plm, basis, rows, cols, coupled=None):
+    """Reference ``_separated_sum``, collected: the phi sums from the complex table (-i)^k F.
+
+    ``coupled`` maps a row trig index to the positions in ``cols`` that its
+    GEMM covers, zero elsewhere; by default every column.
+    """
     lmax, nphi = plm.shape[0] - 1, fw.shape[1]
     fhat = np.conj(np.fft.fft(fw, axis=1))
     mt = np.arange(-lmax, lmax + 1)
@@ -169,10 +204,12 @@ def complex_separated_sum(fw, plm, basis, rows, cols):
     l, m = basis.freqs[rows, 0], basis.freqs[rows, 1]
     lc, mc = basis.freqs[cols, 0], basis.freqs[cols, 1]
     right = plm[lc, np.abs(mc)].T
-    out = np.empty((len(l), len(lc)))
+    out = np.zeros((len(l), len(lc)))
     for t in np.unique(m):
         sel = np.flatnonzero(m == t)
-        out[sel] = plm[l[sel], abs(t)] @ (g[:, t + lmax, mc + lmax] * right)
+        near = np.arange(len(lc)) if coupled is None else coupled[t]
+        out[np.ix_(sel, near)] = plm[l[sel], abs(t)] @ (g[:, t + lmax, mc[near] + lmax]
+                                                        * right[:, near])
     return out
 
 
@@ -181,15 +218,25 @@ class TestSeparatedSum:
     @pytest.mark.parametrize("name", ["one", "one-plus-half-x3sq",
                                       "exp:0.5sin(phi)+0.3x3"])
     def test_real_table_matches_complex_table(self, cutoff, name):
+        # bit for bit over the columns each row group couples; every entry
+        # left out is round-off in the sum over every column
         basis = basis_for(SPHERE, cutoff)
         res = operators.default_assembly_res(SPHERE, basis)
         pts, w = quadrature_grid(SPHERE, res)
         plm, _ = normalized_legendre(cutoff, pts[:: 2 * res, 0])
         fw = (w * scalar_field(name, SPHERE).values(pts)).reshape(res, -1)
         for rows in (slice(None), slice(max(basis.dim - 32, 0), basis.dim)):
-            got = operators._collect(operators._separated_sum(fw, plm, basis, rows, slice(None)),
-                                     (len(basis.freqs[rows]), basis.dim))
-            assert np.array_equal(got, complex_separated_sum(fw, plm, basis, rows, slice(None)))
+            shape = (len(basis.freqs[rows]), basis.dim)
+            strips = list(operators._separated_sum(fw, plm, basis, rows, slice(None)))
+            got = operators._collect(strips, shape)
+            coupled = {basis.freqs[rows, 1][r[0]]: c for r, c, _ in strips}
+            assert np.array_equal(got, complex_separated_sum(fw, plm, basis, rows, slice(None),
+                                                             coupled))
+            off = np.ones(shape, dtype=bool)
+            for r, c, _ in strips:
+                off[np.ix_(r, c)] = False
+            full = complex_separated_sum(fw, plm, basis, rows, slice(None))
+            assert np.abs(full[off]).max(initial=0.0) <= 1e-13 * np.abs(full).max()
 
 
 def _pairing(k, kind):
@@ -668,7 +715,7 @@ class TestHalfPlaneTables:
         even, odd = rng.standard_normal((2, 1, ((2 * box + 1) ** 2 + 1) // 2))
 
         def stream():
-            return sum(len(r) for r, _ in operators._pair_strips(
+            return sum(len(r) for r, _, _ in operators._pair_strips(
                 lambda lo, hi: (even, odd), basis, box, rows))
 
         got, peak = traced_peak(stream)
@@ -684,17 +731,17 @@ class TestHalfPlaneTables:
 def placed_rows(table, basis, box, rows, table_rows=None):
     """Leading ``rows`` rows of the matrix, each ``_pair_strips`` strip placed by its rows."""
     out = np.full((rows, basis.dim), np.nan)
-    for r, strip in operators._pair_strips(table, basis, box, rows, table_rows):
+    for r, _, strip in operators._pair_strips(table, basis, box, rows, table_rows):
         out[r] = strip
     return out
 
 
 def tail_strips(field, basis, rows):
-    """The (rows, strip) pairs ``tail_defect`` reads for the leading ``rows`` rows:
+    """The (rows, cols, strip) triples ``tail_defect`` reads for the leading ``rows`` rows:
     the strips of ``_pair_strips`` on the flat models, and on the sphere the
     leading rows of the assembled matrix."""
     if basis.model.kind == "sphere2":
-        return [(np.arange(rows), assemble_multiplication(field, basis)[:rows])]
+        return [(np.arange(rows), slice(None), assemble_multiplication(field, basis)[:rows])]
     table, box = operators._flat_table(field, basis)
     return operators._pair_strips(table, basis, box, rows)
 
@@ -748,7 +795,7 @@ class TestStrips:
         table, box = operators._flat_table(field, basis)
         even, odd = table(0, 1)
         want = full_pair_gather(unfold(even + 1j * odd), basis, box)[:rows]
-        got = np.concatenate([s.copy() for _, s in tail_strips(field, basis, rows)])
+        got = np.concatenate([s.copy() for _, _, s in tail_strips(field, basis, rows)])
         np.testing.assert_array_equal(got, want)
 
     def test_kohn_nirenberg_forms_each_direction_row_once(self, monkeypatch):
@@ -869,7 +916,7 @@ class TestMultiplicationGather:
         # copied before the next
         basis = basis_for(model, cutoff)
         square = assemble_multiplication(field, basis)
-        strips = [(r, s.copy()) for r, s in tail_strips(field, basis, rows)]
+        strips = [(r, s.copy()) for r, _, s in tail_strips(field, basis, rows)]
         assert all(np.array_equal(r, np.arange(r[0], r[0] + len(s))) for r, s in strips)
         strips = [(int(r[0]), s) for r, s in strips]
         starts = np.cumsum([0] + [len(s) for _, s in strips])
