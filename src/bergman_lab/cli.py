@@ -2,7 +2,7 @@
 
 Every command writes a deterministic CSV table (header row, fixed column
 order, 17 significant digits, LF line endings) so reruns are byte-identical
-regardless of thread count.  With --check the command also evaluates its
+regardless of --threads.  With --check the command also evaluates its
 acceptance threshold and exits 2 on failure; input errors and running out
 of memory exit 1.
 """
@@ -19,13 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import bergman, hilb, metspace, sphereband
-from .errors import (
-    ChartError,
-    InputError,
-    NotSPDError,
-    ResolutionError,
-    UnsupportedModelError,
-)
+from .errors import ChartError, InputError, ResolutionError, UnsupportedModelError
 from .fields import MetricField, relative_errors
 from .manifolds import (
     _torus_half_lattice,
@@ -44,7 +38,7 @@ from .presets import (
     symbol_field,
 )
 
-CLIError = (InputError, UnsupportedModelError, ResolutionError, NotSPDError, ChartError)
+CLIError = (InputError, UnsupportedModelError, ResolutionError, ChartError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,14 +67,12 @@ def write_csv(header: list[str], rows: list[tuple], out: Optional[str]) -> None:
 
 
 def run_parallel(tasks, threads: int) -> list:
-    """Evaluate independent thunks, merging results in task order."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    from concurrent.futures import ThreadPoolExecutor  # only the pool pays for the import
+    """Run the thunks in order in the calling thread; ``threads`` changes nothing.
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
+    Every sweep is this serial loop.  The name and signature stay because
+    ``perfbench/spans.py`` traces ``cli.run_parallel(tasks, threads)`` by name.
+    """
+    return [t() for t in tasks]
 
 
 def trend_ok(errs, factor: float = 1.10) -> bool:
@@ -143,7 +135,7 @@ def sweep_values(ns: argparse.Namespace, default=None) -> list:
 
 
 def map_sweep(ns: argparse.Namespace, point, default=None) -> list:
-    """``point(c)`` for every sweep value c, on the thread pool, in sweep order."""
+    """``point(c)`` for every sweep value c, in sweep order."""
     sweep = sweep_values(ns, default)
     return run_parallel([functools.partial(point, c) for c in sweep], ns.threads)
 

@@ -5,10 +5,6 @@ class InputError(ValueError):
     """Malformed or out-of-domain input (non-finite entries, bad sizes)."""
 
 
-class NotSPDError(ValueError):
-    """A matrix required to be symmetric positive-definite is not."""
-
-
 class ChartError(ValueError):
     """A point falls outside the coordinate chart (e.g. sphere poles)."""
 

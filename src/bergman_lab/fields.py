@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, NotSPDError
+from .errors import InputError
 from .manifolds import ManifoldModel, g0_matrices
 
 
@@ -104,12 +104,12 @@ class MetricField:
         g = 0.5 * (g + np.transpose(g, (0, 2, 1)))
         if self.model.dim == 1:
             if np.any(g[:, 0, 0] <= 0.0):
-                raise NotSPDError(f"metric {self.name!r} not positive at a queried point")
+                raise InputError(f"metric {self.name!r} not positive at a queried point")
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
                 det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
             if np.any(g[:, 0, 0] <= 0.0) or np.any(det <= 0.0):
-                raise NotSPDError(f"metric {self.name!r} not SPD at a queried point")
+                raise InputError(f"metric {self.name!r} not SPD at a queried point")
             # ``inverses`` and ``volume_ratio`` divide by this same product
             _finite(self.name, det, "determinants")
         return g

@@ -690,7 +690,9 @@ def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -
         # sphere quadrature entries are certified only to GRAM_RESIDUAL_TOL
         if block_max <= GRAM_RESIDUAL_TOL * square_max:
             raise InputError(f"field {f.name!r} has no tail defect: its off-window block is round-off")
-        tensor = _contract(None, grads[:inner.dim], t)
-        sup = float(g0_operator_norms(outer.model, points, tensor).max())
-        defects.append(sup / inner.mu_top ** (outer.model.dim + 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+            tensor = _contract(None, grads[:inner.dim], t)
+            sup = g0_operator_norms(outer.model, points, tensor).max()
+            defect = sup / inner.mu_top ** (outer.model.dim + 2)
+        defects.append(float(_finite(f.name, defect, "tail defect")))
     return defects

@@ -28,9 +28,9 @@ from bergman_lab.presets import (
 )
 
 CIRCLE, TORUS, SPHERE = circle(), torus2(), sphere2()
-# coefficients whose squares overflow: 1e307, and 1e308 (the largest power of ten
-# a float holds); 1e310 parses to inf
-E307, E308, E310 = ("1" + "0" * z for z in (307, 308, 310))
+# coefficients whose squares overflow: 1e300, 1e307, and 1e308 (the largest power
+# of ten a float holds); 1e310 parses to inf
+E300, E307, E308, E310 = ("1" + "0" * z for z in (300, 307, 308, 310))
 
 
 def run_cli(*args):
@@ -365,7 +365,12 @@ class TestMainInProcess:
         # the band tensor's symmetrization too
         (["sphere-band", "--a", f"{E308}x3", "--n", "4"], f"{E308}x3"),
         (["sphere-band", "--a", f"{E308}x3", "--n", "4", "--k", "1"], f"{E308}x3"),
-    ], ids=[f"argv{i}" for i in range(16)])
+        # the tail defect's tensor norms overflow to inf, or to nan on the sphere
+        (["tail-defect", "--model", "sphere2", "--f", f"{E308}x3", "--n", "2,4"], f"{E308}x3"),
+        (["tail-defect", "--model", "sphere2", "--f", f"{E300}x3", "--n", "2,4"], f"{E300}x3"),
+        (["tail-defect", "--model", "torus2", "--f", f"{E300}cos(x1)", "--mu2", "2,4"],
+         f"{E300}cos(x1)"),
+    ], ids=[f"argv{i}" for i in range(19)])
     def test_overflowing_field_is_input_error_without_warning(self, argv, name, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -566,6 +571,22 @@ class TestMainInProcess:
                      "--mu2", "9,25,49", "--threads", "2"]) == 0, capsys.readouterr().err
         assert len(capsys.readouterr().out.splitlines()) == 4
         assert calls == [(basis_for(TORUS, 98).dim, basis_for(TORUS, 49).dim)]
+
+    @pytest.mark.parametrize("argv", [
+        ["bergman", "--model", "torus2", "--symbol", "xi1sq", "--mu2", "4,9"],
+        ["hilb-approx", "--model", "torus2", "--metric", "aniso-diag:0.3,0.3", "--mu2", "4,9"],
+        ["met-norm", "--model", "torus2", "--gdot", "cos-x1-dx1", "--mu2", "4,9"],
+    ], ids=["bergman", "hilb-approx", "met-norm"])
+    def test_threads_flag_starts_no_thread(self, argv, monkeypatch, capsys):
+        # every sweep point runs in the calling thread, whatever --threads says
+        import threading
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name!r} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main([*argv, "--threads", "2"]) == 0, capsys.readouterr().err
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     @pytest.mark.parametrize("argv, symbol", [
         # odd in the fiber: b(x, -xi) != b(x, xi)

@@ -6,7 +6,7 @@ import pytest
 
 from bergman_lab import operators
 from bergman_lab.bergman import dd_kernel
-from bergman_lab.errors import NotSPDError, UnsupportedModelError
+from bergman_lab.errors import InputError, UnsupportedModelError
 from bergman_lab.fields import (
     MetricField,
     reference_metric,
@@ -89,7 +89,7 @@ class TestHilbSymbol:
     def test_degenerate_metric_rejected(self):
         g = MetricField("bad", CIRCLE, lambda p: -np.ones((np.atleast_2d(p).shape[0], 1, 1)))
         sym = hilb_symbol(g)
-        with pytest.raises(NotSPDError):
+        with pytest.raises(InputError):
             sym.values(np.array([[0.0]]), np.array([[1.0]]))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bergman_lab.errors import InputError, NotSPDError, UnsupportedModelError
+from bergman_lab.errors import InputError, UnsupportedModelError
 from bergman_lab.manifolds import ManifoldModel, circle, quadrature_grid, sphere2
 
 CIRCLE, SPHERE = circle(), sphere2()
@@ -26,7 +26,7 @@ def spd_sqrt(mat) -> np.ndarray:
     """Symmetric positive square root: result @ result == input."""
     w, q = sym_eig(mat)
     if w[0] <= 0.0:
-        raise NotSPDError(f"matrix is not positive-definite (min eigenvalue {w[0]:g})")
+        raise InputError(f"matrix is not positive-definite (min eigenvalue {w[0]:g})")
     return (q * np.sqrt(w)) @ q.T
 
 
@@ -96,7 +96,7 @@ class TestSpdSqrt:
         assert np.abs(r @ r - a).max() <= 1e-12
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotSPDError):
+        with pytest.raises(InputError):
             spd_sqrt(np.diag([1.0, -1.0]))
 
     def test_desk_scale_512(self):
