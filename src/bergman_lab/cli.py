@@ -53,6 +53,12 @@ def _format_value(v) -> str:
 
 
 def write_csv(header: list[str], rows: list[tuple], out: Optional[str]) -> None:
+    """The table as CSV to ``out`` or stdout; a non-finite cell is an input error, and
+    nothing is written."""
+    for row in rows:
+        for name, v in zip(header, row):
+            if not isinstance(v, (int, np.integer)) and not math.isfinite(v):
+                raise InputError(f"column {name!r} holds the non-finite value {float(v)}")
     lines = [",".join(header)]
     lines += [",".join(_format_value(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
@@ -140,9 +146,9 @@ def map_sweep(ns: argparse.Namespace, point, default=None) -> list:
     return run_parallel([functools.partial(point, c) for c in sweep], ns.threads)
 
 
-def _top_window(ns, model, scale: int = 1):
-    """Basis of the sweep's top window (times ``scale``), which the sweep slices."""
-    return basis_for(model, scale * sweep_values(ns)[-1])
+def _top_window(ns, model):
+    """Basis of the sweep's top window, which the sweep slices."""
+    return basis_for(model, sweep_values(ns)[-1])
 
 
 def cmd_spectra(ns, model):
@@ -215,13 +221,9 @@ def cmd_bergman(ns, model):
 def cmd_tail_defect(ns, model):
     f = scalar_field(ns.f, model)
     pts, _ = quadrature_grid(model, _opt(ns.grid, _default_grid(model)))
-    # the largest outer window holds every (inner, outer = 2 inner) pair; one
-    # pass over its strips serves the whole sweep
-    grads = eval_basis(_top_window(ns, model, 2), pts)[1]
     sweep = sweep_values(ns)
     inners = [basis_for(model, c) for c in sweep]
-    defects = tail_defect(f, [(b, basis_for(model, 2 * c)) for c, b in zip(sweep, inners)],
-                          pts, grads)
+    defects = tail_defect(f, [(b, basis_for(model, 2 * c)) for c, b in zip(sweep, inners)], pts)
     rows = [(c, b.mu_top, d) for c, b, d in zip(sweep, inners, defects)]
     ratio = rows[-1][2] / rows[0][2]
     detail = f"defect ratio last/first {ratio:.3f} vs {ns.tol}"

@@ -49,9 +49,9 @@ KN_FIBER_RES = 64
 KN_FIBER_RES_MAX = 1024
 FFT_RES_MAX = 2048
 KN_TAIL_TOL = 1e-14
-# rows (row pairs in the pair gather) per strip of every strip loop: the pair
-# gather, the in-place symmetrization and the Gershgorin row sums, so a
-# temporary is a strip, not a second d x d matrix
+# rows (row pairs in the pair gather, lattice offsets in the flat tail defect)
+# per strip of every strip loop, so a temporary is a strip, not a second d x d
+# matrix: the gather, the in-place symmetrization and the Gershgorin row sums
 _STRIP = 64
 
 
@@ -169,21 +169,21 @@ def _collect(strips, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _strip_products(strips, grads: np.ndarray, windows) -> list[np.ndarray]:
-    """One pass over (rows, cols, strip) triples: for each (d, lo, hi) in ``windows``, the
-    products of the strip rows below d over its columns in lo..hi-1 with their gradients
-    (gathered once per strip), shaped as the gradients."""
+def _strip_products(strips, grads: np.ndarray, dims) -> list[np.ndarray]:
+    """One pass over (rows, cols, strip) triples: for each d in ``dims``, the products of
+    the strip rows below d over its columns below d with their gradients (gathered once
+    per strip), shaped as the gradients."""
     flat = grads.reshape(len(grads), -1)
-    products = [np.empty((d, flat.shape[1])) for d, _, _ in windows]
+    products = [np.empty((d, flat.shape[1])) for d in dims]
     for rows, cols, strip in strips:
         at, right = np.arange(len(flat))[cols], flat[cols]
-        for (d, lo, hi), out in zip(windows, products):
-            i, j = np.searchsorted(at, (lo, hi))  # the columns are sorted
+        for d, out in zip(dims, products):
+            j = np.searchsorted(at, d)  # the columns are sorted
             keep = rows < d
             if keep.all():
-                out[rows] = strip[:, i:j] @ right[i:j]
+                out[rows] = strip[:, :j] @ right[:j]
             elif keep.any():
-                out[rows[keep]] = strip[keep, i:j] @ right[i:j]
+                out[rows[keep]] = strip[keep, :j] @ right[:j]
     return [t.reshape(len(t), *grads.shape[1:]) for t in products]
 
 
@@ -470,23 +470,28 @@ def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
 
     Row l is the angle 2 pi l / L of ``fiber_covectors``; each row holds the
     half plane (``_half_plane``) of the real FFT of b on the m x m grid.
-    One angle is evaluated at a time.  L starts at KN_FIBER_RES and doubles,
-    reusing the samples it has, until the theta coefficients in the Nyquist
-    band |l| >= L/2 - 1 are at most KN_TAIL_TOL of the largest (the half
-    plane holds every magnitude: column -nu holds column nu's theta
-    coefficients at -q, conjugated); a symbol not resolved by
-    KN_FIBER_RES_MAX angles raises ResolutionError.
+    One angle is evaluated at a time; while an angle's x-Nyquist band exceeds
+    KN_TAIL_TOL of the largest theta coefficient over L (at most the largest
+    sample, the rule of ``_flat_table``), the samples start over at 2m, up to
+    FFT_RES_MAX.  L starts at KN_FIBER_RES and doubles, reusing the samples it
+    has, until the theta coefficients in the Nyquist band |l| >= L/2 - 1 are
+    at most KN_TAIL_TOL of the largest (the half plane holds every magnitude:
+    column -nu holds column nu's theta coefficients at -q, conjugated); a
+    symbol not resolved by KN_FIBER_RES_MAX angles raises ResolutionError.
     """
-    pts, _ = quadrature_grid(symbol.model, m)
-    evaluate = symbol.prepared(pts)
-    origin = np.zeros((1, 2))
+    evaluate = symbol.prepared(quadrature_grid(symbol.model, m)[0])
+    origin, edges = np.zeros((1, 2)), []  # the largest x-Nyquist band of each batch
     index, mirror = _half_plane(m, box, 2)
 
     def sample(xis: np.ndarray) -> np.ndarray:
         out = np.empty((len(xis), len(index)), dtype=complex)
+        rows = np.empty((len(xis), 3, m // 2 + 1), dtype=complex)  # |nu_1| >= m/2 - 1
+        cols = np.empty((len(xis), m, 2), dtype=complex)  # |nu_2| >= m/2 - 1
         for i, xi in enumerate(xis):
-            np.take(np.fft.rfft2(evaluate(xi).reshape(m, m)).ravel(), index, out=out[i],
-                    mode="clip")
+            coeffs = np.fft.rfft2(evaluate(xi).reshape(m, m))
+            np.take(coeffs.ravel(), index, out=out[i], mode="clip")
+            rows[i], cols[i] = coeffs[m // 2 - 1: m // 2 + 2], coeffs[:, m // 2 - 1:]
+        edges.append(max(np.abs(rows).max(), np.abs(cols).max()) / (m * m))
         np.conjugate(out, out=out, where=mirror)
         out /= m * m
         return out
@@ -495,13 +500,18 @@ def _fiber_samples(symbol: SymbolField, m: int, box: int) -> np.ndarray:
     samples = sample(fiber_covectors(symbol.model, origin, nfib)[0])
     while True:
         coeffs = np.abs(np.fft.fft(samples, axis=0))
-        tail = coeffs[nfib // 2 - 1: nfib // 2 + 2].max()
-        if tail <= KN_TAIL_TOL * coeffs.max():
+        tail, big = coeffs[nfib // 2 - 1: nfib // 2 + 2].max(), coeffs.max()
+        if max(edges) > KN_TAIL_TOL * big / nfib:
+            if 2 * m > FFT_RES_MAX:
+                raise ResolutionError(f"symbol {symbol.name!r} is not resolved by the FFT grid "
+                                      f"at {m} points per axis")
+            return _fiber_samples(symbol, 2 * m, box)
+        if tail <= KN_TAIL_TOL * big:
             return samples
         if 2 * nfib > KN_FIBER_RES_MAX:
             raise ResolutionError(
                 f"symbol {symbol.name!r} is not resolved in the fiber angle: its "
-                f"Nyquist band is {tail / coeffs.max():.1e} of its largest theta "
+                f"Nyquist band is {tail / big:.1e} of its largest theta "
                 f"coefficient at {nfib} angles"
             )
         # the 2L angles are the L angles interleaved with L new ones
@@ -636,23 +646,21 @@ def symbol_law_check(mat: np.ndarray, basis: EigenBasis, law, points: np.ndarray
     return basis.mu_top, float(rel_err.max()), shift
 
 
-def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -> list[float]:
+def tail_defect(f: ScalarField, windows: list, points: np.ndarray) -> list[float]:
     """Normalized size of the off-window block Pi_{<=N} B (I - Pi_{<=N}) of each window pair.
 
-    For each (inner, outer) pair in ``windows`` the block [:d_in, d_in:d_out]
-    of the multiplication matrix couples the inner window to the rest of the
-    outer one, and the defect is mu_N^{-(n+2)} times the sup over ``points``
-    of the g0 operator norm of its mixed-derivative field.  One pass over
-    the strips of the largest inner window's rows over the largest outer
-    window, ``top``, fills every window's product ``block @ grads[d_in:d_out]``
-    a strip of rows at a time (the bits of one GEMM) and the largest |entry|
-    of its block and of the rows given of its square [:d_out, :d_out].  The
-    strips are those of ``_pair_strips``, or on the sphere the one strip
-    (S[:d_in] + S[:, :d_in]^T) / 2 from one pass over the band of the sum S.  A
-    block that is round-off next to that square (a constant field) is an input
-    error; for the fields of the acceptance runs those rows hold the whole
-    square's largest entry.  ``grads`` may give the gradients at ``points`` of
-    a window led by ``top``.
+    The block [:d_in, d_in:d_out] of the multiplication matrix couples the
+    inner window of each (inner, outer) pair in ``windows`` to the rest of the
+    outer one; the defect is mu_N^{-(n+2)} times the sup over ``points`` of the
+    g0 operator norm of its mixed-derivative field T.  On the circle and the
+    torus, with c the half plane of ``_flat_table`` and H its offsets nu != 0
+    above KN_TAIL_TOL of max |c|, T(x) = (2 / vol) sum_H Re(c_nu e^{i nu.x})
+    S(nu), S(nu) = sum j (x) (j - nu) over the inner lattice's j with j - nu in
+    the outer annulus (integer levels |k|^2), _STRIP offsets at a time.  The
+    sphere slices each block from (S[:d_in] + S[:, :d_in]^T) / 2, one pass over
+    the band of its quadrature sum S.  A block whose largest coupling |c_nu|
+    (sphere: entry) is at most GRAM_RESIDUAL_TOL of max |c| (sphere: of the
+    square [:d_out, :d_out]'s rows given) is round-off: an input error.
     """
     for inner, outer in windows:
         if outer.cutoff < 2 * inner.cutoff:
@@ -660,39 +668,41 @@ def tail_defect(f: ScalarField, windows: list, points: np.ndarray, grads=None) -
         if inner.mu_top == 0.0:
             raise InputError("tail defect needs an inner window above level 0")
     top = max((outer for _, outer in windows), key=lambda b: b.dim)
-    rows = max(inner.dim for inner, _ in windows)
-    grads = (eval_basis(top, points)[1] if grads is None else grads)[:top.dim]
-    maxima = np.zeros((len(windows), 2))  # largest |entry| of each block and square
-    if top.model.kind == "sphere2":
-        sym = np.zeros((rows, top.dim))
-        for index, cols, strip in sphere_strips(f, top, slice(None), slice(None)):
-            sym[np.ix_(index[index < rows], cols)] += strip[index < rows]
-            sym[np.ix_(cols[cols < rows], index)] += strip[:, cols < rows].T
-        strips = [(np.arange(rows), slice(None), np.multiply(sym, 0.5, out=sym))]
-    else:
-        table, box = _flat_table(f, top)
-        strips = _pair_strips(table, top, box, rows)
-
-    def watched(strips):  # each strip's share of the maxima, before its products
-        for index, cols, strip in strips:
-            r = index[0]  # the strips hold rows r, r + 1, ..., in basis order, every column
-            for (inner, outer), big in zip(windows, maxima):
-                block = strip[:max(inner.dim - r, 0), inner.dim:outer.dim]
-                big[0] = max(big[0], block.max(initial=0.0), -block.min(initial=0.0))
-                square = strip[:max(outer.dim - r, 0), :outer.dim]
-                big[1] = max(big[1], square.max(initial=0.0), -square.min(initial=0.0))
-            yield index, cols, strip
-
-    products = _strip_products(watched(strips), grads, [(inner.dim, inner.dim, outer.dim)
-                                                        for inner, outer in windows])
-    defects = []
-    for (inner, outer), t, (block_max, square_max) in zip(windows, products, maxima):
-        # sphere quadrature entries are certified only to GRAM_RESIDUAL_TOL
-        if block_max <= GRAM_RESIDUAL_TOL * square_max:
-            raise InputError(f"field {f.name!r} has no tail defect: its off-window block is round-off")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
-            tensor = _contract(None, grads[:inner.dim], t)
-            sup = g0_operator_norms(outer.model, points, tensor).max()
-            defect = sup / inner.mu_top ** (outer.model.dim + 2)
-        defects.append(float(_finite(f.name, defect, "tail defect")))
+    n, fields, defects = top.model.dim, [], []  # fields: (coupling, scale, T) per window
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+        if top.model.kind == "sphere2":
+            rows, grads = max(inner.dim for inner, _ in windows), eval_basis(top, points)[1]
+            sym = np.zeros((rows, top.dim))  # twice the symmetrized rows
+            for index, cols, strip in sphere_strips(f, top, slice(None), slice(None)):
+                sym[np.ix_(index[index < rows], cols)] += strip[index < rows]
+                sym[np.ix_(cols[cols < rows], index)] += strip[:, cols < rows].T
+            for d, e in ((inner.dim, outer.dim) for inner, outer in windows):
+                fields.append((np.abs(sym[:d, d:e]).max(), np.abs(sym[:e, :e]).max(),
+                               0.5 * _contract(sym[:d, d:e], grads[:d], grads[d:e])))
+        else:
+            table, box = _flat_table(f, top)
+            even, odd = (t[0] for t in table(0, 1))
+            width, c = 2 * box + 1, (even + 1j * odd) * (2 / top.model.volume)
+            scale = np.abs(c).max()
+            live = np.flatnonzero(np.abs(c[1:]) > KN_TAIL_TOL * scale) + 1  # nu = 0 couples none
+            c, nu = c[live], np.stack(np.unravel_index(live + width**n // 2, (width,) * n), 1) - box
+            for inner, outer in windows:
+                lat = np.concatenate([inner.freqs[::2], -inner.freqs[1::2]])  # 0, then +-k
+                sums = np.einsum("ja,jb->jab", lat, np.hstack([lat, np.ones((len(lat), 1))]))
+                q_in, q_out = ((b.freqs * b.freqs).sum(axis=1).max() for b in (inner, outer))
+                coupling, tensor = 0.0, np.zeros((len(points), n * n))
+                for o in (slice(lo, lo + _STRIP) for lo in range(0, len(live), _STRIP)):
+                    q = (lat * lat).sum(1) - 2 * nu[o] @ lat.T + (nu[o] * nu[o]).sum(1)[:, None]
+                    ring = (q > q_in) & (q <= q_out)  # q = |j - nu|^2 in the outer annulus
+                    r = (ring @ sums.reshape(len(lat), -1)).reshape(-1, n, n + 1)  # j (x) (j, 1)
+                    s = (r[:, :, :n] - r[:, :, n:] * nu[o, None]).reshape(-1, n * n)
+                    tensor += (c[o] * np.exp(1j * (points @ nu[o].T))).real @ s
+                    coupling = max(coupling, np.abs(c[o][ring.any(axis=1)]).max(initial=0.0))
+                fields.append((coupling, scale, tensor.reshape(-1, n, n)))
+        for (inner, outer), (coupling, scale, tensor) in zip(windows, fields):
+            if coupling <= GRAM_RESIDUAL_TOL * scale:
+                raise InputError(f"field {f.name!r} has no tail defect: "
+                                 "its off-window block is round-off")
+            defect = g0_operator_norms(outer.model, points, tensor).max() / inner.mu_top ** (n + 2)
+            defects.append(float(_finite(f.name, defect, "tail defect")))
     return defects

@@ -369,6 +369,24 @@ class TestIsometryFit:
         c = isometry_fit(SPHERE, [6, 10, 14, 18], grid_res=8)
         assert c == pytest.approx(1 / (16 * math.pi), rel=0.05)
 
+    @pytest.mark.parametrize("n_deg", [1, 2, 5, 10, 17, 30])
+    def test_sphere_closed_form(self, n_deg):
+        # sum_{l<=N} (2l+1) l(l+1) = N (N+1)^2 (N+2) / 2 against mu^4 = N^2 (N+1)^2:
+        # the coefficient is (1 + 2/N) times the theory, at every point
+        pts, _ = quadrature_grid(SPHERE, 4)
+        mu, measured = isometry_measurement(SPHERE, n_deg, pts)
+        want = isometry_theory_coefficient(SPHERE) * (1 + 2 / n_deg)
+        assert measured / mu**4 == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n_deg", [3, 7, 16, 50, 128])
+    def test_circle_closed_form(self, n_deg):
+        # sum_{k<=N} k^2 / pi = N (N+1) (2N+1) / (6 pi) against mu^3 = N^3 and
+        # the theory 1 / (3 pi): the coefficient is (N+1)(2N+1)/(2N^2) times it
+        pts, _ = quadrature_grid(CIRCLE, 8)
+        mu, measured = isometry_measurement(CIRCLE, n_deg, pts)
+        want = isometry_theory_coefficient(CIRCLE) * (n_deg + 1) * (2 * n_deg + 1) / (2 * n_deg**2)
+        assert measured / mu**3 == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_needs_three_levels(self, capsys):
         assert main(["isometry", "--model", "circle", "--n", "4,8"]) == 1
         assert capsys.readouterr().err.startswith("error:")

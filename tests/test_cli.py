@@ -379,6 +379,26 @@ class TestMainInProcess:
         assert err.startswith("error:") and repr(name) in err, err
         assert not caught, [str(w.message) for w in caught]
 
+    def test_kohn_nirenberg_samples_resolve_their_x_band(self, monkeypatch, capsys):
+        # the hilb symbol of e^{250 cos x1} g0 needs 512 points per axis, not the
+        # window's 64: each fiber angle's FFT doubles the grid by the tail rule
+        # of flat multiplication.  On the 64-point grid the aliased table gave
+        # sup_rel_err 1.5474e215 and 1.0426e215, and exit 0
+        from bergman_lab import operators
+
+        argv = ["hilb-approx", "--model", "torus2", "--metric", "conformal:u=250cos(x1)",
+                "--mu2", "9,16"]
+        assert main(argv) == 0, capsys.readouterr().err
+        rows = capsys.readouterr().out.splitlines()[1:]
+        np.testing.assert_allclose([float(r.split(",")[1]) for r in rows],
+                                   [1.5463978998780127e215, 1.0418106334912155e215], rtol=1e-9)
+        # a grid capped below what the symbol needs is refused
+        monkeypatch.setattr(operators, "FFT_RES_MAX", 256)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: symbol 'hilb[conformal:u=250cos(x1)]' is not resolved "
+                              "by the FFT grid") and err.count("\n") == 1, err
+
     def test_overflowing_bergman_field_is_input_error_without_warning(self, capsys):
         # the contraction of a finite matrix overflows: dd_kernel refuses its field
         with warnings.catch_warnings(record=True) as caught:
@@ -386,6 +406,22 @@ class TestMainInProcess:
             assert main(["sphere-cumulative", "--a", f"{E308}x3", "--n", "4,8"]) == 1
         assert capsys.readouterr().err == "error: tensor field has non-finite values\n"
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_non_finite_cell_is_input_error(self, value, to_file, tmp_path, monkeypatch,
+                                            capsys):
+        # the last guard of the finite-output rule: a table with a non-finite
+        # cell exits 1 with one error line naming its column, and writes nothing
+        table = (["level", "ratio"], [(0, 1.0), (1, value)], None)
+        scope = COMMANDS["spectra"][1:]
+        monkeypatch.setitem(COMMANDS, "spectra", (lambda ns, model: table, *scope))
+        out = tmp_path / "t.csv"
+        assert main(["spectra", "--model", "circle", *(["--out", str(out)] * to_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: column 'ratio' holds the non-finite value {value}\n"
+        assert not out.exists()
 
     def test_large_finite_metric_still_runs(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -537,9 +573,9 @@ class TestMainInProcess:
           "--n", "8,16,24"], 24),
         (["bergman", "--model", "torus2", "--symbol", "xi1sq", "--mu2", "9,25,49"], 49),
         (["exact-pullback", "--model", "torus2", "--mu2", "5,25,49"], 49),
-        # the largest outer window is twice the top inner one
+        # a lattice sum over the field's Fourier support: no window is evaluated
         (["tail-defect", "--model", "torus2", "--f", "exp:0.3cos(x1)", "--mu2", "9,25,49"],
-         98),
+         None),
     ], ids=["cumulative-sphere", "isometry-circle", "isometry-torus", "isometry-sphere",
             "hilb-torus", "hilb-circle", "bergman-torus", "exact-torus", "tail-torus"])
     def test_sweep_evaluates_its_top_window_once(self, argv, top, monkeypatch, capsys):
@@ -554,23 +590,23 @@ class TestMainInProcess:
                                 windows.append(basis.dim) or real(basis, *a, **kw))
         assert main([*argv, "--threads", "2"]) == 0, capsys.readouterr().err
         assert len(capsys.readouterr().out.splitlines()) == 4
-        assert windows == [basis_for(model_by_name(argv[2]), top).dim]
+        assert windows == ([] if top is None else [basis_for(model_by_name(argv[2]), top).dim])
 
     def test_tail_defect_gathers_its_top_window_once(self, monkeypatch, capsys):
-        # one pass over the strips of the top outer window serves the whole
-        # sweep: the top inner window's rows, and no assembled matrix
-        from bergman_lab import operators
-        from bergman_lab.manifolds import basis_for
+        # the flat defects are a lattice sum over the field's Fourier table:
+        # no strip of the top outer window is gathered, no matrix assembled
+        # and no window evaluated
+        from bergman_lab import cli, manifolds, operators
 
-        calls, strips = [], operators._pair_strips
-        monkeypatch.setattr(operators, "_pair_strips", lambda table, basis, box, rows, *a: (
-            calls.append((basis.dim, rows)) or strips(table, basis, box, rows, *a)))
-        for name in ("assemble_kohn_nirenberg", "assemble_multiplication"):
-            monkeypatch.setattr(operators, name, lambda *a, _name=name: calls.append(_name))
+        calls = []
+        for module, name in ((operators, "_pair_strips"), (operators, "assemble_kohn_nirenberg"),
+                             (operators, "assemble_multiplication"), (operators, "eval_basis"),
+                             (cli, "eval_basis"), (manifolds, "eval_basis")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
         assert main(["tail-defect", "--model", "torus2", "--f", "exp:0.3cos(x1)",
                      "--mu2", "9,25,49", "--threads", "2"]) == 0, capsys.readouterr().err
         assert len(capsys.readouterr().out.splitlines()) == 4
-        assert calls == [(basis_for(TORUS, 98).dim, basis_for(TORUS, 49).dim)]
+        assert calls == []
 
     @pytest.mark.parametrize("argv", [
         ["bergman", "--model", "torus2", "--symbol", "xi1sq", "--mu2", "4,9"],

@@ -1219,11 +1219,16 @@ class TestTailDefect:
     @pytest.mark.parametrize("model, field, cutoffs, grid_res", [
         (CIRCLE, scalar_field("exp:cos(theta)", CIRCLE), (8, 16, 32, 64), 48),
         (TORUS, scalar_field("exp:0.3cos(x1)", TORUS), (9, 25, 100, 225), 10),
+        # sin terms and offsets off both axes; mu^2 = 9 -> 18 reaches the
+        # |k|^2 = 18 ring, whose float level sqrt(18)^2 is below 18
+        (TORUS, scalar_field("exp:0.5sin(x2)+0.3cos(x1)", TORUS), (9, 25, 100, 225), 10),
         (SPHERE, scalar_field("exp:0.5cos(phi)+0.3sin(theta)", SPHERE), (2, 4, 6), 8),
-    ], ids=["circle", "torus", "sphere"])
+    ], ids=["circle", "torus", "torus-mixed", "sphere"])
     def test_streamed_defects_are_the_block_contraction(self, model, field, cutoffs, grid_res):
-        # one pass over the strips serves every window, bit for bit as the
-        # contraction of each window's block of the assembled top window
+        # the contraction of each window's block of the assembled top window;
+        # the flat lattice sum skips the Fourier coefficients below 1e-14 of
+        # the largest that the dense block carries, which moved these defects
+        # by at most 4.1e-13 relative (torus-mixed at mu^2 = 225)
         windows = [(basis_for(model, c), basis_for(model, 2 * c)) for c in cutoffs]
         top = windows[-1][1]
         pts, _ = quadrature_grid(model, grid_res)
@@ -1235,20 +1240,18 @@ class TestTailDefect:
             tensor = _contract(mat[:d_in, d_in:d_out], grads[:d_in], grads[d_in:d_out])
             sup = float(g0_operator_norms(model, pts, tensor).max())
             want.append(sup / inner.mu_top ** (model.dim + 2))
-        assert tail_defect(field, windows, pts, grads) == want
-        assert tail_defect(field, windows, pts) == want
+        np.testing.assert_allclose(tail_defect(field, windows, pts), want, rtol=1e-12, atol=0.0)
 
     def test_streamed_defect_holds_no_block(self):
         # the acceptance tail_torus top pair: the 1,257 x 2,521 block (25 MB)
-        # is never formed; what is held beside the gradients is the (d_in, 2 P)
-        # product, one strip of pairs and the gather's buffers (0.27 times the
-        # block's bytes)
+        # is never formed, nor are the gradients or a strip of it; what is
+        # held is the FFT table and, per chunk of offsets, (offsets, lattice)
+        # integer arrays
         inner, outer = basis_for(TORUS, 400), basis_for(TORUS, 800)
         pts, _ = quadrature_grid(TORUS, 10)
-        grads = eval_basis(outer, pts)[1]
         field = scalar_field("exp:0.3cos(x1)", TORUS)
-        _, peak = traced_peak(lambda: tail_defect(field, [(inner, outer)], pts, grads))
-        assert peak < 0.3 * 8 * inner.dim * outer.dim
+        _, peak = traced_peak(lambda: tail_defect(field, [(inner, outer)], pts))
+        assert peak <= 0.1 * 8 * inner.dim * outer.dim
 
 
 class TestLeadingBlocks:
